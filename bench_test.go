@@ -13,7 +13,6 @@ package hog
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -39,74 +38,6 @@ func benchOpts() experiments.Options {
 		Scale: 0.5,
 		Seeds: []int64{1},
 		Nodes: []int{40, 55, 99, 100, 180},
-	}
-}
-
-// netRebalanceRun drives a 1000-node, 10-site network through a churn-heavy
-// flow schedule: thousands of overlapping transfers starting, sharing links
-// and finishing, which is exactly the event pattern that made the global
-// rebalancer the experiment bottleneck. Returns completions as a cheap
-// self-check.
-func netRebalanceRun(global bool) int {
-	const (
-		nSites       = 10
-		nodesPerSite = 100
-		nFlows       = 8000
-	)
-	eng := sim.New(1)
-	net := netmodel.New(eng, netmodel.Config{GlobalRebalance: global})
-	for s := 0; s < nSites; s++ {
-		site := net.AddSite("site", 300e6, 300e6)
-		for i := 0; i < nodesPerSite; i++ {
-			net.AddNode(site, "wn")
-		}
-	}
-	completed := 0
-	// Traffic mix mirrors a HOG run: mostly site-local block reads and
-	// node-local disk I/O, with a cross-site minority (shuffle, replication)
-	// contending on the WAN uplinks.
-	for i := 0; i < nFlows; i++ {
-		site := (i * 7) % nSites
-		src := netmodel.NodeID(site*nodesPerSite + (i*613)%nodesPerSite)
-		var dst netmodel.NodeID
-		if i%10 < 7 { // site-local transfer (block reads, pipeline hops)
-			dst = netmodel.NodeID(site*nodesPerSite + (i*389+17)%nodesPerSite)
-			if dst == src {
-				dst = netmodel.NodeID(site*nodesPerSite + (int(src)+1)%nodesPerSite)
-			}
-		} else { // cross-site transfer (shuffle, re-replication)
-			far := (site + 1 + i%(nSites-1)) % nSites
-			dst = netmodel.NodeID(far*nodesPerSite + (i*389+17)%nodesPerSite)
-		}
-		bytes := float64(1+(i%50)) * 4e6
-		start := sim.Time(i%500) * 10 * sim.Millisecond
-		i := i
-		eng.Schedule(start, func() {
-			net.StartFlow(src, dst, bytes, func() { completed++ })
-			if i%2 == 0 {
-				net.StartDiskIO(src, bytes/2, nil)
-			}
-		})
-	}
-	eng.Run()
-	return completed
-}
-
-// BenchmarkNetRebalance compares the link-scoped incremental rebalancer
-// (the default) against the rebalance-everything baseline at 1000 nodes.
-// The acceptance bar for this PR is incremental <= global/5 ns/op.
-func BenchmarkNetRebalance(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		global bool
-	}{{"incremental", false}, {"global", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := netRebalanceRun(mode.global); got != 8000 {
-					b.Fatalf("completed %d flows, want 8000", got)
-				}
-			}
-		})
 	}
 }
 
@@ -212,100 +143,36 @@ func BenchmarkScheduler(b *testing.B) {
 	}
 }
 
-// engineTimerRun drives a bare engine through the timer population a
-// MEGA-GRID simulation carries: tens of thousands of clustered periodic
-// tickers (worker heartbeats with microsecond skew, master scan loops) plus
-// a churn of one-shot timers that get rescheduled and canceled (flow
-// completions, node lifetimes, speculative launches). This is the pure
-// event-queue workload: wall-clock differences between the wheel and the
-// heap here are queue cost and nothing else.
-func engineTimerRun(heapSched bool, nTimers int) uint64 {
-	e := sim.NewEngine(sim.Config{Seed: 1, HeapScheduler: heapSched})
-	for i := 0; i < nTimers; i++ {
-		iv := 3*sim.Second + sim.Time(i%997)*sim.Millisecond/10
-		e.Every(iv, func() {})
+// largeGridQuick and gigaGridQuick are the seed-1, scale-0.25 results
+// recorded when the binary heap, the sequential timing wheel and the
+// site-sharded engine were all still selectable and all produced exactly
+// these values. The benchmarks below check every run against them, so a
+// faster engine can never buy its speed with a different simulation.
+var (
+	largeGridQuick = experiments.LargeGridResult{
+		Target: 1000, Sites: 12, Response: 496493204, EventsFired: 49410,
+		FlowsStarted: 21780, CrossSiteFrac: 0.8870060688270149, JobsFailed: 0,
 	}
-	var churn func()
-	var live []*sim.Timer
-	churn = func() {
-		r := e.Rand()
-		for k := 0; k < 8; k++ {
-			switch r.Intn(4) {
-			case 0:
-				live = append(live, e.After(sim.Time(r.Int63n(int64(20*sim.Minute))), func() {}))
-			case 1:
-				if n := len(live); n > 0 {
-					live[r.Intn(n)].Cancel()
-				}
-			default:
-				if n := len(live); n > 0 {
-					if tm := live[r.Intn(n)]; tm.Active() {
-						tm.Reschedule(e.Now() + sim.Time(r.Int63n(int64(10*sim.Minute))))
-					}
-				}
-			}
-		}
-		e.After(50*sim.Millisecond, churn)
+	gigaGridQuick = experiments.GigaGridResult{
+		Target: 100000, Sites: 104, Reached: 99682, Response: 724800000, EventsFired: 449948,
+		FlowsStarted: 22527, CrossSiteFrac: 0.9867615971428944, JobsFailed: 0,
 	}
-	e.After(0, churn)
-	e.RunUntil(2 * sim.Minute)
-	return e.Fired()
-}
-
-// BenchmarkEngine compares the timing-wheel event queue (the default)
-// against the retained binary heap on the bare-engine timer workload at
-// MEGA-GRID pending-set sizes. The acceptance bar for this PR is wheel <=
-// heap/1.3 ns/op at 20k pending timers.
-func BenchmarkEngine(b *testing.B) {
-	want := uint64(0)
-	for _, mode := range []struct {
-		name string
-		heap bool
-	}{{"wheel", false}, {"heap", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				got := engineTimerRun(mode.heap, 20000)
-				if got == 0 {
-					b.Fatal("no events fired")
-				}
-				if want == 0 {
-					want = got
-				} else if got != want {
-					b.Fatalf("engines diverge: %d events vs %d", got, want)
-				}
-			}
-		})
-	}
-}
+)
 
 // BenchmarkLargeGrid runs the Facebook workload end to end on the ~1000-node
 // twelve-site preset — the scale the incremental rebalancer was built to
-// open — under both event queues. The engines are bit-identical, so the
-// self-check compares their simulation outcomes.
+// open.
 func BenchmarkLargeGrid(b *testing.B) {
-	var want experiments.LargeGridResult
-	for _, mode := range []struct {
-		name string
-		heap bool
-	}{{"wheel", false}, {"heap", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var r experiments.LargeGridResult
-			for i := 0; i < b.N; i++ {
-				r = experiments.LargeGrid(experiments.Options{Scale: 0.25, Seeds: []int64{1}, HeapScheduler: mode.heap})
-			}
-			if r.JobsFailed != 0 {
-				b.Fatalf("%d jobs failed on the stable large grid", r.JobsFailed)
-			}
-			if want == (experiments.LargeGridResult{}) {
-				want = r
-			} else if r != want {
-				b.Fatalf("engine paths diverge: %+v vs %+v", r, want)
-			}
-			b.ReportMetric(r.Response.Seconds(), "response-s")
-			b.ReportMetric(float64(r.EventsFired), "events")
-			b.ReportMetric(100*r.CrossSiteFrac, "cross-site-%")
-		})
+	var r experiments.LargeGridResult
+	for i := 0; i < b.N; i++ {
+		r = experiments.LargeGrid(experiments.Options{Scale: 0.25, Seeds: []int64{1}})
 	}
+	if r != largeGridQuick {
+		b.Fatalf("result diverged from the recorded run:\n got  %+v\n want %+v", r, largeGridQuick)
+	}
+	b.ReportMetric(r.Response.Seconds(), "response-s")
+	b.ReportMetric(float64(r.EventsFired), "events")
+	b.ReportMetric(100*r.CrossSiteFrac, "cross-site-%")
 }
 
 // BenchmarkMegaGrid runs the Facebook workload end to end at the MEGA-GRID
@@ -328,64 +195,18 @@ func BenchmarkMegaGrid(b *testing.B) {
 
 // BenchmarkGigaGrid runs the Facebook workload end to end at the GIGA-GRID
 // scale: ~100,000 slots over 104 sites, an order of magnitude past
-// MEGA-GRID and three past the paper. Sub-benchmarks run the site-sharded
-// parallel engine (the default) and the sequential timing-wheel oracle;
-// the simulations must agree exactly, so the wall-clock ratio is pure
-// engine speedup. Set HOG_GIGA_JSON=path to write a small JSON artifact
-// recording both wall-clocks and the speedup — CI uploads it as
-// BENCH_giga.json.
+// MEGA-GRID and three past the paper.
 func BenchmarkGigaGrid(b *testing.B) {
-	var results [2]experiments.GigaGridResult
-	var secsPerOp [2]float64
-	var iters [2]int
-	for m, mode := range []struct {
-		name string
-		seq  bool
-	}{{"sharded", false}, {"seq", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var r experiments.GigaGridResult
-			for i := 0; i < b.N; i++ {
-				r = experiments.GigaGrid(experiments.Options{Scale: 0.25, Seeds: []int64{1}, SequentialEngine: mode.seq})
-			}
-			if r.JobsFailed != 0 {
-				b.Fatalf("%d jobs failed on the stable giga grid", r.JobsFailed)
-			}
-			results[m] = r
-			secsPerOp[m] = b.Elapsed().Seconds() / float64(b.N)
-			iters[m] = b.N
-			b.ReportMetric(r.Response.Seconds(), "response-s")
-			b.ReportMetric(float64(r.EventsFired), "events")
-			b.ReportMetric(float64(r.Reached), "nodes")
-		})
+	var r experiments.GigaGridResult
+	for i := 0; i < b.N; i++ {
+		r = experiments.GigaGrid(experiments.Options{Scale: 0.25, Seeds: []int64{1}})
 	}
-	if iters[0] == 0 || iters[1] == 0 {
-		return // a -bench filter selected only one engine; nothing to compare
+	if r != gigaGridQuick {
+		b.Fatalf("result diverged from the recorded run:\n got  %+v\n want %+v", r, gigaGridQuick)
 	}
-	if results[0] != results[1] {
-		b.Fatalf("engines diverge: %+v vs %+v", results[0], results[1])
-	}
-	speedup := secsPerOp[1] / secsPerOp[0]
-	b.Logf("giga sharded %.1fs vs seq %.1fs: speedup %.2fx on GOMAXPROCS=%d",
-		secsPerOp[0], secsPerOp[1], speedup, runtime.GOMAXPROCS(0))
-	if path := os.Getenv("HOG_GIGA_JSON"); path != "" {
-		artifact := struct {
-			ShardedSeconds float64 `json:"sharded_seconds"`
-			SeqSeconds     float64 `json:"seq_seconds"`
-			Speedup        float64 `json:"speedup"`
-			GOMAXPROCS     int     `json:"gomaxprocs"`
-			EventsFired    uint64  `json:"events_fired"`
-			Reached        int     `json:"reached_nodes"`
-			ResponseS      float64 `json:"response_s"`
-		}{secsPerOp[0], secsPerOp[1], speedup, runtime.GOMAXPROCS(0),
-			results[0].EventsFired, results[0].Reached, results[0].Response.Seconds()}
-		buf, err := json.MarshalIndent(artifact, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(r.Response.Seconds(), "response-s")
+	b.ReportMetric(float64(r.EventsFired), "events")
+	b.ReportMetric(float64(r.Reached), "nodes")
 }
 
 // BenchmarkHarnessSuite runs the full experiment matrix through the

@@ -155,8 +155,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment ids")
 	scale := flag.Float64("scale", 0, "override workload scale (0 = preset)")
 	scan := flag.Bool("scan", false, "force the linear-scan scheduler baseline (results must be bit-identical)")
-	heap := flag.Bool("heap", false, "force the binary-heap event queue baseline (results must be bit-identical)")
-	seq := flag.Bool("seq", false, "force the sequential timing-wheel engine instead of the sharded parallel default (results must be bit-identical)")
 	schedPol := flag.String("sched", "", "force a job-ordering policy in every run (see -list)")
 	placePol := flag.String("place", "", "force a block-placement policy in every run (see -list)")
 	specPol := flag.String("spec", "", "force a straggler criterion in every run (see -list)")
@@ -210,8 +208,6 @@ func run() int {
 		opts.Scale = *scale
 	}
 	opts.ScanScheduler = *scan
-	opts.HeapScheduler = *heap
-	opts.SequentialEngine = *seq
 	opts.SchedulerPolicy = *schedPol
 	opts.PlacementPolicy = *placePol
 	opts.SpeculationPolicy = *specPol

@@ -117,23 +117,6 @@ type Config struct {
 	// the registries by Validate.
 	Policies Policies
 
-	// HeapScheduler runs the simulation on the retained binary-heap event
-	// queue instead of the default site-sharded engine. The engines are
-	// bit-identical on every run (hogbench -heap, CI cmp gate); the knob
-	// exists for equivalence testing and benchmarking only.
-	HeapScheduler bool
-
-	// SequentialEngine runs the simulation on the single sequential timing
-	// wheel instead of the default site-sharded parallel engine (hogbench
-	// -seq, CI cmp gate). The sequential wheel is the oracle the sharded
-	// engine is pinned against; results are bit-identical either way.
-	SequentialEngine bool
-
-	// Shards fixes the sharded engine's worker count (0 = one per CPU, the
-	// default). Results are bit-identical at every shard count; the knob
-	// exists so equivalence tests can pin specific counts.
-	Shards int
-
 	// Zombie selects preemption daemon behaviour (grid systems only).
 	Zombie ZombieMode
 	// DiskCheckInterval is the zombie self-check period (ZombieDiskCheck).
@@ -245,13 +228,9 @@ func MegaGridConfig(targetNodes int, churn grid.ChurnProfile, seed int64) Config
 
 // GigaGridConfig returns the HOG configuration on the ~104-site
 // GigaGridSites preset, for runs around 100,000 nodes — the GIGA-GRID
-// scale the site-sharded parallel engine exists for: with roughly a
-// hundred site wheels settling concurrently between lookahead barriers,
-// the run parallelizes inside a single simulation while remaining
-// bit-identical to the sequential oracle (hogbench -exp giga -seq).
-// Everything except the site list matches HOGConfig; the provisioning
-// bound is widened again because filling a hundred thousand slots takes
-// correspondingly longer.
+// scale point (hogbench -exp giga). Everything except the site list
+// matches HOGConfig; the provisioning bound is widened again because
+// filling a hundred thousand slots takes correspondingly longer.
 func GigaGridConfig(targetNodes int, churn grid.ChurnProfile, seed int64) Config {
 	c := HOGConfig(targetNodes, churn, seed)
 	c.Grid.Sites = grid.GigaGridSites(churn)
@@ -298,10 +277,6 @@ type worker struct {
 	node   *grid.Node
 	id     netmodel.NodeID
 	health workerHealth
-	// shard is the worker's site index, cached so the per-beat driver loop
-	// can tag each worker's heartbeat work onto its site's engine shard
-	// without a site lookup per beat.
-	shard int
 	// dn and tr are the worker's master-side records, held directly so the
 	// per-beat driver loop doesn't pay a map probe per worker per master.
 	dn *hdfs.DatanodeInfo
@@ -440,28 +415,8 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 			cfg.HDFS.ReplicationOrder = p.Replication
 		}
 	}
-	// Conservative lookahead for the sharded engine: sites only couple
-	// through the WAN (one-way latency) and through master heartbeats
-	// (interval-paced), so no cross-site causality can act faster than
-	// their sum — within a window that wide, per-site wheels settle
-	// independently. Any positive window is correct (bit-identity never
-	// depends on it); this one just amortizes barriers best.
-	wan := cfg.Net.WANLatency
-	if wan <= 0 {
-		wan = netmodel.DefaultConfig().WANLatency
-	}
-	hb0 := cfg.MapRed.HeartbeatInterval
-	if hb0 <= 0 {
-		hb0 = mapred.DefaultConfig().HeartbeatInterval
-	}
 	s := &System{
-		Eng: sim.NewEngine(sim.Config{
-			Seed:             cfg.Seed,
-			HeapScheduler:    cfg.HeapScheduler,
-			SequentialEngine: cfg.SequentialEngine,
-			Shards:           cfg.Shards,
-			Lookahead:        wan + hb0,
-		}),
+		Eng:      sim.New(cfg.Seed),
 		cfg:      cfg,
 		mapper:   topology.NewMapper(),
 		workers:  make(map[netmodel.NodeID]*worker),
@@ -516,10 +471,6 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 		jtDown := s.JT.Down()
 		now := s.Eng.Now()
 		for _, w := range s.workerList {
-			// Site-shard the fallout of each beat (task timers, retry
-			// schedules) so the sharded engine settles it on the worker's
-			// site wheel; pure load placement, never ordering.
-			s.Eng.SetShard(w.shard)
 			if w.health == workerDead {
 				continue
 			}
@@ -573,26 +524,15 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 // observers attached.
 func (s *System) Subscribe(o event.Observer) { s.bus.Subscribe(o) }
 
-// reportedAlive counts trackers the JobTracker still believes alive. The
-// count is a pure read over the worker list, so at 100k-worker scale the
-// sampler fans it out across parallel chunks; integer partial sums added
-// in chunk order are exactly the sequential count.
+// reportedAlive counts trackers the JobTracker still believes alive.
 func (s *System) reportedAlive() int {
-	var counts [sim.ScanChunks]int
-	s.Eng.ParallelScan(len(s.workerList), 4096, func(c, lo, hi int) {
-		n := 0
-		for _, w := range s.workerList[lo:hi] {
-			if w.tr != nil && w.tr.Alive {
-				n++
-			}
+	n := 0
+	for _, w := range s.workerList {
+		if w.tr != nil && w.tr.Alive {
+			n++
 		}
-		counts[c] = n
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
 	}
-	return total
+	return n
 }
 
 // Zombies returns the number of currently zombie workers.
@@ -716,7 +656,7 @@ func (s *System) buildStatic() {
 			if g.Speed > 0 {
 				tr.Speed = g.Speed
 			}
-			w := &worker{id: id, health: workerHealthy, dn: dn, tr: tr, shard: int(s.Net.SiteOf(id))}
+			w := &worker{id: id, health: workerHealthy, dn: dn, tr: tr}
 			s.workers[id] = w
 			s.order = append(s.order, id)
 			s.workerList = append(s.workerList, w)
@@ -735,7 +675,7 @@ func (s *System) onJoin(n *grid.Node) {
 	s.Disk.SetCapacity(n.ID, n.DiskCapacity)
 	dn := s.NN.Register(n.ID, n.Hostname)
 	tr := s.JT.RegisterTracker(n.ID, n.Hostname, s.mapper.Site(n.Hostname), n.MapSlots, n.ReduceSlots)
-	w := &worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr, shard: int(s.Net.SiteOf(n.ID))}
+	w := &worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr}
 	s.workers[n.ID] = w
 	s.order = append(s.order, n.ID)
 	s.workerList = append(s.workerList, w)

@@ -35,22 +35,10 @@ type Options struct {
 	// scan-vs-indexed cmp gate enforces exactly that, which is also why this
 	// knob is deliberately absent from the JSON document's options block.
 	ScanScheduler bool
-	// HeapScheduler forces the retained binary-heap event queue in every
-	// simulated system (hogbench -heap). Like ScanScheduler it is
-	// bit-identical to the default path, enforced by CI's heap cmp gate,
-	// and therefore absent from the JSON document.
-	HeapScheduler bool
-	// SequentialEngine forces the sequential timing-wheel engine in every
-	// simulated system (hogbench -seq) instead of the default site-sharded
-	// parallel engine. The sequential wheel is the oracle the sharded
-	// engine is pinned against: CI's sharded-vs-sequential cmp gate
-	// requires bit-identical documents, so — like the other engine knobs —
-	// it is absent from the JSON document.
-	SequentialEngine bool
 
 	// SchedulerPolicy, SpeculationPolicy, PlacementPolicy, and
 	// ReplicationOrder force the named policy in every simulated system
-	// (hogbench -sched, -spec, -place, -repl). Unlike the engine knobs
+	// (hogbench -sched, -spec, -place, -repl). Unlike ScanScheduler
 	// above these CAN change results — they are ablation selectors, not
 	// equivalence oracles — but the empty string keeps each decision
 	// point's default, under which every run is bit-identical to the
@@ -65,8 +53,6 @@ type Options struct {
 // tune applies the option-level knobs to a built core config.
 func (o Options) tune(cfg core.Config) core.Config {
 	cfg.MapRed.ScanScheduler = o.ScanScheduler
-	cfg.HeapScheduler = o.HeapScheduler
-	cfg.SequentialEngine = o.SequentialEngine
 	if o.SchedulerPolicy != "" {
 		cfg.Policies.Scheduler = o.SchedulerPolicy
 	}

@@ -208,21 +208,6 @@ func TestQuickAndFullPresets(t *testing.T) {
 	_ = workload.Table1()
 }
 
-// TestLargeGridEngineEquivalence runs the full LARGE-GRID system — ~1000
-// nodes, provisioning, churn, workload — under the timing wheel and the
-// retained binary heap. The engines must agree bit-for-bit: same response,
-// same event count, same flow census, same failures.
-func TestLargeGridEngineEquivalence(t *testing.T) {
-	wheel := LargeGrid(Options{Scale: 0.1, Seeds: []int64{1}})
-	heap := LargeGrid(Options{Scale: 0.1, Seeds: []int64{1}, HeapScheduler: true})
-	if wheel != heap {
-		t.Fatalf("engine paths diverge at 1000 nodes:\nwheel: %+v\nheap:  %+v", wheel, heap)
-	}
-	if wheel.Response <= 0 || wheel.EventsFired == 0 {
-		t.Fatalf("degenerate run: %+v", wheel)
-	}
-}
-
 // TestMegaGridShape pins the MEGA-GRID preset's shape: forty sites and
 // enough aggregate capacity for the ten-thousand-node target.
 func TestMegaGridShape(t *testing.T) {

@@ -23,13 +23,8 @@ type GigaGridResult struct {
 
 // GigaGrid runs the Facebook workload on a ~100,000-node pool spread over
 // the GigaGridSites preset — three orders of magnitude past the paper's 180
-// nodes and an order past MEGA-GRID. This is the scale the site-sharded
-// parallel engine exists for: roughly a hundred per-site timing wheels
-// settle concurrently between conservative lookahead barriers (WAN latency
-// plus the heartbeat interval) while callbacks still execute in the exact
-// global (at, seq) order. hogbench -exp giga -seq runs the same experiment
-// on the sequential oracle and must produce bit-identical results — that
-// cmp gate is what lets the parallel engine be the default everywhere.
+// nodes and an order past MEGA-GRID: roughly a hundred sites feeding one
+// event queue whose pending set holds a timer per worker.
 func GigaGrid(opts Options) GigaGridResult {
 	opts = opts.WithDefaults()
 	target := 100000
@@ -50,8 +45,7 @@ func GigaGrid(opts Options) GigaGridResult {
 	return out
 }
 
-// PrintGigaGrid prints the scale-out run. Like every printer it is
-// engine-agnostic: hogbench -exp giga -seq must print byte-identical text.
+// PrintGigaGrid prints the scale-out run.
 func PrintGigaGrid(w io.Writer, opts Options) {
 	r := GigaGrid(opts)
 	fmt.Fprintf(w, "GIGA-GRID: Facebook workload at ~100,000 nodes, %d sites\n", r.Sites)

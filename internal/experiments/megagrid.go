@@ -26,9 +26,7 @@ type MegaGridResult struct {
 // nodes, and an order past LARGE-GRID. At this scale the pending-event set
 // is tens of thousands of clustered periodic timers (tracker heartbeats,
 // dead scans, node lifetimes), which is exactly the workload the
-// timing-wheel engine was built for; hogbench -exp mega -heap runs the same
-// experiment on the retained binary heap and must produce bit-identical
-// results.
+// timing-wheel engine was built for.
 func MegaGrid(opts Options) MegaGridResult {
 	opts = opts.WithDefaults()
 	target := 10000

@@ -242,10 +242,6 @@ func (p *Pool) provision() {
 	p.alive++
 	sr.alive++
 	p.stats.Provisioned++
-	// Everything the join triggers — the lifetime timer here, plus the
-	// registration fallout in OnJoin — is site-local work; tag it onto the
-	// site's engine shard so the sharded queue settles it there.
-	p.eng.SetShard(int(sr.netSite))
 	if sr.cfg.NodeLifetime != nil {
 		life := sr.cfg.NodeLifetime.Sample(p.eng.Rand())
 		n.lifetime = p.eng.After(life, func() { p.preempt(n, &p.stats.Preempted, true, "lifetime") })
@@ -409,7 +405,6 @@ func (p *Pool) scheduleBatchPreemption(sr *siteRuntime) {
 	if sr.cfg.BatchPreemptEvery == nil || sr.cfg.BatchPreemptFrac <= 0 {
 		return
 	}
-	p.eng.SetShard(int(sr.netSite)) // batch preemptions are site-local work
 	p.eng.After(sr.cfg.BatchPreemptEvery.Sample(p.eng.Rand()), func() {
 		if n := p.batchPreempt(sr, sr.cfg.BatchPreemptFrac); n > 0 {
 			p.stats.BatchEvents++

@@ -136,16 +136,14 @@ func MegaGridSites(profile ChurnProfile) []SiteConfig {
 
 // GigaGridSites returns a synthetic ~104-site, ~100,000-slot grid — the
 // GIGA-GRID preset for hundred-thousand-node runs, three orders of
-// magnitude past the paper's 180 nodes and the scale the site-sharded
-// parallel engine targets. The first forty sites are the MegaGridSites
-// preset; the other sixty-four are generated opportunistic pools patterned
-// on a national-scale federation's mid-size providers, with capacities
-// cycling through 1150–1640 slots (deterministic in the site index, so the
-// preset is identical on every run). Uplinks stay at the OSG preset's
-// 2.4 Gbps: WAN contention per site grows with pool size exactly as the
-// fluid-flow model predicts, which is what keeps cross-site traffic — and
-// therefore the sharded engine's lookahead structure — honest at this
-// scale.
+// magnitude past the paper's 180 nodes. The first forty sites are the
+// MegaGridSites preset; the other sixty-four are generated opportunistic
+// pools patterned on a national-scale federation's mid-size providers, with
+// capacities cycling through 1150–1640 slots (deterministic in the site
+// index, so the preset is identical on every run). Uplinks stay at the OSG
+// preset's 2.4 Gbps: WAN contention per site grows with pool size exactly
+// as the fluid-flow model predicts, which is what keeps cross-site traffic
+// honest at this scale.
 func GigaGridSites(profile ChurnProfile) []SiteConfig {
 	sites := MegaGridSites(profile)
 	for i := 0; i < 64; i++ {

@@ -91,6 +91,9 @@ func Specs() []Spec {
 		{"hod", "A-HOD: Hadoop On Demand baseline", expandHOD},
 		{"grid", "LARGE-GRID: ~1000 nodes across 12 sites", expandLargeGrid},
 		{"mega", "MEGA-GRID: ~10000 nodes across 40 sites", expandMegaGrid},
+		// The giga description predates the single event engine; it rides
+		// in every results document, so it changes only with a deliberate
+		// BENCH_baseline.json refresh.
 		{"giga", "GIGA-GRID: ~100000 nodes across 104 sites, sharded parallel engine", expandGigaGrid},
 		{"sched", "SCHED-SCALE: indexed vs scan scheduler at 1000 nodes", expandSched},
 		{"events", "EVENTS: typed event stream census under fault injection", expandEvents},

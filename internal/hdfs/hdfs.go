@@ -455,26 +455,19 @@ func (nn *Namenode) UnderReplicated() int { return len(nn.replQueued) }
 
 func (nn *Namenode) checkDead() {
 	now := nn.eng.Now()
-	// Collect victims from dnOrder: markDead queues replication work and
-	// draws from the engine RNG, so processing order must not depend on map
-	// iteration — dnOrder is already the deterministic ascending-ID order
-	// the old sort produced, without the per-scan sort. The collection scan
-	// itself is read-only, so at 100k-datanode scale it fans out across
-	// parallel chunks; merging the per-chunk candidates in chunk order
-	// reproduces the plain loop's order exactly, and only then does the
-	// mutating markDead pass run, serially.
-	var parts [sim.ScanChunks][]*DatanodeInfo
-	nn.eng.ParallelScan(len(nn.dnOrder), 4096, func(c, lo, hi int) {
-		for _, d := range nn.dnOrder[lo:hi] {
-			if d.Alive && now-d.LastHeartbeat > nn.cfg.DeadTimeout {
-				parts[c] = append(parts[c], d)
-			}
+	// markDead queues replication work and draws from the engine RNG, so
+	// processing order must not depend on map iteration — dnOrder is the
+	// deterministic ascending-ID order. The victim set is fixed before any
+	// markDead runs, so the recovery work one death triggers cannot change
+	// which nodes this scan declares dead.
+	var doomed []*DatanodeInfo
+	for _, d := range nn.dnOrder {
+		if d.Alive && now-d.LastHeartbeat > nn.cfg.DeadTimeout {
+			doomed = append(doomed, d)
 		}
-	})
-	for _, doomed := range parts {
-		for _, d := range doomed {
-			nn.markDead(d)
-		}
+	}
+	for _, d := range doomed {
+		nn.markDead(d)
 	}
 }
 

@@ -290,21 +290,15 @@ func (jt *JobTracker) checkDead() {
 	now := jt.eng.Now()
 	// trackerOrder is already the ascending-node order the old per-scan
 	// sort produced; markDead consumes RNG, so order must stay exact. The
-	// scan is read-only, so at scale it fans out across parallel chunks —
-	// merging candidates in chunk order reproduces the plain loop's order
-	// before the mutating markDead pass runs serially.
-	var parts [sim.ScanChunks][]*TaskTracker
-	jt.eng.ParallelScan(len(jt.trackerOrder), 4096, func(c, lo, hi int) {
-		for _, t := range jt.trackerOrder[lo:hi] {
-			if t.Alive && now-t.LastHeartbeat > jt.cfg.TrackerTimeout {
-				parts[c] = append(parts[c], t)
-			}
+	// victim set is fixed before any markDead runs, as in the namenode.
+	var doomed []*TaskTracker
+	for _, t := range jt.trackerOrder {
+		if t.Alive && now-t.LastHeartbeat > jt.cfg.TrackerTimeout {
+			doomed = append(doomed, t)
 		}
-	})
-	for _, doomed := range parts {
-		for _, t := range doomed {
-			jt.markDead(t)
-		}
+	}
+	for _, t := range doomed {
+		jt.markDead(t)
 	}
 }
 

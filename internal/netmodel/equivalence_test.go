@@ -58,14 +58,13 @@ func randomSchedule(r *rand.Rand, nOps, nodesPerSite int) []schedOp {
 // times (-1 when the op never completed) plus final stats.
 func runSchedule(ops []schedOp, nodesPerSite int, global bool) ([]sim.Time, Stats) {
 	eng := sim.New(1)
-	net := New(eng, Config{
-		NodeBps:         100e6,
-		DiskBps:         50e6,
-		WANFlowBps:      10e6,
-		LANLatency:      sim.Millisecond,
-		WANLatency:      40 * sim.Millisecond,
-		GlobalRebalance: global,
-	})
+	net := newRebalancing(eng, Config{
+		NodeBps:    100e6,
+		DiskBps:    50e6,
+		WANFlowBps: 10e6,
+		LANLatency: sim.Millisecond,
+		WANLatency: 40 * sim.Millisecond,
+	}, global)
 	for s := 0; s < 3; s++ {
 		site := net.AddSite("s", 200e6, 200e6)
 		for i := 0; i < nodesPerSite; i++ {

@@ -28,8 +28,8 @@
 // bytes are materialised only when the rate actually changes (or on demand
 // via Remaining()). Because both the incremental and the global path settle
 // at exactly the rate-change instants, they produce bit-identical completion
-// times; Config.GlobalRebalance selects the global path for equivalence
-// tests and benchmark baselines.
+// times; the global path is kept only in this package's tests, as the
+// incremental rebalancer's equivalence oracle and benchmark baseline.
 //
 // Determinism: affected flows are processed in creation-sequence order, and
 // timer rescheduling draws fresh engine tie-breaking sequence numbers, so
@@ -63,11 +63,6 @@ type Config struct {
 	// LANLatency and WANLatency are one-way propagation delays added to the
 	// start of each flow.
 	LANLatency, WANLatency sim.Time
-	// GlobalRebalance selects the O(flows) rebalance-everything path instead
-	// of the default link-scoped incremental one. Both produce identical
-	// results; the global path exists as an equivalence and benchmark
-	// baseline.
-	GlobalRebalance bool
 }
 
 // DefaultConfig returns the constants used throughout the evaluation:
@@ -184,9 +179,13 @@ type Network struct {
 	epoch    uint64  // rebalance generation, for affected-set dedupe
 	batching int     // >0 while Batch() defers rebalancing
 
-	// order holds all active flows sorted by creation seq; maintained only
-	// in global-rebalance mode, where every event walks every flow.
-	order []*Flow
+	// global selects the O(flows) rebalance-everything path instead of the
+	// link-scoped incremental one. Both produce identical results; only
+	// this package's tests set it (export_test.go), as the equivalence
+	// oracle and benchmark baseline. order holds all active flows sorted by
+	// creation seq, maintained only in global mode.
+	global bool
+	order  []*Flow
 
 	// Directed partition state (partition.go), keyed by int(SiteID) /
 	// int(NodeID); nParted counts installed cuts so the fault-free Reachable
@@ -326,11 +325,6 @@ type Flow struct {
 	crossSite  bool
 	diskIO     bool
 	bytes      float64
-	// shard is the destination's site index: completion timers are tagged
-	// onto the receiving site's engine shard, so a WAN flow's completion is
-	// settled by the wheel of the site it lands on. Load placement only;
-	// never affects ordering.
-	shard int
 }
 
 // StartFlow begins a transfer of bytes from src to dst, invoking done when
@@ -351,7 +345,6 @@ func (n *Network) StartFlow(src, dst NodeID, bytes float64, done func()) *Flow {
 		capBps:    n.cfg.NodeBps,
 	}
 	n.flowSeq++
-	f.shard = int(nd.site)
 	latency := n.cfg.LANLatency
 	f.links = append(f.links, &ns.up, &nd.down)
 	if ns.site != nd.site {
@@ -379,16 +372,12 @@ func (n *Network) StartDiskIO(node NodeID, bytes float64, done func()) *Flow {
 		diskIO:    true,
 	}
 	n.flowSeq++
-	f.shard = int(n.nodes[node].site)
 	f.links = append(f.links, &n.nodes[node].disk)
 	n.admit(f, 0)
 	return f
 }
 
 func (n *Network) admit(f *Flow, latency sim.Time) {
-	cur := n.eng.Shard()
-	n.eng.SetShard(f.shard)
-	defer n.eng.SetShard(cur) // admit's timers carry the flow tag; callers keep theirs
 	if f.remaining <= 0 {
 		// Zero-byte transfers complete after the propagation latency. The
 		// flow stays cancelable until then: Cancel stops the timer and
@@ -415,7 +404,7 @@ func (n *Network) admit(f *Flow, latency sim.Time) {
 		}
 		f.active = true
 		f.lastSettle = n.eng.Now()
-		if n.cfg.GlobalRebalance {
+		if n.global {
 			n.orderInsert(f)
 		}
 		n.rebalance()
@@ -470,7 +459,7 @@ func (n *Network) leave(f *Flow) {
 		l.detach(f)
 	}
 	f.active = false
-	if n.cfg.GlobalRebalance {
+	if n.global {
 		n.orderRemove(f)
 	}
 }
@@ -513,7 +502,7 @@ func (n *Network) rebalance() {
 		return
 	}
 	now := n.eng.Now()
-	if n.cfg.GlobalRebalance {
+	if n.global {
 		for _, l := range n.dirty {
 			l.dirty = false
 		}
@@ -621,13 +610,10 @@ func (n *Network) applyRate(f *Flow, now sim.Time, rate float64) {
 		fin = 0
 	}
 	if f.timer.Active() {
-		f.timer.Reschedule(now + fin) // keeps its shard tag
+		f.timer.Reschedule(now + fin)
 	} else {
 		ff := f
-		cur := n.eng.Shard()
-		n.eng.SetShard(f.shard)
 		f.timer = n.eng.Schedule(now+fin, func() { n.complete(ff) })
-		n.eng.SetShard(cur) // don't leak the flow's tag into caller scheduling
 	}
 }
 

@@ -7,21 +7,14 @@
 // what makes the paper's three-runs-per-point evaluation reproducible: each
 // "run" is just a different seed.
 //
-// Three interchangeable queue implementations back the engine: the default
-// site-sharded parallel queue (shard.go), which settles per-shard timing
-// wheels on parallel goroutines at conservative lookahead boundaries; the
-// sequential hierarchical timing wheel (wheel.go), selected with
-// Config.SequentialEngine, which makes schedule/cancel O(1) for the
-// near-future timers that dominate grid simulations; and the retained
-// binary heap, selected with Config.HeapScheduler. All three fire events in
-// exactly the same (at, seq) order, so every simulation is bit-identical
-// under any queue — the equivalence tests and CI cmp gates pin that.
+// The event queue is a hierarchical timing wheel (wheel.go), which makes
+// schedule/cancel O(1) for the near-future timers that dominate grid
+// simulations. It fires events in exact (at, seq) order; the package's
+// tests pin that order against a plain binary heap kept there as the
+// oracle.
 package sim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // event is a scheduled callback. seq breaks ties between events scheduled
 // for the same instant so ordering is insertion order, never map order.
@@ -41,7 +34,6 @@ type event struct {
 	index    int // position in the queue (heap index or bucket offset), -1 once popped
 	level    int8
 	slot     int16
-	shard    int32 // owning logical process under the sharded queue
 	gen      uint64
 }
 
@@ -95,8 +87,10 @@ func (t *Timer) Reschedule(at Time) {
 	t.e.q.update(t.ev)
 }
 
-// evqueue orders pending events by (at, seq). Canceled events stay queued
-// as tombstones and are returned by pop like any other event; the engine
+// evqueue orders pending events by (at, seq). The engine always runs on the
+// timing wheel; the interface lets this package's tests run the same
+// schedules on the binary-heap oracle. Canceled events stay queued as
+// tombstones and are returned by pop like any other event; the engine
 // skips and recycles them. peek must not have observable side effects
 // beyond internal reorganisation bounded by limit (the wheel advances its
 // cursor at most to limit, never past a pending event).
@@ -108,152 +102,30 @@ type evqueue interface {
 	size() int
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// heapQ is the retained binary-heap queue (Config.HeapScheduler). It is the
-// pre-wheel engine, kept as the equivalence baseline and benchmark foil.
-type heapQ struct {
-	h eventHeap
-}
-
-func (q *heapQ) push(ev *event)   { heap.Push(&q.h, ev) }
-func (q *heapQ) update(ev *event) { heap.Fix(&q.h, ev.index) }
-func (q *heapQ) peek(limit Time) (Time, bool) {
-	if len(q.h) == 0 || q.h[0].at > limit {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-func (q *heapQ) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-func (q *heapQ) size() int { return len(q.h) }
-
-// Config selects engine parameters beyond the seed.
-type Config struct {
-	// Seed for the deterministic random source.
-	Seed int64
-	// HeapScheduler selects the retained binary-heap event queue instead of
-	// the default site-sharded queue. It is bit-identical on every run; the
-	// heap is kept for equivalence gates and benchmarks. It implies a
-	// sequential engine.
-	HeapScheduler bool
-	// SequentialEngine selects the single sequential timing wheel instead of
-	// the default site-sharded parallel queue. The sequential wheel is the
-	// oracle the sharded queue is pinned against: for any Shards and
-	// Lookahead values the two fire events in exactly the same (at, seq)
-	// order, so every simulation is bit-identical under either.
-	SequentialEngine bool
-	// Shards is the number of logical processes in the sharded queue
-	// (default 8). Shard assignment affects only which goroutine settles an
-	// event's timing wheel, never the merged firing order.
-	Shards int
-	// Lookahead is the conservative synchronization window of the sharded
-	// queue (default 1 s). Any positive value is correct; a window derived
-	// from the model's minimum cross-shard latency (WAN latency plus the
-	// master heartbeat interval, for the grid model) amortizes barrier
-	// overhead best.
-	Lookahead Time
-	// StageThreshold is the minimum number of wheel-resident events before a
-	// barrier stages shards on parallel goroutines instead of inline
-	// (default 256). Tests set it to 1 to force the parallel path at toy
-	// scale; either path yields identical results.
-	StageThreshold int
-}
-
 // Engine is a discrete-event simulator. All model code runs sequentially on
-// the engine's loop — callbacks are never concurrent with each other — but
-// the default sharded queue settles its per-shard timing wheels on parallel
-// goroutines between callbacks. The Engine API itself is not safe for
-// concurrent use.
+// the engine's loop — callbacks are never concurrent with each other — and
+// the Engine API is not safe for concurrent use.
 type Engine struct {
-	now      Time
-	q        evqueue
-	seq      uint64
-	rng      *rand.Rand
-	src      *CountingSource
-	stopped  bool
-	fired    uint64
-	pending  int      // live count of scheduled, non-canceled events
-	free     []*event // recycled events awaiting reuse
-	heapQ    bool
-	sharded  bool
-	curShard int32 // shard tag stamped on newly scheduled events
+	now     Time
+	q       evqueue
+	seq     uint64
+	rng     *rand.Rand
+	src     *CountingSource
+	stopped bool
+	fired   uint64
+	pending int      // live count of scheduled, non-canceled events
+	free    []*event // recycled events awaiting reuse
 }
 
 // New returns an engine with its clock at zero and a deterministic random
-// source seeded with seed, using the default sharded queue.
-func New(seed int64) *Engine { return NewEngine(Config{Seed: seed}) }
-
-// NewEngine returns an engine configured by cfg.
-func NewEngine(cfg Config) *Engine {
+// source seeded with seed.
+func New(seed int64) *Engine {
 	// The counting wrapper forwards rand.NewSource's stream unchanged, so
 	// every pre-existing run stays bit-identical; the draw count it maintains
 	// is what snapshots record as the stream position (see CountingSource).
-	src := NewCountingSource(cfg.Seed)
-	e := &Engine{rng: rand.New(src), src: src, heapQ: cfg.HeapScheduler}
-	switch {
-	case cfg.HeapScheduler:
-		e.q = &heapQ{}
-	case cfg.SequentialEngine:
-		e.q = newWheelQ()
-	default:
-		e.q = newShardQ(cfg.Shards, cfg.Lookahead, cfg.StageThreshold)
-		e.sharded = true
-	}
-	return e
+	src := NewCountingSource(seed)
+	return &Engine{q: newWheelQ(), rng: rand.New(src), src: src}
 }
-
-// HeapScheduler reports whether the engine runs on the retained binary heap
-// rather than a timing wheel.
-func (e *Engine) HeapScheduler() bool { return e.heapQ }
-
-// Sharded reports whether the engine runs on the site-sharded parallel
-// queue (the default) rather than one of the sequential oracles.
-func (e *Engine) Sharded() bool { return e.sharded }
-
-// SetShard tags subsequently scheduled events with logical process k (any
-// int; the sharded queue folds it into its shard range). Model layers call
-// it with a site index before scheduling site-local work so each site's
-// timers land on that site's timing wheel. Events scheduled inside a
-// callback inherit the firing event's shard unless overridden, so recurring
-// timers stay put. The tag is load-balancing metadata only: the merged
-// firing order — and therefore every simulation result — is identical for
-// any tagging.
-func (e *Engine) SetShard(k int) { e.curShard = int32(k) }
-
-// Shard returns the current shard tag (see SetShard).
-func (e *Engine) Shard() int { return int(e.curShard) }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -318,7 +190,6 @@ func (e *Engine) scheduleInto(t *Timer, at Time, fn func(), afn func(any), arg a
 	ev.fn = fn
 	ev.afn = afn
 	ev.arg = arg
-	ev.shard = e.curShard
 	e.seq++
 	e.q.push(ev)
 	e.pending++
@@ -419,7 +290,6 @@ func (e *Engine) step() {
 	e.pending--
 	e.now = ev.at
 	e.fired++
-	e.curShard = ev.shard // callbacks schedule into their own shard by default
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	e.recycle(ev)
 	if afn != nil {
@@ -454,10 +324,8 @@ func tickerTick(x any) {
 	if tk.stopped {
 		return
 	}
-	shard := tk.e.curShard // fn may retag; the ticker itself stays put
 	tk.fn()
 	if !tk.stopped {
-		tk.e.curShard = shard
 		tk.e.scheduleInto(&tk.t, tk.e.now+tk.interval, nil, tickerTick, tk)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"math/bits"
 )
 
-// Hierarchical timing wheel (Varghese & Lauer), the engine's default event
-// queue. Six levels of 64 slots each cover the 64^6 µs (~19.1 h) block of
-// virtual time around the wheel cursor; events in a later block wait in an
+// Hierarchical timing wheel (Varghese & Lauer), the engine's event queue.
+// Six levels of 64 slots each cover the 64^6 µs (~19.1 h) block of virtual
+// time around the wheel cursor; events in a later block wait in an
 // overflow heap and are promoted as the cursor approaches. Scheduling and
 // canceling are O(1); firing pays amortized O(levels) cursor movement
 // instead of the heap's O(log pending) — the win that matters when
@@ -38,6 +38,37 @@ const (
 	overflowLevel int8 = wheelLevels
 	maxTime       Time = math.MaxInt64
 )
+
+// eventHeap is a binary min-heap of events by (at, seq), maintaining each
+// event's index for heap.Fix/Remove. The wheel keeps its overflow in one.
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*h)
+	*h = append(*h, ev)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.index = -1
+	*h = old[:n-1]
+	return ev
+}
 
 // wheelQ implements evqueue on the hierarchical wheel plus overflow heap.
 type wheelQ struct {
@@ -196,40 +227,6 @@ func (w *wheelQ) settle(limit Time) bool {
 	}
 }
 
-// lowerBound returns a lower bound on the earliest stored event without
-// moving the cursor: the minimum candidate window start across levels (the
-// same candidates settle considers) and the overflow head. The bound is
-// exact once the minimum sits in a level-0 bucket; otherwise a following
-// settle tightens it by cascading, so repeated lowerBound/settle rounds
-// converge on the true minimum within wheelLevels cascades. The sharded
-// queue uses it to pick the next synchronization window without settling
-// a shard past the window's end.
-func (w *wheelQ) lowerBound() (Time, bool) {
-	if w.readyValid {
-		return w.readyTime, true
-	}
-	if w.count == 0 && len(w.over) == 0 {
-		return 0, false
-	}
-	best := maxTime
-	for l := 0; l < wheelLevels; l++ {
-		if w.occ[l] == 0 {
-			continue
-		}
-		shift := uint(wheelSlotBits * l)
-		s := bits.TrailingZeros64(w.occ[l])
-		span := Time(1) << shift
-		align := w.base &^ (span*wheelSlots - 1)
-		if start := align + Time(s)*span; start < best {
-			best = start
-		}
-	}
-	if len(w.over) > 0 && w.over[0].at < best {
-		best = w.over[0].at
-	}
-	return best, true
-}
-
 func (w *wheelQ) peek(limit Time) (Time, bool) {
 	if !w.settle(limit) {
 		return 0, false
@@ -243,12 +240,6 @@ func (w *wheelQ) pop() *event {
 	if !w.settle(maxTime) {
 		return nil
 	}
-	return w.popReady()
-}
-
-// popReady removes the minimum-seq event from the settled ready bucket.
-// Callers guarantee a preceding settle returned true.
-func (w *wheelQ) popReady() *event {
 	b := w.slots[0][w.readySlot]
 	mi := 0
 	for i := 1; i < len(b); i++ {

@@ -7,31 +7,15 @@ import (
 	"testing"
 )
 
-// engineConfig names one engine configuration for table-driven edge tests.
-type engineConfig struct {
-	name string
-	cfg  Config
-}
-
-// engineConfigs returns every engine configuration; each edge-case test in
-// this file runs against all of them, since the sharded queue, the
-// sequential wheel and the heap must be indistinguishable. The sharded
-// entries force StageThreshold 1 so the parallel staging path runs even at
-// toy scale (and so the race detector sees it), and include a deliberately
-// tiny lookahead so tests cross many barrier windows.
-func engineConfigs() []engineConfig {
-	return []engineConfig{
-		{"sharded", Config{Seed: 1, StageThreshold: 1}},
-		{"sharded-narrow", Config{Seed: 1, Shards: 3, Lookahead: 50 * Millisecond, StageThreshold: 1}},
-		{"wheel", Config{Seed: 1, SequentialEngine: true}},
-		{"heap", Config{Seed: 1, HeapScheduler: true}},
-	}
-}
-
-func forBothEngines(t *testing.T, f func(t *testing.T, cfg Config)) {
+// forBothEngines runs f against the engine on its timing wheel and on the
+// binary-heap oracle: the two queues must be indistinguishable.
+func forBothEngines(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
 	t.Helper()
-	for _, ec := range engineConfigs() {
-		t.Run(ec.name, func(t *testing.T) { f(t, ec.cfg) })
+	for _, q := range []struct {
+		name string
+		new  func(seed int64) *Engine
+	}{{"wheel", New}, {"heap", newHeapEngine}} {
+		t.Run(q.name, func(t *testing.T) { f(t, func() *Engine { return q.new(1) }) })
 	}
 }
 
@@ -41,10 +25,9 @@ func forBothEngines(t *testing.T, f func(t *testing.T, cfg Config)) {
 // sequence (time, marker). The op stream comes from its own rand source, so
 // it is identical for both engines by construction; the hash then certifies
 // the firing order is too.
-func fingerprintRun(cfg Config, seed int64) uint64 {
+func fingerprintRun(newEngine func(seed int64) *Engine, seed int64) uint64 {
 	r := rand.New(rand.NewSource(seed))
-	cfg.Seed = seed
-	e := NewEngine(cfg)
+	e := newEngine(seed)
 	h := fnv.New64a()
 	record := func(marker int) {
 		var buf [16]byte
@@ -63,13 +46,6 @@ func fingerprintRun(cfg Config, seed int64) uint64 {
 	var mutate func()
 	mutate = func() {
 		for k := 0; k < 4; k++ {
-			if r.Intn(3) == 0 {
-				// Retag the current logical process; under the sharded queue
-				// this spreads the schedule across shard wheels (including
-				// out-of-range tags, which must fold in), and under the
-				// sequential engines it must change nothing at all.
-				e.SetShard(r.Intn(11) - 2)
-			}
 			switch r.Intn(12) {
 			case 0, 1, 2: // near-future event that keeps the churn going
 				m := nextMarker
@@ -136,18 +112,15 @@ func fingerprintRun(cfg Config, seed int64) uint64 {
 	return h.Sum64()
 }
 
-// TestEngineFingerprintEquivalence pins the tentpole contract: every engine
-// configuration — sharded parallel queues of several shapes, the sequential
-// timing wheel, the binary heap — fires exactly the same events at exactly
-// the same times in exactly the same order, across randomized schedules
-// that cover cancels, reschedules, tickers, ties, and overflow.
+// TestEngineFingerprintEquivalence pins the engine's ordering contract: the
+// timing wheel fires exactly the same events at exactly the same times in
+// exactly the same order as the binary-heap oracle, across randomized
+// schedules that cover cancels, reschedules, tickers, ties, and overflow.
 func TestEngineFingerprintEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		oracle := fingerprintRun(Config{HeapScheduler: true}, seed)
-		for _, ec := range engineConfigs() {
-			if got := fingerprintRun(ec.cfg, seed); got != oracle {
-				t.Fatalf("seed %d: %s fingerprint %016x != heap fingerprint %016x", seed, ec.name, got, oracle)
-			}
+		oracle := fingerprintRun(newHeapEngine, seed)
+		if got := fingerprintRun(New, seed); got != oracle {
+			t.Fatalf("seed %d: wheel fingerprint %016x != heap fingerprint %016x", seed, got, oracle)
 		}
 	}
 }
@@ -156,8 +129,8 @@ func TestEngineFingerprintEquivalence(t *testing.T) {
 // boundary — microseconds to hours — in both directions and checks the
 // firing order.
 func TestRescheduleAcrossWheelLevels(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		var order []string
 		a := e.Schedule(10*Microsecond, func() { order = append(order, "a") })
 		b := e.Schedule(2*Hour, func() { order = append(order, "b") })
@@ -184,8 +157,8 @@ const time500ms = 500 * Millisecond
 // still sit in the overflow heap — before the wheel cursor ever gets close
 // enough to promote them — and checks they neither fire nor leak.
 func TestOverflowCancelBeforePromotion(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		fired := 0
 		far1 := e.Schedule(25*Hour, func() { fired++ })
 		far2 := e.Schedule(40*Hour, func() { fired++ })
@@ -218,8 +191,8 @@ func TestOverflowCancelBeforePromotion(t *testing.T) {
 // future and a near event into overflow; both must fire exactly once at
 // their final times.
 func TestOverflowRescheduleToNear(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		var fires []Time
 		far := e.Schedule(30*Hour, func() { fires = append(fires, e.Now()) })
 		near := e.Schedule(Second, func() { fires = append(fires, e.Now()) })
@@ -245,9 +218,9 @@ func TestSameInstantAtBucketBoundary(t *testing.T) {
 		1 << (6 * 4), // level-4 boundary
 		3 << (6 * 4), // mid-range multiple
 	}
-	forBothEngines(t, func(t *testing.T, cfg Config) {
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
 		for _, at := range boundaries {
-			e := NewEngine(cfg)
+			e := newEngine()
 			var got []int
 			// Scheduled far in advance: parks at a high level.
 			e.Schedule(at, func() { got = append(got, 0) })
@@ -271,8 +244,8 @@ func TestSameInstantAtBucketBoundary(t *testing.T) {
 // replacement and verifies it ticks on its own schedule — under both
 // engines, since tickers are the wheel's hottest recurring clients.
 func TestTickerStopRestart(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		first, second := 0, 0
 		tk := e.Every(Second, func() { first++ })
 		e.RunUntil(3 * Second)
@@ -297,8 +270,8 @@ func TestTickerStopRestart(t *testing.T) {
 // TestTickerRestartFromCallback stops and replaces a ticker from inside its
 // own callback — the reentrant pattern model code uses for backoff.
 func TestTickerRestartFromCallback(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		var ticks []Time
 		var tk *Ticker
 		tk = e.Every(Second, func() {
@@ -329,8 +302,8 @@ func TestTickerRestartFromCallback(t *testing.T) {
 // TestScheduleArgFiresLikeSchedule pins the pre-bound form to the closure
 // form: same times, same order, argument delivered.
 func TestScheduleArgFiresLikeSchedule(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		var got []int
 		e.ScheduleArg(2*Second, func(x any) { got = append(got, x.(int)) }, 2)
 		e.AfterArg(Second, func(x any) { got = append(got, x.(int)) }, 1)
@@ -346,8 +319,8 @@ func TestScheduleArgFiresLikeSchedule(t *testing.T) {
 // stretches of empty time, then schedules between the deadline and the next
 // pending event — the case where a naive wheel cursor would have overshot.
 func TestRunUntilThenScheduleBehindCursor(t *testing.T) {
-	forBothEngines(t, func(t *testing.T, cfg Config) {
-		e := NewEngine(cfg)
+	forBothEngines(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
 		var fires []Time
 		e.Schedule(10*Hour, func() { fires = append(fires, e.Now()) })
 		e.RunUntil(Hour) // idle advance: next event far beyond the deadline

@@ -117,9 +117,6 @@ type configDTO struct {
 	MapRed               mapred.Config      `json:"mapred"`
 	Costs                core.JobCosts      `json:"costs"`
 	Policies             core.Policies      `json:"policies"`
-	HeapScheduler        bool               `json:"heap_scheduler,omitempty"`
-	SequentialEngine     bool               `json:"sequential_engine,omitempty"`
-	Shards               int                `json:"shards,omitempty"`
 	Zombie               core.ZombieMode    `json:"zombie"`
 	DiskCheckInterval    sim.Time           `json:"disk_check_interval"`
 	SampleInterval       sim.Time           `json:"sample_interval"`
@@ -138,9 +135,6 @@ func encodeConfig(cfg core.Config) (configDTO, error) {
 		MapRed:               cfg.MapRed,
 		Costs:                cfg.Costs,
 		Policies:             cfg.Policies,
-		HeapScheduler:        cfg.HeapScheduler,
-		SequentialEngine:     cfg.SequentialEngine,
-		Shards:               cfg.Shards,
 		Zombie:               cfg.Zombie,
 		DiskCheckInterval:    cfg.DiskCheckInterval,
 		SampleInterval:       cfg.SampleInterval,
@@ -190,9 +184,6 @@ func decodeConfig(dto configDTO) (core.Config, error) {
 		MapRed:               dto.MapRed,
 		Costs:                dto.Costs,
 		Policies:             dto.Policies,
-		HeapScheduler:        dto.HeapScheduler,
-		SequentialEngine:     dto.SequentialEngine,
-		Shards:               dto.Shards,
 		Zombie:               dto.Zombie,
 		DiskCheckInterval:    dto.DiskCheckInterval,
 		SampleInterval:       dto.SampleInterval,

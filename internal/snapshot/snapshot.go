@@ -3,23 +3,22 @@
 // the foundation for what-if forking (one expensive warm-up, N divergent
 // branches) and the hogsim service mode.
 //
-// A v1 snapshot is generative: it records the system's complete recipe —
+// A snapshot is generative: it records the system's complete recipe —
 // normalized config, workload schedule, applied scenarios, and the exact
 // instant reached — plus a cross-layer census of the live state (engine
 // clock/sequence/RNG position and per-layer digests of grid, network, HDFS,
 // MapReduce, and disk state). Restore rebuilds the system from the recipe
 // and deterministically replays it to the recorded instant, then verifies
-// the replayed state against the census field by field: because every
-// engine (heap, sequential wheel, sharded wheels at any shard count) fires
-// events in the identical (at, seq) order, the restored system is not
+// the replayed state against the census field by field: because the engine
+// fires events in a fixed (at, seq) order, the restored system is not
 // approximately equal but *the same state*, and every later event fires
 // identically — restored runs are byte-identical to uninterrupted ones.
 // The census turns any violation of that contract (a hidden rand source, a
 // nondeterministic map walk) into a loud, named error instead of silent
 // drift. The cost model is explicit: restore re-executes the events up to
 // the snapshot instant, trading restore time for a compact encoding and an
-// end-to-end determinism check; see docs/SNAPSHOT.md for the planned
-// materialized-state v2.
+// end-to-end determinism check; see docs/SNAPSHOT.md for the
+// materialized-state alternative.
 package snapshot
 
 import (
@@ -46,8 +45,11 @@ import (
 // so any change to them (or to replay semantics) must bump this. v2 added
 // the beyond-crash-stop fault model: Config.MasterRetryTotal, the counted
 // "gray" RNG stream in the engine census, and the partition/gray/corruption
-// scenario verbs and census fields.
-const Version = 2
+// scenario verbs and census fields. v3 dropped the engine selectors
+// (heap_scheduler, sequential_engine, shards) and the network's global
+// rebalance knob from the config: the simulator has one event engine and
+// one rebalancer.
+const Version = 3
 
 // magic identifies a HOG snapshot; the trailing NUL pins the length to 8.
 var magic = [8]byte{'H', 'O', 'G', 'S', 'N', 'A', 'P', 0}
@@ -195,8 +197,9 @@ func unframe(data []byte) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint64(data[12:20])
 	rest := data[20:]
-	if uint64(len(rest)) < n+8 {
-		return nil, fmt.Errorf("%w: header claims %d payload bytes, %d present", ErrTruncated, n+8, len(rest))
+	// Compare without adding to n: a crafted length near 2^64 would wrap.
+	if n > uint64(len(rest)) || uint64(len(rest))-n < 8 {
+		return nil, fmt.Errorf("%w: header claims %d payload bytes plus an 8-byte checksum, %d bytes present", ErrTruncated, n, len(rest))
 	}
 	body := rest[:n]
 	want := binary.LittleEndian.Uint64(rest[n : n+8])

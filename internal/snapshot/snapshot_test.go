@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -119,61 +121,35 @@ var policyPoints = []struct {
 }
 
 // TestRoundTrip1k: a 1k-node LARGE-GRID run snapshotted mid-run and
-// restored is byte-identical to the uninterrupted run — across shard
-// counts, under the sequential oracle, and under every registered policy's
-// non-default choice.
+// restored is byte-identical to the uninterrupted run — under the default
+// policies and under every registered policy's non-default choice.
 func TestRoundTrip1k(t *testing.T) {
-	engines := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"shards1", func(c *core.Config) { c.Shards = 1 }},
-		{"shards4", func(c *core.Config) { c.Shards = 4 }},
-		{"seq", func(c *core.Config) { c.SequentialEngine = true }},
-	}
 	for _, pp := range policyPoints {
-		for _, eng := range engines {
-			pp, eng := pp, eng
-			t.Run(pp.name+"/"+eng.name, func(t *testing.T) {
-				t.Parallel()
-				cfg := core.LargeGridConfig(1000, grid.ChurnStable, 7)
-				cfg.Policies = pp.pol
-				eng.mut(&cfg)
-				want := straightRun(t, cfg, nil)
-				got := snapshotRun(t, cfg, nil, 0.5)
-				if want != got {
-					t.Fatalf("restored run diverged from straight run:\n want %+v\n got  %+v", want, got)
-				}
-			})
-		}
+		pp := pp
+		t.Run(pp.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := core.LargeGridConfig(1000, grid.ChurnStable, 7)
+			cfg.Policies = pp.pol
+			want := straightRun(t, cfg, nil)
+			got := snapshotRun(t, cfg, nil, 0.5)
+			if want != got {
+				t.Fatalf("restored run diverged from straight run:\n want %+v\n got  %+v", want, got)
+			}
+		})
 	}
 }
 
-// TestRoundTrip10k: the MEGA-GRID acceptance point, shard counts 1 and 4
-// plus the sequential oracle. Heavy; skipped in -short and race runs.
+// TestRoundTrip10k: the MEGA-GRID acceptance point. Heavy; skipped in
+// -short and race runs.
 func TestRoundTrip10k(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("10k-node round trip is heavy; skipped in -short/race runs")
 	}
-	for _, eng := range []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"shards1", func(c *core.Config) { c.Shards = 1 }},
-		{"shards4", func(c *core.Config) { c.Shards = 4 }},
-		{"seq", func(c *core.Config) { c.SequentialEngine = true }},
-	} {
-		eng := eng
-		t.Run(eng.name, func(t *testing.T) {
-			t.Parallel()
-			cfg := core.MegaGridConfig(10000, grid.ChurnStable, 7)
-			eng.mut(&cfg)
-			want := straightRun(t, cfg, nil)
-			got := snapshotRun(t, cfg, nil, 0.5)
-			if want != got {
-				t.Fatalf("restored MEGA-GRID run diverged:\n want %+v\n got  %+v", want, got)
-			}
-		})
+	cfg := core.MegaGridConfig(10000, grid.ChurnStable, 7)
+	want := straightRun(t, cfg, nil)
+	got := snapshotRun(t, cfg, nil, 0.5)
+	if want != got {
+		t.Fatalf("restored MEGA-GRID run diverged:\n want %+v\n got  %+v", want, got)
 	}
 }
 
@@ -334,50 +310,97 @@ func TestForkDeterminism(t *testing.T) {
 	}
 }
 
-// TestContainerRejection: corrupted, truncated, and version-mismatched
-// snapshots are rejected with the right sentinel errors.
-func TestContainerRejection(t *testing.T) {
-	cfg := core.HOGConfig(60, grid.ChurnStable, 3)
-	sys, err := core.NewSystem(cfg)
+// savedContainer returns a real container: a 60-node HOG system saved
+// before its workload starts.
+func savedContainer(tb testing.TB) []byte {
+	tb.Helper()
+	sys, err := core.NewSystem(core.HOGConfig(60, grid.ChurnStable, 3))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	data, err := Save(sys)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return data
+}
+
+// withHeader returns a copy of data with its version and payload-length
+// header fields replaced.
+func withHeader(data []byte, version uint32, n uint64) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[8:12], version)
+	binary.LittleEndian.PutUint64(out[12:20], n)
+	return out
+}
+
+// badContainer is a malformed container and the sentinel it must fail with.
+type badContainer struct {
+	name string
+	data []byte
+	want error
+}
+
+// badContainers derives the malformed containers the reader must reject
+// from a valid one.
+func badContainers(data []byte) []badContainer {
+	n := uint64(len(data) - 28)
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/2] ^= 0x40
+	return []badContainer{
+		{"bad magic", append([]byte("not a snapshot, promise"), data...), ErrNotSnapshot},
+		{"truncated", data[:len(data)-9], ErrTruncated},
+		{"tiny", data[:5], ErrTruncated},
+		{"corrupted", flipped, ErrCorrupt},
+		{"future version", withHeader(data, 99, n), ErrVersion},
+		// v2 containers still carried the engine selectors.
+		{"v2", withHeader(data, 2, n), ErrVersion},
+		// A length within 8 of 2^64 wraps if the checksum's 8 bytes are
+		// added to it; the reader must still see a truncated container.
+		{"length wraps", withHeader(data[:28], Version, 1<<64-8), ErrTruncated},
+		{"length max", withHeader(data[:28], Version, 1<<64-1), ErrTruncated},
+		{"length past body", withHeader(data, Version, n+1), ErrTruncated},
+	}
+}
+
+// TestContainerRejection: corrupted, truncated, and version-mismatched
+// snapshots are rejected with the right sentinel errors.
+func TestContainerRejection(t *testing.T) {
+	data := savedContainer(t)
 	if _, err := Restore(data); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
-
-	bad := append([]byte("not a snapshot, promise"), data...)
-	if _, err := Restore(bad); !errors.Is(err, ErrNotSnapshot) {
-		t.Fatalf("bad magic: got %v, want ErrNotSnapshot", err)
+	for _, bc := range badContainers(data) {
+		if _, err := Restore(bc.data); !errors.Is(err, bc.want) {
+			t.Fatalf("%s: got %v, want %v", bc.name, err, bc.want)
+		}
 	}
-
-	short := data[:len(data)-9]
-	if _, err := Restore(short); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated: got %v, want ErrTruncated", err)
-	}
-	if _, err := Restore(data[:5]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("tiny: got %v, want ErrTruncated", err)
-	}
-
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Restore(flipped); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupted: got %v, want ErrCorrupt", err)
-	}
-
-	vbad := append([]byte(nil), data...)
-	vbad[8] = 99
-	err = func() error { _, err := Restore(vbad); return err }()
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("version mismatch: got %v, want ErrVersion", err)
-	}
+	_, err := Restore(withHeader(data, 99, uint64(len(data)-28)))
 	if !strings.Contains(err.Error(), "v99") {
 		t.Fatalf("version error does not name the found version: %v", err)
 	}
+}
+
+// FuzzUnframe: the container reader never panics. Anything it accepts is
+// a well-formed frame whose checksum verifies — re-framing the returned
+// payload reproduces the input's leading bytes; everything else is an
+// error.
+func FuzzUnframe(f *testing.F) {
+	data := savedContainer(f)
+	f.Add(data)
+	for _, bc := range badContainers(data) {
+		f.Add(bc.data)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		body, err := unframe(in)
+		if err != nil {
+			return
+		}
+		framed := frame(body)
+		if len(framed) > len(in) || !bytes.Equal(framed, in[:len(framed)]) {
+			t.Fatalf("accepted %d bytes that are not a frame of the returned %d-byte payload", len(in), len(body))
+		}
+	})
 }
 
 // TestSaveRejections: finished runs and When-scenario systems cannot save.

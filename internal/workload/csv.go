@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"hog/internal/sim"
@@ -34,7 +35,8 @@ func (s *Schedule) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses a schedule written by WriteCSV (or hand-authored in the
 // same format), enabling replay of external traces through the simulator.
-// Rows must be sorted by submit time; names must be non-empty and unique.
+// Rows must be sorted by submit time; names must be non-empty and unique;
+// submit_s and input_bytes must be finite.
 func ReadCSV(r io.Reader) (*Schedule, error) {
 	cr := csv.NewReader(r)
 	recs, err := cr.ReadAll()
@@ -54,7 +56,7 @@ func ReadCSV(r io.Reader) (*Schedule, error) {
 		rowErr := func(err error) error {
 			return fmt.Errorf("workload: schedule CSV row %d: %w", i+2, err)
 		}
-		submitS, err := strconv.ParseFloat(rec[0], 64)
+		submitS, err := parseFinite("submit_s", rec[0])
 		if err != nil {
 			return nil, rowErr(err)
 		}
@@ -70,7 +72,7 @@ func ReadCSV(r io.Reader) (*Schedule, error) {
 		if err != nil {
 			return nil, rowErr(err)
 		}
-		input, err := strconv.ParseFloat(rec[5], 64)
+		input, err := parseFinite("input_bytes", rec[5])
 		if err != nil {
 			return nil, rowErr(err)
 		}
@@ -96,4 +98,18 @@ func ReadCSV(r io.Reader) (*Schedule, error) {
 		})
 	}
 	return s, nil
+}
+
+// parseFinite parses a float column, rejecting NaN and ±Inf: neither is a
+// time or a size, and both slip past the range checks above (NaN compares
+// false with everything).
+func parseFinite(column, s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%s %q is not a finite number", column, s)
+	}
+	return v, nil
 }

@@ -49,6 +49,11 @@ func TestReadCSVErrors(t *testing.T) {
 		{"zero maps", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,0,1,64\n"},
 		{"negative reduces", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,-1,64\n"},
 		{"out of order", "submit_s,name,bin,maps,reduces,input_bytes\n5,j1,1,1,1,64\n1,j2,1,1,1,64\n"},
+		{"NaN submit", "submit_s,name,bin,maps,reduces,input_bytes\nNaN,j,1,1,1,64\n"},
+		{"Inf submit", "submit_s,name,bin,maps,reduces,input_bytes\n0,j1,1,1,1,64\n+Inf,j2,1,1,1,64\n"},
+		{"NaN input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,NaN\n"},
+		{"Inf input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,+Inf\n"},
+		{"Infinity input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,infinity\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.csv)); err == nil {

@@ -147,8 +147,8 @@ func WithMegaGrid(targetNodes int, churn ChurnProfile) Option {
 }
 
 // WithGigaGrid selects the ~104-site GigaGridSites preset for runs around
-// 100,000 nodes — the GIGA-GRID scale point built for the site-sharded
-// parallel engine (see docs/PERF.md and docs/HARNESS.md).
+// 100,000 nodes — the GIGA-GRID scale point (see docs/PERF.md and
+// docs/HARNESS.md).
 func WithGigaGrid(targetNodes int, churn ChurnProfile) Option {
 	return func(b *builder) {
 		if targetNodes <= 0 {
@@ -228,25 +228,6 @@ func WithPool(mut func(*PoolConfig)) Option {
 			mut(&b.cfg.Grid.Pool)
 		})
 	}
-}
-
-// WithHeapScheduler runs the simulation on the retained binary-heap event
-// queue instead of the default site-sharded engine. The engines fire events
-// in exactly the same order — every run is bit-identical either way — so
-// this option only matters for equivalence testing and benchmarking the
-// engines against each other.
-func WithHeapScheduler() Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.HeapScheduler = true }) }
-}
-
-// WithSequentialEngine runs the simulation on the single sequential timing
-// wheel instead of the default site-sharded parallel engine. The sequential
-// wheel is the oracle the sharded engine is pinned against: events fire in
-// exactly the same order under both, so every run is bit-identical either
-// way (hogbench -seq, CI cmp gate) and the option only matters for
-// equivalence testing and for measuring the sharded engine's speedup.
-func WithSequentialEngine() Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.SequentialEngine = true }) }
 }
 
 // WithZombies selects the preempted-daemon behaviour (§IV.D.1): ZombieFixed,
