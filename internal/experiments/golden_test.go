@@ -20,6 +20,10 @@ var (
 		Target: 1000, Sites: 12, Response: 336054384, EventsFired: 25404,
 		FlowsStarted: 10783, CrossSiteFrac: 0.8940208608785403, JobsFailed: 0,
 	}
+	largeGridSeed2Golden = LargeGridResult{
+		Target: 1000, Sites: 12, Response: 271037849, EventsFired: 25466,
+		FlowsStarted: 10753, CrossSiteFrac: 0.8934530306742977, JobsFailed: 0,
+	}
 	megaGridGolden = MegaGridResult{
 		Target: 10000, Sites: 40, Reached: 9958, Response: 271200882, EventsFired: 88857,
 		FlowsStarted: 10936, CrossSiteFrac: 0.8593327819134132, JobsFailed: 0,
@@ -39,13 +43,22 @@ func TestLargeGridEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestMegaGridEngineEquivalence is the 10,000-node fingerprint gate, where
+// TestLargeGridShardedEngineEquivalence pins a second 1000-node run
+// (workload seed 2) to its recorded result. Its name is kept from the
+// sharded-versus-sequential gate whose run supplied the constants.
+func TestLargeGridShardedEngineEquivalence(t *testing.T) {
+	if got := LargeGrid(Options{Scale: 0.1, Seeds: []int64{2}}); got != largeGridSeed2Golden {
+		t.Fatalf("1000-node seed-2 run diverged from the recorded result:\n got  %+v\n want %+v", got, largeGridSeed2Golden)
+	}
+}
+
+// TestMegaGridShardedEngineEquivalence is the 10,000-node fingerprint gate, where
 // the pending set holds tens of thousands of clustered periodic timers.
 //
 // The detector build skips it: the 1000-node gate above plus the engine
 // fingerprint tests already run under -race, and the detector's slowdown at
 // ten thousand nodes buys nothing in a single-goroutine simulation.
-func TestMegaGridEngineEquivalence(t *testing.T) {
+func TestMegaGridShardedEngineEquivalence(t *testing.T) {
 	if raceDetector || testing.Short() {
 		t.Skip("10k-node equivalence is covered at 1k under -race/-short")
 	}
@@ -97,12 +110,12 @@ func masterCrashRun(t *testing.T) crashFingerprint {
 	}
 }
 
-// TestMasterCrashEngineEquivalence crashes both masters and restarts them
+// TestMasterCrashAcrossWindowEquivalence crashes both masters and restarts them
 // minutes of simulated time later, so the outage and the recovery traffic
 // (safe-mode block reports, tracker re-registrations) interleave with
 // ordinary heartbeats and flows. The run, recovery events included, must
 // match the recorded fingerprint exactly.
-func TestMasterCrashEngineEquivalence(t *testing.T) {
+func TestMasterCrashAcrossWindowEquivalence(t *testing.T) {
 	got := masterCrashRun(t)
 	if got.Crashed != 2 || got.Recovered != 2 {
 		t.Fatalf("outage census off: %+v", got)

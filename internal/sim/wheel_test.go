@@ -335,3 +335,39 @@ func TestRunUntilThenScheduleBehindCursor(t *testing.T) {
 		}
 	})
 }
+
+// TestRunUntilAcrossWindows slices a run with RunUntil deadlines that fall
+// before, exactly on, and between event instants, one of them on a
+// level-3 slot-window boundary (64^3 µs). The sliced wheel run must fire
+// the same instants as one uninterrupted run of the heap oracle, and each
+// RunUntil must leave the clock on its deadline.
+func TestRunUntilAcrossWindows(t *testing.T) {
+	schedule := func(e *Engine, fires *[]Time) {
+		rec := func() { *fires = append(*fires, e.Now()) }
+		for i := 1; i <= 12; i++ {
+			e.Schedule(Time(i)*37*Millisecond, rec)
+		}
+	}
+	var want []Time
+	oracle := newHeapEngine(1)
+	schedule(oracle, &want)
+	oracle.Run()
+
+	var got []Time
+	e := New(1)
+	schedule(e, &got)
+	deadlines := []Time{30 * Millisecond, 37 * Millisecond, 101 * Millisecond, 137 * Millisecond, 1 << (3 * wheelSlotBits), 300 * Millisecond}
+	for _, d := range deadlines {
+		e.RunUntil(d)
+		if e.Now() != d {
+			t.Fatalf("now = %v after RunUntil(%v)", e.Now(), d)
+		}
+	}
+	e.Run()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fires %v, want %v", got, want)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after drain", e.Pending())
+	}
+}

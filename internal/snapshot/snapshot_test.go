@@ -122,11 +122,12 @@ var policyPoints = []struct {
 
 // TestRoundTrip1k: a 1k-node LARGE-GRID run snapshotted mid-run and
 // restored is byte-identical to the uninterrupted run — under the default
-// policies and under every registered policy's non-default choice.
+// policies and under every registered policy's non-default choice. The
+// "seq" leaf names the engine, the sequential timing wheel.
 func TestRoundTrip1k(t *testing.T) {
 	for _, pp := range policyPoints {
 		pp := pp
-		t.Run(pp.name, func(t *testing.T) {
+		t.Run(pp.name+"/seq", func(t *testing.T) {
 			t.Parallel()
 			cfg := core.LargeGridConfig(1000, grid.ChurnStable, 7)
 			cfg.Policies = pp.pol
@@ -139,18 +140,20 @@ func TestRoundTrip1k(t *testing.T) {
 	}
 }
 
-// TestRoundTrip10k: the MEGA-GRID acceptance point. Heavy; skipped in
-// -short and race runs.
+// TestRoundTrip10k: the MEGA-GRID acceptance point on the sequential
+// timing wheel ("seq"). Heavy; skipped in -short and race runs.
 func TestRoundTrip10k(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("10k-node round trip is heavy; skipped in -short/race runs")
 	}
-	cfg := core.MegaGridConfig(10000, grid.ChurnStable, 7)
-	want := straightRun(t, cfg, nil)
-	got := snapshotRun(t, cfg, nil, 0.5)
-	if want != got {
-		t.Fatalf("restored MEGA-GRID run diverged:\n want %+v\n got  %+v", want, got)
-	}
+	t.Run("seq", func(t *testing.T) {
+		cfg := core.MegaGridConfig(10000, grid.ChurnStable, 7)
+		want := straightRun(t, cfg, nil)
+		got := snapshotRun(t, cfg, nil, 0.5)
+		if want != got {
+			t.Fatalf("restored MEGA-GRID run diverged:\n want %+v\n got  %+v", want, got)
+		}
+	})
 }
 
 // TestRoundTripWithScenario: scenarios (including master faults) ride in
