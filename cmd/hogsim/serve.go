@@ -15,8 +15,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -244,31 +246,80 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// maxBody caps the JSON bodies /advance and /fork accept.
+const maxBody = 1 << 20
+
+// decodeBody decodes a size-capped JSON request body into v, writing the
+// error reply (413 for an oversized body, 400 otherwise) when it fails.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return false
+}
+
 // advanceRequest moves the warm simulation's clock forward.
 type advanceRequest struct {
 	ToS float64 `json:"to_s"` // absolute simulated target instant
 	ByS float64 `json:"by_s"` // or: seconds beyond the current instant
 }
 
+// advanceStep is the simulated slice /advance runs between checks of the
+// request deadline, so a timed-out request releases the simulation soon
+// after its reply has gone. Slicing a run with RunTo does not change it.
+const advanceStep = 60 * sim.Second
+
+// target resolves the request against the current instant: both fields must
+// be finite and non-negative, and the target must not lie beyond the run's
+// bound (where the run stops anyway).
+func (req advanceRequest) target(now, end sim.Time) (sim.Time, error) {
+	for _, v := range []float64{req.ToS, req.ByS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return 0, fmt.Errorf("to_s and by_s must be finite and non-negative, got to_s=%g by_s=%g", req.ToS, req.ByS)
+		}
+	}
+	limit := end.Seconds()
+	if req.ToS > limit || req.ByS > limit-now.Seconds() {
+		return 0, fmt.Errorf("target beyond the run bound at %.0f s", limit)
+	}
+	if req.ByS > 0 {
+		return now + sim.Seconds(req.ByS), nil
+	}
+	return sim.Seconds(req.ToS), nil
+}
+
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
-	target := sim.Seconds(req.ToS)
-	if req.ByS > 0 {
-		target = s.sys.Eng.Now() + sim.Seconds(req.ByS)
+	defer s.mu.Unlock()
+	target, err := req.target(s.sys.Eng.Now(), s.sys.RunStart()+s.sys.Config().RunBound)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	err := s.sys.RunTo(target)
-	reply := stateReply{Phase: s.sys.Phase().String(), NowS: s.sys.Eng.Now().Seconds()}
-	s.mu.Unlock()
+	for t := s.sys.Eng.Now(); err == nil && t < target && r.Context().Err() == nil; {
+		t = min(t+advanceStep, target)
+		err = s.sys.RunTo(t)
+	}
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply)
+	if err := r.Context().Err(); err != nil {
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, stateReply{Phase: s.sys.Phase().String(), NowS: s.sys.Eng.Now().Seconds()})
 }
 
 // forkRequest names the what-if branches to run. A branch with no divergence
@@ -302,8 +353,7 @@ type forkReply struct {
 // endpoint's job is reproducibility, not latency.
 func (s *server) handleFork(w http.ResponseWriter, r *http.Request) {
 	var req forkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Branches) == 0 {

@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -266,5 +268,104 @@ func TestServeShutdownDrainsSubscribers(t *testing.T) {
 	waitSubscribers(t, srv, 0)
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil && err != io.EOF {
 		t.Fatalf("drained stream ended with %v, want clean EOF", err)
+	}
+}
+
+// TestServeAdvanceValidation drives /advance with well-formed, malformed,
+// out-of-range and oversized bodies: only in-range advances move the clock,
+// everything else is refused before the simulation is touched.
+func TestServeAdvanceValidation(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	start := srv.sys.Eng.Now().Seconds()
+	huge := `{"by_s": 0, "pad": "` + strings.Repeat("x", maxBody) + `"}`
+	cases := []struct {
+		name, body string
+		status     int
+		moves      bool
+	}{
+		{"by", `{"by_s": 30}`, http.StatusOK, true},
+		{"to", `{"to_s": ` + strconv.FormatFloat(start+90, 'f', -1, 64) + `}`, http.StatusOK, true},
+		{"to past", `{"to_s": 1}`, http.StatusOK, false},
+		{"negative to", `{"to_s": -5}`, http.StatusBadRequest, false},
+		{"negative by", `{"by_s": -1}`, http.StatusBadRequest, false},
+		{"huge by", `{"by_s": 1e300}`, http.StatusBadRequest, false},
+		{"huge to", `{"to_s": 1e18}`, http.StatusBadRequest, false},
+		{"beyond run bound", `{"by_s": 172800}`, http.StatusBadRequest, false},
+		{"NaN", `{"to_s": NaN}`, http.StatusBadRequest, false},
+		{"Inf", `{"by_s": Infinity}`, http.StatusBadRequest, false},
+		{"overflowing literal", `{"by_s": 1e400}`, http.StatusBadRequest, false},
+		{"malformed", `{"by_s":`, http.StatusBadRequest, false},
+		{"oversized", huge, http.StatusRequestEntityTooLarge, false},
+	}
+	for _, c := range cases {
+		before := srv.sys.Eng.Now()
+		resp, err := http.Post(ts.URL+"/advance", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.status, body)
+		}
+		if moved := srv.sys.Eng.Now() != before; moved != c.moves {
+			t.Errorf("%s: clock moved %v, want %v", c.name, moved, c.moves)
+		}
+	}
+}
+
+// TestAdvanceTarget checks the request-to-instant resolution directly,
+// including the values JSON cannot carry.
+func TestAdvanceTarget(t *testing.T) {
+	now, end := 100*sim.Second, 1000*sim.Second
+	cases := []struct {
+		req  advanceRequest
+		want sim.Time
+		ok   bool
+	}{
+		{advanceRequest{ByS: 10}, 110 * sim.Second, true},
+		{advanceRequest{ToS: 500}, 500 * sim.Second, true},
+		{advanceRequest{ToS: 1000}, 1000 * sim.Second, true},
+		{advanceRequest{ByS: 900}, 1000 * sim.Second, true},
+		{advanceRequest{ByS: 901}, 0, false},
+		{advanceRequest{ToS: 1001}, 0, false},
+		{advanceRequest{ToS: math.NaN()}, 0, false},
+		{advanceRequest{ByS: math.Inf(1)}, 0, false},
+		{advanceRequest{ToS: math.Inf(-1)}, 0, false},
+		{advanceRequest{ByS: -0.5}, 0, false},
+	}
+	for _, c := range cases {
+		got, err := c.req.target(now, end)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("%+v: got %v, %v; want %v, ok=%v", c.req, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestServeForkBodyLimits refuses oversized and malformed /fork bodies.
+func TestServeForkBodyLimits(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	cases := []struct {
+		name, body string
+		status     int
+	}{
+		{"oversized", `{"branches": [{"name": "` + strings.Repeat("b", maxBody) + `"}]}`, http.StatusRequestEntityTooLarge},
+		{"malformed", `{"branches": [`, http.StatusBadRequest},
+		{"no branches", `{"branches": []}`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/fork", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.status, body)
+		}
 	}
 }

@@ -1,0 +1,136 @@
+package audit_test
+
+import (
+	"testing"
+
+	"hog/internal/audit"
+	"hog/internal/core"
+	"hog/internal/disk"
+	"hog/internal/event"
+	"hog/internal/grid"
+	"hog/internal/hdfs"
+	"hog/internal/mapred"
+	"hog/internal/netmodel"
+	"hog/internal/sim"
+	"hog/internal/workload"
+)
+
+// TestCleanRunHasNoViolations attaches the auditor to a small churning HOG
+// run, sweeping every 30 simulated seconds: a healthy run must stay silent.
+func TestCleanRunHasNoViolations(t *testing.T) {
+	aud := audit.New()
+	sys, err := core.NewSystem(core.HOGConfig(40, grid.ChurnStable, 11), aud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud.Attach(sys.NN, sys.JT)
+	sys.Eng.Every(30*sim.Second, func() { aud.Sweep(sys.Eng.Now()) })
+	res := sys.RunWorkload(workload.Generate(11, workload.Config{Scale: 0.1}))
+	aud.Sweep(sys.Eng.Now())
+	if res.JobsFailed != 0 {
+		t.Fatalf("%d jobs failed", res.JobsFailed)
+	}
+	if n := aud.Count(); n != 0 {
+		t.Fatalf("%d violations on a clean run; first: %v", n, aud.Violations()[0])
+	}
+}
+
+// masters builds a namenode and JobTracker over two registered nodes, the
+// state the liveness rules consult.
+func masters(t *testing.T) (*hdfs.Namenode, *mapred.JobTracker, []netmodel.NodeID) {
+	t.Helper()
+	eng := sim.New(1)
+	net := netmodel.New(eng, netmodel.DefaultConfig())
+	dt := disk.NewTracker()
+	nn := hdfs.NewNamenode(eng, net, dt, hdfs.DefaultConfig())
+	jt := mapred.NewJobTracker(eng, net, nn, dt, mapred.DefaultConfig())
+	site := net.AddSite("a.edu", 1e9, 1e9)
+	var ids []netmodel.NodeID
+	for _, host := range []string{"n0.a.edu", "n1.a.edu"} {
+		id := net.AddNode(site, host)
+		d := nn.Register(id, host)
+		jt.RegisterTracker(id, host, d.Site, 1, 1)
+		ids = append(ids, id)
+	}
+	return nn, jt, ids
+}
+
+// rules returns how often each rule fired.
+func rules(a *audit.Auditor) map[string]int {
+	out := map[string]int{}
+	for _, v := range a.Violations() {
+		out[v.Rule]++
+	}
+	return out
+}
+
+func nodeEvent(typ event.Type, at sim.Time, node netmodel.NodeID) event.Event {
+	ev := event.At(typ, at)
+	ev.Node = node
+	return ev
+}
+
+func masterEvent(typ event.Type, at sim.Time, which string) event.Event {
+	ev := event.At(typ, at)
+	ev.Detail = which
+	return ev
+}
+
+// TestLivenessRulesFire feeds the auditor crafted events that contradict
+// master state, one rule at a time, and checks each fires by name — and
+// that the consistent version of each event passes.
+func TestLivenessRulesFire(t *testing.T) {
+	t.Run("node-dead", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		a.HandleEvent(nodeEvent(event.NodeDead, 1, ids[0]))
+		if got := rules(a)["node-dead"]; got != 1 {
+			t.Fatalf("node-dead fired %d times for an alive datanode, want 1", got)
+		}
+		nn.ForceDead(ids[1])
+		a.HandleEvent(nodeEvent(event.NodeDead, 2, ids[1]))
+		if a.Count() != 1 {
+			t.Fatalf("a genuinely dead datanode raised %v", a.Violations())
+		}
+	})
+	t.Run("tracker-reregister", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		jt.ForceTrackerDead(ids[0])
+		a.HandleEvent(nodeEvent(event.TrackerReregistered, 1, ids[0]))
+		a.HandleEvent(nodeEvent(event.TrackerReregistered, 2, 99)) // never registered
+		if got := rules(a)["tracker-reregister"]; got != 2 {
+			t.Fatalf("tracker-reregister fired %d times, want 2: %v", got, a.Violations())
+		}
+		a.HandleEvent(nodeEvent(event.TrackerReregistered, 3, ids[1]))
+		if a.Count() != 2 {
+			t.Fatalf("an alive tracker's re-registration raised %v", a.Violations())
+		}
+	})
+	t.Run("master-pairing", func(t *testing.T) {
+		a := audit.New()
+		a.HandleEvent(masterEvent(event.MasterCrashed, 1, "namenode"))
+		a.HandleEvent(masterEvent(event.MasterRecovered, 2, "namenode"))
+		if a.Count() != 0 {
+			t.Fatalf("a paired crash and recovery raised %v", a.Violations())
+		}
+		a.HandleEvent(masterEvent(event.MasterRecovered, 3, "jobtracker")) // no crash
+		a.HandleEvent(masterEvent(event.MasterCrashed, 4, "jobtracker"))   // pairs with nothing
+		a.HandleEvent(masterEvent(event.MasterCrashed, 5, "jobtracker"))   // crashed twice
+		a.HandleEvent(masterEvent(event.MasterCrashed, 6, "secondary"))    // unknown master
+		a.HandleEvent(masterEvent(event.MasterRecovered, 7, "secondary"))  // unknown master
+		if got := rules(a)["master-pairing"]; got != 4 {
+			t.Fatalf("master-pairing fired %d times, want 4: %v", got, a.Violations())
+		}
+	})
+	t.Run("monotone-time", func(t *testing.T) {
+		a := audit.New()
+		a.HandleEvent(masterEvent(event.MasterCrashed, 10, "namenode"))
+		a.HandleEvent(masterEvent(event.MasterRecovered, 5, "namenode"))
+		if got := rules(a)["monotone-time"]; got != 1 {
+			t.Fatalf("monotone-time fired %d times, want 1: %v", got, a.Violations())
+		}
+	})
+}

@@ -19,7 +19,6 @@ import (
 	"hog/internal/metrics"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
-	"hog/internal/topology"
 	"hog/internal/workload"
 )
 
@@ -265,7 +264,7 @@ func DedicatedClusterConfig(seed int64) Config {
 	}
 }
 
-type workerHealth int
+type workerHealth uint8
 
 const (
 	workerHealthy workerHealth = iota
@@ -274,13 +273,18 @@ const (
 )
 
 type worker struct {
-	node   *grid.Node
-	id     netmodel.NodeID
-	health workerHealth
+	node *grid.Node
+	id   netmodel.NodeID
 	// dn and tr are the worker's master-side records, held directly so the
 	// per-beat driver loop doesn't pay a map probe per worker per master.
 	dn *hdfs.DatanodeInfo
 	tr *mapred.TaskTracker
+
+	health workerHealth
+	// exc marks a worker outside the steady state (heartbeat.go): it sits on
+	// the exception list, or is dead with its master records quiesced and no
+	// longer needs visiting.
+	exc bool
 
 	// Master-loss retry state, per master (see retryNN/retryJT). nnLost is
 	// set when a heartbeat to a crashed namenode goes unanswered; the worker
@@ -289,10 +293,12 @@ type worker struct {
 	// retry-duration cap (Config.MasterRetryTotal); once it is exceeded the
 	// worker sets nnGaveUp and stops retrying for good. Likewise jt* for the
 	// JobTracker.
-	nnLost      bool
-	jtLost      bool
-	nnGaveUp    bool
-	jtGaveUp    bool
+	nnLost   bool
+	jtLost   bool
+	nnGaveUp bool
+	jtGaveUp bool
+	// seq is the worker's index in workerList.
+	seq         int32
 	nnRetryAt   sim.Time
 	jtRetryAt   sim.Time
 	nnBackoff   sim.Time
@@ -319,7 +325,6 @@ type System struct {
 	JT   *mapred.JobTracker
 
 	cfg            Config
-	mapper         *topology.Mapper
 	workers        map[netmodel.NodeID]*worker
 	order          []netmodel.NodeID
 	workerList     []*worker // join order, parallel to order
@@ -359,6 +364,17 @@ type System struct {
 	Reported *metrics.Series
 
 	zombies int
+
+	// Lazy heartbeat driver state (heartbeat.go). walkPos is the seq of the
+	// worker a tick is visiting, -1 between ticks; walkEnd is the length of
+	// the worker list a full walk covers, 0 otherwise.
+	lazy      bool
+	heartbeat func()
+	exc       []*worker
+	excNew    []*worker
+	walkPos   int
+	walkEnd   int
+	work      Work
 }
 
 // New builds a system from cfg, panicking on an invalid configuration (the
@@ -418,7 +434,6 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 	s := &System{
 		Eng:      sim.New(cfg.Seed),
 		cfg:      cfg,
-		mapper:   topology.NewMapper(),
 		workers:  make(map[netmodel.NodeID]*worker),
 		bus:      &event.Bus{},
 		Reported: metrics.NewSeries("reported-nodes"),
@@ -454,64 +469,24 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 		s.buildStatic()
 	}
 
-	// Heartbeat driver: healthy workers report to both masters, zombies
-	// only to the JobTracker (their datanode died with the working dir).
-	// The loop walks worker records directly — at MEGA-GRID scale this
-	// single closure touches every worker every beat, and the old
-	// three-maps-per-worker probing dominated whole runs. Master-crash
-	// handling rides the same beats: a worker whose master is down flips to
-	// backed-off retries (retryNN/retryJT) and re-registers on recovery.
-	// With no master faults this draws zero RNG and runs the PR-5 path.
+	// Heartbeat driver (tick): healthy workers report to both masters,
+	// zombies only to the JobTracker (their datanode died with the working
+	// dir). Master-crash handling rides the same beats: a worker whose master
+	// is down flips to backed-off retries (retryNN/retryJT) and re-registers
+	// on recovery. With no master faults this draws zero RNG.
 	hb := s.JT.Config().HeartbeatInterval
 	if s.cfg.MasterBackoffInitial <= 0 {
 		s.cfg.MasterBackoffInitial = hb
 	}
-	s.Eng.Every(hb, func() {
-		nnDown := s.NN.Down()
-		jtDown := s.JT.Down()
-		now := s.Eng.Now()
-		for _, w := range s.workerList {
-			if w.health == workerDead {
-				continue
-			}
-			// A partitioned worker's beats drop silently: the masters'
-			// dead timeouts fire exactly as for a crash, but the daemons
-			// are intact and heal-side recovery revives them (faults.go).
-			// The worker does not enter the master-loss retry state — its
-			// problem is the network, not the master.
-			if !s.Net.MasterReachable(w.id) {
-				continue
-			}
-			// Gray heartbeat loss: each beat is dropped with probability
-			// grayLoss, drawn from the dedicated counting "gray" stream.
-			// Fault-free grayLoss is zero everywhere and no draw happens,
-			// keeping fault-free runs byte-identical draw-for-draw.
-			if w.grayLoss > 0 && s.gray.rnd.Float64() < w.grayLoss {
-				continue
-			}
-			switch w.health {
-			case workerHealthy:
-				if nnDown || w.nnLost {
-					s.retryNN(w, now, nnDown)
-				} else {
-					s.NN.HeartbeatDatanode(w.dn)
-				}
-				if jtDown || w.jtLost {
-					s.retryJT(w, now, jtDown)
-				} else {
-					s.JT.HeartbeatTracker(w.tr)
-				}
-			case workerZombie:
-				if jtDown || w.jtLost {
-					s.retryJT(w, now, jtDown)
-				} else {
-					s.JT.HeartbeatTracker(w.tr)
-				}
-			}
-		}
-	})
+	// A steady record is at most one interval old when a dead scan reads
+	// it, so it can never expire unless a timeout is shorter than the
+	// interval; such a system keeps every worker exceptional instead.
+	s.lazy = s.NN.Config().DeadTimeout >= hb && s.JT.Config().TrackerTimeout >= hb
+	s.heartbeat = s.tick
+	s.walkPos = -1
+	s.Eng.Every(hb, func() { s.heartbeat() })
 	s.Eng.Every(cfg.SampleInterval, func() {
-		s.Reported.Add(s.Eng.Now(), float64(s.reportedAlive()))
+		s.Reported.Add(s.Eng.Now(), float64(s.JT.AliveTrackerCount()))
 	})
 	return s, nil
 }
@@ -523,17 +498,6 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 // the same seed yields the same event sequence with zero or any number of
 // observers attached.
 func (s *System) Subscribe(o event.Observer) { s.bus.Subscribe(o) }
-
-// reportedAlive counts trackers the JobTracker still believes alive.
-func (s *System) reportedAlive() int {
-	n := 0
-	for _, w := range s.workerList {
-		if w.tr != nil && w.tr.Alive {
-			n++
-		}
-	}
-	return n
-}
 
 // Zombies returns the number of currently zombie workers.
 func (s *System) Zombies() int { return s.zombies }
@@ -652,14 +616,11 @@ func (s *System) buildStatic() {
 			id := s.Net.AddNode(site, host)
 			s.Disk.SetCapacity(id, g.DiskBytes)
 			dn := s.NN.Register(id, host)
-			tr := s.JT.RegisterTracker(id, host, s.mapper.Site(host), g.MapSlots, g.ReduceSlots)
+			tr := s.JT.RegisterTracker(id, host, dn.Site, g.MapSlots, g.ReduceSlots)
 			if g.Speed > 0 {
 				tr.Speed = g.Speed
 			}
-			w := &worker{id: id, health: workerHealthy, dn: dn, tr: tr}
-			s.workers[id] = w
-			s.order = append(s.order, id)
-			s.workerList = append(s.workerList, w)
+			s.addWorker(&worker{id: id, health: workerHealthy, dn: dn, tr: tr})
 			if s.bus.Active() {
 				ev := event.At(event.NodeJoined, s.Eng.Now())
 				ev.Node = id
@@ -674,11 +635,18 @@ func (s *System) buildStatic() {
 func (s *System) onJoin(n *grid.Node) {
 	s.Disk.SetCapacity(n.ID, n.DiskCapacity)
 	dn := s.NN.Register(n.ID, n.Hostname)
-	tr := s.JT.RegisterTracker(n.ID, n.Hostname, s.mapper.Site(n.Hostname), n.MapSlots, n.ReduceSlots)
-	w := &worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr}
-	s.workers[n.ID] = w
-	s.order = append(s.order, n.ID)
+	tr := s.JT.RegisterTracker(n.ID, n.Hostname, dn.Site, n.MapSlots, n.ReduceSlots)
+	s.addWorker(&worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr})
+}
+
+// addWorker records a freshly started worker. It is exceptional until the
+// driver sees its first heartbeat.
+func (s *System) addWorker(w *worker) {
+	w.seq = int32(len(s.workerList))
+	s.workers[w.id] = w
+	s.order = append(s.order, w.id)
 	s.workerList = append(s.workerList, w)
+	s.unsettle(w)
 }
 
 // onPreempt applies the configured daemon behaviour when a site kills the
@@ -698,17 +666,20 @@ func (s *System) onPreempt(n *grid.Node) {
 		// silently and the JobTracker only notices at the heartbeat
 		// timeout.
 		w.health = workerDead
+		s.unsettle(w)
 		s.JT.NodeCrashed(n.ID)
 	case ZombieUnfixed:
 		// Double-forked daemons survive, the working directory does not:
 		// running tasks fail with reports and the tasktracker keeps
 		// accepting doomed work.
 		w.health = workerZombie
+		s.unsettle(w)
 		s.zombies++
 		s.emitZombie(n)
 		s.JT.NodeLostWorkdir(n.ID)
 	case ZombieDiskCheck:
 		w.health = workerZombie
+		s.unsettle(w)
 		s.zombies++
 		s.emitZombie(n)
 		s.JT.NodeLostWorkdir(n.ID)
@@ -747,6 +718,7 @@ func (s *System) onDiskOverflow(n netmodel.NodeID) {
 		s.zombies--
 	}
 	w.health = workerDead
+	s.unsettle(w)
 	// An overflowed scratch disk takes the node's data down with the
 	// daemons — nothing survives for a partition heal to hand back.
 	s.NN.MarkPhysicallyLost(n)

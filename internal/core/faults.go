@@ -89,6 +89,7 @@ func (s *System) pickWorkers(site string, count int, ok func(*worker) bool) []*w
 // dead timeout then fires exactly as for a crash — the master cannot tell a
 // partition from a death, which is the point.
 func (s *System) ghostPartitioned(w *worker) {
+	s.unsettle(w)
 	s.JT.NodeCrashed(w.id)
 }
 
@@ -200,14 +201,17 @@ func (s *System) HealPartitionNamed(site string) error {
 }
 
 // recoverWorker reconciles one healthy worker with the masters after the
-// network between them heals.
+// network between them heals. A revived record is quiet until the driver
+// sees the worker beat again.
 func (s *System) recoverWorker(w *worker) {
 	if w.dn != nil && !w.dn.Alive {
 		s.NN.RecoverDatanode(w.id)
+		s.unsettle(w)
 	}
 	if w.tr != nil {
 		if !w.tr.Alive {
 			s.JT.ReviveTracker(w.id)
+			s.unsettle(w)
 		} else {
 			s.JT.DropGhostsOn(w.id)
 		}
@@ -249,6 +253,7 @@ func (s *System) DegradeNodesNamed(site string, count int, factor, loss float64)
 	for _, w := range picked {
 		s.degraded[w.id] = struct{}{}
 		w.grayLoss = loss
+		s.unsettle(w)
 		if w.tr != nil {
 			w.origSpeed = w.tr.Speed
 			if factor > 1 {

@@ -198,7 +198,8 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 		return 0
 	}
 	d.Alive = true
-	d.LastHeartbeat = nn.eng.Now()
+	d.heard = nn.eng.Now()
+	nn.addQuiet(d)
 	held := d.held
 	d.held = nil
 	bids := make([]BlockID, 0, len(held))

@@ -85,7 +85,7 @@ func (nn *Namenode) checkDecommission(id netmodel.NodeID) {
 		nn.dropReplica(b, id)
 		nn.disk.Release(id, b.Size)
 	}
-	d.blocks = make(map[BlockID]struct{})
+	d.blocks = nil
 	delete(nn.decommissioning, id)
 	if done != nil {
 		done()

@@ -14,7 +14,9 @@
 package hdfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hog/internal/disk"
@@ -117,12 +119,21 @@ func (c Config) withDefaults() Config {
 
 // DatanodeInfo is the namenode's view of one datanode.
 type DatanodeInfo struct {
-	ID            netmodel.NodeID
-	Hostname      string
-	Site          string
-	Alive         bool
-	LastHeartbeat sim.Time
-	blocks        map[BlockID]struct{}
+	ID       netmodel.NodeID
+	Hostname string
+	Site     string
+	Alive    bool
+	// steady, quietIx, heard and beat are the lazy-heartbeat state (see
+	// LastHeartbeat). A steady record heartbeats on every driver tick, so it
+	// reads the namenode's shared tick stamp, *beat, instead of being written
+	// per node per tick; heard holds explicit stamps, and the frozen time of
+	// a record that is not steady. quietIx is the record's slot in the
+	// namenode's quiet set, -1 for steady and dead records.
+	steady  bool
+	quietIx int32
+	blocks  map[BlockID]struct{}
+	heard   sim.Time
+	beat    *sim.Time
 	// held preserves the physical inventory (block -> size) of a node the
 	// namenode declared dead but whose hardware may still be running behind a
 	// network partition: markDead captures blocks here instead of discarding
@@ -143,6 +154,23 @@ type DatanodeInfo struct {
 	// the placement hot path counts replicas per site through it instead of
 	// hashing site name strings.
 	siteIx int
+}
+
+// LastHeartbeat returns when the namenode last heard from the datanode.
+func (d *DatanodeInfo) LastHeartbeat() sim.Time {
+	if d.steady && *d.beat > d.heard {
+		return *d.beat
+	}
+	return d.heard
+}
+
+// hold records a replica physically on the datanode. The inventory map is
+// allocated with the first replica: at grid scale most nodes never get one.
+func (d *DatanodeInfo) hold(bid BlockID) {
+	if d.blocks == nil {
+		d.blocks = make(map[BlockID]struct{})
+	}
+	d.blocks[bid] = struct{}{}
 }
 
 // Blocks returns the number of block replicas hosted on the datanode.
@@ -307,6 +335,17 @@ type Namenode struct {
 	// the replica map understates who holds what.
 	awaiting int
 
+	// Lazy heartbeats. beat is the instant of the heartbeat driver's last
+	// tick (BeatTick): every steady record heartbeat then. quiet holds the
+	// alive records outside the steady state — freshly registered, revived,
+	// or no longer beating — and is all checkDead scans, because a steady
+	// record is at most one heartbeat interval old. scans and scanned count
+	// dead scans and the records they visited.
+	beat    sim.Time
+	quiet   []*DatanodeInfo
+	scans   int64
+	scanned int64
+
 	stats Stats
 
 	// OnDatanodeDead is invoked after a datanode is declared dead and its
@@ -386,13 +425,14 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 		panic(fmt.Sprintf("hdfs: datanode %d registered twice", id))
 	}
 	d := &DatanodeInfo{
-		ID:            id,
-		Hostname:      hostname,
-		Site:          nn.mapper.Site(hostname),
-		Alive:         true,
-		LastHeartbeat: nn.eng.Now(),
-		blocks:        make(map[BlockID]struct{}),
+		ID:       id,
+		Hostname: hostname,
+		Site:     nn.mapper.Site(hostname),
+		Alive:    true,
+		heard:    nn.eng.Now(),
+		beat:     &nn.beat,
 	}
+	nn.addQuiet(d)
 	ix, ok := nn.siteIx[d.Site]
 	if !ok {
 		ix = len(nn.siteIx)
@@ -426,8 +466,71 @@ func (nn *Namenode) HeartbeatDatanode(d *DatanodeInfo) {
 		return
 	}
 	if d != nil && d.Alive {
-		d.LastHeartbeat = nn.eng.Now()
+		d.heard = nn.eng.Now()
 	}
+}
+
+// BeatTick records that every steady datanode heartbeat at the current
+// instant. The heartbeat driver calls it once per tick, after it has
+// quiesced every record that did not beat on the tick.
+func (nn *Namenode) BeatTick() {
+	if !nn.down {
+		nn.beat = nn.eng.Now()
+	}
+}
+
+// Settle moves a datanode that heartbeat at the current instant into the
+// steady state: from now on its heartbeats are implied by BeatTick, and the
+// dead scan skips it. The caller promises the node heartbeats on every tick
+// until it calls Quiesce. Records that did not just heartbeat stay quiet.
+func (nn *Namenode) Settle(d *DatanodeInfo) bool {
+	switch {
+	case d == nil || !d.Alive || d.steady:
+		return true
+	case nn.down || d.heard != nn.eng.Now():
+		return false
+	}
+	nn.dropQuiet(d)
+	d.steady = true
+	return true
+}
+
+// Quiesce takes a datanode out of the steady state, freezing its last
+// heartbeat at the last tick (or a later explicit stamp). The driver calls
+// it before the first tick the node may miss.
+func (nn *Namenode) Quiesce(d *DatanodeInfo) {
+	if d == nil || !d.steady {
+		return
+	}
+	d.heard = d.LastHeartbeat()
+	d.steady = false
+	nn.addQuiet(d)
+}
+
+func (nn *Namenode) addQuiet(d *DatanodeInfo) {
+	d.quietIx = int32(len(nn.quiet))
+	nn.quiet = append(nn.quiet, d)
+}
+
+// dropQuiet removes d from the quiet set if it is there.
+func (nn *Namenode) dropQuiet(d *DatanodeInfo) {
+	i := int(d.quietIx)
+	if i < 0 {
+		return
+	}
+	last := nn.quiet[len(nn.quiet)-1]
+	nn.quiet[i] = last
+	last.quietIx = int32(i)
+	nn.quiet[len(nn.quiet)-1] = nil
+	nn.quiet = nn.quiet[:len(nn.quiet)-1]
+	d.quietIx = -1
+}
+
+// DeadScanWork returns how many dead scans ran, how many datanode records
+// they visited in total, and the current quiet-set size (what the next scan
+// will visit). The counts are bookkeeping only: no result reports them.
+func (nn *Namenode) DeadScanWork() (scans, visited int64, quiet int) {
+	return nn.scans, nn.scanned, len(nn.quiet)
 }
 
 // Datanode returns the info for id, or nil.
@@ -455,17 +558,20 @@ func (nn *Namenode) UnderReplicated() int { return len(nn.replQueued) }
 
 func (nn *Namenode) checkDead() {
 	now := nn.eng.Now()
-	// markDead queues replication work and draws from the engine RNG, so
-	// processing order must not depend on map iteration — dnOrder is the
-	// deterministic ascending-ID order. The victim set is fixed before any
-	// markDead runs, so the recovery work one death triggers cannot change
-	// which nodes this scan declares dead.
+	nn.scans++
+	nn.scanned += int64(len(nn.quiet))
+	// Only quiet records can have expired (see BeatTick). markDead queues
+	// replication work and draws from the engine RNG, so victims are
+	// processed in ascending-ID order, the order a walk of dnOrder yields.
+	// The victim set is fixed before any markDead runs, so the recovery work
+	// one death triggers cannot change which nodes this scan declares dead.
 	var doomed []*DatanodeInfo
-	for _, d := range nn.dnOrder {
-		if d.Alive && now-d.LastHeartbeat > nn.cfg.DeadTimeout {
+	for _, d := range nn.quiet {
+		if now-d.heard > nn.cfg.DeadTimeout {
 			doomed = append(doomed, d)
 		}
 	}
+	slices.SortFunc(doomed, func(a, b *DatanodeInfo) int { return cmp.Compare(a.ID, b.ID) })
 	for _, d := range doomed {
 		nn.markDead(d)
 	}
@@ -479,6 +585,9 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 	if !d.Alive {
 		return
 	}
+	d.heard = d.LastHeartbeat()
+	d.steady = false
+	nn.dropQuiet(d)
 	d.Alive = false
 	nn.clearAwaiting(d)
 	nn.stats.DatanodesDead++
@@ -527,7 +636,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 			}
 		}
 	}
-	d.blocks = make(map[BlockID]struct{})
+	d.blocks = nil
 	if done, draining := nn.decommissioning[d.ID]; draining {
 		// A preempted node cannot finish draining; the dead-node path above
 		// now owns its blocks, so complete the decommission immediately

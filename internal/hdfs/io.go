@@ -133,7 +133,7 @@ func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
 		// The master is gone: the copy lands physically on the datanode, but
 		// no namenode soft state records it. A post-restart block report
 		// reconciles the two views.
-		d.blocks[b.ID] = struct{}{}
+		d.hold(b.ID)
 		return
 	}
 	_, had := b.replicas[id]
@@ -147,7 +147,7 @@ func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
 	}
 	b.replicas[id] = struct{}{}
 	b.lost = false
-	d.blocks[b.ID] = struct{}{}
+	d.hold(b.ID)
 	if !had && nn.OnPlacementChange != nil {
 		nn.OnPlacementChange(b.ID, id, true)
 	}

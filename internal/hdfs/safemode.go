@@ -111,7 +111,7 @@ func (nn *Namenode) Restart() {
 			nn.awaiting++
 			// Grace-stamp so the dead scan, once it resumes, measures from
 			// the restart rather than charging nodes for the outage.
-			d.LastHeartbeat = now
+			d.heard = now
 		}
 	}
 	nn.smTotal, nn.smReported = 0, 0
@@ -154,7 +154,7 @@ func (nn *Namenode) Reregister(id netmodel.NodeID) {
 	if d == nil || !d.Alive {
 		return
 	}
-	d.LastHeartbeat = nn.eng.Now()
+	d.heard = nn.eng.Now()
 	nn.clearAwaiting(d)
 	bids := make([]BlockID, 0, len(d.blocks))
 	for bid := range d.blocks {
@@ -222,7 +222,7 @@ func (nn *Namenode) exitSafeMode() {
 	now := nn.eng.Now()
 	for _, d := range nn.dnOrder {
 		if d.Alive && d.awaitingReport {
-			d.LastHeartbeat = now
+			d.heard = now
 			for bid := range d.blocks {
 				deferred[bid] = struct{}{}
 			}

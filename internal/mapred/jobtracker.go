@@ -1,7 +1,9 @@
 package mapred
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hog/internal/disk"
@@ -13,13 +15,20 @@ import (
 
 // TaskTracker is the JobTracker's view of a worker's task daemon.
 type TaskTracker struct {
-	Node          netmodel.NodeID
-	Hostname      string
-	Site          string
-	MapSlots      int
-	ReduceSlots   int
-	Alive         bool
-	LastHeartbeat sim.Time
+	Node        netmodel.NodeID
+	Hostname    string
+	Site        string
+	MapSlots    int
+	ReduceSlots int
+	Alive       bool
+	// awaitingReregister is set while a recovered JobTracker waits for this
+	// tracker to re-register (see recovery.go).
+	awaitingReregister bool
+	// steady, quietIx, heard and beat implement lazy heartbeats exactly as
+	// on hdfs.DatanodeInfo: a steady tracker reads the JobTracker's tick
+	// stamp, the rest sit in the quiet set the dead scan walks.
+	steady  bool
+	quietIx int32
 	// Speed scales compute rates on this worker (1.0 = nominal). Table
 	// III's cluster mixes dual-core Opteron-275 and older single-core
 	// Opteron-64 nodes; the latter run slot-for-slot slower.
@@ -28,9 +37,25 @@ type TaskTracker struct {
 	runningMaps    int
 	runningReduces int
 	attempts       map[*attempt]struct{}
-	// awaitingReregister is set while a recovered JobTracker waits for this
-	// tracker to re-register (see recovery.go).
-	awaitingReregister bool
+	heard          sim.Time
+	beat           *sim.Time
+}
+
+// LastHeartbeat returns when the JobTracker last heard from the tracker.
+func (t *TaskTracker) LastHeartbeat() sim.Time {
+	if t.steady && *t.beat > t.heard {
+		return *t.beat
+	}
+	return t.heard
+}
+
+// addAttempt records a live attempt on the tracker. The set is allocated
+// with the first attempt: at grid scale most trackers never run one.
+func (t *TaskTracker) addAttempt(a *attempt) {
+	if t.attempts == nil {
+		t.attempts = make(map[*attempt]struct{})
+	}
+	t.attempts[a] = struct{}{}
 }
 
 // FreeMapSlots returns currently unoccupied map slots.
@@ -81,6 +106,16 @@ type JobTracker struct {
 	// down is true between Crash and Restart; heartbeats are lost then and
 	// the senders back off and retry (see the master backoff in internal/core).
 	down bool
+	// alive counts trackers with Alive set.
+	alive int
+
+	// Lazy heartbeats, as in the namenode: beat is the driver's last tick,
+	// quiet the alive trackers outside the steady state (all checkDead
+	// scans), scans and scanned the dead-scan work done.
+	beat    sim.Time
+	quiet   []*TaskTracker
+	scans   int64
+	scanned int64
 
 	// sched and spec are the active scheduling and speculation policies
 	// (policy.go), resolved by name from the configuration.
@@ -183,17 +218,19 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 		panic(fmt.Sprintf("mapred: tracker %d registered twice", node))
 	}
 	t := &TaskTracker{
-		Node:          node,
-		Hostname:      hostname,
-		Site:          site,
-		MapSlots:      mapSlots,
-		ReduceSlots:   reduceSlots,
-		Alive:         true,
-		LastHeartbeat: jt.eng.Now(),
-		Speed:         1.0,
-		attempts:      make(map[*attempt]struct{}),
+		Node:        node,
+		Hostname:    hostname,
+		Site:        site,
+		MapSlots:    mapSlots,
+		ReduceSlots: reduceSlots,
+		Alive:       true,
+		Speed:       1.0,
+		heard:       jt.eng.Now(),
+		beat:        &jt.beat,
 	}
 	jt.trackers[node] = t
+	jt.alive++
+	jt.addQuiet(t)
 	sl := jt.siteLoads[site]
 	if sl == nil {
 		sl = &siteLoad{}
@@ -211,6 +248,10 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 
 // Tracker returns the tracker for node, or nil.
 func (jt *JobTracker) Tracker(node netmodel.NodeID) *TaskTracker { return jt.trackers[node] }
+
+// AliveTrackerCount returns the number of trackers the JobTracker believes
+// alive.
+func (jt *JobTracker) AliveTrackerCount() int { return jt.alive }
 
 // AliveTrackers returns live trackers in node order.
 func (jt *JobTracker) AliveTrackers() []*TaskTracker {
@@ -236,8 +277,67 @@ func (jt *JobTracker) HeartbeatTracker(t *TaskTracker) {
 	if jt.down || t == nil || !t.Alive {
 		return
 	}
-	t.LastHeartbeat = jt.eng.Now()
+	if !t.steady {
+		t.heard = jt.eng.Now()
+	}
 	jt.assign(t)
+}
+
+// BeatTick records that every steady tracker heartbeat at the current
+// instant; see hdfs.Namenode.BeatTick.
+func (jt *JobTracker) BeatTick() {
+	if !jt.down {
+		jt.beat = jt.eng.Now()
+	}
+}
+
+// Settle moves a tracker that heartbeat at the current instant into the
+// steady state; see hdfs.Namenode.Settle.
+func (jt *JobTracker) Settle(t *TaskTracker) bool {
+	switch {
+	case t == nil || !t.Alive || t.steady:
+		return true
+	case jt.down || t.heard != jt.eng.Now():
+		return false
+	}
+	jt.dropQuiet(t)
+	t.steady = true
+	return true
+}
+
+// Quiesce takes a tracker out of the steady state; see
+// hdfs.Namenode.Quiesce.
+func (jt *JobTracker) Quiesce(t *TaskTracker) {
+	if t == nil || !t.steady {
+		return
+	}
+	t.heard = t.LastHeartbeat()
+	t.steady = false
+	jt.addQuiet(t)
+}
+
+func (jt *JobTracker) addQuiet(t *TaskTracker) {
+	t.quietIx = int32(len(jt.quiet))
+	jt.quiet = append(jt.quiet, t)
+}
+
+func (jt *JobTracker) dropQuiet(t *TaskTracker) {
+	i := int(t.quietIx)
+	if i < 0 {
+		return
+	}
+	last := jt.quiet[len(jt.quiet)-1]
+	jt.quiet[i] = last
+	last.quietIx = int32(i)
+	jt.quiet[len(jt.quiet)-1] = nil
+	jt.quiet = jt.quiet[:len(jt.quiet)-1]
+	t.quietIx = -1
+}
+
+// DeadScanWork returns the dead scans run, the tracker records they visited
+// in total, and the current quiet-set size; see hdfs.Namenode.DeadScanWork.
+func (jt *JobTracker) DeadScanWork() (scans, visited int64, quiet int) {
+	return jt.scans, jt.scanned, len(jt.quiet)
 }
 
 // Submit enqueues a job built from its input file's blocks (one map task per
@@ -288,15 +388,18 @@ func (jt *JobTracker) ActiveJobs() int { return jt.active }
 
 func (jt *JobTracker) checkDead() {
 	now := jt.eng.Now()
-	// trackerOrder is already the ascending-node order the old per-scan
-	// sort produced; markDead consumes RNG, so order must stay exact. The
+	jt.scans++
+	jt.scanned += int64(len(jt.quiet))
+	// Only quiet trackers can have expired. markDead consumes RNG, so
+	// victims go in ascending node order, as a trackerOrder walk yields. The
 	// victim set is fixed before any markDead runs, as in the namenode.
 	var doomed []*TaskTracker
-	for _, t := range jt.trackerOrder {
-		if t.Alive && now-t.LastHeartbeat > jt.cfg.TrackerTimeout {
+	for _, t := range jt.quiet {
+		if now-t.heard > jt.cfg.TrackerTimeout {
 			doomed = append(doomed, t)
 		}
 	}
+	slices.SortFunc(doomed, func(a, b *TaskTracker) int { return cmp.Compare(a.Node, b.Node) })
 	for _, t := range doomed {
 		jt.markDead(t)
 	}
@@ -354,7 +457,11 @@ func (jt *JobTracker) markDead(t *TaskTracker) {
 	if !t.Alive {
 		return
 	}
+	t.heard = t.LastHeartbeat()
+	t.steady = false
+	jt.dropQuiet(t)
 	t.Alive = false
+	jt.alive--
 	if sl := jt.siteLoads[t.Site]; sl != nil {
 		sl.slots -= t.MapSlots + t.ReduceSlots
 	}

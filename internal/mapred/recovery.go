@@ -80,7 +80,7 @@ func (jt *JobTracker) Restart() {
 	for _, t := range jt.trackerOrder {
 		if t.Alive {
 			t.awaitingReregister = true
-			t.LastHeartbeat = now
+			t.heard = now
 		}
 	}
 	jt.Start()
@@ -116,7 +116,7 @@ func (jt *JobTracker) ReregisterTracker(t *TaskTracker) {
 			jt.Events.Emit(ev)
 		}
 	}
-	t.LastHeartbeat = jt.eng.Now()
+	t.heard = jt.eng.Now()
 	jt.assign(t)
 }
 
@@ -131,7 +131,9 @@ func (jt *JobTracker) ReviveTracker(node netmodel.NodeID) bool {
 		return false
 	}
 	t.Alive = true
-	t.LastHeartbeat = jt.eng.Now()
+	t.heard = jt.eng.Now()
+	jt.alive++
+	jt.addQuiet(t)
 	if sl := jt.siteLoads[t.Site]; sl != nil {
 		sl.slots += t.MapSlots + t.ReduceSlots
 	}

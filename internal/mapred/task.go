@@ -306,7 +306,7 @@ func (jt *JobTracker) launchMap(j *Job, m *mapTask, t *TaskTracker, lvl Locality
 	}
 	jt.attemptSeq++
 	m.attempts = append(m.attempts, a)
-	t.attempts[a] = struct{}{}
+	t.addAttempt(a)
 	t.runningMaps++
 	jt.noteLaunched(j, t)
 	jt.noteMapTask(m)
@@ -528,7 +528,7 @@ func (jt *JobTracker) launchReduce(j *Job, r *reduceTask, t *TaskTracker, spec b
 	}
 	jt.attemptSeq++
 	r.attempts = append(r.attempts, a)
-	t.attempts[a] = struct{}{}
+	t.addAttempt(a)
 	t.runningReduces++
 	jt.noteLaunched(j, t)
 	jt.noteReduceTask(r)
