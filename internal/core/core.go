@@ -365,15 +365,12 @@ type System struct {
 
 	zombies int
 
-	// Lazy heartbeat driver state (heartbeat.go). walkPos is the seq of the
-	// worker a tick is visiting, -1 between ticks; walkEnd is the length of
-	// the worker list a full walk covers, 0 otherwise.
+	// Lazy heartbeat driver state (heartbeat.go).
 	lazy      bool
 	heartbeat func()
 	exc       []*worker
 	excNew    []*worker
-	walkPos   int
-	walkEnd   int
+	walking   bool
 	work      Work
 }
 
@@ -483,7 +480,6 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 	// interval; such a system keeps every worker exceptional instead.
 	s.lazy = s.NN.Config().DeadTimeout >= hb && s.JT.Config().TrackerTimeout >= hb
 	s.heartbeat = s.tick
-	s.walkPos = -1
 	s.Eng.Every(hb, func() { s.heartbeat() })
 	s.Eng.Every(cfg.SampleInterval, func() {
 		s.Reported.Add(s.Eng.Now(), float64(s.JT.AliveTrackerCount()))

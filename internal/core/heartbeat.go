@@ -14,7 +14,7 @@ import (
 // order:
 //
 //   - workers that joined but have not beaten yet,
-//   - dead workers whose records the masters have not been told to freeze,
+//   - workers that died since the last tick, which drops them,
 //   - zombies, partitioned, gray-lossy and master-retrying workers.
 //
 // A worker leaves the list when a visit finds it steady and beating (Settle),
@@ -61,6 +61,7 @@ func (s *System) tick() {
 	now := s.Eng.Now()
 	s.work.Ticks++
 	var keep []*worker
+	s.walking = true
 	if s.JT.AllDone() && !nnDown && !jtDown {
 		if len(s.excNew) > 0 {
 			s.exc = append(s.exc, s.excNew...)
@@ -70,7 +71,6 @@ func (s *System) tick() {
 		}
 		keep = s.exc[:0]
 		for _, w := range s.exc {
-			s.walkPos = int(w.seq)
 			if s.visit(w, now, false, false) {
 				keep = append(keep, w)
 			}
@@ -83,10 +83,7 @@ func (s *System) tick() {
 		clear(s.excNew)
 		s.excNew = s.excNew[:0]
 		keep = s.exc[:0]
-		list := s.workerList
-		s.walkEnd = len(list)
-		for _, w := range list {
-			s.walkPos = int(w.seq)
+		for _, w := range s.workerList {
 			if w.exc || nnDown || jtDown {
 				if s.visit(w, now, nnDown, jtDown) {
 					keep = append(keep, w)
@@ -96,11 +93,11 @@ func (s *System) tick() {
 			// Steady: the datanode beat is implied by BeatTick.
 			s.JT.HeartbeatTracker(w.tr)
 		}
-		s.work.Visits += int64(len(list))
+		s.work.Visits += int64(len(s.workerList))
 	}
 	clear(keep[len(keep):cap(keep)])
 	s.exc = keep
-	s.walkPos, s.walkEnd = -1, 0
+	s.walking = false
 	s.NN.BeatTick()
 	s.JT.BeatTick()
 }
@@ -151,9 +148,6 @@ func (s *System) visit(w *worker, now sim.Time, nnDown, jtDown bool) bool {
 		}
 		return true
 	}
-	if w.health != workerHealthy {
-		return false // died during its own beat; records are quiet
-	}
 	if !s.lazy || nnDown || jtDown || w.nnLost || w.jtLost || w.grayLoss > 0 {
 		return true
 	}
@@ -165,20 +159,19 @@ func (s *System) visit(w *worker, now sim.Time, nnDown, jtDown bool) bool {
 }
 
 // unsettle puts a worker on the exception list at a transition that may stop
-// its beats. Its records are quiesced now unless it has already beaten on
-// the tick being walked, in which case the next visit quiesces them after
-// the masters' stamps have moved to this tick.
+// its beats, freezing its records at the last tick. Transitions happen in
+// events of their own, never inside a tick: nothing a beat calls changes a
+// worker's health, reachability or gray loss, and a tick that saw one could
+// not tell whether the worker had beaten yet.
 func (s *System) unsettle(w *worker) {
+	if s.walking {
+		panic("core: worker state changed inside a heartbeat tick")
+	}
 	if w.exc {
 		return
 	}
 	w.exc = true
-	if int(w.seq) > s.walkPos {
-		s.quiesce(w)
-		if int(w.seq) < s.walkEnd {
-			return // the full walk in progress reaches it
-		}
-	}
+	s.quiesce(w)
 	s.excNew = append(s.excNew, w)
 }
 

@@ -152,6 +152,19 @@ func TestLazyHeartbeatsMatchEagerOracle(t *testing.T) {
 			}
 		})
 	}
+	t.Run("disk-overflow", func(t *testing.T) {
+		// Scratch space runs out mid-assignment, killing workers from
+		// inside a tick's own walk.
+		t.Parallel()
+		cfg := HOGConfig(60, grid.ChurnStable, 22)
+		cfg.Grid.Pool.DiskBytesPerNode = 3e9
+		cfg.Costs.ReduceCostPerMB = 500 * sim.Millisecond
+		lazy, eager := runHeartbeats(t, cfg, false), runHeartbeats(t, cfg, true)
+		compareHeartbeatRuns(t, lazy, eager)
+		if lazy.res.Pool.Killed == 0 {
+			t.Fatal("no worker was killed by a disk overflow")
+		}
+	})
 	t.Run("giveup", func(t *testing.T) {
 		t.Parallel()
 		cfg := HOGConfig(200, grid.ChurnUnstable, 4)
