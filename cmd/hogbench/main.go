@@ -61,15 +61,19 @@ var printers = map[string]func(io.Writer, experiments.Options){
 	"ncopy":     experiments.PrintRedundantCopies,
 	"delay":     experiments.PrintDelayScheduling,
 	"hod":       experiments.PrintHODComparison,
-	"grid":      experiments.PrintLargeGrid,
-	"mega":      experiments.PrintMegaGrid,
-	"giga":      experiments.PrintGigaGrid,
-	"sched":     experiments.PrintSchedScale,
+	"grid":      scaleGrid(experiments.LargeGridPreset),
+	"mega":      scaleGrid(experiments.MegaGridPreset),
+	"giga":      scaleGrid(experiments.GigaGridPreset),
 	"events":    experiments.PrintEventCounts,
 	"chaos":     experiments.PrintChaos,
 	"chaos2":    experiments.PrintChaos2,
 	"policy":    experiments.PrintPolicy,
 	"whatif":    experiments.PrintWhatIf,
+}
+
+// scaleGrid adapts a scale preset to the printer signature.
+func scaleGrid(p experiments.ScalePreset) func(io.Writer, experiments.Options) {
+	return func(w io.Writer, opts experiments.Options) { experiments.PrintScaleGrid(w, opts, p) }
 }
 
 // runners derives the text-path registry from the harness spec registry,
@@ -154,7 +158,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced scale and single seed")
 	list := flag.Bool("list", false, "list experiment ids")
 	scale := flag.Float64("scale", 0, "override workload scale (0 = preset)")
-	scan := flag.Bool("scan", false, "force the linear-scan scheduler baseline (results must be bit-identical)")
 	schedPol := flag.String("sched", "", "force a job-ordering policy in every run (see -list)")
 	placePol := flag.String("place", "", "force a block-placement policy in every run (see -list)")
 	specPol := flag.String("spec", "", "force a straggler criterion in every run (see -list)")
@@ -207,7 +210,6 @@ func run() int {
 	if *scale > 0 {
 		opts.Scale = *scale
 	}
-	opts.ScanScheduler = *scan
 	opts.SchedulerPolicy = *schedPol
 	opts.PlacementPolicy = *placePol
 	opts.SpeculationPolicy = *specPol

@@ -70,6 +70,12 @@ func nodeEvent(typ event.Type, at sim.Time, node netmodel.NodeID) event.Event {
 	return ev
 }
 
+func siteEvent(typ event.Type, at sim.Time, site string) event.Event {
+	ev := event.At(typ, at)
+	ev.Site = site
+	return ev
+}
+
 func masterEvent(typ event.Type, at sim.Time, which string) event.Event {
 	ev := event.At(typ, at)
 	ev.Detail = which
@@ -123,6 +129,46 @@ func TestLivenessRulesFire(t *testing.T) {
 		a.HandleEvent(masterEvent(event.MasterRecovered, 7, "secondary"))  // unknown master
 		if got := rules(a)["master-pairing"]; got != 4 {
 			t.Fatalf("master-pairing fired %d times, want 4: %v", got, a.Violations())
+		}
+	})
+	t.Run("degrade-pairing", func(t *testing.T) {
+		a := audit.New()
+		a.HandleEvent(nodeEvent(event.NodeDegraded, 1, 3))
+		a.HandleEvent(nodeEvent(event.NodeRestored, 2, 3))
+		a.HandleEvent(nodeEvent(event.NodeDegraded, 3, 3)) // degraded again after a restore
+		a.HandleEvent(nodeEvent(event.NodeRestored, 4, 3))
+		if a.Count() != 0 {
+			t.Fatalf("paired degradations and restores raised %v", a.Violations())
+		}
+		a.HandleEvent(nodeEvent(event.NodeRestored, 5, 4)) // never degraded
+		if got := rules(a)["degrade-pairing"]; got != 1 {
+			t.Fatalf("degrade-pairing fired %d times, want 1: %v", got, a.Violations())
+		}
+	})
+	t.Run("partition-pairing", func(t *testing.T) {
+		a := audit.New()
+		a.HandleEvent(siteEvent(event.PartitionStarted, 1, "a.edu"))
+		a.HandleEvent(siteEvent(event.PartitionStarted, 2, "a.edu")) // a node cut overlapping the site cut
+		a.HandleEvent(siteEvent(event.PartitionHealed, 3, "a.edu"))
+		if a.Count() != 0 {
+			t.Fatalf("a healed partition raised %v", a.Violations())
+		}
+		a.HandleEvent(siteEvent(event.PartitionHealed, 4, "a.edu")) // the heal cleared both cuts
+		a.HandleEvent(siteEvent(event.PartitionHealed, 5, "b.edu")) // never partitioned
+		if got := rules(a)["partition-pairing"]; got != 2 {
+			t.Fatalf("partition-pairing fired %d times, want 2: %v", got, a.Violations())
+		}
+	})
+	t.Run("safe-mode-pairing", func(t *testing.T) {
+		a := audit.New()
+		a.HandleEvent(event.At(event.SafeModeEntered, 1))
+		a.HandleEvent(event.At(event.SafeModeExited, 2))
+		if a.Count() != 0 {
+			t.Fatalf("a paired safe-mode entry and exit raised %v", a.Violations())
+		}
+		a.HandleEvent(event.At(event.SafeModeExited, 3)) // no entry
+		if got := rules(a)["safe-mode-pairing"]; got != 1 {
+			t.Fatalf("safe-mode-pairing fired %d times, want 1: %v", got, a.Violations())
 		}
 	})
 	t.Run("monotone-time", func(t *testing.T) {

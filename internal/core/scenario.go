@@ -108,7 +108,7 @@ func (sc *Scenario) Spec() (ScenarioSpec, error) {
 // version, or a corrupted one).
 func ScenarioFromSpec(spec ScenarioSpec) (*Scenario, error) {
 	sc := NewScenario(spec.Name)
-	if spec.Poll > 0 {
+	if spec.Poll != 0 {
 		sc.Poll(spec.Poll)
 	}
 	for _, st := range spec.Steps {
@@ -167,10 +167,12 @@ func (sc *Scenario) Name() string { return sc.name }
 func (sc *Scenario) Steps() int { return len(sc.steps) }
 
 // Poll sets the predicate polling period for condition-triggered steps
-// (default 5 simulated seconds).
+// (default 5 simulated seconds). Periods under a millisecond are rejected:
+// a microsecond poll fires a million events per simulated second, so one
+// scenario from an untrusted spec could stall a whole run.
 func (sc *Scenario) Poll(interval sim.Time) *Scenario {
-	if interval <= 0 {
-		sc.errs = append(sc.errs, fmt.Errorf("non-positive poll interval %v", interval))
+	if interval < sim.Millisecond {
+		sc.errs = append(sc.errs, fmt.Errorf("poll interval %v under 1ms", interval))
 		return sc
 	}
 	sc.poll = interval

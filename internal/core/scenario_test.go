@@ -79,6 +79,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"pool action on static", static, NewScenario("x").KillFraction(sim.Second, 0.5), "static cluster has no pool"},
 		{"unknown net site", static, NewScenario("x").DegradeNetwork(sim.Second, "NOPE", 0.5), "no network site"},
 		{"bad poll", grids, NewScenario("x").Poll(0).RetargetPool(sim.Second, 5), "poll interval"},
+		{"microsecond poll", grids, NewScenario("x").Poll(sim.Microsecond).RetargetPool(sim.Second, 5), "poll interval"},
 	}
 	for _, tc := range cases {
 		if err := tc.sys.Apply(tc.sc); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -76,9 +76,6 @@ func validatePolicies(cfg Config) error {
 	if _, err := mapred.NewSchedulerPolicy(sched); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if cfg.MapRed.ScanScheduler && sched != "" && sched != mapred.SchedulerFIFO {
-		return fmt.Errorf("core: scheduler policy %q requires the indexed scheduler; it cannot be combined with ScanScheduler", sched)
-	}
 	spec := cfg.Policies.Speculation
 	if spec == "" {
 		spec = cfg.MapRed.SpeculationPolicy

@@ -55,23 +55,6 @@ func TestValidatePolicies(t *testing.T) {
 			c.MapRed.SchedulerPolicy = "lottery"
 			return c
 		}(), `unknown scheduler policy "lottery"`},
-		{"scan scheduler with fair policy", func() Config {
-			c := base()
-			c.MapRed.ScanScheduler = true
-			c.Policies.Scheduler = "fair"
-			return c
-		}(), "cannot be combined with ScanScheduler"},
-		{"scan scheduler with explicit fifo", func() Config {
-			c := base()
-			c.MapRed.ScanScheduler = true
-			c.Policies.Scheduler = "fifo"
-			return c
-		}(), ""},
-		{"scan scheduler with default", func() Config {
-			c := base()
-			c.MapRed.ScanScheduler = true
-			return c
-		}(), ""},
 		{"negative pool weight", func() Config {
 			c := base()
 			c.MapRed.Pools = map[string]mapred.PoolConfig{"a": {Weight: -1}}

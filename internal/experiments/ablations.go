@@ -437,7 +437,6 @@ func HODTrial(system string, opts Options) HODResultRow {
 	switch system {
 	case HODSystems()[0]:
 		cfg := hod.DefaultConfig(30, opts.Seeds[0])
-		cfg.ScanScheduler = opts.ScanScheduler
 		hodRes := hod.Run(s, cfg)
 		return HODResultRow{system, hodRes.ResponseTime, hodRes.ReconstructionOverhead, hodRes.TimedOut}
 	case HODSystems()[1]:

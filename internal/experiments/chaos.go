@@ -10,6 +10,7 @@ import (
 	"hog/internal/event"
 	"hog/internal/grid"
 	"hog/internal/sim"
+	"hog/internal/workload"
 )
 
 // CHAOS samples seeded random fault schedules — master crashes, site
@@ -69,18 +70,28 @@ type ChaosScheduleResult struct {
 	Mismatch     bool // reruns disagreed — determinism broken
 }
 
-type chaosRunOutcome struct {
-	response     sim.Time
-	jobsFailed   int
-	blocksLost   int
-	reregistered int
-	safeModeOK   bool
-	violations   int
-	firstBreach  string
-	fingerprint  uint64
+// chaosRun is one audited run of a chaos schedule.
+type chaosRun struct {
+	sys         *core.System
+	log         *event.Log
+	res         *core.Result
+	violations  int
+	firstBreach string
 }
 
-func chaosRun(idx int, opts Options) chaosRunOutcome {
+// chaosFold is the verdict over a schedule's two runs.
+type chaosFold struct {
+	paired      bool   // both runs ended with every fault paired with its repair
+	violations  int    // audit violations over both runs
+	firstBreach string // first violation of either run
+	mismatch    bool   // event fingerprints or gray draws differ: determinism broken
+}
+
+// runAudited runs one chaos schedule on the 60-node unstable HOG pool, with
+// the auditor attached, sweeping every 30 simulated seconds and once more
+// after the workload. scenario builds the fault script from the workload
+// the run will submit.
+func runAudited(opts Options, scenario func([]workload.JobSpec) *core.Scenario) chaosRun {
 	cfg := core.HOGConfig(60, grid.ChurnUnstable, opts.Seeds[0])
 	log := event.NewLog()
 	sys, err := core.NewSystem(opts.tune(cfg), log)
@@ -91,49 +102,63 @@ func chaosRun(idx int, opts Options) chaosRunOutcome {
 	aud.Attach(sys.NN, sys.JT)
 	sys.Subscribe(aud)
 	sys.Eng.Every(30*sim.Second, func() { aud.Sweep(sys.Eng.Now()) })
-	if err := sys.Apply(ChaosScenario(opts.Seeds[0], idx)); err != nil {
+	schedule := sched(opts.Seeds[0], opts.Scale)
+	if err := sys.Apply(scenario(schedule.Jobs)); err != nil {
 		panic(err)
 	}
-	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
+	res := sys.RunWorkload(schedule)
 	aud.Sweep(sys.Eng.Now())
-	out := chaosRunOutcome{
-		response:     res.ResponseTime,
-		jobsFailed:   res.JobsFailed,
-		blocksLost:   res.NN.BlocksLost,
-		reregistered: log.Count(event.TrackerReregistered),
-		safeModeOK: log.Count(event.SafeModeEntered) == log.Count(event.SafeModeExited) &&
-			log.Count(event.MasterCrashed) == log.Count(event.MasterRecovered),
-		violations:  aud.Count(),
-		fingerprint: log.Fingerprint(),
-	}
+	out := chaosRun{sys: sys, log: log, res: res, violations: aud.Count()}
 	if v := aud.Violations(); len(v) > 0 {
 		out.firstBreach = v[0].String()
 	}
 	return out
 }
 
+// runAuditedTwice runs a chaos schedule twice and returns the first run
+// with the fold of both. paired judges from a finished system and its event
+// log whether every injected fault met its repair.
+func runAuditedTwice(opts Options, scenario func([]workload.JobSpec) *core.Scenario, paired func(*core.System, *event.Log) bool) (chaosRun, chaosFold) {
+	a := runAudited(opts, scenario)
+	b := runAudited(opts, scenario)
+	f := chaosFold{
+		paired:      paired(a.sys, a.log) && paired(b.sys, b.log),
+		violations:  a.violations + b.violations,
+		firstBreach: a.firstBreach,
+		mismatch:    a.log.Fingerprint() != b.log.Fingerprint() || a.sys.GrayDraws() != b.sys.GrayDraws(),
+	}
+	if f.firstBreach == "" {
+		f.firstBreach = b.firstBreach
+	}
+	return a, f
+}
+
+// mastersPaired reports whether every master crash met its recovery.
+func mastersPaired(log *event.Log) bool {
+	return log.Count(event.MasterCrashed) == log.Count(event.MasterRecovered)
+}
+
 // ChaosSchedule runs fault schedule idx twice and folds the two runs into
 // one result row; Mismatch is the determinism verdict.
 func ChaosSchedule(idx int, opts Options) ChaosScheduleResult {
 	opts = opts.WithDefaults()
-	a := chaosRun(idx, opts)
-	b := chaosRun(idx, opts)
-	r := ChaosScheduleResult{
+	a, f := runAuditedTwice(opts,
+		func([]workload.JobSpec) *core.Scenario { return ChaosScenario(opts.Seeds[0], idx) },
+		func(_ *core.System, log *event.Log) bool {
+			return log.Count(event.SafeModeEntered) == log.Count(event.SafeModeExited) && mastersPaired(log)
+		})
+	return ChaosScheduleResult{
 		Schedule:     idx,
-		Response:     a.response,
-		JobsFailed:   a.jobsFailed,
-		BlocksLost:   a.blocksLost,
-		Reregistered: a.reregistered,
-		SafeModeOK:   a.safeModeOK,
-		Violations:   a.violations + b.violations,
-		FirstBreach:  a.firstBreach,
-		Fingerprint:  a.fingerprint,
-		Mismatch:     a.fingerprint != b.fingerprint,
+		Response:     a.res.ResponseTime,
+		JobsFailed:   a.res.JobsFailed,
+		BlocksLost:   a.res.NN.BlocksLost,
+		Reregistered: a.log.Count(event.TrackerReregistered),
+		SafeModeOK:   f.paired,
+		Violations:   f.violations,
+		FirstBreach:  f.firstBreach,
+		Fingerprint:  a.log.Fingerprint(),
+		Mismatch:     f.mismatch,
 	}
-	if r.FirstBreach == "" {
-		r.FirstBreach = b.firstBreach
-	}
-	return r
 }
 
 // Chaos runs every schedule.

@@ -5,10 +5,8 @@ import (
 	"io"
 	"math/rand"
 
-	"hog/internal/audit"
 	"hog/internal/core"
 	"hog/internal/event"
-	"hog/internal/grid"
 	"hog/internal/sim"
 	"hog/internal/workload"
 )
@@ -121,94 +119,38 @@ type Chaos2ScheduleResult struct {
 	Mismatch    bool // reruns disagreed — determinism broken
 }
 
-type chaos2RunOutcome struct {
-	response    sim.Time
-	jobsFailed  int
-	blocksLost  int
-	partitions  int
-	healed      int
-	degraded    int
-	corrupted   int
-	detected    int
-	recovered   int
-	grayDraws   uint64
-	pairedOK    bool
-	violations  int
-	firstBreach string
-	fingerprint uint64
-}
-
-func chaos2Run(idx int, opts Options) chaos2RunOutcome {
-	cfg := core.HOGConfig(60, grid.ChurnUnstable, opts.Seeds[0])
-	log := event.NewLog()
-	sys, err := core.NewSystem(opts.tune(cfg), log)
-	if err != nil {
-		panic(err)
-	}
-	aud := audit.New()
-	aud.Attach(sys.NN, sys.JT)
-	sys.Subscribe(aud)
-	sys.Eng.Every(30*sim.Second, func() { aud.Sweep(sys.Eng.Now()) })
-	schedule := sched(opts.Seeds[0], opts.Scale)
-	if err := sys.Apply(Chaos2Scenario(opts.Seeds[0], idx, schedule.Jobs)); err != nil {
-		panic(err)
-	}
-	res := sys.RunWorkload(schedule)
-	aud.Sweep(sys.Eng.Now())
-	out := chaos2RunOutcome{
-		response:   res.ResponseTime,
-		jobsFailed: res.JobsFailed,
-		blocksLost: res.NN.BlocksLost,
-		partitions: log.Count(event.PartitionStarted),
-		healed:     log.Count(event.PartitionHealed),
-		degraded:   log.Count(event.NodeDegraded),
-		corrupted:  log.Count(event.ReplicaCorrupted),
-		detected:   log.Count(event.CorruptReadDetected),
-		recovered:  log.Count(event.NodeRecovered),
-		grayDraws:  sys.GrayDraws(),
-		pairedOK: sys.PartitionedSites() == 0 && sys.PartitionedNodes() == 0 &&
-			sys.DegradedNodes() == 0 &&
-			log.Count(event.NodeDegraded) == log.Count(event.NodeRestored) &&
-			log.Count(event.MasterCrashed) == log.Count(event.MasterRecovered),
-		violations:  aud.Count(),
-		fingerprint: log.Fingerprint(),
-	}
-	if v := aud.Violations(); len(v) > 0 {
-		out.firstBreach = v[0].String()
-	}
-	return out
-}
-
 // Chaos2Schedule runs fault schedule idx twice and folds the two runs into
 // one result row; Mismatch is the determinism verdict (the comparison spans
 // every event emitted, so detection latencies, recovery order, and read
 // retries must all replay exactly).
 func Chaos2Schedule(idx int, opts Options) Chaos2ScheduleResult {
 	opts = opts.WithDefaults()
-	a := chaos2Run(idx, opts)
-	b := chaos2Run(idx, opts)
-	r := Chaos2ScheduleResult{
+	a, f := runAuditedTwice(opts,
+		func(jobs []workload.JobSpec) *core.Scenario { return Chaos2Scenario(opts.Seeds[0], idx, jobs) },
+		func(sys *core.System, log *event.Log) bool {
+			return sys.PartitionedSites() == 0 && sys.PartitionedNodes() == 0 &&
+				sys.DegradedNodes() == 0 &&
+				log.Count(event.NodeDegraded) == log.Count(event.NodeRestored) &&
+				mastersPaired(log)
+		})
+	return Chaos2ScheduleResult{
 		Schedule:    idx,
-		Response:    a.response,
-		JobsFailed:  a.jobsFailed,
-		BlocksLost:  a.blocksLost,
-		Partitions:  a.partitions,
-		Healed:      a.healed,
-		Degraded:    a.degraded,
-		Corrupted:   a.corrupted,
-		Detected:    a.detected,
-		Recovered:   a.recovered,
-		GrayDraws:   a.grayDraws,
-		PairedOK:    a.pairedOK && b.pairedOK,
-		Violations:  a.violations + b.violations,
-		FirstBreach: a.firstBreach,
-		Fingerprint: a.fingerprint,
-		Mismatch:    a.fingerprint != b.fingerprint || a.grayDraws != b.grayDraws,
+		Response:    a.res.ResponseTime,
+		JobsFailed:  a.res.JobsFailed,
+		BlocksLost:  a.res.NN.BlocksLost,
+		Partitions:  a.log.Count(event.PartitionStarted),
+		Healed:      a.log.Count(event.PartitionHealed),
+		Degraded:    a.log.Count(event.NodeDegraded),
+		Corrupted:   a.log.Count(event.ReplicaCorrupted),
+		Detected:    a.log.Count(event.CorruptReadDetected),
+		Recovered:   a.log.Count(event.NodeRecovered),
+		GrayDraws:   a.sys.GrayDraws(),
+		PairedOK:    f.paired,
+		Violations:  f.violations,
+		FirstBreach: f.firstBreach,
+		Fingerprint: a.log.Fingerprint(),
+		Mismatch:    f.mismatch,
 	}
-	if r.FirstBreach == "" {
-		r.FirstBreach = b.firstBreach
-	}
-	return r
 }
 
 // Chaos2 runs every schedule.

@@ -29,20 +29,12 @@ type Options struct {
 	Seeds []int64
 	// Nodes overrides the Figure 4 sweep points.
 	Nodes []int
-	// ScanScheduler forces the retained linear-scan assignment path in every
-	// simulated system (hogbench -scan). The indexed and scan schedulers are
-	// bit-identical, so results documents must not differ — CI's
-	// scan-vs-indexed cmp gate enforces exactly that, which is also why this
-	// knob is deliberately absent from the JSON document's options block.
-	ScanScheduler bool
-
 	// SchedulerPolicy, SpeculationPolicy, PlacementPolicy, and
 	// ReplicationOrder force the named policy in every simulated system
-	// (hogbench -sched, -spec, -place, -repl). Unlike ScanScheduler
-	// above these CAN change results — they are ablation selectors, not
-	// equivalence oracles — but the empty string keeps each decision
-	// point's default, under which every run is bit-identical to the
-	// pre-policy behaviour. The POLICY experiment ignores them for the
+	// (hogbench -sched, -spec, -place, -repl). They can change results —
+	// they are ablation selectors — but the empty string keeps each
+	// decision point's default, under which every run is bit-identical to
+	// the pre-policy behaviour. The POLICY experiment ignores them for the
 	// decision point it is sweeping.
 	SchedulerPolicy   string
 	SpeculationPolicy string
@@ -52,7 +44,6 @@ type Options struct {
 
 // tune applies the option-level knobs to a built core config.
 func (o Options) tune(cfg core.Config) core.Config {
-	cfg.MapRed.ScanScheduler = o.ScanScheduler
 	if o.SchedulerPolicy != "" {
 		cfg.Policies.Scheduler = o.SchedulerPolicy
 	}

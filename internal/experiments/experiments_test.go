@@ -178,22 +178,6 @@ func TestFig4TrialAtom(t *testing.T) {
 	}
 }
 
-// TestSchedScaleEquivalence runs SCHED-SCALE at reduced scale: the indexed
-// and scan schedulers must agree bit-for-bit on the full 1000-node system —
-// same response time, same event count, same failures.
-func TestSchedScaleEquivalence(t *testing.T) {
-	rs := SchedScale(Options{Scale: 0.1, Seeds: []int64{1}})
-	if len(rs) != 2 || rs[0].Scan || !rs[1].Scan {
-		t.Fatalf("unexpected case shape: %+v", rs)
-	}
-	if rs[0].Response != rs[1].Response || rs[0].EventsFired != rs[1].EventsFired || rs[0].JobsFailed != rs[1].JobsFailed {
-		t.Fatalf("scheduler paths diverge at 1000 nodes:\nindexed: %+v\nscan:    %+v", rs[0], rs[1])
-	}
-	if rs[0].Response <= 0 {
-		t.Fatal("non-positive response time")
-	}
-}
-
 func TestQuickAndFullPresets(t *testing.T) {
 	q, f := Quick(), Full()
 	if q.Scale >= f.Scale {

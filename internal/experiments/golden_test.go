@@ -14,17 +14,19 @@ import (
 // wheel, and the site-sharded parallel wheels — and all three produced
 // exactly these values. The engine that remains must keep reproducing
 // them bit for bit: any change to the (at, seq) firing order shows up here
-// as a different response, event count, or flow census.
+// as a different response, event count, or flow census. The LARGE-GRID
+// Reached counts were read later from the same runs, on code whose results
+// matched every other field here.
 var (
-	largeGridGolden = LargeGridResult{
-		Target: 1000, Sites: 12, Response: 336054384, EventsFired: 25404,
+	largeGridGolden = ScaleGridResult{
+		Target: 1000, Sites: 12, Reached: 997, Response: 336054384, EventsFired: 25404,
 		FlowsStarted: 10783, CrossSiteFrac: 0.8940208608785403, JobsFailed: 0,
 	}
-	largeGridSeed2Golden = LargeGridResult{
-		Target: 1000, Sites: 12, Response: 271037849, EventsFired: 25466,
+	largeGridSeed2Golden = ScaleGridResult{
+		Target: 1000, Sites: 12, Reached: 992, Response: 271037849, EventsFired: 25466,
 		FlowsStarted: 10753, CrossSiteFrac: 0.8934530306742977, JobsFailed: 0,
 	}
-	megaGridGolden = MegaGridResult{
+	megaGridGolden = ScaleGridResult{
 		Target: 10000, Sites: 40, Reached: 9958, Response: 271200882, EventsFired: 88857,
 		FlowsStarted: 10936, CrossSiteFrac: 0.8593327819134132, JobsFailed: 0,
 	}
@@ -38,7 +40,7 @@ var (
 // full LARGE-GRID system — provisioning, churn, workload — must produce
 // exactly the recorded result struct.
 func TestLargeGridEngineEquivalence(t *testing.T) {
-	if got := LargeGrid(Options{Scale: 0.1, Seeds: []int64{1}}); got != largeGridGolden {
+	if got := ScaleGrid(Options{Scale: 0.1, Seeds: []int64{1}}, LargeGridPreset); got != largeGridGolden {
 		t.Fatalf("1000-node run diverged from the recorded result:\n got  %+v\n want %+v", got, largeGridGolden)
 	}
 }
@@ -47,7 +49,7 @@ func TestLargeGridEngineEquivalence(t *testing.T) {
 // (workload seed 2) to its recorded result. Its name is kept from the
 // sharded-versus-sequential gate whose run supplied the constants.
 func TestLargeGridShardedEngineEquivalence(t *testing.T) {
-	if got := LargeGrid(Options{Scale: 0.1, Seeds: []int64{2}}); got != largeGridSeed2Golden {
+	if got := ScaleGrid(Options{Scale: 0.1, Seeds: []int64{2}}, LargeGridPreset); got != largeGridSeed2Golden {
 		t.Fatalf("1000-node seed-2 run diverged from the recorded result:\n got  %+v\n want %+v", got, largeGridSeed2Golden)
 	}
 }
@@ -62,7 +64,7 @@ func TestMegaGridShardedEngineEquivalence(t *testing.T) {
 	if raceDetector || testing.Short() {
 		t.Skip("10k-node equivalence is covered at 1k under -race/-short")
 	}
-	if got := MegaGrid(Options{Scale: 0.1, Seeds: []int64{1}}); got != megaGridGolden {
+	if got := ScaleGrid(Options{Scale: 0.1, Seeds: []int64{1}}, MegaGridPreset); got != megaGridGolden {
 		t.Fatalf("10000-node run diverged from the recorded result:\n got  %+v\n want %+v", got, megaGridGolden)
 	}
 }

@@ -89,13 +89,9 @@ func Specs() []Spec {
 		{"ncopy", "A-NCOPY: redundant task copies", expandNCopy},
 		{"delay", "A-DELAY: FIFO vs delay scheduling", expandDelay},
 		{"hod", "A-HOD: Hadoop On Demand baseline", expandHOD},
-		{"grid", "LARGE-GRID: ~1000 nodes across 12 sites", expandLargeGrid},
-		{"mega", "MEGA-GRID: ~10000 nodes across 40 sites", expandMegaGrid},
-		// The giga description predates the single event engine; it rides
-		// in every results document, so it changes only with a deliberate
-		// BENCH_baseline.json refresh.
-		{"giga", "GIGA-GRID: ~100000 nodes across 104 sites, sharded parallel engine", expandGigaGrid},
-		{"sched", "SCHED-SCALE: indexed vs scan scheduler at 1000 nodes", expandSched},
+		{"grid", "LARGE-GRID: ~1000 nodes across 12 sites", expandScaleGrid("grid", experiments.LargeGridPreset)},
+		{"mega", "MEGA-GRID: ~10000 nodes across 40 sites", expandScaleGrid("mega", experiments.MegaGridPreset)},
+		{"giga", "GIGA-GRID: ~100000 nodes across 104 sites", expandScaleGrid("giga", experiments.GigaGridPreset)},
 		{"events", "EVENTS: typed event stream census under fault injection", expandEvents},
 		{"chaos", "CHAOS: randomized fault schedules with audit + determinism check", expandChaos},
 		{"chaos2", "CHAOS2: partition/gray/corruption fault mixes with audit + determinism check", expandChaos2},
@@ -417,54 +413,25 @@ func expandHOD(opts experiments.Options) []Trial {
 	return trials
 }
 
-func expandLargeGrid(opts experiments.Options) []Trial {
-	return []Trial{{
-		Experiment: "grid", Point: "nodes=1000", Seed: opts.Seeds[0], Nodes: 1000, Scale: opts.Scale,
-		run: func() Metrics {
-			r := experiments.LargeGrid(opts)
-			return Metrics{
-				"response_s":      r.Response.Seconds(),
-				"events_fired":    float64(r.EventsFired),
-				"flows_started":   float64(r.FlowsStarted),
-				"cross_site_frac": r.CrossSiteFrac,
-				"jobs_failed":     float64(r.JobsFailed),
-			}
-		},
-	}}
-}
-
-func expandMegaGrid(opts experiments.Options) []Trial {
-	return []Trial{{
-		Experiment: "mega", Point: "nodes=10000", Seed: opts.Seeds[0], Nodes: 10000, Scale: opts.Scale,
-		run: func() Metrics {
-			r := experiments.MegaGrid(opts)
-			return Metrics{
-				"response_s":      r.Response.Seconds(),
-				"reached_nodes":   float64(r.Reached),
-				"events_fired":    float64(r.EventsFired),
-				"flows_started":   float64(r.FlowsStarted),
-				"cross_site_frac": r.CrossSiteFrac,
-				"jobs_failed":     float64(r.JobsFailed),
-			}
-		},
-	}}
-}
-
-func expandGigaGrid(opts experiments.Options) []Trial {
-	return []Trial{{
-		Experiment: "giga", Point: "nodes=100000", Seed: opts.Seeds[0], Nodes: 100000, Scale: opts.Scale,
-		run: func() Metrics {
-			r := experiments.GigaGrid(opts)
-			return Metrics{
-				"response_s":      r.Response.Seconds(),
-				"reached_nodes":   float64(r.Reached),
-				"events_fired":    float64(r.EventsFired),
-				"flows_started":   float64(r.FlowsStarted),
-				"cross_site_frac": r.CrossSiteFrac,
-				"jobs_failed":     float64(r.JobsFailed),
-			}
-		},
-	}}
+// expandScaleGrid expands a scale preset into experiment id's single trial.
+func expandScaleGrid(id string, p experiments.ScalePreset) func(experiments.Options) []Trial {
+	return func(opts experiments.Options) []Trial {
+		return []Trial{{
+			Experiment: id, Point: fmt.Sprintf("nodes=%d", p.Target),
+			Seed: opts.Seeds[0], Nodes: p.Target, Scale: opts.Scale,
+			run: func() Metrics {
+				r := experiments.ScaleGrid(opts, p)
+				return Metrics{
+					"response_s":      r.Response.Seconds(),
+					"reached_nodes":   float64(r.Reached),
+					"events_fired":    float64(r.EventsFired),
+					"flows_started":   float64(r.FlowsStarted),
+					"cross_site_frac": r.CrossSiteFrac,
+					"jobs_failed":     float64(r.JobsFailed),
+				}
+			},
+		}}
+	}
 }
 
 func expandEvents(opts experiments.Options) []Trial {
@@ -600,25 +567,6 @@ func expandWhatIf(opts experiments.Options) []Trial {
 					"warm_at_s":   r.WarmAt.Seconds(),
 					"jobs":        float64(r.Jobs),
 					"jobs_failed": float64(r.JobsFailed),
-				}
-			},
-		})
-	}
-	return trials
-}
-
-func expandSched(opts experiments.Options) []Trial {
-	var trials []Trial
-	for _, c := range experiments.SchedScaleCases() {
-		c := c
-		trials = append(trials, Trial{
-			Experiment: "sched", Point: c.Label, Seed: opts.Seeds[0], Nodes: 1000, Scale: opts.Scale,
-			run: func() Metrics {
-				r := experiments.SchedScaleTrial(c, opts)
-				return Metrics{
-					"response_s":   r.Response.Seconds(),
-					"events_fired": float64(r.EventsFired),
-					"jobs_failed":  float64(r.JobsFailed),
 				}
 			},
 		})

@@ -30,9 +30,6 @@ type Config struct {
 	// RunBound caps one job's simulated runtime; a job still unfinished at
 	// the bound is reported with TimedOut set. Defaults to 24 hours.
 	RunBound sim.Time
-	// ScanScheduler forces the linear-scan assignment path in the ephemeral
-	// clusters (the schedulers are bit-identical; see mapred.Config).
-	ScanScheduler bool
 	// Seed drives all per-job simulations.
 	Seed int64
 }
@@ -153,6 +150,5 @@ func hodClusterConfig(cfg Config, seed int64) core.Config {
 	c.HDFS.DeadTimeout = 900 * sim.Second
 	c.HDFS.SiteAware = false
 	c.MapRed.TrackerTimeout = 900 * sim.Second
-	c.MapRed.ScanScheduler = cfg.ScanScheduler
 	return c
 }

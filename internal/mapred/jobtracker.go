@@ -133,8 +133,12 @@ type JobTracker struct {
 	// assignment path iterates it instead of re-skipping finished jobs.
 	activeList []*Job
 	// blockMaps maps an input block to the active map tasks reading it, for
-	// the namenode placement-change hook. Empty under Config.ScanScheduler.
+	// the namenode placement-change hook.
 	blockMaps map[hdfs.BlockID][]*mapTask
+	// oracle, when set, replaces the indexed assignment path for one slot
+	// of the kind. Only the package tests set it, to the retained linear
+	// scan the indexed scheduler is checked against.
+	oracle func(t *TaskTracker, kind TaskKind) bool
 
 	// DiskUsable reports whether a node's scratch directory is readable and
 	// writable. Zombie datanodes (§IV.D.1) heartbeat while their working
@@ -569,111 +573,28 @@ func (jt *JobTracker) assign(t *TaskTracker) {
 	// tracker heartbeats on every beat of every worker, and the answer
 	// would not change the assignment anyway.)
 	for t.FreeMapSlots() > 0 {
-		if !jt.assignOneMap(t) {
+		if !jt.assignOne(t, KindMap) {
 			break
 		}
 	}
 	for t.FreeReduceSlots() > 0 {
-		if !jt.assignOneReduce(t) {
+		if !jt.assignOne(t, KindReduce) {
 			break
 		}
 	}
 }
 
-// assignOneMap hands one map task to the tracker, via the indexed path or
-// the retained linear scan (Config.ScanScheduler). The two are bit-identical.
-func (jt *JobTracker) assignOneMap(t *TaskTracker) bool {
-	if jt.cfg.ScanScheduler {
-		return jt.assignOneMapScan(t)
+// assignOne hands one task of the kind to the tracker through the indexed
+// scheduler, or through the test-only oracle when one is installed.
+func (jt *JobTracker) assignOne(t *TaskTracker, kind TaskKind) bool {
+	switch {
+	case jt.oracle != nil:
+		return jt.oracle(t, kind)
+	case kind == KindMap:
+		return jt.assignOneMapIndexed(t)
+	default:
+		return jt.assignOneReduceIndexed(t)
 	}
-	return jt.assignOneMapIndexed(t)
-}
-
-func (jt *JobTracker) assignOneReduce(t *TaskTracker) bool {
-	if jt.cfg.ScanScheduler {
-		return jt.assignOneReduceScan(t)
-	}
-	return jt.assignOneReduceIndexed(t)
-}
-
-func (jt *JobTracker) assignOneMapScan(t *TaskTracker) bool {
-	for _, j := range jt.jobs {
-		if j.State == JobFailed || j.State == JobSucceeded || j.blacklisted(t.Node) {
-			continue
-		}
-		// Locality pass 1: node-local pending map.
-		var nodeLocal, siteLocal, anyPending *mapTask
-		hasPending := false
-		for _, m := range j.maps {
-			if m.done || m.running() > 0 || m.failures >= jt.cfg.MaxTaskAttempts {
-				continue
-			}
-			hasPending = true
-			if m.failedOn[t.Node] {
-				continue
-			}
-			lvl := jt.localityOf(t, m)
-			switch lvl {
-			case NodeLocal:
-				nodeLocal = m
-			case SiteLocal:
-				if siteLocal == nil {
-					siteLocal = m
-				}
-			default:
-				if anyPending == nil {
-					anyPending = m
-				}
-			}
-			if nodeLocal != nil {
-				break
-			}
-		}
-		pick := nodeLocal
-		lvl := NodeLocal
-		if pick == nil {
-			pick, lvl = siteLocal, SiteLocal
-		}
-		if pick == nil {
-			pick, lvl = anyPending, Remote
-		}
-		if pick != nil && lvl != NodeLocal && jt.cfg.LocalityWait > 0 {
-			// Delay scheduling: skip this job's non-local work for a while
-			// in the hope a data-local slot frees up.
-			if j.skipSince < 0 {
-				j.skipSince = jt.eng.Now()
-				continue
-			}
-			if jt.eng.Now()-j.skipSince < jt.cfg.LocalityWait {
-				continue
-			}
-			// Waited long enough; accept the non-local slot. The wait is NOT
-			// reset here: one expired LocalityWait covers every queued
-			// non-local map, so a backlog launches in the same heartbeat wave
-			// instead of each map serially paying a fresh full wait. Only a
-			// node-local launch ends the waiting state.
-		}
-		if pick != nil {
-			if lvl == NodeLocal {
-				j.skipSince = -1
-			}
-			jt.launchMap(j, pick, t, lvl, false)
-			return true
-		}
-		if jt.cfg.LocalityWait > 0 && !hasPending {
-			// Backlog drained: re-arm the wait so maps that become pending
-			// later (re-executions, ghost re-queues) get a fresh chance at a
-			// local slot instead of inheriting the long-expired wait.
-			j.skipSince = -1
-		}
-		// No pending maps in this job: consider speculation before moving
-		// to the next job (Hadoop speculates within the running job first).
-		if m := jt.speculativeMap(j, t); m != nil {
-			jt.launchMap(j, m, t, jt.localityOf(t, m), true)
-			return true
-		}
-	}
-	return false
 }
 
 func (jt *JobTracker) localityOf(t *TaskTracker, m *mapTask) LocalityLevel {
@@ -692,85 +613,6 @@ func (jt *JobTracker) localityOf(t *TaskTracker, m *mapTask) LocalityLevel {
 		}
 	}
 	return lvl
-}
-
-func (jt *JobTracker) speculativeMap(j *Job, t *TaskTracker) *mapTask {
-	if !jt.cfg.Speculative {
-		return nil
-	}
-	for _, m := range j.maps {
-		if m.done || m.failures >= jt.cfg.MaxTaskAttempts || m.failedOn[t.Node] {
-			continue
-		}
-		r := m.running()
-		if r == 0 || r >= jt.cfg.MaxTaskCopies {
-			continue
-		}
-		if m.runningOn(t.Node) {
-			continue // never two copies on one node
-		}
-		if jt.cfg.EagerRedundancy {
-			return m
-		}
-		if jt.spec.IsStraggler(jt, j, KindMap, t, m.oldestRunningStart()) {
-			return m
-		}
-	}
-	return nil
-}
-
-func (jt *JobTracker) assignOneReduceScan(t *TaskTracker) bool {
-	for _, j := range jt.jobs {
-		if j.State == JobFailed || j.State == JobSucceeded || j.blacklisted(t.Node) {
-			continue
-		}
-		if len(j.maps) > 0 {
-			need := int(jt.cfg.SlowstartFraction * float64(len(j.maps)))
-			if need < 1 {
-				need = 1
-			}
-			if j.completedMaps < need {
-				continue
-			}
-		}
-		for _, r := range j.reduces {
-			if r.done || r.running() > 0 || r.failures >= jt.cfg.MaxTaskAttempts || r.failedOn[t.Node] {
-				continue
-			}
-			jt.launchReduce(j, r, t, false)
-			return true
-		}
-		if r := jt.speculativeReduce(j, t); r != nil {
-			jt.launchReduce(j, r, t, true)
-			return true
-		}
-	}
-	return false
-}
-
-func (jt *JobTracker) speculativeReduce(j *Job, t *TaskTracker) *reduceTask {
-	if !jt.cfg.Speculative {
-		return nil
-	}
-	for _, r := range j.reduces {
-		if r.done || r.failures >= jt.cfg.MaxTaskAttempts || r.failedOn[t.Node] {
-			continue
-		}
-		n := r.running()
-		if n == 0 || n >= jt.cfg.MaxTaskCopies {
-			continue
-		}
-		if r.runningOn(t.Node) {
-			continue
-		}
-		if jt.cfg.EagerRedundancy {
-			return r
-		}
-		if jt.spec.IsStraggler(jt, j, KindReduce, t, r.oldestRunningStart()) {
-			return r
-		}
-	}
-	return nil
 }
 
 func (jt *JobTracker) diskBroken(n netmodel.NodeID) bool {

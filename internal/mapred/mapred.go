@@ -153,17 +153,8 @@ type Config struct {
 	// heartbeats offer a local slot. Zero keeps plain FIFO, which is what
 	// HOG runs ("we follow Apache Hadoop's FIFO job scheduling policy").
 	LocalityWait sim.Time
-	// ScanScheduler selects the retained linear-scan assignment path —
-	// every task of every job rescanned per free slot per heartbeat,
-	// O(jobs x tasks x trackers) — instead of the default incrementally
-	// indexed scheduler. The two paths are bit-identical (the randomized
-	// equivalence tests assert identical assignment order and completion
-	// times); the scan path exists as the equivalence baseline.
-	ScanScheduler bool
 	// SchedulerPolicy names the job-ordering policy (policy.go registry);
-	// empty selects "fifo", the paper's choice. Non-default policies
-	// require the indexed scheduler (core/validate.go rejects the
-	// combination with ScanScheduler).
+	// empty selects "fifo", the paper's choice.
 	SchedulerPolicy string
 	// SpeculationPolicy names the straggler criterion; empty selects
 	// "threshold", the paper's slowdown rule.
@@ -320,7 +311,7 @@ type Job struct {
 	// slots under delay scheduling; -1 when not waiting.
 	skipSince sim.Time
 
-	// idx is the incremental scheduler index (nil under Config.ScanScheduler).
+	// idx is the incremental scheduler index, built at submit.
 	idx *jobIndex
 
 	// Completed-duration aggregates for the straggler criterion, maintained

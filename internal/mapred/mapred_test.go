@@ -20,7 +20,8 @@ const (
 	dead
 )
 
-// cluster is a self-contained MapReduce test cluster over 5 sites.
+// cluster is a self-contained MapReduce test cluster, over 5 sites unless
+// built by newClusterOn.
 type cluster struct {
 	eng   *sim.Engine
 	net   *netmodel.Network
@@ -34,7 +35,12 @@ type cluster struct {
 var clusterDomains = []string{"fnal.gov", "wc1-fnal.gov", "ucsd.edu", "aglt2.org", "mit.edu"}
 
 func newCluster(seed int64, nodesPerSite int, nnCfg hdfs.Config, jtCfg Config) *cluster {
-	c := newQuietCluster(seed, nodesPerSite, nnCfg, jtCfg)
+	return newClusterOn(clusterDomains, seed, nodesPerSite, nnCfg, jtCfg)
+}
+
+// newClusterOn is newCluster with one site per domain.
+func newClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdfs.Config, jtCfg Config) *cluster {
+	c := newQuietClusterOn(domains, seed, nodesPerSite, nnCfg, jtCfg)
 	// One global heartbeat driver: healthy nodes report to both masters,
 	// zombies only to the JobTracker.
 	c.eng.Every(3*sim.Second, func() {
@@ -54,6 +60,10 @@ func newCluster(seed int64, nodesPerSite int, nnCfg hdfs.Config, jtCfg Config) *
 // newQuietCluster builds the cluster without the periodic heartbeat driver,
 // for tests that drive assignment heartbeats by hand.
 func newQuietCluster(seed int64, nodesPerSite int, nnCfg hdfs.Config, jtCfg Config) *cluster {
+	return newQuietClusterOn(clusterDomains, seed, nodesPerSite, nnCfg, jtCfg)
+}
+
+func newQuietClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdfs.Config, jtCfg Config) *cluster {
 	c := &cluster{
 		eng:   sim.New(seed),
 		state: make(map[netmodel.NodeID]nodeState),
@@ -65,7 +75,7 @@ func newQuietCluster(seed int64, nodesPerSite int, nnCfg hdfs.Config, jtCfg Conf
 	c.jt.DiskUsable = func(n netmodel.NodeID) bool { return c.state[n] == healthy }
 	c.jt.DataServable = func(n netmodel.NodeID) bool { return c.state[n] == healthy }
 	mapper := topology.NewMapper()
-	for _, dom := range clusterDomains {
+	for _, dom := range domains {
 		sid := c.net.AddSite(dom, 300e6, 300e6)
 		for i := 0; i < nodesPerSite; i++ {
 			host := fmt.Sprintf("wn%d.%s", i, dom)

@@ -236,9 +236,7 @@ type siteLoad struct {
 // oldest copy and the average completed duration of the kind. ok is false
 // when no copy runs, the minimum-runtime guard applies, or nothing of the
 // kind has completed — every policy short-circuits to "not a straggler"
-// then. The indexed scheduler reads the job's maintained duration
-// aggregates; the scan baseline re-sums every completed task, as it always
-// did. Both are exact integer sums, so the two paths agree bit-for-bit.
+// then. The average comes from the job's maintained duration aggregates.
 func (jt *JobTracker) stragglerElapsedAvg(j *Job, kind TaskKind, started sim.Time) (elapsed, avg sim.Time, ok bool) {
 	if started < 0 {
 		return 0, 0, false
@@ -247,28 +245,9 @@ func (jt *JobTracker) stragglerElapsedAvg(j *Job, kind TaskKind, started sim.Tim
 	if elapsed < jt.cfg.SpeculativeMinRuntime {
 		return 0, 0, false
 	}
-	var sum sim.Time
-	var n int
-	if jt.indexed() {
-		if kind == KindMap {
-			sum, n = j.doneMapDur, j.doneMapN
-		} else {
-			sum, n = j.doneReduceDur, j.doneReduceN
-		}
-	} else if kind == KindMap {
-		for _, m := range j.maps {
-			if m.done {
-				sum += m.duration
-				n++
-			}
-		}
-	} else {
-		for _, r := range j.reduces {
-			if r.done {
-				sum += r.duration
-				n++
-			}
-		}
+	sum, n := j.doneMapDur, j.doneMapN
+	if kind == KindReduce {
+		sum, n = j.doneReduceDur, j.doneReduceN
 	}
 	if n == 0 {
 		return 0, 0, false

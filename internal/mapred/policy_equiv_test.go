@@ -21,18 +21,8 @@ func TestDefaultPolicyEquivalence(t *testing.T) {
 	}
 	for _, profile := range []string{"calm", "eager", "kills", "zombies"} {
 		for seed := int64(1); seed <= 3; seed++ {
-			base := runSchedChurn(seed, false, profile)
-			named := runSchedChurnWith(seed, false, profile, explicit)
-			if len(base) != len(named) {
-				t.Fatalf("profile %s seed %d: fingerprint lengths diverge: default %d, named %d",
-					profile, seed, len(base), len(named))
-			}
-			for i := range base {
-				if base[i] != named[i] {
-					t.Fatalf("profile %s seed %d line %d:\ndefault: %s\nnamed:   %s",
-						profile, seed, i, base[i], named[i])
-				}
-			}
+			sameFingerprint(t, fmt.Sprintf("profile %s seed %d", profile, seed), "default", "named",
+				runSchedChurn(seed, false, profile), runSchedChurnOn(smallChurn, seed, false, profile, explicit))
 		}
 	}
 }
@@ -45,16 +35,8 @@ func TestNonDefaultPoliciesDeterministic(t *testing.T) {
 		c.SchedulerPolicy = SchedulerFair
 		c.SpeculationPolicy = SpeculationSiteLoad
 	}
-	a := runSchedChurnWith(42, false, "kills", alt)
-	b := runSchedChurnWith(42, false, "kills", alt)
-	if len(a) != len(b) {
-		t.Fatalf("fingerprint lengths diverge across identical runs: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("line %d diverges across identical runs:\n%s\n%s", i, a[i], b[i])
-		}
-	}
+	sameFingerprint(t, "identical runs", "first", "second",
+		runSchedChurnOn(smallChurn, 42, false, "kills", alt), runSchedChurnOn(smallChurn, 42, false, "kills", alt))
 }
 
 // TestFairSchedulerPoolCap: a capped pool must never exceed MaxRunning

@@ -1,0 +1,118 @@
+package mapred
+
+import (
+	"fmt"
+	"testing"
+
+	"hog/internal/disk"
+	"hog/internal/hdfs"
+	"hog/internal/netmodel"
+	"hog/internal/sim"
+	"hog/internal/topology"
+)
+
+// schedulerRun drives a 1008-node, 12-site MapReduce cluster through the
+// scheduler's worst case: all input blocks live on 48 dedicated data nodes
+// with zero map slots, so under delay scheduling every one of the ~960
+// worker trackers holds a free slot whose every heartbeat probes all 24
+// queued jobs — for the scan path, every map of every job, O(jobs x tasks x
+// trackers) per wave — and declines the non-local work until LocalityWait
+// expires near the end of the horizon, when remote launches flood out. The
+// event stream is identical under both scheduler paths (they are
+// bit-identical), so wall-clock differences are assignment-path cost alone.
+// Returns total map attempts launched as the cross-path self-check.
+func schedulerRun(scan bool) int {
+	const (
+		nSites      = 12
+		perSite     = 84
+		dataPerSite = 4 // slotless block hosts; the rest are workers
+		nJobs       = 24
+		nMaps       = 50
+		blockLen    = 8e6
+	)
+	eng := sim.New(1)
+	net := netmodel.New(eng, netmodel.Config{})
+	dt := disk.NewTracker()
+	nnCfg := hdfs.HOGConfig()
+	nnCfg.Replication = 2
+	nnCfg.BlockSize = blockLen
+	nn := hdfs.NewNamenode(eng, net, dt, nnCfg)
+	jtCfg := DefaultConfig()
+	jtCfg.TrackerTimeout = 60 * sim.Second
+	jtCfg.LocalityWait = 3 * sim.Minute
+	jt := NewJobTracker(eng, net, nn, dt, jtCfg)
+	if scan {
+		useScanOracle(jt)
+	}
+	mapper := topology.NewMapper()
+	var nodes, workers []netmodel.NodeID
+	for s := 0; s < nSites; s++ {
+		dom := fmt.Sprintf("site%d.edu", s)
+		sid := net.AddSite(dom, 300e6, 300e6)
+		for i := 0; i < perSite; i++ {
+			host := fmt.Sprintf("wn%d.%s", i, dom)
+			id := net.AddNode(sid, host)
+			nn.Register(id, host)
+			if i < dataPerSite {
+				dt.SetCapacity(id, 100e9)
+				jt.RegisterTracker(id, host, mapper.Site(host), 0, 1)
+			} else {
+				dt.SetCapacity(id, 1e6) // too small for a block: no replicas land here
+				jt.RegisterTracker(id, host, mapper.Site(host), 1, 1)
+				workers = append(workers, id)
+			}
+			nodes = append(nodes, id)
+		}
+	}
+	nn.Start()
+	jt.Start()
+	eng.Every(3*sim.Second, func() {
+		for _, id := range nodes {
+			nn.Heartbeat(id)
+			jt.Heartbeat(id)
+		}
+	})
+	for i := 0; i < nJobs; i++ {
+		name := fmt.Sprintf("sched%02d", i)
+		nn.SeedFile("/in/"+name, nMaps*blockLen, 0)
+		jt.Submit(JobConfig{Name: name, InputFile: "/in/" + name, Reduces: 1})
+	}
+	// Workers get real scratch space only after seeding pinned the input to
+	// the data nodes.
+	for _, id := range workers {
+		dt.SetCapacity(id, 100e9)
+	}
+	eng.RunWhile(func() bool { return !jt.AllDone() && eng.Now() < 4*sim.Minute })
+	started := 0
+	for _, j := range jt.Jobs() {
+		started += j.Counters().MapAttemptsStarted
+	}
+	return started
+}
+
+// BenchmarkScheduler compares the indexed assignment path against the
+// linear-scan oracle on a ~1000-node grid; both arms must launch the same
+// number of map attempts. The scan arm is about a hundred times slower
+// (12.6 s against 0.13 s on a 2-vCPU Xeon), so CI smoke-runs only
+// Scheduler/indexed.
+func BenchmarkScheduler(b *testing.B) {
+	want := -1
+	for _, mode := range []struct {
+		name string
+		scan bool
+	}{{"indexed", false}, {"scan", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				got := schedulerRun(mode.scan)
+				if got == 0 {
+					b.Fatal("no map attempts launched")
+				}
+				if want == -1 {
+					want = got
+				} else if got != want {
+					b.Fatalf("paths diverge: %d map attempts vs %d", got, want)
+				}
+			}
+		})
+	}
+}

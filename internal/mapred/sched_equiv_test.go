@@ -33,20 +33,44 @@ func schedFingerprint(c *cluster) []string {
 	return out
 }
 
-// runSchedChurn executes one randomized workload + churn schedule under
-// either scheduler path and returns the fingerprint. The schedule is drawn
-// from a private RNG so both paths see identical inputs.
-func runSchedChurn(seed int64, scan bool, profile string) []string {
-	return runSchedChurnWith(seed, scan, profile, nil)
+// churnShape sizes a churn schedule: the sites, the trackers per site, the
+// jobs submitted in the first 90 s, their map counts (minMaps plus up to
+// spanMaps more), and the node failures the churn profiles inject.
+type churnShape struct {
+	domains  []string
+	perSite  int
+	jobs     int
+	minMaps  int
+	spanMaps int
+	faults   int
 }
 
-// runSchedChurnWith additionally applies mod to the JobTracker config after
-// the profile knobs — the hook the policy equivalence tests use to pin
-// explicit policy names against the defaults on identical inputs.
-func runSchedChurnWith(seed int64, scan bool, profile string, mod func(*Config)) []string {
+// smallChurn is 30 trackers over five sites.
+var smallChurn = churnShape{domains: clusterDomains, perSite: 6, jobs: 4, minMaps: 4, spanMaps: 10, faults: 6}
+
+// gridChurn is 1008 trackers over twelve sites, the LARGE-GRID scale.
+var gridChurn = func() churnShape {
+	sh := churnShape{perSite: 84, jobs: 12, minMaps: 40, spanMaps: 60, faults: 40}
+	for s := 0; s < 12; s++ {
+		sh.domains = append(sh.domains, fmt.Sprintf("site%d.edu", s))
+	}
+	return sh
+}()
+
+// runSchedChurn executes one randomized workload + churn schedule on the
+// small cluster under either scheduler path and returns the fingerprint.
+func runSchedChurn(seed int64, scan bool, profile string) []string {
+	return runSchedChurnOn(smallChurn, seed, scan, profile, nil)
+}
+
+// runSchedChurnOn runs the schedule at the given shape. The schedule is
+// drawn from a private RNG so both paths see identical inputs. mod, when
+// set, adjusts the JobTracker config after the profile knobs — the hook the
+// policy equivalence tests use to pin explicit policy names against the
+// defaults on identical inputs.
+func runSchedChurnOn(sh churnShape, seed int64, scan bool, profile string, mod func(*Config)) []string {
 	nn := hogNNCfg()
 	jt := hogJTCfg()
-	jt.ScanScheduler = scan
 	switch profile {
 	case "delay":
 		nn.Replication = 1
@@ -67,12 +91,14 @@ func runSchedChurnWith(seed int64, scan bool, profile string, mod func(*Config))
 	if mod != nil {
 		mod(&jt)
 	}
-	c := newCluster(seed, 6, nn, jt) // 30 nodes over 5 sites
+	c := newClusterOn(sh.domains, seed, sh.perSite, nn, jt)
+	if scan {
+		useScanOracle(c.jt)
+	}
 	r := rand.New(rand.NewSource(seed * 7919))
-	const nJobs = 4
 	submitted := 0
-	for i := 0; i < nJobs; i++ {
-		cfg := smallJob(c, fmt.Sprintf("eq%d", i), 4+r.Intn(10), r.Intn(3))
+	for i := 0; i < sh.jobs; i++ {
+		cfg := smallJob(c, fmt.Sprintf("eq%d", i), sh.minMaps+r.Intn(sh.spanMaps), r.Intn(3))
 		at := sim.Time(r.Int63n(int64(90 * sim.Second)))
 		c.eng.Schedule(at, func() {
 			c.jt.Submit(cfg)
@@ -80,7 +106,7 @@ func runSchedChurnWith(seed int64, scan bool, profile string, mod func(*Config))
 		})
 	}
 	if profile == "kills" || profile == "zombies" || profile == "delay-churn" {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < sh.faults; i++ {
 			at := sim.Time(int64(30*sim.Second) + r.Int63n(int64(8*sim.Minute)))
 			node := c.nodes[r.Intn(len(c.nodes))]
 			zomb := profile == "zombies" && i%2 == 0
@@ -97,45 +123,55 @@ func runSchedChurnWith(seed int64, scan bool, profile string, mod func(*Config))
 		}
 	}
 	c.eng.RunWhile(func() bool {
-		return (submitted < nJobs || !c.jt.AllDone()) && c.eng.Now() < 8*sim.Hour
+		return (submitted < sh.jobs || !c.jt.AllDone()) && c.eng.Now() < 8*sim.Hour
 	})
 	return schedFingerprint(c)
 }
 
-// TestSchedulerEquivalence is the tentpole's contract: across churn
-// profiles and seeds, the indexed scheduler must make bit-identical
-// assignment decisions — same attempts on the same nodes at the same
+// sameFingerprint fails t at the first line where two fingerprints differ.
+func sameFingerprint(t *testing.T, label, nameA, nameB string, a, b []string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: fingerprint lengths diverge: %s %d, %s %d", label, nameA, len(a), nameB, len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s line %d:\n%s: %s\n%s: %s", label, i, nameA, a[i], nameB, b[i])
+		}
+	}
+}
+
+// TestSchedulerEquivalence is the indexed scheduler's contract: across
+// churn profiles and seeds, it must make bit-identical assignment decisions
+// to the linear-scan oracle — same attempts on the same nodes at the same
 // instants, in the same launch order — and hence identical job completion
-// times, as the retained scan path.
+// times.
 func TestSchedulerEquivalence(t *testing.T) {
 	for _, profile := range []string{"calm", "delay", "eager", "kills", "zombies", "delay-churn"} {
 		for seed := int64(1); seed <= 3; seed++ {
-			indexed := runSchedChurn(seed, false, profile)
-			scan := runSchedChurn(seed, true, profile)
-			if len(indexed) != len(scan) {
-				t.Fatalf("profile %s seed %d: fingerprint lengths diverge: indexed %d, scan %d",
-					profile, seed, len(indexed), len(scan))
-			}
-			for i := range indexed {
-				if indexed[i] != scan[i] {
-					t.Fatalf("profile %s seed %d line %d:\nindexed: %s\nscan:    %s",
-						profile, seed, i, indexed[i], scan[i])
-				}
-			}
+			sameFingerprint(t, fmt.Sprintf("profile %s seed %d", profile, seed), "indexed", "scan",
+				runSchedChurn(seed, false, profile), runSchedChurn(seed, true, profile))
 		}
 	}
+}
+
+// TestSchedScaleEquivalence holds the indexed scheduler to the scan oracle
+// at LARGE-GRID scale: 1008 trackers over twelve sites, a dozen jobs of
+// 40-99 maps arriving within 90 s, and forty kills and zombies while they
+// run. Every tracker competes for the same queue on every heartbeat wave,
+// so the per-node and per-site locality sets are probed at the width the
+// small cluster never reaches.
+func TestSchedScaleEquivalence(t *testing.T) {
+	indexed := runSchedChurnOn(gridChurn, 1, false, "zombies", nil)
+	scan := runSchedChurnOn(gridChurn, 1, true, "zombies", nil)
+	sameFingerprint(t, "1008 trackers", "indexed", "scan", indexed, scan)
 }
 
 // TestSchedulerDeterminism: the indexed path must agree with itself exactly
 // across identical runs (no map-iteration order anywhere in the index).
 func TestSchedulerDeterminism(t *testing.T) {
-	a := runSchedChurn(42, false, "zombies")
-	b := runSchedChurn(42, false, "zombies")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("line %d diverges across identical runs:\n%s\n%s", i, a[i], b[i])
-		}
-	}
+	sameFingerprint(t, "identical runs", "first", "second",
+		runSchedChurn(42, false, "zombies"), runSchedChurn(42, false, "zombies"))
 }
 
 // TestSchedulerIndexDrained: after every job finishes, the per-job indexes

@@ -9,10 +9,11 @@ import (
 	"hog/internal/sim"
 )
 
-// This file implements the incrementally indexed task-assignment path. The
-// retained linear scan (Config.ScanScheduler) rescans every task of every
-// job per free slot per heartbeat — O(jobs x tasks x trackers) — which made
-// thousand-node pools scheduler-bound. The index keeps, per job:
+// This file implements the incrementally indexed task-assignment path, the
+// only one the simulator runs. The linear scan it replaced rescans every
+// task of every job per free slot per heartbeat — O(jobs x tasks x
+// trackers) — which made thousand-node pools scheduler-bound; it survives
+// as a test oracle (scan_oracle_test.go). The index keeps, per job:
 //
 //   - ordered pending/running task sets (by task index),
 //   - pending-map sets keyed by replica node and by replica site, derived
@@ -89,14 +90,9 @@ func (x *jobIndex) siteSet(site string) *idxSet {
 	return s
 }
 
-func (jt *JobTracker) indexed() bool { return !jt.cfg.ScanScheduler }
-
 // registerJobIndex builds j's scheduler index at submit time and enters the
 // job into the active list and the block->map reverse index.
 func (jt *JobTracker) registerJobIndex(j *Job) {
-	if !jt.indexed() {
-		return
-	}
 	j.idx = &jobIndex{
 		mapsByNode: make(map[netmodel.NodeID]*idxSet),
 		mapsBySite: make(map[string]*idxSet),
@@ -114,9 +110,6 @@ func (jt *JobTracker) registerJobIndex(j *Job) {
 // unregisterJobIndex removes a finished job from the active list and the
 // block->map index so heartbeats and placement changes stop touching it.
 func (jt *JobTracker) unregisterJobIndex(j *Job) {
-	if j.idx == nil {
-		return
-	}
 	if i := slices.Index(jt.activeList, j); i >= 0 {
 		jt.activeList = slices.Delete(jt.activeList, i, i+1)
 	}
@@ -167,9 +160,6 @@ func (jt *JobTracker) classOfReduce(r *reduceTask) taskClass {
 // noteMapTask re-derives the task's classification and updates the index.
 // Call it after any mutation that can change done/running/failures state.
 func (jt *JobTracker) noteMapTask(m *mapTask) {
-	if !jt.indexed() || m.job.idx == nil {
-		return
-	}
 	m.job.specMapMin = specMinInvalid
 	c := jt.classOfMap(m)
 	if c == m.idxClass {
@@ -194,9 +184,6 @@ func (jt *JobTracker) noteMapTask(m *mapTask) {
 }
 
 func (jt *JobTracker) noteReduceTask(r *reduceTask) {
-	if !jt.indexed() || r.job.idx == nil {
-		return
-	}
 	r.job.specReduceMin = specMinInvalid
 	c := jt.classOfReduce(r)
 	if c == r.idxClass {
@@ -250,9 +237,6 @@ func (jt *JobTracker) placementSets(m *mapTask, add bool) {
 // replica of bid appeared on or disappeared from node, so every pending map
 // reading that block updates its per-node/per-site placement sets.
 func (jt *JobTracker) placementChanged(bid hdfs.BlockID, node netmodel.NodeID, added bool) {
-	if !jt.indexed() {
-		return
-	}
 	maps := jt.blockMaps[bid]
 	if len(maps) == 0 {
 		return

@@ -48,8 +48,9 @@ import (
 // scenario verbs and census fields. v3 dropped the engine selectors
 // (heap_scheduler, sequential_engine, shards) and the network's global
 // rebalance knob from the config: the simulator has one event engine and
-// one rebalancer.
-const Version = 3
+// one rebalancer. v4 dropped the JobTracker's ScanScheduler field: the
+// indexed scheduler is the only assignment path.
+const Version = 4
 
 // magic identifies a HOG snapshot; the trailing NUL pins the length to 8.
 var magic = [8]byte{'H', 'O', 'G', 'S', 'N', 'A', 'P', 0}

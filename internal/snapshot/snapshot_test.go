@@ -358,6 +358,8 @@ func badContainers(data []byte) []badContainer {
 		{"future version", withHeader(data, 99, n), ErrVersion},
 		// v2 containers still carried the engine selectors.
 		{"v2", withHeader(data, 2, n), ErrVersion},
+		// v3 containers still carried mapred's ScanScheduler.
+		{"v3", withHeader(data, 3, n), ErrVersion},
 		// A length within 8 of 2^64 wraps if the checksum's 8 bytes are
 		// added to it; the reader must still see a truncated container.
 		{"length wraps", withHeader(data[:28], Version, 1<<64-8), ErrTruncated},

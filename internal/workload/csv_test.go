@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,30 +37,57 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// badCSVs are malformed schedules ReadCSV must reject.
+var badCSVs = []struct {
+	name string
+	csv  string
+}{
+	{"empty", ""},
+	{"bad header", "x,y\n1,2\n"},
+	{"bad number", "submit_s,name,bin,maps,reduces,input_bytes\nzzz,j1,1,1,1,64\n"},
+	{"empty name", "submit_s,name,bin,maps,reduces,input_bytes\n0,,1,1,1,64\n"},
+	{"dup name", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,64\n1,j,1,1,1,64\n"},
+	{"zero maps", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,0,1,64\n"},
+	{"negative reduces", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,-1,64\n"},
+	{"out of order", "submit_s,name,bin,maps,reduces,input_bytes\n5,j1,1,1,1,64\n1,j2,1,1,1,64\n"},
+	{"NaN submit", "submit_s,name,bin,maps,reduces,input_bytes\nNaN,j,1,1,1,64\n"},
+	{"Inf submit", "submit_s,name,bin,maps,reduces,input_bytes\n0,j1,1,1,1,64\n+Inf,j2,1,1,1,64\n"},
+	{"NaN input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,NaN\n"},
+	{"Inf input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,+Inf\n"},
+	{"Infinity input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,infinity\n"},
+}
+
 func TestReadCSVErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		csv  string
-	}{
-		{"empty", ""},
-		{"bad header", "x,y\n1,2\n"},
-		{"bad number", "submit_s,name,bin,maps,reduces,input_bytes\nzzz,j1,1,1,1,64\n"},
-		{"empty name", "submit_s,name,bin,maps,reduces,input_bytes\n0,,1,1,1,64\n"},
-		{"dup name", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,64\n1,j,1,1,1,64\n"},
-		{"zero maps", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,0,1,64\n"},
-		{"negative reduces", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,-1,64\n"},
-		{"out of order", "submit_s,name,bin,maps,reduces,input_bytes\n5,j1,1,1,1,64\n1,j2,1,1,1,64\n"},
-		{"NaN submit", "submit_s,name,bin,maps,reduces,input_bytes\nNaN,j,1,1,1,64\n"},
-		{"Inf submit", "submit_s,name,bin,maps,reduces,input_bytes\n0,j1,1,1,1,64\n+Inf,j2,1,1,1,64\n"},
-		{"NaN input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,NaN\n"},
-		{"Inf input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,+Inf\n"},
-		{"Infinity input", "submit_s,name,bin,maps,reduces,input_bytes\n0,j,1,1,1,infinity\n"},
-	}
-	for _, c := range cases {
+	for _, c := range badCSVs {
 		if _, err := ReadCSV(strings.NewReader(c.csv)); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
+}
+
+// FuzzReadCSV: a hostile trace CSV is rejected with an error, never a
+// panic, and anything accepted satisfies the documented row rules.
+func FuzzReadCSV(f *testing.F) {
+	for _, c := range badCSVs {
+		f.Add(c.csv)
+	}
+	f.Add("submit_s,name,bin,maps,reduces,input_bytes\n0.000,tiny,1,1,1,64000000\n10.500,mid,4,50,10,3200000000\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		for i, j := range s.Jobs {
+			if j.Name == "" || seen[j.Name] || j.Maps < 1 || j.Reduces < 0 || !(j.InputBytes > 0) || math.IsInf(j.InputBytes, 0) {
+				t.Fatalf("accepted invalid row %d: %+v", i, j)
+			}
+			if i > 0 && j.Submit < s.Jobs[i-1].Submit {
+				t.Fatalf("accepted out-of-order row %d: %+v", i, j)
+			}
+			seen[j.Name] = true
+		}
+	})
 }
 
 func TestReadCSVHandAuthored(t *testing.T) {

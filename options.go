@@ -238,8 +238,7 @@ func WithZombies(mode ZombieMode) Option {
 
 // WithSchedulerPolicy selects the job-ordering policy by registry name
 // ("fifo", "fair"). The empty string keeps the default ("fifo", the paper's
-// choice); unknown names and invalid combinations (a non-default policy with
-// the scan scheduler) are rejected at New time.
+// choice); unknown names are rejected at New time.
 func WithSchedulerPolicy(name string) Option {
 	return func(b *builder) { b.later(func(b *builder) { b.cfg.Policies.Scheduler = name }) }
 }
