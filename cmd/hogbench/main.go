@@ -9,26 +9,26 @@
 //	hogbench -exp all -json -out r.json # versioned JSON results document
 //	hogbench -list                     # show available experiment ids
 //
-// Experiment ids map to the paper via DESIGN.md's per-experiment index.
-// With -json or -parallel > 1 the run goes through internal/harness: the
-// experiments are expanded into a trial matrix and executed across a
-// bounded worker pool; for a fixed seed set the JSON document is
-// bit-identical for any -parallel value (docs/HARNESS.md records the
-// schema and the determinism contract). Without either flag the classic
-// sequential text report is printed unchanged.
+// -list names every experiment id; docs/HARNESS.md lists each one's metrics.
+// Every run goes through internal/harness: the selected experiments are
+// expanded into a trial matrix and executed across a bounded pool of
+// -parallel workers. The output is each experiment's text report, or with
+// -json the versioned results document; for a fixed seed set either is
+// bit-identical for any -parallel value (docs/HARNESS.md records the schema
+// and the determinism contract). The run's wall time goes to stderr.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"slices"
+	"sort"
 	"strings"
 
 	"hog/internal/experiments"
@@ -36,62 +36,6 @@ import (
 	"hog/internal/hdfs"
 	"hog/internal/mapred"
 )
-
-type runner struct {
-	id    string
-	desc  string
-	alias bool // duplicates another id; skipped in -exp all
-	run   func(w io.Writer, opts experiments.Options)
-}
-
-// printers maps experiment ids to their classic text formatters. Ids and
-// descriptions come from harness.Specs(), so the text and harness paths
-// can never drift apart.
-var printers = map[string]func(io.Writer, experiments.Options){
-	"table1":    func(w io.Writer, _ experiments.Options) { experiments.PrintTable1(w) },
-	"table2":    func(w io.Writer, _ experiments.Options) { experiments.PrintTable2(w) },
-	"table3":    experiments.PrintTable3,
-	"fig4":      experiments.PrintFig4,
-	"fig5":      experiments.PrintFig5Table4,
-	"site":      experiments.PrintSiteFailure,
-	"repl":      experiments.PrintReplicationSweep,
-	"heartbeat": experiments.PrintHeartbeatSweep,
-	"zombie":    experiments.PrintZombieSweep,
-	"disk":      experiments.PrintDiskOverflow,
-	"ncopy":     experiments.PrintRedundantCopies,
-	"delay":     experiments.PrintDelayScheduling,
-	"hod":       experiments.PrintHODComparison,
-	"grid":      scaleGrid(experiments.LargeGridPreset),
-	"mega":      scaleGrid(experiments.MegaGridPreset),
-	"giga":      scaleGrid(experiments.GigaGridPreset),
-	"events":    experiments.PrintEventCounts,
-	"chaos":     experiments.PrintChaos,
-	"chaos2":    experiments.PrintChaos2,
-	"policy":    experiments.PrintPolicy,
-	"whatif":    experiments.PrintWhatIf,
-}
-
-// scaleGrid adapts a scale preset to the printer signature.
-func scaleGrid(p experiments.ScalePreset) func(io.Writer, experiments.Options) {
-	return func(w io.Writer, opts experiments.Options) { experiments.PrintScaleGrid(w, opts, p) }
-}
-
-// runners derives the text-path registry from the harness spec registry,
-// inserting the table4 alias after fig5.
-func runners() []runner {
-	var out []runner
-	for _, s := range harness.Specs() {
-		p, ok := printers[s.ID]
-		if !ok {
-			panic(fmt.Sprintf("hogbench: no printer for experiment %q", s.ID))
-		}
-		out = append(out, runner{id: s.ID, desc: s.Desc, run: p})
-		if s.ID == "fig5" {
-			out = append(out, runner{id: "table4", desc: "Table IV (alias of fig5)", alias: true, run: p})
-		}
-	}
-	return out
-}
 
 // policyFlags describes the global policy-forcing flags: each row is one
 // decision point with its flag name and registry listing. listText and the
@@ -112,12 +56,16 @@ func policyFlags() []policyFlag {
 	}
 }
 
-// listText renders the -list output: the experiment registry followed by the
-// policy registries (already sorted by their Names functions).
+// listText renders the -list output: the experiment registry and its
+// aliases, then the policy registries (already sorted by their Names
+// functions).
 func listText() string {
 	var b strings.Builder
-	for _, r := range runners() {
-		fmt.Fprintf(&b, "%-10s %s\n", r.id, r.desc)
+	for _, s := range harness.Specs() {
+		fmt.Fprintf(&b, "%-10s %s\n", s.ID, s.Desc)
+	}
+	for _, a := range aliasIDs() {
+		fmt.Fprintf(&b, "%-10s alias of %s\n", a, harness.Aliases()[a])
 	}
 	b.WriteString("\npolicies (forced globally by flag; swept by -exp policy):\n")
 	for _, p := range policyFlags() {
@@ -136,13 +84,23 @@ func checkPolicyName(pf policyFlag, val string) error {
 		pf.desc, val, pf.flag, strings.Join(pf.names(), ", "))
 }
 
-// experimentIDs returns every runnable -exp value, aliases included.
+// aliasIDs returns the alias -exp values, sorted.
+func aliasIDs() []string {
+	var ids []string
+	for a := range harness.Aliases() {
+		ids = append(ids, a)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// experimentIDs returns every runnable -exp value, aliases last.
 func experimentIDs() []string {
 	var ids []string
-	for _, r := range runners() {
-		ids = append(ids, r.id)
+	for _, s := range harness.Specs() {
+		ids = append(ids, s.ID)
 	}
-	return ids
+	return append(ids, aliasIDs()...)
 }
 
 // main delegates to run so deferred profile writers flush on every exit
@@ -197,7 +155,6 @@ func run() int {
 		}()
 	}
 
-	rs := runners()
 	if *list {
 		fmt.Print(listText())
 		return 0
@@ -223,43 +180,12 @@ func run() int {
 
 	// Validate the id before touching -out, so a typo can't truncate a
 	// previous artifact.
-	valid := *exp == "all"
-	for _, r := range rs {
-		if r.id == *exp {
-			valid = true
-		}
-	}
-	if !valid {
+	if _, err := harness.Select(*exp); err != nil {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s (use -list for details)\n",
 			*exp, strings.Join(experimentIDs(), ", "))
 		return 2
 	}
-
-	if *jsonOut || *parallel > 1 {
-		if err := runHarness(*exp, opts, *parallel, *jsonOut, *outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		return 0
-	}
-
-	out, err := openOut(*outPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	for _, r := range rs {
-		if *exp != "all" && *exp != r.id {
-			continue
-		}
-		if *exp == "all" && r.alias {
-			continue
-		}
-		start := time.Now()
-		r.run(out, opts)
-		fmt.Fprintf(out, "[%s done in %.1fs]\n\n", r.id, time.Since(start).Seconds())
-	}
-	if err := closeOut(out); err != nil {
+	if err := runSuite(*exp, opts, *parallel, *jsonOut, *outPath); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -282,15 +208,12 @@ func closeOut(f *os.File) error {
 	return f.Close()
 }
 
-// runHarness executes the trial matrix through the parallel harness and
-// emits the results as JSON or a generic text table. Timing goes to stderr
-// so the document stays bit-identical across worker counts.
-func runHarness(exp string, opts experiments.Options, parallel int, jsonOut bool, outPath string) error {
-	// Validate the selection and open the output before the (potentially
-	// minutes-long) run, so neither a bad id nor a bad path discards it.
-	if _, err := harness.Select(exp); err != nil {
-		return err
-	}
+// runSuite executes the trial matrix on parallel workers and writes the
+// text reports, or the JSON document when jsonOut is set. Timing goes to
+// stderr so the output stays bit-identical across worker counts.
+func runSuite(exp string, opts experiments.Options, parallel int, jsonOut bool, outPath string) error {
+	// Open the output before the (potentially minutes-long) run, so a bad
+	// path doesn't discard it.
 	out, err := openOut(outPath)
 	if err != nil {
 		return err

@@ -40,15 +40,6 @@ func TestListTextCoversRegistries(t *testing.T) {
 	}
 }
 
-// TestRunnersCoverEverySpec guards the printer map against a spec added
-// without a text formatter (runners panics on the gap).
-func TestRunnersCoverEverySpec(t *testing.T) {
-	rs := runners()
-	if want := len(harness.Specs()) + 1; len(rs) != want { // +1: table4 alias
-		t.Fatalf("got %d runners, want %d", len(rs), want)
-	}
-}
-
 // TestCheckPolicyName pins the friendly unknown-policy error.
 func TestCheckPolicyName(t *testing.T) {
 	pf := policyFlags()[0] // -sched

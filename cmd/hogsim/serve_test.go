@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -316,32 +317,56 @@ func TestServeAdvanceValidation(t *testing.T) {
 	}
 }
 
-// TestAdvanceTarget checks the request-to-instant resolution directly,
-// including the values JSON cannot carry.
+// advanceCases are request-resolution rows against now = 100 s and a run
+// bound of 1000 s, including the values JSON cannot carry.
+var advanceCases = []struct {
+	req  advanceRequest
+	want sim.Time
+	ok   bool
+}{
+	{advanceRequest{ByS: 10}, 110 * sim.Second, true},
+	{advanceRequest{ToS: 500}, 500 * sim.Second, true},
+	{advanceRequest{ToS: 1000}, 1000 * sim.Second, true},
+	{advanceRequest{ByS: 900}, 1000 * sim.Second, true},
+	{advanceRequest{ByS: 901}, 0, false},
+	{advanceRequest{ToS: 1001}, 0, false},
+	{advanceRequest{ToS: math.NaN()}, 0, false},
+	{advanceRequest{ByS: math.Inf(1)}, 0, false},
+	{advanceRequest{ToS: math.Inf(-1)}, 0, false},
+	{advanceRequest{ByS: -0.5}, 0, false},
+}
+
+const advanceNow, advanceEnd = 100 * sim.Second, 1000 * sim.Second
+
+// TestAdvanceTarget checks the request-to-instant resolution directly.
 func TestAdvanceTarget(t *testing.T) {
-	now, end := 100*sim.Second, 1000*sim.Second
-	cases := []struct {
-		req  advanceRequest
-		want sim.Time
-		ok   bool
-	}{
-		{advanceRequest{ByS: 10}, 110 * sim.Second, true},
-		{advanceRequest{ToS: 500}, 500 * sim.Second, true},
-		{advanceRequest{ToS: 1000}, 1000 * sim.Second, true},
-		{advanceRequest{ByS: 900}, 1000 * sim.Second, true},
-		{advanceRequest{ByS: 901}, 0, false},
-		{advanceRequest{ToS: 1001}, 0, false},
-		{advanceRequest{ToS: math.NaN()}, 0, false},
-		{advanceRequest{ByS: math.Inf(1)}, 0, false},
-		{advanceRequest{ToS: math.Inf(-1)}, 0, false},
-		{advanceRequest{ByS: -0.5}, 0, false},
-	}
-	for _, c := range cases {
-		got, err := c.req.target(now, end)
+	for _, c := range advanceCases {
+		got, err := c.req.target(advanceNow, advanceEnd)
 		if (err == nil) != c.ok || (c.ok && got != c.want) {
 			t.Errorf("%+v: got %v, %v; want %v, ok=%v", c.req, got, err, c.want, c.ok)
 		}
 	}
+}
+
+// FuzzAdvanceTarget feeds arbitrary /advance bodies through the handler's
+// JSON decode and the target resolution: neither may panic, and a resolved
+// target never lies beyond the run bound. The seeds are the advanceCases
+// rows written as bodies; the NaN and infinite ones are not JSON, so they
+// exercise the decode errors.
+func FuzzAdvanceTarget(f *testing.F) {
+	for _, c := range advanceCases {
+		f.Add([]byte(fmt.Sprintf(`{"to_s": %v, "by_s": %v}`, c.req.ToS, c.req.ByS)))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req advanceRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			return
+		}
+		got, err := req.target(advanceNow, advanceEnd)
+		if err == nil && got > advanceEnd {
+			t.Fatalf("%+v resolved to %v, beyond the run bound %v", req, got, advanceEnd)
+		}
+	})
 }
 
 // TestServeForkBodyLimits refuses oversized and malformed /fork bodies.

@@ -115,6 +115,35 @@ func TestLivenessRulesFire(t *testing.T) {
 			t.Fatalf("an alive tracker's re-registration raised %v", a.Violations())
 		}
 	})
+	t.Run("node-recovered", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		nn.ForceDead(ids[0])
+		a.HandleEvent(nodeEvent(event.NodeRecovered, 1, ids[0]))
+		if got := rules(a)["node-recovered"]; got != 1 {
+			t.Fatalf("node-recovered fired %d times for a dead datanode, want 1: %v", got, a.Violations())
+		}
+		a.HandleEvent(nodeEvent(event.NodeRecovered, 2, ids[1]))
+		if a.Count() != 1 {
+			t.Fatalf("an alive datanode's recovery raised %v", a.Violations())
+		}
+	})
+	t.Run("gray-placement", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		nn.SetNodeGray(ids[0], true)
+		a.HandleEvent(nodeEvent(event.ReplicationDone, 1, ids[0]))
+		if got := rules(a)["gray-placement"]; got != 1 {
+			t.Fatalf("gray-placement fired %d times for a copy on a gray node, want 1: %v", got, a.Violations())
+		}
+		nn.SetNodeGray(ids[0], false)
+		a.HandleEvent(nodeEvent(event.ReplicationDone, 2, ids[0]))
+		if a.Count() != 1 {
+			t.Fatalf("a copy on a restored node raised %v", a.Violations())
+		}
+	})
 	t.Run("master-pairing", func(t *testing.T) {
 		a := audit.New()
 		a.HandleEvent(masterEvent(event.MasterCrashed, 1, "namenode"))

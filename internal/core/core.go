@@ -64,7 +64,7 @@ type JobCosts struct {
 	ReduceSelectivity float64
 }
 
-// DefaultJobCosts returns the calibrated cost model (see DESIGN.md §5).
+// DefaultJobCosts returns the calibrated cost model.
 // Calibration target: the Table III cluster finishes the 88-job Facebook
 // schedule in the paper's observed ~3000 s band, with the map phase
 // dominating — the paper's equivalence point of ~100 single-slot HOG nodes
@@ -246,7 +246,7 @@ func DedicatedClusterConfig(seed int64) Config {
 	// Opterons with commodity disks, whereas 2012 OSG worker nodes are
 	// newer. The cluster gets slightly slower disks, and the older
 	// single-core Opteron-64 group a per-slot compute derating — the two
-	// free parameters of the Figure 4 calibration (see EXPERIMENTS.md).
+	// free parameters of the Figure 4 calibration (hogbench -exp fig4).
 	net := netmodel.DefaultConfig()
 	net.DiskBps = 80e6
 	return Config{

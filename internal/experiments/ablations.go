@@ -66,22 +66,24 @@ func SiteFailureTrial(c SiteFailureCase, opts Options) SiteFailureResult {
 	}
 }
 
-// SiteFailure runs A-SITE under every configuration.
-func SiteFailure(opts Options) []SiteFailureResult {
-	var out []SiteFailureResult
-	for _, c := range SiteFailureCases() {
-		out = append(out, SiteFailureTrial(c, opts))
-	}
-	return out
-}
-
-// PrintSiteFailure prints A-SITE.
-func PrintSiteFailure(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-SITE: whole-site failure (site awareness ablation)")
-	fmt.Fprintln(w, "Config                       BlocksLost  JobsFailed  Response(s)")
-	for _, r := range SiteFailure(opts) {
-		fmt.Fprintf(w, "%-28s %10d  %10d  %11.0f\n", r.Label, r.BlocksLost, r.JobsFailed, r.Response.Seconds())
-	}
+// siteExperiment runs A-SITE under every configuration.
+func siteExperiment() Experiment {
+	return declare("site", "A-SITE: whole-site failure ablation",
+		perCase(60, SiteFailureCases(), func(c SiteFailureCase) string { return c.Label }, SiteFailureTrial),
+		func(r SiteFailureResult) map[string]float64 {
+			return map[string]float64{
+				"blocks_lost": float64(r.BlocksLost),
+				"jobs_failed": float64(r.JobsFailed),
+				"response_s":  r.Response.Seconds(),
+			}
+		},
+		func(w io.Writer, rows []SiteFailureResult) {
+			fmt.Fprintln(w, "A-SITE: whole-site failure (site awareness ablation)")
+			fmt.Fprintln(w, "Config                       BlocksLost  JobsFailed  Response(s)")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%-28s %10d  %10d  %11.0f\n", r.Label, r.BlocksLost, r.JobsFailed, r.Response.Seconds())
+			}
+		})
 }
 
 // ReplicationFactors returns the A-REPL sweep points.
@@ -113,24 +115,28 @@ func ReplicationTrial(repl int, opts Options) ReplicationResult {
 	}
 }
 
-// ReplicationSweep varies the replication factor under unstable churn.
-func ReplicationSweep(opts Options) []ReplicationResult {
-	var out []ReplicationResult
-	for _, repl := range ReplicationFactors() {
-		out = append(out, ReplicationTrial(repl, opts))
-	}
-	return out
-}
-
-// PrintReplicationSweep prints A-REPL.
-func PrintReplicationSweep(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-REPL: replication factor under unstable churn (60 nodes)")
-	fmt.Fprintln(w, "Repl  JobsFailed  BlocksLost  Response(s)  ReplTraffic(GB)  CrossSite(GB)")
-	for _, r := range ReplicationSweep(opts) {
-		fmt.Fprintf(w, "%4d  %10d  %10d  %11.0f  %15.1f  %13.1f\n",
-			r.Repl, r.JobsFailed, r.BlocksLost, r.Response.Seconds(),
-			r.BytesReplicated/1e9, r.CrossSiteBytes/1e9)
-	}
+// replExperiment varies the replication factor under unstable churn.
+func replExperiment() Experiment {
+	return declare("repl", "A-REPL: replication factor sweep",
+		perCase(60, ReplicationFactors(), func(repl int) string { return fmt.Sprintf("repl=%d", repl) }, ReplicationTrial),
+		func(r ReplicationResult) map[string]float64 {
+			return map[string]float64{
+				"jobs_failed":     float64(r.JobsFailed),
+				"blocks_lost":     float64(r.BlocksLost),
+				"response_s":      r.Response.Seconds(),
+				"repl_traffic_gb": r.BytesReplicated / 1e9,
+				"cross_site_gb":   r.CrossSiteBytes / 1e9,
+			}
+		},
+		func(w io.Writer, rows []ReplicationResult) {
+			fmt.Fprintln(w, "A-REPL: replication factor under unstable churn (60 nodes)")
+			fmt.Fprintln(w, "Repl  JobsFailed  BlocksLost  Response(s)  ReplTraffic(GB)  CrossSite(GB)")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%4d  %10d  %10d  %11.0f  %15.1f  %13.1f\n",
+					r.Repl, r.JobsFailed, r.BlocksLost, r.Response.Seconds(),
+					r.BytesReplicated/1e9, r.CrossSiteBytes/1e9)
+			}
+		})
 }
 
 // HeartbeatTimeouts returns the A-HB sweep points: HOG's 30 s dead timeout
@@ -155,22 +161,26 @@ func HeartbeatTrial(timeout sim.Time, opts Options) HeartbeatResult {
 	return HeartbeatResult{Timeout: timeout, Response: res.ResponseTime, JobsFailed: res.JobsFailed}
 }
 
-// HeartbeatSweep compares the dead-timeout settings under unstable churn.
-func HeartbeatSweep(opts Options) []HeartbeatResult {
-	var out []HeartbeatResult
-	for _, timeout := range HeartbeatTimeouts() {
-		out = append(out, HeartbeatTrial(timeout, opts))
-	}
-	return out
-}
-
-// PrintHeartbeatSweep prints A-HB.
-func PrintHeartbeatSweep(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-HB: dead-node timeout under unstable churn (60 nodes)")
-	fmt.Fprintln(w, "Timeout(s)  Response(s)  JobsFailed")
-	for _, r := range HeartbeatSweep(opts) {
-		fmt.Fprintf(w, "%10.0f  %11.0f  %10d\n", r.Timeout.Seconds(), r.Response.Seconds(), r.JobsFailed)
-	}
+// heartbeatExperiment compares the dead-timeout settings under unstable
+// churn.
+func heartbeatExperiment() Experiment {
+	return declare("heartbeat", "A-HB: dead timeout 30s vs 15min",
+		perCase(60, HeartbeatTimeouts(),
+			func(timeout sim.Time) string { return fmt.Sprintf("timeout=%.0fs", timeout.Seconds()) }, HeartbeatTrial),
+		func(r HeartbeatResult) map[string]float64 {
+			return map[string]float64{
+				"timeout_s":   r.Timeout.Seconds(),
+				"response_s":  r.Response.Seconds(),
+				"jobs_failed": float64(r.JobsFailed),
+			}
+		},
+		func(w io.Writer, rows []HeartbeatResult) {
+			fmt.Fprintln(w, "A-HB: dead-node timeout under unstable churn (60 nodes)")
+			fmt.Fprintln(w, "Timeout(s)  Response(s)  JobsFailed")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%10.0f  %11.0f  %10d\n", r.Timeout.Seconds(), r.Response.Seconds(), r.JobsFailed)
+			}
+		})
 }
 
 // ZombieModes returns the three §IV.D.1 behaviours.
@@ -203,23 +213,27 @@ func ZombieTrial(mode core.ZombieMode, opts Options) ZombieResult {
 	}
 }
 
-// ZombieSweep compares the three §IV.D.1 behaviours under unstable churn.
-func ZombieSweep(opts Options) []ZombieResult {
-	var out []ZombieResult
-	for _, mode := range ZombieModes() {
-		out = append(out, ZombieTrial(mode, opts))
-	}
-	return out
-}
-
-// PrintZombieSweep prints A-ZOMBIE.
-func PrintZombieSweep(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-ZOMBIE: abandoned datanodes (55 nodes, unstable churn)")
-	fmt.Fprintln(w, "Mode        Response(s)  FailedAttempts  FetchFailures  JobsFailed")
-	for _, r := range ZombieSweep(opts) {
-		fmt.Fprintf(w, "%-10s  %11.0f  %14d  %13d  %10d\n",
-			r.Mode, r.Response.Seconds(), r.FailedAttempts, r.FetchFailures, r.JobsFailed)
-	}
+// zombieExperiment compares the three §IV.D.1 behaviours under unstable
+// churn.
+func zombieExperiment() Experiment {
+	return declare("zombie", "A-ZOMBIE: abandoned datanode modes",
+		perCase(55, ZombieModes(), func(mode core.ZombieMode) string { return "mode=" + mode.String() }, ZombieTrial),
+		func(r ZombieResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":      r.Response.Seconds(),
+				"failed_attempts": float64(r.FailedAttempts),
+				"fetch_failures":  float64(r.FetchFailures),
+				"jobs_failed":     float64(r.JobsFailed),
+			}
+		},
+		func(w io.Writer, rows []ZombieResult) {
+			fmt.Fprintln(w, "A-ZOMBIE: abandoned datanodes (55 nodes, unstable churn)")
+			fmt.Fprintln(w, "Mode        Response(s)  FailedAttempts  FetchFailures  JobsFailed")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%-10s  %11.0f  %14d  %13d  %10d\n",
+					r.Mode, r.Response.Seconds(), r.FailedAttempts, r.FetchFailures, r.JobsFailed)
+			}
+		})
 }
 
 // DiskFactors returns the A-DISK scratch sizes relative to the workload's
@@ -264,23 +278,26 @@ func DiskOverflowTrial(factor float64, opts Options) DiskOverflowResult {
 	}
 }
 
-// DiskOverflow shrinks worker scratch space until intermediate map output
-// accumulation kills workers (§IV.D.2).
-func DiskOverflow(opts Options) []DiskOverflowResult {
-	var out []DiskOverflowResult
-	for _, factor := range DiskFactors() {
-		out = append(out, DiskOverflowTrial(factor, opts))
-	}
-	return out
-}
-
-// PrintDiskOverflow prints A-DISK.
-func PrintDiskOverflow(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-DISK: worker scratch size vs. disk overflow (60 nodes)")
-	fmt.Fprintln(w, "Disk(GB)  Overflows  WorkersKilled  Response(s)")
-	for _, r := range DiskOverflow(opts) {
-		fmt.Fprintf(w, "%8.0f  %9d  %13d  %11.0f\n", r.DiskGB, r.Overflows, r.Killed, r.Response.Seconds())
-	}
+// diskExperiment shrinks worker scratch space until intermediate map
+// output accumulation kills workers (§IV.D.2).
+func diskExperiment() Experiment {
+	return declare("disk", "A-DISK: intermediate-data disk overflow",
+		perCase(60, DiskFactors(), func(factor float64) string { return fmt.Sprintf("disk=%.2fx", factor) }, DiskOverflowTrial),
+		func(r DiskOverflowResult) map[string]float64 {
+			return map[string]float64{
+				"disk_gb":        r.DiskGB,
+				"overflows":      float64(r.Overflows),
+				"workers_killed": float64(r.Killed),
+				"response_s":     r.Response.Seconds(),
+			}
+		},
+		func(w io.Writer, rows []DiskOverflowResult) {
+			fmt.Fprintln(w, "A-DISK: worker scratch size vs. disk overflow (60 nodes)")
+			fmt.Fprintln(w, "Disk(GB)  Overflows  WorkersKilled  Response(s)")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%8.0f  %9d  %13d  %11.0f\n", r.DiskGB, r.Overflows, r.Killed, r.Response.Seconds())
+			}
+		})
 }
 
 // NCopyCase is one redundant-copy configuration.
@@ -327,23 +344,30 @@ func RedundantCopiesTrial(c NCopyCase, opts Options) NCopyResult {
 	}
 }
 
-// RedundantCopies explores the paper's future work (§VI): configurable
+// ncopyExperiment explores the paper's future work (§VI): configurable
 // numbers of task copies versus stock speculation and no speculation.
-func RedundantCopies(opts Options) []NCopyResult {
-	var out []NCopyResult
-	for _, c := range NCopyCases() {
-		out = append(out, RedundantCopiesTrial(c, opts))
+func ncopyExperiment() Experiment {
+	point := func(c NCopyCase) string {
+		if c.Eager {
+			return fmt.Sprintf("copies=%d+eager", c.Copies)
+		}
+		return fmt.Sprintf("copies=%d", c.Copies)
 	}
-	return out
-}
-
-// PrintRedundantCopies prints A-NCOPY.
-func PrintRedundantCopies(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-NCOPY: redundant task copies under unstable churn (80 nodes)")
-	fmt.Fprintln(w, "Copies  Eager  Response(s)  ExtraAttempts")
-	for _, r := range RedundantCopies(opts) {
-		fmt.Fprintf(w, "%6d  %5v  %11.0f  %13d\n", r.Copies, r.Eager, r.Response.Seconds(), r.Speculative)
-	}
+	return declare("ncopy", "A-NCOPY: redundant task copies",
+		perCase(80, NCopyCases(), point, RedundantCopiesTrial),
+		func(r NCopyResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":     r.Response.Seconds(),
+				"extra_attempts": float64(r.Speculative),
+			}
+		},
+		func(w io.Writer, rows []NCopyResult) {
+			fmt.Fprintln(w, "A-NCOPY: redundant task copies under unstable churn (80 nodes)")
+			fmt.Fprintln(w, "Copies  Eager  Response(s)  ExtraAttempts")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%6d  %5v  %11.0f  %13d\n", r.Copies, r.Eager, r.Response.Seconds(), r.Speculative)
+			}
+		})
 }
 
 // DelayWaits returns the A-DELAY locality-wait sweep points.
@@ -379,24 +403,27 @@ func DelayTrial(wait sim.Time, opts Options) DelayResult {
 	}
 }
 
-// DelayScheduling compares HOG's plain FIFO against delay scheduling
+// delayExperiment compares HOG's plain FIFO against delay scheduling
 // (Zaharia et al. [3], the paper's workload source).
-func DelayScheduling(opts Options) []DelayResult {
-	var out []DelayResult
-	for _, wait := range DelayWaits() {
-		out = append(out, DelayTrial(wait, opts))
-	}
-	return out
-}
-
-// PrintDelayScheduling prints A-DELAY.
-func PrintDelayScheduling(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-DELAY: FIFO vs delay scheduling (60 nodes, replication 2)")
-	fmt.Fprintln(w, "Wait(s)  Response(s)  NodeLocal  NonLocal  LocalityRate")
-	for _, r := range DelayScheduling(opts) {
-		fmt.Fprintf(w, "%7.0f  %11.0f  %9d  %8d  %11.1f%%\n",
-			r.Wait.Seconds(), r.Response.Seconds(), r.NodeLocal, r.NonLocal, 100*r.LocalityRate)
-	}
+func delayExperiment() Experiment {
+	return declare("delay", "A-DELAY: FIFO vs delay scheduling",
+		perCase(60, DelayWaits(), func(wait sim.Time) string { return fmt.Sprintf("wait=%.0fs", wait.Seconds()) }, DelayTrial),
+		func(r DelayResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":    r.Response.Seconds(),
+				"node_local":    float64(r.NodeLocal),
+				"non_local":     float64(r.NonLocal),
+				"locality_rate": r.LocalityRate,
+			}
+		},
+		func(w io.Writer, rows []DelayResult) {
+			fmt.Fprintln(w, "A-DELAY: FIFO vs delay scheduling (60 nodes, replication 2)")
+			fmt.Fprintln(w, "Wait(s)  Response(s)  NodeLocal  NonLocal  LocalityRate")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%7.0f  %11.0f  %9d  %8d  %11.1f%%\n",
+					r.Wait.Seconds(), r.Response.Seconds(), r.NodeLocal, r.NonLocal, 100*r.LocalityRate)
+			}
+		})
 }
 
 // HODSystems returns the two compared systems of A-HOD.
@@ -447,28 +474,30 @@ func HODTrial(system string, opts Options) HODResultRow {
 	}
 }
 
-// HODComparison runs a schedule under HOD (per-job clusters) and under a
-// persistent HOG pool of the same size.
-func HODComparison(opts Options) []HODResultRow {
-	var out []HODResultRow
-	for _, system := range HODSystems() {
-		out = append(out, HODTrial(system, opts))
-	}
-	return out
-}
-
-// PrintHODComparison prints A-HOD. Rows with timed-out jobs are marked: their
-// response times are lower bounds, not completion times, and must not be
-// read as a finished-workload comparison.
-func PrintHODComparison(w io.Writer, opts Options) {
-	fmt.Fprintln(w, "A-HOD: Hadoop On Demand vs. HOG (30 nodes)")
-	fmt.Fprintln(w, "System                   Response(s)  Reconstruction(s)  TimedOut")
-	for _, r := range HODComparison(opts) {
-		mark := ""
-		if r.TimedOut > 0 {
-			mark = "  (response is a lower bound)"
-		}
-		fmt.Fprintf(w, "%-24s %11.0f  %17.0f  %8d%s\n",
-			r.System, r.Response.Seconds(), r.Reconstruction.Seconds(), r.TimedOut, mark)
-	}
+// hodExperiment runs a schedule under HOD (per-job clusters) and under a
+// persistent HOG pool of the same size. Rows with timed-out jobs are
+// marked: their response times are lower bounds, not completion times, and
+// must not be read as a finished-workload comparison.
+func hodExperiment() Experiment {
+	return declare("hod", "A-HOD: Hadoop On Demand baseline",
+		perCase(30, HODSystems(), func(system string) string { return system }, HODTrial),
+		func(r HODResultRow) map[string]float64 {
+			return map[string]float64{
+				"response_s":       r.Response.Seconds(),
+				"reconstruction_s": r.Reconstruction.Seconds(),
+				"timed_out":        float64(r.TimedOut),
+			}
+		},
+		func(w io.Writer, rows []HODResultRow) {
+			fmt.Fprintln(w, "A-HOD: Hadoop On Demand vs. HOG (30 nodes)")
+			fmt.Fprintln(w, "System                   Response(s)  Reconstruction(s)  TimedOut")
+			for _, r := range rows {
+				mark := ""
+				if r.TimedOut > 0 {
+					mark = "  (response is a lower bound)"
+				}
+				fmt.Fprintf(w, "%-24s %11.0f  %17.0f  %8d%s\n",
+					r.System, r.Response.Seconds(), r.Reconstruction.Seconds(), r.TimedOut, mark)
+			}
+		})
 }

@@ -161,18 +161,43 @@ func ChaosSchedule(idx int, opts Options) ChaosScheduleResult {
 	}
 }
 
-// Chaos runs every schedule.
-func Chaos(opts Options) []ChaosScheduleResult {
-	out := make([]ChaosScheduleResult, 0, ChaosScheduleCount)
-	for i := 0; i < ChaosScheduleCount; i++ {
-		out = append(out, ChaosSchedule(i, opts))
+// indices returns 0..n-1, the case list of a sweep over numbered schedules.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
 	return out
 }
 
-// PrintChaos prints the chaos sampling run.
-func PrintChaos(w io.Writer, opts Options) {
-	rs := Chaos(opts)
+// flag encodes a failure verdict as a 0/1 metric.
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// chaosExperiment runs every schedule.
+func chaosExperiment() Experiment {
+	return declare("chaos", "CHAOS: randomized fault schedules with audit + determinism check",
+		perCase(60, indices(ChaosScheduleCount), func(i int) string { return fmt.Sprintf("schedule=%d", i) }, ChaosSchedule),
+		func(r ChaosScheduleResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":   r.Response.Seconds(),
+				"jobs_failed":  float64(r.JobsFailed),
+				"blocks_lost":  float64(r.BlocksLost),
+				"reregistered": float64(r.Reregistered),
+				"violations":   float64(r.Violations),
+				"fp_mismatch":  flag(r.Mismatch),
+				"unpaired":     flag(!r.SafeModeOK),
+			}
+		},
+		reportChaos)
+}
+
+// reportChaos prints the chaos sampling run.
+func reportChaos(w io.Writer, rs []ChaosScheduleResult) {
 	fmt.Fprintln(w, "CHAOS: randomized fault schedules (60 nodes, unstable churn, masters crash+recover)")
 	fmt.Fprintln(w, "Sched  Response(s)  JobsFailed  BlocksLost  Reregs  Violations  Deterministic")
 	bad := 0

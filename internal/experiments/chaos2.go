@@ -153,18 +153,32 @@ func Chaos2Schedule(idx int, opts Options) Chaos2ScheduleResult {
 	}
 }
 
-// Chaos2 runs every schedule.
-func Chaos2(opts Options) []Chaos2ScheduleResult {
-	out := make([]Chaos2ScheduleResult, 0, Chaos2ScheduleCount)
-	for i := 0; i < Chaos2ScheduleCount; i++ {
-		out = append(out, Chaos2Schedule(i, opts))
-	}
-	return out
+// chaos2Experiment runs every schedule.
+func chaos2Experiment() Experiment {
+	return declare("chaos2", "CHAOS2: partition/gray/corruption fault mixes with audit + determinism check",
+		perCase(60, indices(Chaos2ScheduleCount), func(i int) string { return fmt.Sprintf("schedule=%d", i) }, Chaos2Schedule),
+		func(r Chaos2ScheduleResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":  r.Response.Seconds(),
+				"jobs_failed": float64(r.JobsFailed),
+				"blocks_lost": float64(r.BlocksLost),
+				"partitions":  float64(r.Partitions),
+				"healed":      float64(r.Healed),
+				"degraded":    float64(r.Degraded),
+				"corrupted":   float64(r.Corrupted),
+				"detected":    float64(r.Detected),
+				"recovered":   float64(r.Recovered),
+				"gray_draws":  float64(r.GrayDraws),
+				"violations":  float64(r.Violations),
+				"fp_mismatch": flag(r.Mismatch),
+				"unpaired":    flag(!r.PairedOK),
+			}
+		},
+		reportChaos2)
 }
 
-// PrintChaos2 prints the beyond-crash-stop chaos sampling run.
-func PrintChaos2(w io.Writer, opts Options) {
-	rs := Chaos2(opts)
+// reportChaos2 prints the beyond-crash-stop chaos sampling run.
+func reportChaos2(w io.Writer, rs []Chaos2ScheduleResult) {
 	fmt.Fprintln(w, "CHAOS2: partitions + gray failures + corruption (60 nodes, unstable churn)")
 	fmt.Fprintln(w, "Sched  Response(s)  JobsFailed  Parts  Healed  Gray  Corrupt  Detect  Recov  Violations  Deterministic")
 	bad := 0

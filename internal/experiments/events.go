@@ -64,14 +64,29 @@ func EventMetricName(t event.Type) string {
 	return "ev_" + strings.ReplaceAll(t.String(), "-", "_")
 }
 
-// PrintEventCounts prints EVENTS.
-func PrintEventCounts(w io.Writer, opts Options) {
-	r := EventCountsTrial(opts)
-	fmt.Fprintln(w, "EVENTS: typed event stream census (60 nodes, unstable churn, site outage + self-healing)")
-	fmt.Fprintln(w, "Event              Count")
-	for t := event.Type(0); t < event.NumTypes; t++ {
-		fmt.Fprintf(w, "%-16s  %7d\n", t, r.Counts[t])
-	}
-	fmt.Fprintf(w, "total %d events, response %.0f s, jobs failed %d, fingerprint %016x\n",
-		r.Total, r.Response.Seconds(), r.JobsFailed, r.Fingerprint)
+// eventsExperiment runs the event-stream census as one trial.
+func eventsExperiment() Experiment {
+	return declare("events", "EVENTS: typed event stream census under fault injection",
+		single("scenario", 60, EventCountsTrial),
+		func(r EventCountsResult) map[string]float64 {
+			m := map[string]float64{
+				"response_s":   r.Response.Seconds(),
+				"jobs_failed":  float64(r.JobsFailed),
+				"total_events": float64(r.Total),
+			}
+			for t := event.Type(0); t < event.NumTypes; t++ {
+				m[EventMetricName(t)] = float64(r.Counts[t])
+			}
+			return m
+		},
+		func(w io.Writer, rows []EventCountsResult) {
+			r := rows[0]
+			fmt.Fprintln(w, "EVENTS: typed event stream census (60 nodes, unstable churn, site outage + self-healing)")
+			fmt.Fprintln(w, "Event              Count")
+			for t := event.Type(0); t < event.NumTypes; t++ {
+				fmt.Fprintf(w, "%-16s  %7d\n", t, r.Counts[t])
+			}
+			fmt.Fprintf(w, "total %d events, response %.0f s, jobs failed %d, fingerprint %016x\n",
+				r.Total, r.Response.Seconds(), r.JobsFailed, r.Fingerprint)
+		})
 }

@@ -15,16 +15,47 @@ func tiny() Options {
 	return Options{Scale: 0.1, Seeds: []int64{1}, Nodes: []int{20, 40}}
 }
 
-func TestPrintTables(t *testing.T) {
-	var buf bytes.Buffer
-	PrintTable1(&buf)
-	if !strings.Contains(buf.String(), "88 jobs") {
-		t.Fatalf("Table1 output missing schedule: %s", buf.String())
+// runCells runs every cell of experiment id under opts, in cell order, and
+// returns the typed rows.
+func runCells[R any](t *testing.T, id string, opts Options) []R {
+	t.Helper()
+	e := experiment(t, id)
+	var rows []R
+	for _, c := range e.Cells(opts.WithDefaults()) {
+		rows = append(rows, c.Run().(R))
 	}
-	buf.Reset()
-	PrintTable2(&buf)
-	if !strings.Contains(buf.String(), "2410 map tasks") {
-		t.Fatalf("Table2 output missing total: %s", buf.String())
+	return rows
+}
+
+// report renders experiment id's text report over rows.
+func report[R any](t *testing.T, id string, rows []R) string {
+	t.Helper()
+	erased := make([]any, len(rows))
+	for i, r := range rows {
+		erased[i] = r
+	}
+	var buf bytes.Buffer
+	experiment(t, id).Report(&buf, erased)
+	return buf.String()
+}
+
+func experiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	for _, e := range All() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return Experiment{}
+}
+
+func TestPrintTables(t *testing.T) {
+	if out := report(t, "table1", runCells[Table1Result](t, "table1", tiny())); !strings.Contains(out, "88 jobs") {
+		t.Fatalf("Table1 output missing schedule: %s", out)
+	}
+	if out := report(t, "table2", runCells[Table2Result](t, "table2", tiny())); !strings.Contains(out, "2410 map tasks") {
+		t.Fatalf("Table2 output missing total: %s", out)
 	}
 }
 
@@ -39,23 +70,60 @@ func TestTable3Audit(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	r := Fig4(tiny())
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
+	rows := runCells[Fig4TrialResult](t, "fig4", tiny())
+	if len(rows) != 3 || rows[0].Nodes != 30 { // the cluster, then 20 and 40 nodes
+		t.Fatalf("rows = %+v", rows)
 	}
 	// More nodes must be at least as fast at this scale.
-	if r.Points[1].Mean > r.Points[0].Mean {
-		t.Fatalf("40 nodes (%v) slower than 20 (%v)", r.Points[1].Mean, r.Points[0].Mean)
+	if rows[2].Response > rows[1].Response {
+		t.Fatalf("40 nodes (%v) slower than 20 (%v)", rows[2].Response, rows[1].Response)
 	}
-	var buf bytes.Buffer
-	PrintFig4(&buf, tiny())
-	if !strings.Contains(buf.String(), "cluster") {
+	if !strings.Contains(report(t, "fig4", rows), "cluster") {
 		t.Fatal("Fig4 output missing cluster line")
 	}
 }
 
+// TestFig4Report checks the per-point mean and the crossover over rows
+// repeated across seeds.
+func TestFig4Report(t *testing.T) {
+	rows := []Fig4TrialResult{
+		{Nodes: 30, Response: 100 * sim.Second},
+		{Nodes: 40, Response: 120 * sim.Second}, {Nodes: 40, Response: 130 * sim.Second},
+		{Nodes: 50, Response: 90 * sim.Second}, {Nodes: 50, Response: 100 * sim.Second},
+	}
+	out := report(t, "fig4", rows)
+	for _, want := range []string{
+		"       40       120     130       125    +25.0%\n",
+		"       50        90     100        95     -5.0%\n",
+		"crossover (equivalent performance) at 50 nodes",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestPolicyReport checks that a policy's row averages its seeds and sums
+// their failed jobs.
+func TestPolicyReport(t *testing.T) {
+	rows := []PolicyTrialResult{
+		{Kind: "sched", Name: "fifo", Response: 100 * sim.Second, P95: 50 * sim.Second, LocalityRate: 0.5, SlotUtil: 0.2, JobsFailed: 1},
+		{Kind: "sched", Name: "fifo", Response: 200 * sim.Second, P95: 70 * sim.Second, LocalityRate: 0.7, SlotUtil: 0.4, JobsFailed: 2},
+		{Kind: "sched", Name: "fair", Response: 90 * sim.Second, P95: 40 * sim.Second, LocalityRate: 0.6, SlotUtil: 0.3},
+	}
+	out := report(t, "policy", rows)
+	for _, want := range []string{
+		"sched  fifo                150       60     0.600     0.300           3\n",
+		"sched  fair                 90       40     0.600     0.300           0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestFig5Table4Runs(t *testing.T) {
-	runs := Fig5Table4(tiny())
+	runs := runCells[FluctuationRun](t, "fig5", tiny())
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -67,7 +135,7 @@ func TestFig5Table4Runs(t *testing.T) {
 }
 
 func TestSiteFailureShape(t *testing.T) {
-	rs := SiteFailure(tiny())
+	rs := runCells[SiteFailureResult](t, "site", tiny())
 	if rs[0].BlocksLost != 0 {
 		t.Fatalf("HOG lost %d blocks", rs[0].BlocksLost)
 	}
@@ -77,14 +145,14 @@ func TestSiteFailureShape(t *testing.T) {
 }
 
 func TestHeartbeatSweepShape(t *testing.T) {
-	rs := HeartbeatSweep(tiny())
+	rs := runCells[HeartbeatResult](t, "heartbeat", tiny())
 	if len(rs) != 2 || rs[0].Timeout != 30*sim.Second || rs[1].Timeout != 900*sim.Second {
 		t.Fatalf("sweep shape %+v", rs)
 	}
 }
 
 func TestZombieSweepShape(t *testing.T) {
-	rs := ZombieSweep(tiny())
+	rs := runCells[ZombieResult](t, "zombie", tiny())
 	if len(rs) != 3 {
 		t.Fatalf("rows = %d", len(rs))
 	}
@@ -95,7 +163,7 @@ func TestZombieSweepShape(t *testing.T) {
 }
 
 func TestDiskOverflowShape(t *testing.T) {
-	rs := DiskOverflow(tiny())
+	rs := runCells[DiskOverflowResult](t, "disk", tiny())
 	if rs[0].Killed != 0 {
 		t.Fatalf("ample disk killed %d workers", rs[0].Killed)
 	}
@@ -105,7 +173,7 @@ func TestDiskOverflowShape(t *testing.T) {
 }
 
 func TestRedundantCopiesShape(t *testing.T) {
-	rs := RedundantCopies(tiny())
+	rs := runCells[NCopyResult](t, "ncopy", tiny())
 	if len(rs) != 4 {
 		t.Fatalf("rows = %d", len(rs))
 	}
@@ -118,7 +186,7 @@ func TestRedundantCopiesShape(t *testing.T) {
 }
 
 func TestDelaySchedulingShape(t *testing.T) {
-	rs := DelayScheduling(tiny())
+	rs := runCells[DelayResult](t, "delay", tiny())
 	if len(rs) != 3 || rs[0].Wait != 0 {
 		t.Fatalf("rows %+v", rs)
 	}
@@ -128,7 +196,7 @@ func TestDelaySchedulingShape(t *testing.T) {
 }
 
 func TestHODComparisonShape(t *testing.T) {
-	rs := HODComparison(tiny())
+	rs := runCells[HODResultRow](t, "hod", tiny())
 	if rs[0].Response <= rs[1].Response {
 		t.Fatalf("HOD (%v) not slower than HOG (%v)", rs[0].Response, rs[1].Response)
 	}
@@ -164,17 +232,19 @@ func TestWithDefaultsNodes(t *testing.T) {
 }
 
 func TestFig4TrialAtom(t *testing.T) {
-	// The per-trial atom must agree with the composed sweep.
+	// The per-trial atom must agree with the experiment's cell and metrics.
 	trial := Fig4Trial(20, 1, tiny())
 	if trial.Completed <= 0 {
 		t.Fatalf("trial completed %d jobs", trial.Completed)
 	}
-	r := Fig4(tiny())
-	if r.Points[0].Responses[0] != trial.Response {
-		t.Fatalf("Fig4Trial (%v) != Fig4 point response (%v)", trial.Response, r.Points[0].Responses[0])
+	rows := runCells[Fig4TrialResult](t, "fig4", tiny())
+	if rows[1] != trial {
+		t.Fatalf("Fig4Trial (%+v) != fig4 cell row (%+v)", trial, rows[1])
 	}
-	if r.Points[0].Summary.N != 1 || r.Points[0].Summary.Mean != trial.Response.Seconds() {
-		t.Fatalf("point summary %+v", r.Points[0].Summary)
+	m := experiment(t, "fig4").Metrics(rows[1])
+	if m["response_s"] != trial.Response.Seconds() ||
+		m["throughput_jobs_per_h"] != float64(trial.Completed)/(trial.Response.Seconds()/3600) {
+		t.Fatalf("cell metrics %v for trial %+v", m, trial)
 	}
 }
 

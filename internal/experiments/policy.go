@@ -44,6 +44,8 @@ func PolicyPairs() []PolicyPair {
 
 // PolicyTrialResult is one (decision point, policy, seed) execution.
 type PolicyTrialResult struct {
+	// Kind is the swept decision point and Name the policy forced there.
+	Kind, Name    string
 	Response      sim.Time
 	P50, P95, P99 sim.Time
 	// LocalityRate is the node-local fraction of map executions.
@@ -77,6 +79,8 @@ func PolicyTrial(kind, name string, churn grid.ChurnProfile, seed int64, opts Op
 	res := sys.RunWorkload(sched(seed, opts.Scale))
 	sum := res.Summary()
 	out := PolicyTrialResult{
+		Kind:       kind,
+		Name:       name,
 		Response:   res.ResponseTime,
 		P50:        sum.P50,
 		P95:        sum.P95,
@@ -92,51 +96,58 @@ func PolicyTrial(kind, name string, churn grid.ChurnProfile, seed int64, opts Op
 	return out
 }
 
-// PolicyRow aggregates one policy of one pair across seeds.
-type PolicyRow struct {
-	Kind, Name string
-	Response   metrics.FloatSummary
-	P95        metrics.FloatSummary
-	Locality   metrics.FloatSummary
-	SlotUtil   metrics.FloatSummary
-	JobsFailed int
-}
-
-// Policy sweeps every pair and both policies across the option seeds.
-func Policy(opts Options) []PolicyRow {
-	opts = opts.WithDefaults()
-	var out []PolicyRow
-	for _, p := range PolicyPairs() {
-		for _, name := range []string{p.Baseline, p.Variant} {
-			row := PolicyRow{Kind: p.Kind, Name: name}
-			var resp, p95, loc, util []float64
-			for _, seed := range opts.Seeds {
-				r := PolicyTrial(p.Kind, name, p.Churn, seed, opts)
-				resp = append(resp, r.Response.Seconds())
-				p95 = append(p95, r.P95.Seconds())
-				loc = append(loc, r.LocalityRate)
-				util = append(util, r.SlotUtil)
-				row.JobsFailed += r.JobsFailed
+// policyExperiment sweeps every pair and both policies across the option
+// seeds.
+func policyExperiment() Experiment {
+	return declare("policy", "POLICY: pluggable-policy ablation across the four decision points",
+		func(opts Options) []Cell[PolicyTrialResult] {
+			var cells []Cell[PolicyTrialResult]
+			for _, p := range PolicyPairs() {
+				for _, name := range []string{p.Baseline, p.Variant} {
+					for _, seed := range opts.Seeds {
+						p, name, seed := p, name, seed
+						cells = append(cells, Cell[PolicyTrialResult]{
+							Point: fmt.Sprintf("%s=%s", p.Kind, name), Seed: seed, Nodes: 60, Scale: opts.Scale,
+							Run: func() PolicyTrialResult { return PolicyTrial(p.Kind, name, p.Churn, seed, opts) },
+						})
+					}
+				}
 			}
-			row.Response = metrics.SummarizeFloats(resp)
-			row.P95 = metrics.SummarizeFloats(p95)
-			row.Locality = metrics.SummarizeFloats(loc)
-			row.SlotUtil = metrics.SummarizeFloats(util)
-			out = append(out, row)
-		}
-	}
-	return out
+			return cells
+		},
+		func(r PolicyTrialResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":    r.Response.Seconds(),
+				"p50_s":         r.P50.Seconds(),
+				"p95_s":         r.P95.Seconds(),
+				"p99_s":         r.P99.Seconds(),
+				"locality_rate": r.LocalityRate,
+				"slot_util":     r.SlotUtil,
+				"jobs_failed":   float64(r.JobsFailed),
+			}
+		},
+		reportPolicy)
 }
 
-// PrintPolicy prints the ablation table, baseline and variant adjacent.
-func PrintPolicy(w io.Writer, opts Options) {
-	rows := Policy(opts)
+// reportPolicy prints the ablation table, one row per policy with its
+// means across seeds and its total failed jobs, baseline and variant
+// adjacent.
+func reportPolicy(w io.Writer, rows []PolicyTrialResult) {
 	fmt.Fprintln(w, "POLICY: pluggable-policy ablation (60 nodes, identical workloads per pair)")
 	fmt.Fprintln(w, "Point  Policy      Response(s)  P95(s)   Locality  SlotUtil  JobsFailed")
-	for _, r := range rows {
+	for _, runs := range metrics.Group(rows, func(r PolicyTrialResult) [2]string { return [2]string{r.Kind, r.Name} }) {
+		var resp, p95, loc, util []float64
+		failed := 0
+		for _, r := range runs {
+			resp = append(resp, r.Response.Seconds())
+			p95 = append(p95, r.P95.Seconds())
+			loc = append(loc, r.LocalityRate)
+			util = append(util, r.SlotUtil)
+			failed += r.JobsFailed
+		}
 		fmt.Fprintf(w, "%-5s  %-10s  %11.0f  %7.0f  %8.3f  %8.3f  %10d\n",
-			r.Kind, r.Name, r.Response.Mean, r.P95.Mean, r.Locality.Mean,
-			r.SlotUtil.Mean, r.JobsFailed)
+			runs[0].Kind, runs[0].Name, metrics.SummarizeFloats(resp).Mean, metrics.SummarizeFloats(p95).Mean,
+			metrics.SummarizeFloats(loc).Mean, metrics.SummarizeFloats(util).Mean, failed)
 	}
 	fmt.Fprintln(w, "defaults (fifo/grid/threshold/fifo) reproduce the paper's configuration;")
 	fmt.Fprintln(w, "each variant isolates one decision point on the same seeded workload.")

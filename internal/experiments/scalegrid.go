@@ -64,12 +64,26 @@ func ScaleGrid(opts Options, p ScalePreset) ScaleGridResult {
 	return out
 }
 
-// PrintScaleGrid prints one scale-out run.
-func PrintScaleGrid(w io.Writer, opts Options, p ScalePreset) {
-	r := ScaleGrid(opts, p)
-	fmt.Fprintf(w, "%s, %d sites\n", p.Title, r.Sites)
-	fmt.Fprintf(w, "target=%d nodes over %d sites (reached %d)\n", r.Target, r.Sites, r.Reached)
-	fmt.Fprintf(w, "workload response: %.0f s  (jobs failed: %d)\n", r.Response.Seconds(), r.JobsFailed)
-	fmt.Fprintf(w, "simulation: %d events fired, %d flows, %.0f%% of bytes cross-site\n",
-		r.EventsFired, r.FlowsStarted, 100*r.CrossSiteFrac)
+// scaleGridExperiment runs the preset as one trial under experiment id.
+func scaleGridExperiment(id, desc string, p ScalePreset) Experiment {
+	return declare(id, desc,
+		single(fmt.Sprintf("nodes=%d", p.Target), p.Target, func(opts Options) ScaleGridResult { return ScaleGrid(opts, p) }),
+		func(r ScaleGridResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":      r.Response.Seconds(),
+				"reached_nodes":   float64(r.Reached),
+				"events_fired":    float64(r.EventsFired),
+				"flows_started":   float64(r.FlowsStarted),
+				"cross_site_frac": r.CrossSiteFrac,
+				"jobs_failed":     float64(r.JobsFailed),
+			}
+		},
+		func(w io.Writer, rows []ScaleGridResult) {
+			r := rows[0]
+			fmt.Fprintf(w, "%s, %d sites\n", p.Title, r.Sites)
+			fmt.Fprintf(w, "target=%d nodes over %d sites (reached %d)\n", r.Target, r.Sites, r.Reached)
+			fmt.Fprintf(w, "workload response: %.0f s  (jobs failed: %d)\n", r.Response.Seconds(), r.JobsFailed)
+			fmt.Fprintf(w, "simulation: %d events fired, %d flows, %.0f%% of bytes cross-site\n",
+				r.EventsFired, r.FlowsStarted, 100*r.CrossSiteFrac)
+		})
 }

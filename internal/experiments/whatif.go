@@ -75,9 +75,14 @@ func whatIfWarm(opts Options) ([]byte, sim.Time) {
 	return data, sys.Eng.Now()
 }
 
-// whatIfBranchFrom forks one branch off a warm snapshot and runs it to
-// completion.
-func whatIfBranchFrom(snap []byte, warmAt sim.Time, branch string) WhatIfBranchResult {
+// WhatIfBranch runs one branch end to end — warm-up, snapshot, restore,
+// divergence, completion — self-contained so trials stay independent and
+// any subset can run on any worker in any order. snapshot.Restore rebuilds
+// the system by replaying the warm-up, so every branch pays for two
+// warm-ups: its own and the replay.
+func WhatIfBranch(branch string, opts Options) WhatIfBranchResult {
+	opts = opts.WithDefaults()
+	snap, warmAt := whatIfWarm(opts)
 	sys, err := snapshot.Restore(snap)
 	if err != nil {
 		panic(err)
@@ -101,31 +106,27 @@ func whatIfBranchFrom(snap []byte, warmAt sim.Time, branch string) WhatIfBranchR
 	}
 }
 
-// WhatIfBranch runs one branch end to end — warm-up, snapshot, fork,
-// divergence, completion — self-contained so harness trials stay
-// independent and any subset can run on any worker in any order.
-func WhatIfBranch(opts Options, branch string) WhatIfBranchResult {
-	opts = opts.WithDefaults()
-	snap, warmAt := whatIfWarm(opts)
-	return whatIfBranchFrom(snap, warmAt, branch)
+// whatIfExperiment runs one trial per branch.
+func whatIfExperiment() Experiment {
+	return declare("whatif", "WHATIF: MEGA-GRID warm-up snapshot forked into fault branches",
+		perCase(10000, WhatIfBranches, func(b string) string { return "branch=" + b }, WhatIfBranch),
+		func(r WhatIfBranchResult) map[string]float64 {
+			return map[string]float64{
+				"response_s":  r.Response.Seconds(),
+				"p50_s":       r.P50.Seconds(),
+				"p95_s":       r.P95.Seconds(),
+				"p99_s":       r.P99.Seconds(),
+				"warm_at_s":   r.WarmAt.Seconds(),
+				"jobs":        float64(r.Jobs),
+				"jobs_failed": float64(r.JobsFailed),
+			}
+		},
+		reportWhatIf)
 }
 
-// WhatIf warms up once and forks every branch from the same snapshot — the
-// warm-start mode: N what-if branches for one warm-up's worth of
-// simulation plus the branch tails.
-func WhatIf(opts Options) []WhatIfBranchResult {
-	opts = opts.WithDefaults()
-	snap, warmAt := whatIfWarm(opts)
-	out := make([]WhatIfBranchResult, 0, len(WhatIfBranches))
-	for _, b := range WhatIfBranches {
-		out = append(out, whatIfBranchFrom(snap, warmAt, b))
-	}
-	return out
-}
-
-// PrintWhatIf prints every branch with deltas against the baseline.
-func PrintWhatIf(w io.Writer, opts Options) {
-	rs := WhatIf(opts)
+// reportWhatIf prints every branch with deltas against the baseline, the
+// first branch.
+func reportWhatIf(w io.Writer, rs []WhatIfBranchResult) {
 	base := rs[0]
 	fmt.Fprintln(w, "WHATIF: one MEGA-GRID warm-up forked into fault branches")
 	fmt.Fprintf(w, "warm-up snapshot at t=%.0f s (3/4 of the submission window), divergence at +%.0f s\n",

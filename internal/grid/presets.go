@@ -28,9 +28,8 @@ const (
 //
 // Domains: the two Fermilab clusters (FNAL_FERMIGRID, USCMS-FNAL-WC1) really
 // share the fnal.gov DNS suffix; we give the WC1 cluster a distinct synthetic
-// domain so each site remains its own failure domain for site awareness, and
-// note the substitution in DESIGN.md. UCSDT2, AGLT2 and MIT_CMS use their
-// hosting institutions' domains.
+// domain so each site remains its own failure domain for site awareness.
+// UCSDT2, AGLT2 and MIT_CMS use their hosting institutions' domains.
 func OSGSites(profile ChurnProfile) []SiteConfig {
 	sites := []SiteConfig{
 		{Name: "FNAL_FERMIGRID", Domain: "fnal.gov", Capacity: 400},

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"hog/internal/experiments"
 	"hog/internal/metrics"
@@ -79,24 +78,15 @@ func BuildDoc(specs []Spec, opts experiments.Options, results []TrialResult) *Do
 // aggregate groups trials by point (in first-seen order) and summarizes
 // every metric across the group's trials.
 func aggregate(rs []TrialResult) []Aggregate {
-	var order []string
-	byPoint := map[string][]TrialResult{}
-	for _, r := range rs {
-		if _, ok := byPoint[r.Point]; !ok {
-			order = append(order, r.Point)
-		}
-		byPoint[r.Point] = append(byPoint[r.Point], r)
-	}
 	var out []Aggregate
-	for _, point := range order {
-		group := byPoint[point]
+	for _, group := range metrics.Group(rs, func(r TrialResult) string { return r.Point }) {
 		keys := map[string][]float64{}
 		for _, r := range group {
 			for k, v := range r.Metrics {
 				keys[k] = append(keys[k], v)
 			}
 		}
-		agg := Aggregate{Point: point, Metrics: map[string]metrics.FloatSummary{}}
+		agg := Aggregate{Point: group[0].Point, Metrics: map[string]metrics.FloatSummary{}}
 		for k, vs := range keys {
 			agg.Metrics[k] = metrics.SummarizeFloats(vs)
 		}
@@ -118,40 +108,31 @@ func (d *Doc) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText renders the document as a compact generic table: one line per
-// trial plus per-point mean/min/max/std where points have repetitions.
+// WriteText renders each experiment's text report from its trials' rows,
+// followed by a blank line. An experiment with a trial that has no row — it
+// panicked, or the document was decoded from JSON — gets a one-line notice
+// and its trials' errors instead.
 func (d *Doc) WriteText(w io.Writer) {
 	for _, e := range d.Experiments {
-		fmt.Fprintf(w, "== %s: %s ==\n", e.ID, e.Description)
-		for _, t := range e.Trials {
-			fmt.Fprintf(w, "%-28s seed=%-3d %s\n", t.Point, t.Seed, formatMetrics(t.Metrics))
+		rows := make([]any, len(e.Trials))
+		complete := true
+		for i, t := range e.Trials {
+			rows[i] = t.row
+			complete = complete && t.row != nil
 		}
-		for _, a := range e.Aggregates {
-			sum, ok := a.Metrics["response_s"]
-			if !ok || sum.N < 2 {
-				continue
+		specs, err := Select(e.ID)
+		if complete && err == nil {
+			specs[0].Report(w, rows)
+		} else {
+			fmt.Fprintf(w, "%s: %s: no text report\n", e.ID, e.Description)
+			for _, t := range e.Trials {
+				if t.Error != "" {
+					fmt.Fprintf(w, "  %s seed=%d: %s\n", t.Point, t.Seed, t.Error)
+				}
 			}
-			fmt.Fprintf(w, "%-28s response_s mean=%.0f min=%.0f max=%.0f std=%.1f (n=%d)\n",
-				a.Point+" (agg)", sum.Mean, sum.Min, sum.Max, sum.Std, sum.N)
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func formatMetrics(m Metrics) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%.6g", k, m[k])
-	}
-	return out
 }
 
 // RunSuite expands the named experiments, executes them on workers

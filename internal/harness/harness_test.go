@@ -71,7 +71,7 @@ func syntheticTrials(n int, cur, max *int64, ran *int64) []Trial {
 		i := i
 		trials[i] = Trial{
 			Experiment: "synthetic", Point: "p", Seed: int64(i),
-			run: func() Metrics {
+			run: func() (any, Metrics) {
 				c := atomic.AddInt64(cur, 1)
 				for {
 					m := atomic.LoadInt64(max)
@@ -82,7 +82,7 @@ func syntheticTrials(n int, cur, max *int64, ran *int64) []Trial {
 				time.Sleep(10 * time.Millisecond)
 				atomic.AddInt64(cur, -1)
 				atomic.AddInt64(ran, 1)
-				return Metrics{"i": float64(i)}
+				return nil, Metrics{"i": float64(i)}
 			},
 		}
 	}
@@ -127,11 +127,11 @@ func TestCancellation(t *testing.T) {
 	for i := range trials {
 		trials[i] = Trial{
 			Experiment: "synthetic", Point: "p",
-			run: func() Metrics {
+			run: func() (any, Metrics) {
 				once.Do(cancel) // first trial to run cancels the suite
 				atomic.AddInt64(&ran, 1)
 				time.Sleep(5 * time.Millisecond)
-				return Metrics{}
+				return nil, Metrics{}
 			},
 		}
 	}
@@ -214,15 +214,75 @@ func TestExpandMatrixShape(t *testing.T) {
 	}
 }
 
-// TestWriteText smoke-checks the generic table renderer.
-func TestWriteText(t *testing.T) {
-	doc, err := RunSuite(context.Background(), []string{"table2"}, tinyOpts(), 2)
-	if err != nil {
-		t.Fatal(err)
+// TestSpecsComplete guards the registry: every experiment has a unique id,
+// a description, cells, metrics and a text report.
+func TestSpecsComplete(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range Specs() {
+		if s.ID == "" || s.Desc == "" || s.Cells == nil || s.Metrics == nil || s.Report == nil {
+			t.Errorf("incomplete spec %q: %+v", s.ID, s)
+		}
+		if seen[s.ID] {
+			t.Errorf("duplicate spec id %q", s.ID)
+		}
+		seen[s.ID] = true
 	}
+	for alias, id := range Aliases() {
+		if seen[alias] || !seen[id] {
+			t.Errorf("alias %q -> %q must name a registry id and not shadow one", alias, id)
+		}
+	}
+}
+
+// TestWriteText pins the text reports of the two pure experiments byte for
+// byte, at one and two workers, each followed by its blank line; a document
+// without rows (decoded from JSON) renders a notice and the trial errors
+// instead.
+func TestWriteText(t *testing.T) {
+	const want = `Table I: Facebook production workload bins
+Bin  #Maps  %Jobs@FB  #Maps(bench)  #Jobs(bench)
+  1  1            39%             1            38
+  2  2            16%             2            16
+  3  3-20         14%            10            14
+  4  21-60         9%            50             8
+  5  61-150        6%           100             6
+  6  151-300       6%           200             6
+  7  301-500       4%           400             4
+  8  501-1500      4%           800             4
+  9  >1501         3%          4800             4
+generated schedule: 88 jobs, bins [38 16 14 8 6 6], span 1358s
+
+Table II: truncated workload (bins 1-6, 88 jobs)
+Bin  MapTasks  ReduceTasks  Jobs
+  1         1            1    38
+  2         2            1    16
+  3        10            5    14
+  4        50           10     8
+  5       100           20     6
+  6       200           30     6
+total: 88 jobs, 2410 map tasks
+
+`
+	for _, workers := range []int{1, 2} {
+		doc, err := RunSuite(context.Background(), []string{"table2", "table1"}, tinyOpts(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		doc.WriteText(&buf)
+		if got := buf.String(); got != want {
+			t.Fatalf("workers=%d: text report differs:\n--- got ---\n%s\n--- want ---\n%s", workers, got, want)
+		}
+	}
+
+	decoded := &Doc{Experiments: []ExperimentResults{{
+		ID: "table2", Description: "Table II: truncated workload",
+		Trials: []TrialResult{{Experiment: "table2", Point: "workload", Error: "panic: boom"}},
+	}}}
 	var buf bytes.Buffer
-	doc.WriteText(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("table2")) || !bytes.Contains(buf.Bytes(), []byte("total_map_tasks")) {
-		t.Fatalf("text output missing content:\n%s", buf.String())
+	decoded.WriteText(&buf)
+	const notice = "table2: Table II: truncated workload: no text report\n  workload seed=0: panic: boom\n\n"
+	if buf.String() != notice {
+		t.Fatalf("row-less document rendered %q, want %q", buf.String(), notice)
 	}
 }

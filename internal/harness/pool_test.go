@@ -17,13 +17,13 @@ func TestTrialPanicIsolation(t *testing.T) {
 			if i == 2 {
 				trials[i] = Trial{
 					Experiment: "synthetic", Point: "boom", Seed: int64(i),
-					run: func() Metrics { panic("trial exploded") },
+					run: func() (any, Metrics) { panic("trial exploded") },
 				}
 				continue
 			}
 			trials[i] = Trial{
 				Experiment: "synthetic", Point: "ok", Seed: int64(i),
-				run: func() Metrics { return Metrics{"i": float64(i)} },
+				run: func() (any, Metrics) { return nil, Metrics{"i": float64(i)} },
 			}
 		}
 		return trials

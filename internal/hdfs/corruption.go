@@ -18,7 +18,7 @@ import (
 // detects corruption) fails over and retries with capped exponential backoff,
 // like a real DFS client's block-recovery loop. The jitter draws from the
 // engine RNG only on these fault paths; fault-free reads never retry, so
-// fault-free runs make zero draws here (determinism contract, docs/DESIGN.md).
+// fault-free runs make zero draws here (determinism contract, docs/FAULTS.md).
 const (
 	readRetryBase   = 1 * sim.Second
 	readRetryMax    = 15 * sim.Second

@@ -7,7 +7,7 @@
 // Each HOD job runs in an isolated simulation: ephemeral clusters share no
 // Hadoop state, and the OSG is large enough that concurrent small clusters
 // do not contend for slots. Cross-cluster WAN contention is the one
-// interaction this independence approximation drops; DESIGN.md records it.
+// interaction this independence approximation drops.
 package hod
 
 import (

@@ -230,3 +230,22 @@ func SummarizeFloats(xs []float64) FloatSummary {
 	s.Std = math.Sqrt(sqdev / float64(len(xs)))
 	return s
 }
+
+// Group splits rows into groups sharing a key, in first-seen key order: the
+// per-point view of a sweep repeated across seeds.
+func Group[R any, K comparable](rows []R, key func(R) K) [][]R {
+	var order []K
+	byKey := map[K][]R{}
+	for _, r := range rows {
+		k := key(r)
+		if _, ok := byKey[k]; !ok {
+			order = append(order, k)
+		}
+		byKey[k] = append(byKey[k], r)
+	}
+	out := make([][]R, len(order))
+	for i, k := range order {
+		out[i] = byKey[k]
+	}
+	return out
+}
