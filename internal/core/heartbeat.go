@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"hog/internal/netmodel"
 	"hog/internal/sim"
 )
 
@@ -28,9 +29,10 @@ import (
 // eager loop did, minus the per-record writes. Without one, assign is a
 // no-op and the tick walks the exception list alone.
 
-// Work counts the heartbeat machinery's work: driver ticks and the worker
-// visits they made (the idle ticks walked only the exception list), and each
-// master's dead scans with the records they visited. The counts are exact
+// Work counts the work of the simulator's hot loops: driver ticks and the
+// worker visits they made (the idle ticks walked only the exception list),
+// each master's dead scans with the records they visited, the network
+// rebalancer's passes, and map assignment's job probes. The counts are exact
 // for a seed but feed no result, census or snapshot.
 type Work struct {
 	Ticks, IdleTicks   int64
@@ -44,14 +46,24 @@ type Work struct {
 	// NNQuiet and JTQuiet are the masters' current quiet-set sizes: what
 	// their next dead scans will visit.
 	NNQuiet, JTQuiet int
+
+	// Net is the network rebalancer's work: rebalances, registry entries
+	// visited and flows re-timed.
+	Net netmodel.Work
+	// MapProbes counts the jobs map assignment probed for a pending map,
+	// and PlacementLookups the per-node and per-site placement-index
+	// lookups those probes made.
+	MapProbes, PlacementLookups int64
 }
 
-// Work returns the heartbeat work counters.
+// Work returns the work counters.
 func (s *System) Work() Work {
 	w := s.work
 	w.Exceptions = len(s.exc) + len(s.excNew)
 	w.NNScans, w.NNScanned, w.NNQuiet = s.NN.DeadScanWork()
 	w.JTScans, w.JTScanned, w.JTQuiet = s.JT.DeadScanWork()
+	w.Net = s.Net.Work()
+	w.MapProbes, w.PlacementLookups = s.JT.AssignWork()
 	return w
 }
 

@@ -270,3 +270,24 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 		t.Errorf("driver visited %d workers, eager %d: want at least 20x fewer", lazy.Visits, eager.Visits)
 	}
 }
+
+// TestHotLoopWorkPinned pins the rebalancer and map-assignment work
+// counters of one small grid run. They are plain counts of deterministic
+// loops, so a change to either loop's visiting shows up here as an exact
+// diff, and a run that drifts from its seed shows up as one too.
+func TestHotLoopWorkPinned(t *testing.T) {
+	sys := New(HOGConfig(30, grid.ChurnNone, 2))
+	sys.RunWorkload(tinySchedule(2))
+	w := sys.Work()
+	got := [5]int64{w.Net.Rebalances, w.Net.Visits, w.Net.Retimed, w.MapProbes, w.PlacementLookups}
+	want := [5]int64{23008, 1051557, 365092, 6105, 381}
+	if got != want {
+		t.Errorf("rebalances, visits, re-timed, map probes, placement lookups = %v, want %v", got, want)
+	}
+	if w.Net.Retimed > w.Net.Visits {
+		t.Errorf("re-timed %d flows but visited only %d registry entries", w.Net.Retimed, w.Net.Visits)
+	}
+	if w.PlacementLookups > 2*w.MapProbes {
+		t.Errorf("%d placement lookups for %d job probes: at most two per probe", w.PlacementLookups, w.MapProbes)
+	}
+}

@@ -154,6 +154,9 @@ type DatanodeInfo struct {
 	// the placement hot path counts replicas per site through it instead of
 	// hashing site name strings.
 	siteIx int
+	// placeMark is the namenode placeEpoch of the last placement call that
+	// excluded this datanode.
+	placeMark uint64
 }
 
 // LastHeartbeat returns when the namenode last heard from the datanode.
@@ -298,6 +301,9 @@ type Namenode struct {
 	siteCounts []int
 	siteHeads  []int
 	candBuf    []*DatanodeInfo
+	// placeEpoch numbers gatherCandidates calls; a datanode whose
+	// placeMark equals it is excluded from the current call.
+	placeEpoch uint64
 	blocks     map[BlockID]*BlockInfo
 	files      map[string]*FileInfo
 	nextBlock  BlockID

@@ -12,8 +12,18 @@ import (
 // no per-call sort) — then shuffles it with the engine's RNG so ties break
 // randomly but reproducibly. The scan plus shuffle is O(datanodes); the old
 // per-call sort made it O(datanodes log datanodes), the largest single cost
-// of a LARGE-GRID run.
+// of a LARGE-GRID run. The excluded datanodes are stamped with a fresh
+// placement epoch up front, so the scan tests a field instead of making a
+// map lookup per candidate; the decommissioning lookup runs only while some
+// node is draining.
 func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]struct{}) []*DatanodeInfo {
+	nn.placeEpoch++
+	for id := range exclude {
+		if d := nn.datanodes[id]; d != nil {
+			d.placeMark = nn.placeEpoch
+		}
+	}
+	draining := len(nn.decommissioning) > 0
 	cands := nn.candBuf[:0]
 	for _, d := range nn.dnOrder {
 		if !d.Alive {
@@ -26,11 +36,13 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 			// degradation is lifted.
 			continue
 		}
-		if _, ex := exclude[d.ID]; ex {
+		if d.placeMark == nn.placeEpoch {
 			continue
 		}
-		if _, draining := nn.decommissioning[d.ID]; draining {
-			continue
+		if draining {
+			if _, ok := nn.decommissioning[d.ID]; ok {
+				continue
+			}
 		}
 		if nn.disk.Free(d.ID) >= size {
 			cands = append(cands, d)

@@ -132,6 +132,9 @@ type JobTracker struct {
 	// activeList holds unfinished jobs in submission order; the indexed
 	// assignment path iterates it instead of re-skipping finished jobs.
 	activeList []*Job
+	// probes and lookups count the indexed map assignment's work: jobs
+	// probed for a pending map, and placement-index map lookups made.
+	probes, lookups int64
 	// blockMaps maps an input block to the active map tasks reading it, for
 	// the namenode placement-change hook.
 	blockMaps map[hdfs.BlockID][]*mapTask
@@ -342,6 +345,13 @@ func (jt *JobTracker) dropQuiet(t *TaskTracker) {
 // in total, and the current quiet-set size; see hdfs.Namenode.DeadScanWork.
 func (jt *JobTracker) DeadScanWork() (scans, visited int64, quiet int) {
 	return jt.scans, jt.scanned, len(jt.quiet)
+}
+
+// AssignWork returns how many jobs map assignment probed and how many
+// placement-index lookups it made. The counts are bookkeeping only: no
+// result reports them.
+func (jt *JobTracker) AssignWork() (probes, lookups int64) {
+	return jt.probes, jt.lookups
 }
 
 // Submit enqueues a job built from its input file's blocks (one map task per

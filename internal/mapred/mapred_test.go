@@ -30,6 +30,9 @@ type cluster struct {
 	jt    *JobTracker
 	nodes []netmodel.NodeID
 	state map[netmodel.NodeID]nodeState
+	// afterBeat, when set, runs after every JobTracker heartbeat the
+	// periodic driver delivers.
+	afterBeat func()
 }
 
 var clusterDomains = []string{"fnal.gov", "wc1-fnal.gov", "ucsd.edu", "aglt2.org", "mit.edu"}
@@ -51,6 +54,11 @@ func newClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdfs.Con
 				c.jt.Heartbeat(id)
 			case zombie:
 				c.jt.Heartbeat(id)
+			default:
+				continue
+			}
+			if c.afterBeat != nil {
+				c.afterBeat()
 			}
 		}
 	})

@@ -22,7 +22,7 @@ func TestDefaultPolicyEquivalence(t *testing.T) {
 	for _, profile := range []string{"calm", "eager", "kills", "zombies"} {
 		for seed := int64(1); seed <= 3; seed++ {
 			sameFingerprint(t, fmt.Sprintf("profile %s seed %d", profile, seed), "default", "named",
-				runSchedChurn(seed, false, profile), runSchedChurnOn(smallChurn, seed, false, profile, explicit))
+				runSchedChurn(t, seed, false, profile), runSchedChurnOn(t, smallChurn, seed, false, profile, explicit))
 		}
 	}
 }
@@ -36,7 +36,7 @@ func TestNonDefaultPoliciesDeterministic(t *testing.T) {
 		c.SpeculationPolicy = SpeculationSiteLoad
 	}
 	sameFingerprint(t, "identical runs", "first", "second",
-		runSchedChurnOn(smallChurn, 42, false, "kills", alt), runSchedChurnOn(smallChurn, 42, false, "kills", alt))
+		runSchedChurnOn(t, smallChurn, 42, false, "kills", alt), runSchedChurnOn(t, smallChurn, 42, false, "kills", alt))
 }
 
 // TestFairSchedulerPoolCap: a capped pool must never exceed MaxRunning

@@ -1,5 +1,10 @@
 package mapred
 
+import (
+	"fmt"
+	"slices"
+)
+
 // The linear-scan scheduler: the assignment path the indexed scheduler
 // (schedindex.go) replaced, kept only as a test oracle. It rescans every
 // task of every job per free slot per heartbeat, O(jobs x tasks x trackers),
@@ -17,6 +22,35 @@ func useScanOracle(jt *JobTracker) {
 		}
 		return jt.assignOneReduceScan(t)
 	}
+}
+
+// checkPlacementIndex checks the invariant the indexed map pick relies on
+// to skip a job with nothing pending: for every active job, every task in
+// its per-node and per-site placement sets is in its pending-map set. A
+// running or finished map left in a placement set would be picked again
+// through the placement lookups.
+func checkPlacementIndex(jt *JobTracker) error {
+	for _, j := range jt.activeList {
+		pending := func(i int) bool {
+			_, ok := slices.BinarySearch(j.idx.pendingMaps.v, i)
+			return ok
+		}
+		for node, s := range j.idx.mapsByNode {
+			for _, i := range s.v {
+				if !pending(i) {
+					return fmt.Errorf("job %d map %d is in the node %d placement set but not pending", j.ID, i, node)
+				}
+			}
+		}
+		for site, s := range j.idx.mapsBySite {
+			for _, i := range s.v {
+				if !pending(i) {
+					return fmt.Errorf("job %d map %d is in the site %s placement set but not pending", j.ID, i, site)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func (jt *JobTracker) assignOneMapScan(t *TaskTracker) bool {

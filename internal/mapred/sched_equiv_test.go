@@ -36,13 +36,17 @@ func schedFingerprint(c *cluster) []string {
 // churnShape sizes a churn schedule: the sites, the trackers per site, the
 // jobs submitted in the first 90 s, their map counts (minMaps plus up to
 // spanMaps more), and the node failures the churn profiles inject.
+// checkEvery is how many heartbeats pass between placement-index checks
+// (every heartbeat when zero); a full check walks every job's per-node sets,
+// so checking on each of a thousand trackers' beats would be quadratic.
 type churnShape struct {
-	domains  []string
-	perSite  int
-	jobs     int
-	minMaps  int
-	spanMaps int
-	faults   int
+	domains    []string
+	perSite    int
+	jobs       int
+	minMaps    int
+	spanMaps   int
+	faults     int
+	checkEvery int
 }
 
 // smallChurn is 30 trackers over five sites.
@@ -50,7 +54,7 @@ var smallChurn = churnShape{domains: clusterDomains, perSite: 6, jobs: 4, minMap
 
 // gridChurn is 1008 trackers over twelve sites, the LARGE-GRID scale.
 var gridChurn = func() churnShape {
-	sh := churnShape{perSite: 84, jobs: 12, minMaps: 40, spanMaps: 60, faults: 40}
+	sh := churnShape{perSite: 84, jobs: 12, minMaps: 40, spanMaps: 60, faults: 40, checkEvery: 12 * 84}
 	for s := 0; s < 12; s++ {
 		sh.domains = append(sh.domains, fmt.Sprintf("site%d.edu", s))
 	}
@@ -59,16 +63,19 @@ var gridChurn = func() churnShape {
 
 // runSchedChurn executes one randomized workload + churn schedule on the
 // small cluster under either scheduler path and returns the fingerprint.
-func runSchedChurn(seed int64, scan bool, profile string) []string {
-	return runSchedChurnOn(smallChurn, seed, scan, profile, nil)
+func runSchedChurn(t *testing.T, seed int64, scan bool, profile string) []string {
+	return runSchedChurnOn(t, smallChurn, seed, scan, profile, nil)
 }
 
 // runSchedChurnOn runs the schedule at the given shape. The schedule is
 // drawn from a private RNG so both paths see identical inputs. mod, when
 // set, adjusts the JobTracker config after the profile knobs — the hook the
 // policy equivalence tests use to pin explicit policy names against the
-// defaults on identical inputs.
-func runSchedChurnOn(sh churnShape, seed int64, scan bool, profile string, mod func(*Config)) []string {
+// defaults on identical inputs. After every heartbeat (every checkEvery-th
+// at scale) the run checks the placement-index invariant
+// (checkPlacementIndex) and fails t on a breach.
+func runSchedChurnOn(t *testing.T, sh churnShape, seed int64, scan bool, profile string, mod func(*Config)) []string {
+	t.Helper()
 	nn := hogNNCfg()
 	jt := hogJTCfg()
 	switch profile {
@@ -94,6 +101,15 @@ func runSchedChurnOn(sh churnShape, seed int64, scan bool, profile string, mod f
 	c := newClusterOn(sh.domains, seed, sh.perSite, nn, jt)
 	if scan {
 		useScanOracle(c.jt)
+	}
+	beats := 0
+	c.afterBeat = func() {
+		if beats++; sh.checkEvery > 0 && beats%sh.checkEvery != 0 {
+			return
+		}
+		if err := checkPlacementIndex(c.jt); err != nil {
+			t.Fatalf("seed %d profile %s at %v: %v", seed, profile, c.eng.Now(), err)
+		}
 	}
 	r := rand.New(rand.NewSource(seed * 7919))
 	submitted := 0
@@ -150,7 +166,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 	for _, profile := range []string{"calm", "delay", "eager", "kills", "zombies", "delay-churn"} {
 		for seed := int64(1); seed <= 3; seed++ {
 			sameFingerprint(t, fmt.Sprintf("profile %s seed %d", profile, seed), "indexed", "scan",
-				runSchedChurn(seed, false, profile), runSchedChurn(seed, true, profile))
+				runSchedChurn(t, seed, false, profile), runSchedChurn(t, seed, true, profile))
 		}
 	}
 }
@@ -162,8 +178,8 @@ func TestSchedulerEquivalence(t *testing.T) {
 // so the per-node and per-site locality sets are probed at the width the
 // small cluster never reaches.
 func TestSchedScaleEquivalence(t *testing.T) {
-	indexed := runSchedChurnOn(gridChurn, 1, false, "zombies", nil)
-	scan := runSchedChurnOn(gridChurn, 1, true, "zombies", nil)
+	indexed := runSchedChurnOn(t, gridChurn, 1, false, "zombies", nil)
+	scan := runSchedChurnOn(t, gridChurn, 1, true, "zombies", nil)
 	sameFingerprint(t, "1008 trackers", "indexed", "scan", indexed, scan)
 }
 
@@ -171,7 +187,7 @@ func TestSchedScaleEquivalence(t *testing.T) {
 // across identical runs (no map-iteration order anywhere in the index).
 func TestSchedulerDeterminism(t *testing.T) {
 	sameFingerprint(t, "identical runs", "first", "second",
-		runSchedChurn(42, false, "zombies"), runSchedChurn(42, false, "zombies"))
+		runSchedChurn(t, 42, false, "zombies"), runSchedChurn(t, 42, false, "zombies"))
 }
 
 // TestSchedulerIndexDrained: after every job finishes, the per-job indexes

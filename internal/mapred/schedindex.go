@@ -24,6 +24,10 @@ import (
 // block -> map-task reverse index for the placement hook. Queries walk the
 // same task order the scan does, so assignment decisions are bit-identical;
 // the randomized equivalence tests assert exactly that.
+//
+// The placement sets only ever hold pending maps, so a job whose pending set
+// is empty is skipped without a placement lookup — most active jobs on most
+// heartbeats, once their maps are all running.
 
 // taskClass is a task's scheduler-index classification.
 type taskClass int8
@@ -280,8 +284,15 @@ func (jt *JobTracker) blockLiveInSite(bid hdfs.BlockID, site string) bool {
 // its locality level. Level preference first (node, site, remote), lowest
 // task index within a level — the scan's exact order. The three queries are
 // mutually consistent: an eligible pending map with a replica on t.Node is
-// always found by the node query, so later queries cannot misclassify.
+// always found by the node query, so later queries cannot misclassify. A job
+// with no pending map returns before the placement lookups: the placement
+// sets hold only pending maps, so they are empty too.
 func (jt *JobTracker) pickMapIndexed(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) {
+	jt.probes++
+	if len(j.idx.pendingMaps.v) == 0 {
+		return nil, Remote
+	}
+	jt.lookups++
 	if s := j.idx.mapsByNode[t.Node]; s != nil {
 		for _, i := range s.v {
 			m := j.maps[i]
@@ -291,6 +302,7 @@ func (jt *JobTracker) pickMapIndexed(j *Job, t *TaskTracker) (*mapTask, Locality
 			return m, NodeLocal
 		}
 	}
+	jt.lookups++
 	if s := j.idx.mapsBySite[t.Site]; s != nil {
 		for _, i := range s.v {
 			m := j.maps[i]

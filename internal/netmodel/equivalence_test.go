@@ -58,6 +58,26 @@ func randomSchedule(r *rand.Rand, nOps, nodesPerSite int) []schedOp {
 // times (-1 when the op never completed) plus final stats.
 func runSchedule(ops []schedOp, nodesPerSite int, global bool) ([]sim.Time, Stats) {
 	eng := sim.New(1)
+	net := newScheduleNet(eng, nodesPerSite, global)
+	done := make([]sim.Time, len(ops))
+	for i := range done {
+		done[i] = -1
+	}
+	for i, op := range ops {
+		i, op := i, op
+		eng.Schedule(op.at, func() {
+			f := startOp(net, op, nodesPerSite, func() { done[i] = eng.Now() })
+			if op.kind == opCancel {
+				eng.Schedule(op.cancelAt, f.Cancel)
+			}
+		})
+	}
+	eng.Run()
+	return done, net.Stats()
+}
+
+// newScheduleNet builds the 3-site network the schedules run on.
+func newScheduleNet(eng *sim.Engine, nodesPerSite int, global bool) *Network {
 	net := newRebalancing(eng, Config{
 		NodeBps:    100e6,
 		DiskBps:    50e6,
@@ -71,35 +91,22 @@ func runSchedule(ops []schedOp, nodesPerSite int, global bool) ([]sim.Time, Stat
 			net.AddNode(site, "n")
 		}
 	}
-	done := make([]sim.Time, len(ops))
-	for i := range done {
-		done[i] = -1
+	return net
+}
+
+// startOp starts op's flow; record runs when it completes.
+func startOp(net *Network, op schedOp, nodesPerSite int, record func()) *Flow {
+	if op.kind == opDisk {
+		return net.StartDiskIO(op.src, op.bytes, record)
 	}
-	for i, op := range ops {
-		i, op := i, op
-		eng.Schedule(op.at, func() {
-			record := func() { done[i] = eng.Now() }
-			var f *Flow
-			switch op.kind {
-			case opDisk:
-				f = net.StartDiskIO(op.src, op.bytes, record)
-			default:
-				src, dst := op.src, op.dst
-				if op.kind == opLAN {
-					dst = NodeID((int(src)/nodesPerSite)*nodesPerSite + int(dst)%nodesPerSite)
-					if dst == src {
-						dst = NodeID((int(src)/nodesPerSite)*nodesPerSite + (int(src)+1)%nodesPerSite)
-					}
-				}
-				f = net.StartFlow(src, dst, op.bytes, record)
-			}
-			if op.kind == opCancel {
-				eng.Schedule(op.cancelAt, f.Cancel)
-			}
-		})
+	src, dst := op.src, op.dst
+	if op.kind == opLAN {
+		dst = NodeID((int(src)/nodesPerSite)*nodesPerSite + int(dst)%nodesPerSite)
+		if dst == src {
+			dst = NodeID((int(src)/nodesPerSite)*nodesPerSite + (int(src)+1)%nodesPerSite)
+		}
 	}
-	eng.Run()
-	return done, net.Stats()
+	return net.StartFlow(src, dst, op.bytes, record)
 }
 
 // TestRebalancerEquivalence asserts that the incremental link-scoped
@@ -121,6 +128,128 @@ func TestRebalancerEquivalence(t *testing.T) {
 		}
 		if incStats != gloStats {
 			t.Fatalf("seed %d: stats diverge: incremental %+v global %+v", seed, incStats, gloStats)
+		}
+	}
+}
+
+// batchShape records how wide the batched schedule's rebalances were.
+type batchShape struct {
+	maxDirty int // most links dirtied by one batch
+	multiRun int // rebalances that merged two or more runs
+	maxRuns  int // most runs one rebalance merged
+	instants int // batched instants
+	checks   int // registry-order checks made
+	// order lists the ops in completion order. Same-instant completions
+	// fire in the order their timers were last re-timed, so it pins the
+	// re-timing order that completion times alone cannot see.
+	order []int
+}
+
+// runBatchedSchedule executes ops like runSchedule, but with start and
+// cancel times snapped to a step grid, and each instant's starts and
+// cancels issued inside one Batch, so one rebalance sees many dirty links.
+// LAN flows started at an instant still join before the WAN flows started
+// with them, and cancels hit flows mid-registry. After every start, cancel
+// and completion it checks that each link registry is seq-ordered.
+func runBatchedSchedule(t *testing.T, ops []schedOp, nodesPerSite int, step sim.Time, global bool) ([]sim.Time, Stats, batchShape) {
+	t.Helper()
+	eng := sim.New(1)
+	net := newScheduleNet(eng, nodesPerSite, global)
+	var shape batchShape
+	check := func(what string, i int) {
+		shape.checks++
+		if err := checkRegistries(net); err != nil {
+			t.Fatalf("after %s of op %d at %v: %v", what, i, eng.Now(), err)
+		}
+	}
+	type action struct {
+		op     int
+		cancel bool
+	}
+	byInstant := map[sim.Time][]action{}
+	var instants []sim.Time
+	add := func(at sim.Time, a action) {
+		if _, ok := byInstant[at]; !ok {
+			instants = append(instants, at)
+		}
+		byInstant[at] = append(byInstant[at], a)
+	}
+	for i, op := range ops {
+		at := op.at / step * step
+		add(at, action{op: i})
+		if op.kind == opCancel {
+			add(max(op.cancelAt/step*step, at+step), action{op: i, cancel: true})
+		}
+	}
+	done := make([]sim.Time, len(ops))
+	for i := range done {
+		done[i] = -1
+	}
+	flows := make([]*Flow, len(ops))
+	for _, at := range instants {
+		acts := byInstant[at]
+		eng.Schedule(at, func() {
+			before := net.Work().Rebalances
+			net.Batch(func() {
+				for _, a := range acts {
+					if a.cancel {
+						flows[a.op].Cancel()
+						check("cancel", a.op)
+						continue
+					}
+					i := a.op
+					flows[i] = startOp(net, ops[i], nodesPerSite, func() {
+						done[i] = eng.Now()
+						shape.order = append(shape.order, i)
+						check("completion", i)
+					})
+					check("start", i)
+				}
+				shape.maxDirty = max(shape.maxDirty, len(net.dirty))
+			})
+			if net.Work().Rebalances > before {
+				if r := lastRuns(net); r >= 2 {
+					shape.multiRun++
+					shape.maxRuns = max(shape.maxRuns, r)
+				}
+			}
+		})
+	}
+	shape.instants = len(instants)
+	eng.Run()
+	return done, net.Stats(), shape
+}
+
+// TestRebalancerEquivalenceBatched holds the run merge to the global oracle
+// where it has the most to merge: batched instants whose single rebalance
+// dirties many links, with re-timed flows on several of them.
+func TestRebalancerEquivalenceBatched(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ops := randomSchedule(r, 400, 4)
+		incDone, incStats, shape := runBatchedSchedule(t, ops, 4, 50*sim.Millisecond, false)
+		gloDone, gloStats, gloShape := runBatchedSchedule(t, ops, 4, 50*sim.Millisecond, true)
+		for i := range ops {
+			if incDone[i] != gloDone[i] {
+				t.Fatalf("seed %d op %d (kind %d): incremental done at %v, global at %v",
+					seed, i, ops[i].kind, incDone[i], gloDone[i])
+			}
+		}
+		if incStats != gloStats {
+			t.Fatalf("seed %d: stats diverge: incremental %+v global %+v", seed, incStats, gloStats)
+		}
+		if len(shape.order) != len(gloShape.order) {
+			t.Fatalf("seed %d: %d completions incrementally, %d globally", seed, len(shape.order), len(gloShape.order))
+		}
+		for k, i := range shape.order {
+			if i != gloShape.order[k] {
+				t.Fatalf("seed %d: completion %d is op %d incrementally, op %d globally", seed, k, i, gloShape.order[k])
+			}
+		}
+		t.Logf("seed %d: %d instants, %d checks, widest batch %d dirty links, %d rebalances merged 2-%d runs",
+			seed, shape.instants, shape.checks, shape.maxDirty, shape.multiRun, shape.maxRuns)
+		if shape.maxDirty < 5 || shape.multiRun == 0 {
+			t.Fatalf("seed %d: batches too narrow to exercise the merge: %+v", seed, shape)
 		}
 	}
 }

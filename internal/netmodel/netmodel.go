@@ -33,7 +33,10 @@
 //
 // Determinism: affected flows are processed in creation-sequence order, and
 // timer rescheduling draws fresh engine tie-breaking sequence numbers, so
-// same-instant completions fire in a stable order — never map order.
+// same-instant completions fire in a stable order — never map order. Each
+// link registry is kept sorted by creation seq (attach inserts in order,
+// detach deletes in place), so a rebalance collects one ascending run per
+// dirty link and merges the runs into creation order instead of sorting.
 package netmodel
 
 import (
@@ -120,21 +123,35 @@ func (l *link) reshare() {
 	}
 }
 
+// attach inserts f into the registry, which is kept sorted by creation seq.
+// Flows mostly join in creation order, so the walk back from the end is
+// short: only a LAN flow that overtakes a WAN flow still in its latency
+// lands before the tail.
 func (l *link) attach(f *Flow) {
+	i := len(l.flows)
 	l.flows = append(l.flows, f)
+	for i > 0 && l.flows[i-1].seq > f.seq {
+		l.flows[i] = l.flows[i-1]
+		i--
+	}
+	l.flows[i] = f
 	l.reshare()
 }
 
+// detach removes f from the registry in place, keeping the seq order.
 func (l *link) detach(f *Flow) {
-	for i, g := range l.flows {
-		if g == f {
-			last := len(l.flows) - 1
-			l.flows[i] = l.flows[last]
-			l.flows[last] = nil
-			l.flows = l.flows[:last]
-			l.reshare()
-			return
+	lo, hi := 0, len(l.flows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.flows[m].seq < f.seq {
+			lo = m + 1
+		} else {
+			hi = m
 		}
+	}
+	if lo < len(l.flows) && l.flows[lo] == f {
+		l.flows = slices.Delete(l.flows, lo, lo+1)
+		l.reshare()
 	}
 }
 
@@ -163,6 +180,14 @@ type Stats struct {
 	FlowsStarted, FlowsCanceled int
 }
 
+// Work counts the rebalancer's work: the rebalances that ran, the registry
+// entries they visited (every active flow, on the global path), and the
+// flows they re-timed. The counts are exact for a seed but feed no result,
+// census or snapshot.
+type Work struct {
+	Rebalances, Visits, Retimed int64
+}
+
 // Network is the simulated fabric. It is driven entirely by the sim engine
 // and is not safe for concurrent use.
 type Network struct {
@@ -176,8 +201,11 @@ type Network struct {
 	flowSeq  uint64  // creation-order stamp for deterministic iteration
 	dirty    []*link // links whose population changed since the last rebalance
 	affected []*Flow // scratch: flows touched by the current rebalance
+	mergeBuf []*Flow // scratch: the other half of the run merge
+	runEnds  []int   // scratch: end of each seq-ordered run in affected
 	epoch    uint64  // rebalance generation, for affected-set dedupe
 	batching int     // >0 while Batch() defers rebalancing
+	work     Work
 
 	// global selects the O(flows) rebalance-everything path instead of the
 	// link-scoped incremental one. Both produce identical results; only
@@ -284,6 +312,9 @@ func (n *Network) SameSite(a, b NodeID) bool { return n.nodes[a].site == n.nodes
 
 // Stats returns a copy of the accumulated traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
+
+// Work returns the rebalancer's work counters.
+func (n *Network) Work() Work { return n.work }
 
 // ActiveFlows returns the number of in-flight flows (network and disk).
 func (n *Network) ActiveFlows() int { return n.nActive }
@@ -507,7 +538,9 @@ func (n *Network) rebalance() {
 			l.dirty = false
 		}
 		n.dirty = n.dirty[:0]
+		n.work.Rebalances++
 		for _, f := range n.order {
+			n.work.Visits++
 			n.recompute(f, now)
 		}
 		return
@@ -515,16 +548,20 @@ func (n *Network) rebalance() {
 	if len(n.dirty) == 0 {
 		return
 	}
-	// Pass 1, unordered: scan the dirty links' registries and keep only the
-	// flows whose equal-share rate actually moved. Skipped flows have no
-	// side effects, so ordering only matters for the survivors — sorting
-	// the (usually much smaller) changed set is the hot-path saving.
+	n.work.Rebalances++
+	// Pass 1, link by link: scan the dirty links' registries and keep only
+	// the flows whose equal-share rate actually moved. Skipped flows have no
+	// side effects, so ordering only matters for the survivors. Registries
+	// are seq-ordered, so each link contributes one ascending run.
 	n.epoch++
 	changed := n.affected[:0]
+	ends := n.runEnds[:0]
 	for _, l := range n.dirty {
 		l.dirty = false
 		share := l.shareVal
 		prev := l.prevShare
+		n.work.Visits += int64(len(l.flows))
+		start := len(changed)
 		for _, f := range l.flows {
 			if f.mark == n.epoch {
 				continue
@@ -543,23 +580,72 @@ func (n *Network) rebalance() {
 				changed = append(changed, f)
 			}
 		}
+		if len(changed) > start {
+			ends = append(ends, len(changed))
+		}
 	}
 	n.dirty = n.dirty[:0]
-	// Pass 2, creation order: settle and re-time. Fresh tie-breaking seqs
-	// are drawn in the same order the global path would draw them.
-	slices.SortFunc(changed, func(a, b *Flow) int {
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-	for _, f := range changed {
+	n.affected, n.runEnds = changed, ends
+	// Pass 2, creation order: merge the runs, then settle and re-time. Fresh
+	// tie-breaking seqs are drawn in the same order the global path would
+	// draw them.
+	ordered := n.mergeRuns(changed, ends)
+	for _, f := range ordered {
 		n.applyRate(f, now, f.newRate)
 	}
-	for i := range changed {
-		changed[i] = nil
+	clear(changed)
+	if len(ends) > 1 {
+		clear(n.mergeBuf[:len(changed)])
 	}
-	n.affected = changed[:0]
+}
+
+// mergeRuns orders a by seq. a is the concatenation of ascending runs, the
+// i-th ending at ends[i]; adjacent runs are merged pairwise, bottom up,
+// between a and the reused mergeBuf, so k runs of m flows in total cost
+// O(m log k). The result aliases a or mergeBuf; ends is consumed.
+func (n *Network) mergeRuns(a []*Flow, ends []int) []*Flow {
+	if len(ends) <= 1 {
+		return a
+	}
+	if cap(n.mergeBuf) < len(a) {
+		n.mergeBuf = make([]*Flow, len(a), 2*len(a))
+	}
+	b := n.mergeBuf[:len(a)]
+	for len(ends) > 1 {
+		lo, out := 0, ends[:0]
+		for i := 0; i < len(ends); i += 2 {
+			if i+1 == len(ends) {
+				copy(b[lo:], a[lo:ends[i]])
+				out = append(out, ends[i])
+				break
+			}
+			mid, hi := ends[i], ends[i+1]
+			mergeSeq(b[lo:hi], a[lo:mid], a[mid:hi])
+			out = append(out, hi)
+			lo = hi
+		}
+		ends = out
+		a, b = b, a
+	}
+	return a
+}
+
+// mergeSeq merges the seq-ascending runs x and y into dst, which has room
+// for both.
+func mergeSeq(dst, x, y []*Flow) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if x[i].seq < y[j].seq {
+			dst[k] = x[i]
+			i++
+		} else {
+			dst[k] = y[j]
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
 }
 
 // flowRate returns the flow's current equal-share rate: the minimum share
@@ -590,6 +676,7 @@ func (n *Network) recompute(f *Flow, now sim.Time) {
 // so incremental and global rebalancing accumulate byte-identical remaining
 // values.
 func (n *Network) applyRate(f *Flow, now sim.Time, rate float64) {
+	n.work.Retimed++
 	if dt := (now - f.lastSettle).Seconds(); dt > 0 {
 		f.remaining -= f.rate * dt
 		if f.remaining < 0 {
