@@ -30,6 +30,7 @@ import (
 
 	"hog/internal/core"
 	"hog/internal/grid"
+	"hog/internal/hdfs"
 	"hog/internal/sim"
 	"hog/internal/snapshot"
 	"hog/internal/traceio"
@@ -62,7 +63,7 @@ func simMain(args []string) int {
 		scale       = fs.Float64("scale", 1.0, "workload scale (1.0 = 88 jobs)")
 		cluster     = fs.Bool("cluster", false, "run the Table III dedicated cluster instead of HOG")
 		repl        = fs.Int("repl", 0, "override HDFS replication factor")
-		siteAware   = fs.Bool("site-aware", true, "enable site-aware placement")
+		siteAware   = fs.Bool("site-aware", true, "site-aware placement; false selects the \"flat\" policy")
 		deadTimeout = fs.Float64("dead-timeout", 0, "override dead timeout in seconds")
 		zombieName  = fs.String("zombie", "fixed", "preempted daemon mode: fixed|unfixed|disk-check")
 		copies      = fs.Int("copies", 0, "max task copies (future-work redundancy when > 2)")
@@ -96,7 +97,9 @@ func simMain(args []string) int {
 	if *repl > 0 {
 		cfg.HDFS.Replication = *repl
 	}
-	cfg.HDFS.SiteAware = *siteAware
+	if !*siteAware {
+		cfg.HDFS.PlacementPolicy = hdfs.PlacementFlat
+	}
 	if *deadTimeout > 0 {
 		cfg.HDFS.DeadTimeout = sim.Seconds(*deadTimeout)
 		cfg.MapRed.TrackerTimeout = sim.Seconds(*deadTimeout)

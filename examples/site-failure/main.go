@@ -15,7 +15,7 @@ import (
 	"hog"
 )
 
-func run(label string, repl int, siteAware bool) {
+func run(label string, repl int, placement string) {
 	// Watch the fault land, live, through the event stream.
 	narrator := hog.ObserverFunc(func(e hog.Event) {
 		if e.Type == hog.EvSiteOutage {
@@ -28,10 +28,8 @@ func run(label string, repl int, siteAware bool) {
 	sys, err := hog.New(
 		hog.WithHOGPool(60, hog.ChurnNone),
 		hog.WithSeed(11),
-		hog.WithHDFS(func(c *hog.HDFSConfig) {
-			c.Replication = repl
-			c.SiteAware = siteAware
-		}),
+		hog.WithHDFS(func(c *hog.HDFSConfig) { c.Replication = repl }),
+		hog.WithPlacementPolicy(placement),
 		hog.WithObserver(narrator),
 		collect,
 		// Five minutes into the run, the largest site's batch system preempts
@@ -46,7 +44,7 @@ func run(label string, repl int, siteAware bool) {
 
 	res := sys.RunWorkload(hog.GenerateWorkload(11, 0.3))
 	fmt.Printf("%s\n", label)
-	fmt.Printf("  replication=%d siteAware=%v\n", repl, siteAware)
+	fmt.Printf("  replication=%d placement=%s\n", repl, placement)
 	fmt.Printf("  response %.0f s, jobs failed %d, blocks lost %d, re-replications %d\n\n",
 		res.ResponseTime.Seconds(), res.JobsFailed,
 		events.Count(hog.EvBlockLost), events.Count(hog.EvReplicationDone))
@@ -54,8 +52,8 @@ func run(label string, repl int, siteAware bool) {
 
 func main() {
 	fmt.Println("== whole-site failure during the workload ==")
-	run("HOG (the paper's configuration):", 10, true)
-	run("naive grid deployment:", 2, false)
+	run("HOG (the paper's configuration):", 10, "grid")
+	run("naive grid deployment:", 2, "flat")
 	fmt.Println("Site awareness guarantees replicas span sites, so a whole-site")
 	fmt.Println("outage cannot take out every copy of a block; replication 10")
 	fmt.Println("additionally rides out simultaneous preemptions faster than the")

@@ -10,8 +10,7 @@
 //     Hadoop MapReduce 1.0 scheduling — plus the paper's dedicated
 //     comparison cluster. Systems are built with New and functional options,
 //     observed through the typed event stream (Observer, EventLog), and
-//     driven through scripted fault injection (Scenario); the legacy
-//     NewSystem(Config) facade remains for existing callers.
+//     driven through scripted fault injection (Scenario).
 //   - A real, concurrent, in-process MapReduce engine (RunJob, Mapper,
 //     Reducer, ...) with the Hadoop programming model the paper promises to
 //     leave unchanged.
@@ -55,9 +54,6 @@ type (
 	Result = core.Result
 	// ZombieMode selects preempted-daemon behaviour (paper §IV.D.1).
 	ZombieMode = core.ZombieMode
-	// Policies selects the pluggable scheduling, speculation, placement,
-	// and replication policies by registry name (docs/POLICIES.md).
-	Policies = core.Policies
 	// FairPoolConfig parameterises one fair-share pool ("fair" scheduler);
 	// distinct from PoolConfig, which shapes the glide-in worker pool.
 	FairPoolConfig = mapred.PoolConfig
@@ -92,12 +88,6 @@ const (
 	ChurnStable   = grid.ChurnStable
 	ChurnUnstable = grid.ChurnUnstable
 )
-
-// NewSystem builds a simulated system from cfg, panicking on an invalid
-// configuration. It is the legacy facade, retained so existing callers
-// compile unchanged; new code should prefer New, which takes functional
-// options and returns an error through the same validator.
-func NewSystem(cfg Config) *System { return core.New(cfg) }
 
 // HOGConfig returns the paper's HOG setup at the given pool size and churn:
 // five OSG sites, one map and one reduce slot per node, replication 10,

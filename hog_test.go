@@ -30,7 +30,10 @@ func TestFacadeWordCount(t *testing.T) {
 
 func TestFacadeSimulation(t *testing.T) {
 	sched := GenerateWorkload(1, 0.05)
-	sys := NewSystem(HOGConfig(15, ChurnNone, 1))
+	sys, err := New(WithConfig(HOGConfig(15, ChurnNone, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := sys.RunWorkload(sched)
 	if res.JobsFailed != 0 || res.ResponseTime <= 0 {
 		t.Fatalf("facade run failed: %d failed, resp %v", res.JobsFailed, res.ResponseTime)

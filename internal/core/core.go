@@ -104,17 +104,15 @@ type Config struct {
 	// Static configures a fixed dedicated cluster.
 	Static []StaticGroup
 
-	Net    netmodel.Config
+	Net netmodel.Config
+	// HDFS and MapRed configure the masters, including the pluggable
+	// policies they run, by registry name (HDFS.PlacementPolicy,
+	// HDFS.ReplicationOrder, MapRed.SchedulerPolicy,
+	// MapRed.SpeculationPolicy). Validate checks each name; the empty name
+	// keeps that decision point's default.
 	HDFS   hdfs.Config
 	MapRed mapred.Config
 	Costs  JobCosts
-
-	// Policies selects the pluggable decision points by registry name. Empty
-	// fields keep the defaults, which reproduce the pre-extraction behaviour
-	// bit for bit. Non-empty names override the corresponding subsystem
-	// config fields (HDFS.PlacementPolicy etc.) and are validated against
-	// the registries by Validate.
-	Policies Policies
 
 	// Zombie selects preemption daemon behaviour (grid systems only).
 	Zombie ZombieMode
@@ -142,24 +140,6 @@ type Config struct {
 	// reconnects. The default (30 min) is far above every scripted outage in
 	// the benchmark suite, so it never fires unless a scenario asks for it.
 	MasterRetryTotal sim.Time
-}
-
-// Policies names the pluggable policies for the four extracted decision
-// points. Each name must be registered in the owning subsystem (see
-// mapred.SchedulerPolicyNames, mapred.SpeculationPolicyNames,
-// hdfs.PlacementPolicyNames, hdfs.ReplicationOrderNames); the empty string
-// selects that point's default.
-type Policies struct {
-	// Scheduler orders jobs for slot assignment ("fifo", "fair").
-	Scheduler string
-	// Speculation decides when a running task is a straggler worth a
-	// redundant copy ("threshold", "site-load").
-	Speculation string
-	// Placement chooses replica targets for writes and recovery copies
-	// ("grid", "random").
-	Placement string
-	// Replication orders the block-recovery queue ("fifo", "rarest").
-	Replication string
 }
 
 // GridConfig holds the grid-specific parts of a Config.
@@ -374,9 +354,9 @@ type System struct {
 	work      Work
 }
 
-// New builds a system from cfg, panicking on an invalid configuration (the
-// legacy facade behaviour). NewSystem is the error-returning constructor;
-// both run the same Validate.
+// New builds a system from cfg, panicking on an invalid configuration, for
+// callers whose configs are fixed presets. NewSystem is the error-returning
+// constructor; both run the same Validate.
 func New(cfg Config) *System {
 	s, err := NewSystem(cfg)
 	if err != nil {
@@ -411,22 +391,6 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 	}
 	if cfg.MasterRetryTotal <= 0 {
 		cfg.MasterRetryTotal = 30 * sim.Minute
-	}
-	// Fold the top-level policy selections into the subsystem configs before
-	// the masters are built; Validate has already vetted the names.
-	if p := cfg.Policies; p != (Policies{}) {
-		if p.Scheduler != "" {
-			cfg.MapRed.SchedulerPolicy = p.Scheduler
-		}
-		if p.Speculation != "" {
-			cfg.MapRed.SpeculationPolicy = p.Speculation
-		}
-		if p.Placement != "" {
-			cfg.HDFS.PlacementPolicy = p.Placement
-		}
-		if p.Replication != "" {
-			cfg.HDFS.ReplicationOrder = p.Replication
-		}
 	}
 	s := &System{
 		Eng:      sim.New(cfg.Seed),

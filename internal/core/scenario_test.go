@@ -6,6 +6,7 @@ import (
 
 	"hog/internal/event"
 	"hog/internal/grid"
+	"hog/internal/hdfs"
 	"hog/internal/sim"
 )
 
@@ -37,6 +38,38 @@ func TestValidateErrors(t *testing.T) {
 			c.Grid.Sites[1].Name = c.Grid.Sites[0].Name
 			return c
 		}(), "duplicate site name"},
+		// A negative offset or mean once passed here and panicked at the
+		// first sample with "sim: Schedule in the past".
+		{"negative lifetime mean", func() Config {
+			c := HOGConfig(10, grid.ChurnStable, 1)
+			c.Grid.Sites[3].NodeLifetime.Mean = -sim.Hour
+			return c
+		}(), "node lifetime {Offset:"},
+		{"negative lifetime offset", func() Config {
+			c := HOGConfig(10, grid.ChurnStable, 1)
+			c.Grid.Sites[0].NodeLifetime.Offset = -sim.Second
+			return c
+		}(), "node lifetime {Offset:"},
+		{"negative batch preemption mean", func() Config {
+			c := HOGConfig(10, grid.ChurnStable, 1)
+			c.Grid.Sites[1].BatchPreemptEvery.Mean = -sim.Minute
+			return c
+		}(), "batch preemption interval {Offset:"},
+		{"negative provision delay offset", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.Grid.Pool.ProvisionDelay.Offset = -sim.Minute
+			return c
+		}(), "pool provision delay {Offset:"},
+		{"tiny block size", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.HDFS.BlockSize = 64
+			return c
+		}(), "below the 1048576-byte minimum"},
+		{"negative provision delay mean", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.Grid.Pool.ProvisionDelay.Mean = -1
+			return c
+		}(), "pool provision delay {Offset:"},
 	}
 	for _, tc := range cases {
 		sys, err := NewSystem(tc.cfg)
@@ -46,7 +79,7 @@ func TestValidateErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
-		// The legacy facade panics with the same validator message.
+		// New panics with the same validator message.
 		func() {
 			defer func() {
 				r := recover()
@@ -170,7 +203,7 @@ func TestScenarioMatchesManualInjection(t *testing.T) {
 	build := func() *System {
 		cfg := HOGConfig(60, grid.ChurnNone, 11)
 		cfg.HDFS.Replication = 2
-		cfg.HDFS.SiteAware = false
+		cfg.HDFS.PlacementPolicy = hdfs.PlacementFlat
 		return New(cfg)
 	}
 	manual := build()

@@ -6,12 +6,13 @@ import (
 
 	"hog/internal/hdfs"
 	"hog/internal/mapred"
+	"hog/internal/sim"
 )
 
 // Validate checks a Config for structural errors before any simulation state
 // is built. It is the single validation path for both constructors: the
-// error-returning NewSystem surfaces the message, and the legacy panicking
-// New facade panics with the same one.
+// error-returning NewSystem surfaces the message, and New, its panicking
+// wrapper, panics with the same one.
 func Validate(cfg Config) error {
 	if cfg.Grid != nil && len(cfg.Static) > 0 {
 		return errors.New("core: Grid and Static are mutually exclusive; configure exactly one worker supply")
@@ -41,6 +42,15 @@ func Validate(cfg Config) error {
 			if sc.BatchPreemptFrac < 0 || sc.BatchPreemptFrac > 1 {
 				return fmt.Errorf("core: site %q batch preemption fraction %g outside [0,1]", sc.Name, sc.BatchPreemptFrac)
 			}
+			if negativeDist(sc.NodeLifetime) {
+				return fmt.Errorf("core: site %q node lifetime %+v has a negative offset or mean", sc.Name, sc.NodeLifetime)
+			}
+			if negativeDist(sc.BatchPreemptEvery) {
+				return fmt.Errorf("core: site %q batch preemption interval %+v has a negative offset or mean", sc.Name, sc.BatchPreemptEvery)
+			}
+		}
+		if negativeDist(g.Pool.ProvisionDelay) {
+			return fmt.Errorf("core: pool provision delay %+v has a negative offset or mean", g.Pool.ProvisionDelay)
 		}
 	}
 	for i, g := range cfg.Static {
@@ -50,6 +60,11 @@ func Validate(cfg Config) error {
 		if g.Count > 0 && g.MapSlots <= 0 && g.ReduceSlots <= 0 {
 			return fmt.Errorf("core: static group %d has no task slots", i)
 		}
+	}
+	// HDFS's own floor (dfs.namenode.fs-limits.min-block-size): a 64-byte
+	// block size turned one 128 MB input into two million blocks.
+	if b := cfg.HDFS.BlockSize; b > 0 && b < minBlockSize {
+		return fmt.Errorf("core: HDFS block size %g is below the %d-byte minimum", b, minBlockSize)
 	}
 	if err := validatePolicies(cfg); err != nil {
 		return err
@@ -63,38 +78,28 @@ func Validate(cfg Config) error {
 	return nil
 }
 
-// validatePolicies vets every policy name — whether set through the
-// top-level Policies block or directly on the subsystem configs — against
-// the owning registry, rejects combinations that cannot work, and checks
-// fair-share pool parameters. Construction never re-checks: NewSystem folds
-// Policies into the subsystem configs after this passes.
+// minBlockSize is the smallest HDFS block size a config may set (1 MiB).
+const minBlockSize = 1 << 20
+
+// negativeDist reports whether d has a negative offset or mean. Its samples
+// could then fall before the current instant, which the engine refuses to
+// schedule.
+func negativeDist(d sim.Dist) bool { return d.Offset < 0 || d.Mean < 0 }
+
+// validatePolicies vets the policy names on the subsystem configs against
+// their registries and checks fair-share pool parameters, so the masters'
+// constructors never meet an unknown name.
 func validatePolicies(cfg Config) error {
-	sched := cfg.Policies.Scheduler
-	if sched == "" {
-		sched = cfg.MapRed.SchedulerPolicy
-	}
-	if _, err := mapred.NewSchedulerPolicy(sched); err != nil {
+	if _, err := mapred.NewSchedulerPolicy(cfg.MapRed.SchedulerPolicy); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	spec := cfg.Policies.Speculation
-	if spec == "" {
-		spec = cfg.MapRed.SpeculationPolicy
-	}
-	if _, err := mapred.NewSpeculationPolicy(spec); err != nil {
+	if _, err := mapred.NewSpeculationPolicy(cfg.MapRed.SpeculationPolicy); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	place := cfg.Policies.Placement
-	if place == "" {
-		place = cfg.HDFS.PlacementPolicy
-	}
-	if _, err := hdfs.NewPlacementPolicy(place); err != nil {
+	if _, err := hdfs.NewPlacementPolicy(cfg.HDFS.PlacementPolicy); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	repl := cfg.Policies.Replication
-	if repl == "" {
-		repl = cfg.HDFS.ReplicationOrder
-	}
-	if _, err := hdfs.NewReplicationOrder(repl); err != nil {
+	if _, err := hdfs.NewReplicationOrder(cfg.HDFS.ReplicationOrder); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	for name, pc := range cfg.MapRed.Pools {

@@ -8,10 +8,18 @@ import (
 	"hog/internal/mapred"
 )
 
+// withPolicies names all four policies on a copy of c's subsystem configs.
+func withPolicies(c Config, sched, spec, place, repl string) Config {
+	c.MapRed.SchedulerPolicy = sched
+	c.MapRed.SpeculationPolicy = spec
+	c.HDFS.PlacementPolicy = place
+	c.HDFS.ReplicationOrder = repl
+	return c
+}
+
 // TestValidatePolicies is the table-driven gate on the policy surface:
-// unknown names at every decision point (top-level Policies block or direct
-// subsystem config), the scan-scheduler conflict, and pool parameter
-// bounds — each rejected with a message naming the problem.
+// unknown names at every decision point and pool parameter bounds, each
+// rejected with a message naming the problem.
 func TestValidatePolicies(t *testing.T) {
 	base := func() Config { return HOGConfig(10, grid.ChurnNone, 1) }
 	cases := []struct {
@@ -20,41 +28,13 @@ func TestValidatePolicies(t *testing.T) {
 		want string // "" accepts
 	}{
 		{"all defaults", base(), ""},
-		{"explicit defaults", func() Config {
-			c := base()
-			c.Policies = Policies{Scheduler: "fifo", Speculation: "threshold", Placement: "grid", Replication: "fifo"}
-			return c
-		}(), ""},
-		{"all alternatives", func() Config {
-			c := base()
-			c.Policies = Policies{Scheduler: "fair", Speculation: "site-load", Placement: "random", Replication: "rarest"}
-			return c
-		}(), ""},
-		{"unknown scheduler", func() Config {
-			c := base()
-			c.Policies.Scheduler = "lottery"
-			return c
-		}(), `unknown scheduler policy "lottery"`},
-		{"unknown speculation", func() Config {
-			c := base()
-			c.Policies.Speculation = "psychic"
-			return c
-		}(), `unknown speculation policy "psychic"`},
-		{"unknown placement", func() Config {
-			c := base()
-			c.Policies.Placement = "antigravity"
-			return c
-		}(), `unknown placement policy "antigravity"`},
-		{"unknown replication order", func() Config {
-			c := base()
-			c.Policies.Replication = "loudest"
-			return c
-		}(), `unknown replication order "loudest"`},
-		{"unknown name on subsystem config", func() Config {
-			c := base()
-			c.MapRed.SchedulerPolicy = "lottery"
-			return c
-		}(), `unknown scheduler policy "lottery"`},
+		{"explicit defaults", withPolicies(base(), "fifo", "threshold", "grid", "fifo"), ""},
+		{"all alternatives", withPolicies(base(), "fair", "site-load", "random", "rarest"), ""},
+		{"flat placement", withPolicies(base(), "", "", "flat", ""), ""},
+		{"unknown scheduler", withPolicies(base(), "lottery", "", "", ""), `unknown scheduler policy "lottery"`},
+		{"unknown speculation", withPolicies(base(), "", "psychic", "", ""), `unknown speculation policy "psychic"`},
+		{"unknown placement", withPolicies(base(), "", "", "antigravity", ""), `unknown placement policy "antigravity"`},
+		{"unknown replication order", withPolicies(base(), "", "", "", "loudest"), `unknown replication order "loudest"`},
 		{"negative pool weight", func() Config {
 			c := base()
 			c.MapRed.Pools = map[string]mapred.PoolConfig{"a": {Weight: -1}}
@@ -84,9 +64,9 @@ func TestValidatePolicies(t *testing.T) {
 	}
 }
 
-// TestPoliciesReachSubsystems: NewSystem must fold the top-level Policies
-// block into the masters it builds, and leave the defaults in place when the
-// block is empty.
+// TestPoliciesReachSubsystems: the policy names on the subsystem configs
+// must reach the masters NewSystem builds, and empty names must leave the
+// defaults in place.
 func TestPoliciesReachSubsystems(t *testing.T) {
 	def, err := NewSystem(HOGConfig(10, grid.ChurnNone, 1))
 	if err != nil {
@@ -105,9 +85,7 @@ func TestPoliciesReachSubsystems(t *testing.T) {
 		t.Errorf("default replication order %q, want fifo", got)
 	}
 
-	cfg := HOGConfig(10, grid.ChurnNone, 1)
-	cfg.Policies = Policies{Scheduler: "fair", Speculation: "site-load", Placement: "random", Replication: "rarest"}
-	alt, err := NewSystem(cfg)
+	alt, err := NewSystem(withPolicies(HOGConfig(10, grid.ChurnNone, 1), "fair", "site-load", "random", "rarest"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,24 +6,26 @@ import (
 
 	"hog/internal/core"
 	"hog/internal/grid"
+	"hog/internal/hdfs"
 	"hog/internal/hod"
 	"hog/internal/sim"
 	"hog/internal/workload"
 )
 
-// SiteFailureCase is one A-SITE configuration.
+// SiteFailureCase is one A-SITE configuration: a replication factor and a
+// placement policy.
 type SiteFailureCase struct {
 	Label     string
 	Repl      int
-	SiteAware bool
+	Placement string
 }
 
 // SiteFailureCases returns the paper's configuration (replication 10, site
 // aware) and a naive one (replication 2, flat).
 func SiteFailureCases() []SiteFailureCase {
 	return []SiteFailureCase{
-		{"HOG (repl 10, site-aware)", 10, true},
-		{"naive (repl 2, flat)", 2, false},
+		{"HOG (repl 10, site-aware)", 10, hdfs.PlacementGrid},
+		{"naive (repl 2, flat)", 2, hdfs.PlacementFlat},
 	}
 }
 
@@ -32,7 +34,6 @@ func SiteFailureCases() []SiteFailureCase {
 type SiteFailureResult struct {
 	Label      string
 	Repl       int
-	SiteAware  bool
 	BlocksLost int
 	JobsFailed int
 	Response   sim.Time
@@ -51,7 +52,7 @@ func SiteFailureTrial(c SiteFailureCase, opts Options) SiteFailureResult {
 	opts = opts.WithDefaults()
 	cfg := core.HOGConfig(60, grid.ChurnNone, opts.Seeds[0])
 	cfg.HDFS.Replication = c.Repl
-	cfg.HDFS.SiteAware = c.SiteAware
+	cfg.HDFS.PlacementPolicy = c.Placement
 	sys := core.New(opts.tune(cfg))
 	outage := core.NewScenario("whole-site outage").
 		SiteOutageAt(300*sim.Second, SiteFailureSite, 1.0)
@@ -60,7 +61,7 @@ func SiteFailureTrial(c SiteFailureCase, opts Options) SiteFailureResult {
 	}
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	return SiteFailureResult{
-		Label: c.Label, Repl: c.Repl, SiteAware: c.SiteAware,
+		Label: c.Label, Repl: c.Repl,
 		BlocksLost: res.NN.BlocksLost, JobsFailed: res.JobsFailed,
 		Response: res.ResponseTime,
 	}

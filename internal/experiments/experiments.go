@@ -46,16 +46,16 @@ type Options struct {
 // tune applies the option-level knobs to a built core config.
 func (o Options) tune(cfg core.Config) core.Config {
 	if o.SchedulerPolicy != "" {
-		cfg.Policies.Scheduler = o.SchedulerPolicy
+		cfg.MapRed.SchedulerPolicy = o.SchedulerPolicy
 	}
 	if o.SpeculationPolicy != "" {
-		cfg.Policies.Speculation = o.SpeculationPolicy
+		cfg.MapRed.SpeculationPolicy = o.SpeculationPolicy
 	}
 	if o.PlacementPolicy != "" {
-		cfg.Policies.Placement = o.PlacementPolicy
+		cfg.HDFS.PlacementPolicy = o.PlacementPolicy
 	}
 	if o.ReplicationOrder != "" {
-		cfg.Policies.Replication = o.ReplicationOrder
+		cfg.HDFS.ReplicationOrder = o.ReplicationOrder
 	}
 	return cfg
 }

@@ -65,13 +65,13 @@ func PolicyTrial(kind, name string, churn grid.ChurnProfile, seed int64, opts Op
 	cfg := opts.tune(core.HOGConfig(60, churn, seed))
 	switch kind {
 	case "sched":
-		cfg.Policies.Scheduler = name
+		cfg.MapRed.SchedulerPolicy = name
 	case "place":
-		cfg.Policies.Placement = name
+		cfg.HDFS.PlacementPolicy = name
 	case "spec":
-		cfg.Policies.Speculation = name
+		cfg.MapRed.SpeculationPolicy = name
 	case "repl":
-		cfg.Policies.Replication = name
+		cfg.HDFS.ReplicationOrder = name
 	default:
 		panic(fmt.Sprintf("experiments: unknown policy kind %q", kind))
 	}

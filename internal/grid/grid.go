@@ -29,10 +29,10 @@ type SiteConfig struct {
 	// Capacity as the weight.
 	Weight float64
 	// NodeLifetime is the distribution of time until an individual glide-in
-	// is preempted by the remote batch system.
+	// is preempted by the remote batch system; the zero value never preempts.
 	NodeLifetime sim.Dist
 	// BatchPreemptEvery is the distribution of time between site-wide batch
-	// preemption events; nil disables them.
+	// preemption events; the zero value disables them.
 	BatchPreemptEvery sim.Dist
 	// BatchPreemptFrac is the fraction of our nodes at the site preempted
 	// per batch event.
@@ -45,7 +45,8 @@ type SiteConfig struct {
 type PoolConfig struct {
 	// ProvisionDelay is the time from requesting a worker node to the
 	// Hadoop daemons reporting in: batch queue wait, executable download
-	// (the 75 MB package, §III.A), extraction and startup.
+	// (the 75 MB package, §III.A), extraction and startup. The zero value
+	// selects 30 s plus an exponential with a 60 s mean.
 	ProvisionDelay sim.Dist
 	// DiskBytesPerNode is scratch space available on each worker.
 	DiskBytesPerNode float64
@@ -125,8 +126,8 @@ func NewPool(eng *sim.Engine, net *netmodel.Network, sites []SiteConfig, cfg Poo
 	if cfg.ReduceSlots <= 0 {
 		cfg.ReduceSlots = 1
 	}
-	if cfg.ProvisionDelay == nil {
-		cfg.ProvisionDelay = sim.Shifted{Offset: 30 * sim.Second, D: sim.Exponential{M: 60 * sim.Second}}
+	if cfg.ProvisionDelay.IsZero() {
+		cfg.ProvisionDelay = sim.Dist{Offset: 30 * sim.Second, Mean: 60 * sim.Second}
 	}
 	if cfg.DiskBytesPerNode <= 0 {
 		cfg.DiskBytesPerNode = 40e9
@@ -242,7 +243,7 @@ func (p *Pool) provision() {
 	p.alive++
 	sr.alive++
 	p.stats.Provisioned++
-	if sr.cfg.NodeLifetime != nil {
+	if !sr.cfg.NodeLifetime.IsZero() {
 		life := sr.cfg.NodeLifetime.Sample(p.eng.Rand())
 		n.lifetime = p.eng.After(life, func() { p.preempt(n, &p.stats.Preempted, true, "lifetime") })
 	}
@@ -402,7 +403,7 @@ func (p *Pool) KillFraction(frac float64) int {
 }
 
 func (p *Pool) scheduleBatchPreemption(sr *siteRuntime) {
-	if sr.cfg.BatchPreemptEvery == nil || sr.cfg.BatchPreemptFrac <= 0 {
+	if sr.cfg.BatchPreemptEvery.IsZero() || sr.cfg.BatchPreemptFrac <= 0 {
 		return
 	}
 	p.eng.After(sr.cfg.BatchPreemptEvery.Sample(p.eng.Rand()), func() {

@@ -50,12 +50,12 @@ func OSGSites(profile ChurnProfile) []SiteConfig {
 func applyChurn(s *SiteConfig, profile ChurnProfile) {
 	switch profile {
 	case ChurnStable:
-		s.NodeLifetime = sim.Exponential{M: 14 * sim.Hour}
-		s.BatchPreemptEvery = sim.Exponential{M: 3 * sim.Hour}
+		s.NodeLifetime = sim.Dist{Mean: 14 * sim.Hour}
+		s.BatchPreemptEvery = sim.Dist{Mean: 3 * sim.Hour}
 		s.BatchPreemptFrac = 0.04
 	case ChurnUnstable:
-		s.NodeLifetime = sim.Exponential{M: 90 * sim.Minute}
-		s.BatchPreemptEvery = sim.Exponential{M: 25 * sim.Minute}
+		s.NodeLifetime = sim.Dist{Mean: 90 * sim.Minute}
+		s.BatchPreemptEvery = sim.Dist{Mean: 25 * sim.Minute}
 		s.BatchPreemptFrac = 0.18
 	}
 }
@@ -164,7 +164,7 @@ func GigaGridSites(profile ChurnProfile) []SiteConfig {
 // covering batch queue wait plus the 75 MB package download and startup.
 func DefaultPoolConfig() PoolConfig {
 	return PoolConfig{
-		ProvisionDelay:   sim.Shifted{Offset: 45 * sim.Second, D: sim.Exponential{M: 90 * sim.Second}},
+		ProvisionDelay:   sim.Dist{Offset: 45 * sim.Second, Mean: 90 * sim.Second},
 		DiskBytesPerNode: 250e9,
 		MapSlots:         1,
 		ReduceSlots:      1,

@@ -15,7 +15,7 @@ import (
 // the balancer has obvious work to do.
 func balancerState(t *testing.T, seed int64) *harness {
 	t.Helper()
-	h := newHarness(t, seed, 3, Config{Replication: 2, SiteAware: true})
+	h := newHarness(t, seed, 3, Config{Replication: 2})
 	// Starve all but site 0 so seeding concentrates replicas.
 	for i, id := range h.all {
 		if i >= 3 {
@@ -137,7 +137,7 @@ func TestBlockRingMemoryBounded(t *testing.T) {
 // and asserts the queue's backing memory stays bounded by the concurrent
 // backlog rather than growing with everything ever queued.
 func TestReplicationQueueBounded(t *testing.T) {
-	h := newHarness(t, 3, 4, Config{Replication: 3, DeadTimeout: 20 * sim.Second, CheckInterval: 5 * sim.Second})
+	h := newHarness(t, 3, 4, Config{Replication: 3, DeadTimeout: 20 * sim.Second, CheckInterval: 5 * sim.Second, PlacementPolicy: PlacementFlat})
 	h.nn.SeedFile("/in/data", 20*DefaultBlockSize, 0)
 	dead := map[netmodel.NodeID]bool{}
 	tick := h.heartbeatAll(dead)

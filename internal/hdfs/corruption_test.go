@@ -13,7 +13,7 @@ import (
 // fails over to a clean copy and succeeds, and the re-replication queue
 // restores full replication.
 func TestCorruptReadDetectsFailsOverAndRepairs(t *testing.T) {
-	h := newHarness(t, 21, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 21, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
 	f := h.nn.SeedFile("/in/rot", 2*DefaultBlockSize, 3)
@@ -65,7 +65,7 @@ func TestCorruptReadDetectsFailsOverAndRepairs(t *testing.T) {
 // backoff and then fails — it must not retry forever, and it must not hand
 // back corrupt data.
 func TestReadBackoffIsCappedExponential(t *testing.T) {
-	h := newHarness(t, 22, 2, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
+	h := newHarness(t, 22, 2, Config{Replication: 3, DeadTimeout: 30 * sim.Second, PlacementPolicy: PlacementFlat})
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
 	f := h.nn.SeedFile("/in/doomed", DefaultBlockSize, 3)
@@ -98,7 +98,7 @@ func TestReadBackoffIsCappedExponential(t *testing.T) {
 // TestGrayNodeExcludedFromPlacement flags nodes gray and checks both new
 // placement and re-replication refuse them until the flag clears.
 func TestGrayNodeExcludedFromPlacement(t *testing.T) {
-	h := newHarness(t, 23, 2, Config{Replication: 3, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 23, 2, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	gray := map[netmodel.NodeID]bool{h.all[0]: true, h.all[1]: true, h.all[2]: true}
 	for id := range gray {
 		h.nn.SetNodeGray(id, true)
@@ -128,7 +128,7 @@ func TestGrayNodeExcludedFromPlacement(t *testing.T) {
 // it and hands the preserved replicas back without double-counting what the
 // cluster re-replicated in the meantime.
 func TestRecoverDatanodeRestoresHeldInventory(t *testing.T) {
-	h := newHarness(t, 24, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 24, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	f := h.nn.SeedFile("/in/parted", 4*DefaultBlockSize, 3)
 	victim := h.nn.Block(f.Blocks[0]).Replicas()[0]
 	heldBlocks := 0
@@ -189,7 +189,7 @@ func TestRecoverDatanodeRestoresHeldInventory(t *testing.T) {
 // distinction: a node whose hardware is actually gone (preempt, overflow)
 // must not hand stale replicas back on a later heal.
 func TestPhysicallyLostNodeHasNothingToRecover(t *testing.T) {
-	h := newHarness(t, 25, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 25, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	f := h.nn.SeedFile("/in/lost", 2*DefaultBlockSize, 3)
 	victim := h.nn.Block(f.Blocks[0]).Replicas()[0]
 	h.nn.MarkPhysicallyLost(victim)
@@ -212,7 +212,7 @@ func TestPhysicallyLostNodeHasNothingToRecover(t *testing.T) {
 // of RecoverDatanode: a file deleted while its holder was partitioned away
 // pins disk space no deletion path could reach; the heal must release it.
 func TestFileDeletedDuringOutageReleasesHeldSpace(t *testing.T) {
-	h := newHarness(t, 26, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 26, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	f := h.nn.SeedFile("/in/ephemeral", 2*DefaultBlockSize, 3)
 	victim := h.nn.Block(f.Blocks[0]).Replicas()[0]
 	dead := map[netmodel.NodeID]bool{victim: true}

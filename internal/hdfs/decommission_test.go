@@ -8,7 +8,7 @@ import (
 )
 
 func TestDecommissionDrainsNode(t *testing.T) {
-	h := newHarness(t, 41, 4, Config{Replication: 3, SiteAware: true})
+	h := newHarness(t, 41, 4, Config{Replication: 3})
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
 	for i := 0; i < 6; i++ {
@@ -59,7 +59,7 @@ func TestDecommissionDrainsNode(t *testing.T) {
 }
 
 func TestDecommissionEmptyNodeImmediate(t *testing.T) {
-	h := newHarness(t, 42, 2, Config{Replication: 2})
+	h := newHarness(t, 42, 2, Config{Replication: 2, PlacementPolicy: PlacementFlat})
 	// Find an empty node (no files seeded yet: all empty).
 	done := false
 	h.nn.Decommission(h.all[0], func() { done = true })
@@ -72,7 +72,7 @@ func TestDecommissionEmptyNodeImmediate(t *testing.T) {
 }
 
 func TestDecommissionDeadNodeNoop(t *testing.T) {
-	h := newHarness(t, 43, 2, Config{Replication: 2})
+	h := newHarness(t, 43, 2, Config{Replication: 2, PlacementPolicy: PlacementFlat})
 	h.nn.ForceDead(h.all[0])
 	done := false
 	h.nn.Decommission(h.all[0], func() { done = true })
@@ -86,7 +86,7 @@ func TestDecommissionDeadNodeNoop(t *testing.T) {
 // once, the node stops draining) and the dead-node recovery path must restore
 // every block to target with nothing stranded under-replicated.
 func TestDecommissionRacesPreemption(t *testing.T) {
-	h := newHarness(t, 45, 4, Config{Replication: 3, SiteAware: true, DeadTimeout: 30 * sim.Second})
+	h := newHarness(t, 45, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	for i := 0; i < 6; i++ {
 		h.nn.SeedFile("/in/race"+string(rune('a'+i)), DefaultBlockSize, 3)
 	}
@@ -139,7 +139,7 @@ func TestDecommissionRacesPreemption(t *testing.T) {
 }
 
 func TestDecommissioningNodeNotATarget(t *testing.T) {
-	h := newHarness(t, 44, 2, Config{Replication: 3})
+	h := newHarness(t, 44, 2, Config{Replication: 3, PlacementPolicy: PlacementFlat})
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
 	h.nn.SeedFile("/in/x", DefaultBlockSize, 3)

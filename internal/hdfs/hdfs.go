@@ -47,10 +47,6 @@ type Config struct {
 	// MaxReplicationStreams bounds concurrent re-replication transfers so
 	// recovery does not saturate the network (namenode throttling).
 	MaxReplicationStreams int
-	// SiteAware selects the placement policy: HOG's site awareness (true)
-	// or flat random placement (false), the paper's implicit baseline for
-	// a grid deployment without topology knowledge.
-	SiteAware bool
 	// SafeModeThreshold is the fraction of known blocks that must have at
 	// least one reported replica before a restarted namenode leaves safe
 	// mode (Hadoop's dfs.safemode.threshold.pct).
@@ -61,7 +57,8 @@ type Config struct {
 	// ordinary dead-node path afterwards.
 	SafeModeTimeout sim.Time
 	// PlacementPolicy names the replica-placement policy (policy.go
-	// registry); empty selects "grid", the paper's site-aware rule.
+	// registry); empty selects "grid", the paper's site-aware rule, and
+	// "flat" is the same rule without site awareness.
 	PlacementPolicy string
 	// ReplicationOrder names the recovery-queue ordering; empty selects
 	// "fifo", recovery in loss order.
@@ -76,7 +73,6 @@ func DefaultConfig() Config {
 		DeadTimeout:           900 * sim.Second,
 		CheckInterval:         5 * sim.Second,
 		MaxReplicationStreams: 16,
-		SiteAware:             true,
 		SafeModeThreshold:     0.999,
 		SafeModeTimeout:       10 * sim.Minute,
 	}

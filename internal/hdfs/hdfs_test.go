@@ -59,7 +59,7 @@ func (h *harness) heartbeatAll(except map[netmodel.NodeID]bool) *sim.Ticker {
 }
 
 func TestSeedFilePlacesReplicas(t *testing.T) {
-	h := newHarness(t, 1, 4, Config{Replication: 3})
+	h := newHarness(t, 1, 4, Config{Replication: 3, PlacementPolicy: PlacementFlat})
 	f := h.nn.SeedFile("/in/f1", 5*DefaultBlockSize, 0)
 	if len(f.Blocks) != 5 {
 		t.Fatalf("blocks = %d, want 5", len(f.Blocks))
@@ -73,7 +73,7 @@ func TestSeedFilePlacesReplicas(t *testing.T) {
 }
 
 func TestSeedFilePartialBlock(t *testing.T) {
-	h := newHarness(t, 1, 2, Config{})
+	h := newHarness(t, 1, 2, Config{PlacementPolicy: PlacementFlat})
 	f := h.nn.SeedFile("/in/small", 1.5*DefaultBlockSize, 3)
 	if len(f.Blocks) != 2 {
 		t.Fatalf("blocks = %d, want 2", len(f.Blocks))
@@ -84,7 +84,7 @@ func TestSeedFilePartialBlock(t *testing.T) {
 }
 
 func TestSiteAwareSpreadsAcrossSites(t *testing.T) {
-	h := newHarness(t, 2, 4, Config{Replication: 10, SiteAware: true})
+	h := newHarness(t, 2, 4, Config{Replication: 10})
 	f := h.nn.SeedFile("/in/spread", DefaultBlockSize, 10)
 	b := h.nn.Block(f.Blocks[0])
 	if b.NumReplicas() != 10 {
@@ -107,7 +107,7 @@ func TestSiteAwareSpreadsAcrossSites(t *testing.T) {
 }
 
 func TestSiteAwareMinimumTwoSites(t *testing.T) {
-	h := newHarness(t, 3, 4, Config{Replication: 2, SiteAware: true})
+	h := newHarness(t, 3, 4, Config{Replication: 2})
 	for i := 0; i < 10; i++ {
 		f := h.nn.SeedFile("/in/two"+string(rune('a'+i)), DefaultBlockSize, 2)
 		b := h.nn.Block(f.Blocks[0])
@@ -118,7 +118,7 @@ func TestSiteAwareMinimumTwoSites(t *testing.T) {
 }
 
 func TestWriteFilePipelineAndLocality(t *testing.T) {
-	h := newHarness(t, 4, 4, Config{Replication: 3, SiteAware: true})
+	h := newHarness(t, 4, 4, Config{Replication: 3})
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
 	writer := h.all[0]
@@ -145,7 +145,7 @@ func TestWriteFilePipelineAndLocality(t *testing.T) {
 }
 
 func TestWriteFileTakesTime(t *testing.T) {
-	h := newHarness(t, 5, 4, Config{Replication: 3})
+	h := newHarness(t, 5, 4, Config{Replication: 3, PlacementPolicy: PlacementFlat})
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
 	var doneAt sim.Time
@@ -162,7 +162,7 @@ func TestWriteFileTakesTime(t *testing.T) {
 }
 
 func TestReadSourceLocalityOrder(t *testing.T) {
-	h := newHarness(t, 6, 4, Config{Replication: 3, SiteAware: true})
+	h := newHarness(t, 6, 4, Config{Replication: 3})
 	f := h.nn.SeedFile("/in/read", DefaultBlockSize, 3)
 	b := h.nn.Block(f.Blocks[0])
 	reps := b.Replicas()
@@ -203,7 +203,7 @@ func (h *harness) siteHasReplica(b *BlockInfo, site string) bool {
 }
 
 func TestReadBlockMissing(t *testing.T) {
-	h := newHarness(t, 7, 2, Config{})
+	h := newHarness(t, 7, 2, Config{PlacementPolicy: PlacementFlat})
 	got := true
 	h.nn.ReadBlock(h.all[0], BlockID(9999), func(ok bool) { got = ok })
 	h.eng.RunUntil(sim.Minute)
@@ -213,7 +213,7 @@ func TestReadBlockMissing(t *testing.T) {
 }
 
 func TestDeadDatanodeTriggersReplication(t *testing.T) {
-	h := newHarness(t, 8, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 8, 4, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
 	f := h.nn.SeedFile("/in/recover", 4*DefaultBlockSize, 3)
 	victim := h.nn.Block(f.Blocks[0]).Replicas()[0]
 	dead := map[netmodel.NodeID]bool{victim: true}
@@ -242,7 +242,7 @@ func TestDeadDatanodeTriggersReplication(t *testing.T) {
 
 func TestDeadTimeoutConfigMatters(t *testing.T) {
 	detectAt := func(timeout sim.Time) sim.Time {
-		h := newHarness(t, 9, 2, Config{Replication: 3, DeadTimeout: timeout})
+		h := newHarness(t, 9, 2, Config{Replication: 3, DeadTimeout: timeout, PlacementPolicy: PlacementFlat})
 		h.nn.SeedFile("/in/t", DefaultBlockSize, 3)
 		var deadAt sim.Time
 		h.nn.OnDatanodeDead = func(netmodel.NodeID) { deadAt = h.eng.Now() }
@@ -267,7 +267,7 @@ func TestDeadTimeoutConfigMatters(t *testing.T) {
 
 func detectDeadAfter(t *testing.T, timeout sim.Time) sim.Time {
 	t.Helper()
-	h := newHarness(t, 10, 2, Config{Replication: 3, DeadTimeout: timeout})
+	h := newHarness(t, 10, 2, Config{Replication: 3, DeadTimeout: timeout, PlacementPolicy: PlacementFlat})
 	var deadAt sim.Time = -1
 	h.nn.OnDatanodeDead = func(netmodel.NodeID) {
 		if deadAt < 0 {
@@ -285,7 +285,7 @@ func detectDeadAfter(t *testing.T, timeout sim.Time) sim.Time {
 }
 
 func TestBlockLossWhenAllReplicasDie(t *testing.T) {
-	h := newHarness(t, 11, 2, Config{Replication: 2, DeadTimeout: 30 * sim.Second, SiteAware: true})
+	h := newHarness(t, 11, 2, Config{Replication: 2, DeadTimeout: 30 * sim.Second})
 	f := h.nn.SeedFile("/in/doomed", DefaultBlockSize, 2)
 	b := h.nn.Block(f.Blocks[0])
 	lost := 0
@@ -307,8 +307,8 @@ func TestBlockLossWhenAllReplicasDie(t *testing.T) {
 func TestHigherReplicationSurvivesSiteBatchKill(t *testing.T) {
 	// Kill an entire site; replication 10 (site-aware) must lose nothing,
 	// replication 2 without site awareness should lose some blocks.
-	lostWith := func(repl int, siteAware bool, seed int64) int {
-		h := newHarness(t, seed, 4, Config{Replication: repl, SiteAware: siteAware, DeadTimeout: 30 * sim.Second})
+	lostWith := func(repl int, placement string, seed int64) int {
+		h := newHarness(t, seed, 4, Config{Replication: repl, PlacementPolicy: placement, DeadTimeout: 30 * sim.Second})
 		for i := 0; i < 20; i++ {
 			h.nn.SeedFile("/in/sb"+string(rune('a'+i)), DefaultBlockSize, repl)
 		}
@@ -318,12 +318,12 @@ func TestHigherReplicationSurvivesSiteBatchKill(t *testing.T) {
 		}
 		return h.nn.Stats().BlocksLost
 	}
-	if lost := lostWith(10, true, 12); lost != 0 {
+	if lost := lostWith(10, PlacementGrid, 12); lost != 0 {
 		t.Fatalf("replication 10 site-aware lost %d blocks on site failure, want 0", lost)
 	}
 	lostLow := 0
 	for seed := int64(13); seed < 19; seed++ {
-		lostLow += lostWith(2, false, seed)
+		lostLow += lostWith(2, PlacementFlat, seed)
 	}
 	if lostLow == 0 {
 		t.Fatal("replication 2 flat placement never lost a block across 6 site-failure trials; model suspicious")
@@ -331,7 +331,7 @@ func TestHigherReplicationSurvivesSiteBatchKill(t *testing.T) {
 }
 
 func TestDeleteFileReleasesDisk(t *testing.T) {
-	h := newHarness(t, 14, 2, Config{Replication: 3})
+	h := newHarness(t, 14, 2, Config{Replication: 3, PlacementPolicy: PlacementFlat})
 	h.nn.SeedFile("/in/del", 3*DefaultBlockSize, 3)
 	var used float64
 	for _, id := range h.all {
@@ -352,7 +352,7 @@ func TestDeleteFileReleasesDisk(t *testing.T) {
 }
 
 func TestDuplicateRegisterPanics(t *testing.T) {
-	h := newHarness(t, 15, 1, Config{})
+	h := newHarness(t, 15, 1, Config{PlacementPolicy: PlacementFlat})
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate Register did not panic")
@@ -362,7 +362,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 }
 
 func TestDuplicateCreatePanics(t *testing.T) {
-	h := newHarness(t, 16, 1, Config{})
+	h := newHarness(t, 16, 1, Config{PlacementPolicy: PlacementFlat})
 	h.nn.CreateFile("/x", DefaultBlockSize, 1)
 	defer func() {
 		if recover() == nil {
@@ -373,7 +373,7 @@ func TestDuplicateCreatePanics(t *testing.T) {
 }
 
 func TestBalancerReducesSpread(t *testing.T) {
-	h := newHarness(t, 17, 4, Config{Replication: 1, SiteAware: false})
+	h := newHarness(t, 17, 4, Config{Replication: 1, PlacementPolicy: PlacementFlat})
 	// Seed many single-replica blocks, then register fresh empty nodes and
 	// balance toward them.
 	for i := 0; i < 30; i++ {
@@ -430,7 +430,7 @@ func TestBalancerReducesSpread(t *testing.T) {
 // updated incrementally after each startMove, the round stops as soon as the
 // destination enters the balance band (~5 moves here).
 func TestBalanceOnceNoOvershoot(t *testing.T) {
-	h := newHarness(t, 18, 3, Config{Replication: 1, SiteAware: false})
+	h := newHarness(t, 18, 3, Config{Replication: 1, PlacementPolicy: PlacementFlat})
 	// Deterministic skew: funnel 5 blocks onto each node in turn by starving
 	// every other node's capacity during its seeding round.
 	for _, id := range h.all {
@@ -476,7 +476,7 @@ func TestBalanceOnceNoOvershoot(t *testing.T) {
 // treated as the end of the under-full list, or every remaining source
 // stops moving and a second still-empty destination never fills.
 func TestBalancePumpedDestinationDoesNotHaltRound(t *testing.T) {
-	h := newHarness(t, 19, 3, Config{Replication: 1, SiteAware: false})
+	h := newHarness(t, 19, 3, Config{Replication: 1, PlacementPolicy: PlacementFlat})
 	for _, id := range h.all {
 		for _, other := range h.all {
 			if other == id {
@@ -523,7 +523,7 @@ func TestBalancePumpedDestinationDoesNotHaltRound(t *testing.T) {
 // single replica holder, given enough surviving capacity.
 func TestRecoveryProperty(t *testing.T) {
 	f := func(seedRaw uint8) bool {
-		h := newHarness(t, int64(seedRaw)+200, 3, Config{Replication: 3, DeadTimeout: 30 * sim.Second})
+		h := newHarness(t, int64(seedRaw)+200, 3, Config{Replication: 3, DeadTimeout: 30 * sim.Second, PlacementPolicy: PlacementFlat})
 		fi := h.nn.SeedFile("/r", 2*DefaultBlockSize, 3)
 		victim := h.nn.Block(fi.Blocks[0]).Replicas()[0]
 		dead := map[netmodel.NodeID]bool{victim: true}

@@ -27,7 +27,7 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 		eng := sim.New(int64(seedRaw) + 100)
 		net := netmodel.New(eng, netmodel.Config{})
 		dt := disk.NewTracker()
-		nn := hdfs.NewNamenode(eng, net, dt, hdfs.Config{Replication: repl, SiteAware: true})
+		nn := hdfs.NewNamenode(eng, net, dt, hdfs.Config{Replication: repl})
 		for _, dom := range domains {
 			sid := net.AddSite(dom, 300e6, 300e6)
 			for i := 0; i < 3; i++ {

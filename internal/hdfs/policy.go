@@ -12,9 +12,9 @@ import (
 // and the recovery ring stay on the Namenode as the shared substrate; a
 // policy only decides which candidates become targets and which queued block
 // recovers next. Policies are selected by name through Config.PlacementPolicy
-// and Config.ReplicationOrder (see internal/core's Policies block); the
+// and Config.ReplicationOrder (core.Validate vets the names); the
 // defaults reproduce the pre-extraction behaviour bit for bit, which
-// placement_equiv_test.go pins.
+// policy_equiv_test.go pins.
 
 // PlacementPolicy chooses replica targets for new writes and for recovery
 // copies. Implementations must draw randomness only through the candidate
@@ -49,6 +49,7 @@ type ReplicationOrder interface {
 // Registry names of the built-in policies.
 const (
 	PlacementGrid     = "grid"
+	PlacementFlat     = "flat"
 	PlacementRandom   = "random"
 	ReplicationFIFO   = "fifo"
 	ReplicationRarest = "rarest"
@@ -56,6 +57,7 @@ const (
 
 var placementPolicies = map[string]func() PlacementPolicy{
 	PlacementGrid:   func() PlacementPolicy { return gridPlacement{} },
+	PlacementFlat:   func() PlacementPolicy { return flatPlacement{} },
 	PlacementRandom: func() PlacementPolicy { return randomPlacement{} },
 }
 
@@ -112,12 +114,28 @@ func (nn *Namenode) PlacementPolicyName() string { return nn.place.Name() }
 // ReplicationOrderName returns the active replication order's registry name.
 func (nn *Namenode) ReplicationOrderName() string { return nn.replOrder.Name() }
 
+// writerFirst gathers the placement candidates and, when the writer is a
+// live datanode outside exclude with room for the block, takes it as the
+// first target (data locality for the producing task). skipIx is the
+// writer's index in cands, or -1 when it was not taken.
+func (nn *Namenode) writerFirst(writer netmodel.NodeID, size float64, exclude map[netmodel.NodeID]struct{}) (cands []*DatanodeInfo, targets []netmodel.NodeID, skipIx int) {
+	cands = nn.gatherCandidates(size, exclude)
+	if w, ok := nn.datanodes[writer]; ok && w.Alive {
+		if _, ex := exclude[writer]; !ex && nn.disk.Free(writer) >= size {
+			for i := range cands {
+				if cands[i].ID == writer {
+					return cands, []netmodel.NodeID{writer}, i
+				}
+			}
+		}
+	}
+	return cands, nil, -1
+}
+
 // gridPlacement is HOG's policy: replica one on the writer when possible,
-// then — under Config.SiteAware — a greedy spread so replicas cover as many
-// sites as possible before doubling up (the paper's generalisation of
-// Hadoop's source-rack + one-other-rack rule to the site failure domain).
-// Without site awareness it degrades to uniform random placement, the
-// paper's implicit topology-blind baseline.
+// then a greedy spread so replicas cover as many sites as possible before
+// doubling up (the paper's generalisation of Hadoop's source-rack +
+// one-other-rack rule to the site failure domain).
 type gridPlacement struct{}
 
 func (gridPlacement) Name() string { return PlacementGrid }
@@ -126,38 +144,10 @@ func (gridPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size fl
 	if n <= 0 {
 		return nil
 	}
-	cands := nn.gatherCandidates(size, exclude)
+	cands, targets, skipIx := nn.writerFirst(writer, size, exclude)
 	if len(cands) == 0 {
 		return nil
 	}
-
-	var targets []netmodel.NodeID
-	skipIx := -1
-
-	// Replica 1: the writer itself when possible (data locality for the
-	// producing task).
-	if w, ok := nn.datanodes[writer]; ok && w.Alive {
-		if _, ex := exclude[writer]; !ex && nn.disk.Free(writer) >= size {
-			for i := range cands {
-				if cands[i].ID == writer {
-					targets = append(targets, writer)
-					skipIx = i
-					break
-				}
-			}
-		}
-	}
-
-	if !nn.cfg.SiteAware {
-		for i := 0; len(targets) < n && i < len(cands); i++ {
-			if i == skipIx {
-				continue
-			}
-			targets = append(targets, cands[i].ID)
-		}
-		return targets
-	}
-
 	// Site-aware spreading, seeded with the replicas chosen so far.
 	for s := range nn.siteCounts {
 		nn.siteCounts[s] = 0
@@ -169,20 +159,10 @@ func (gridPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size fl
 }
 
 func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []netmodel.NodeID {
-	exclude := make(map[netmodel.NodeID]struct{}, len(b.replicas)+len(b.pending))
-	for id := range b.replicas {
-		exclude[id] = struct{}{}
-	}
-	for id := range b.pending {
-		exclude[id] = struct{}{}
-	}
-	if !nn.cfg.SiteAware {
-		return gridPlacement{}.ChooseTargets(nn, -1, b.Size, n, exclude)
-	}
 	if n <= 0 {
 		return nil
 	}
-	cands := nn.gatherCandidates(b.Size, exclude)
+	cands := nn.gatherCandidates(b.Size, recoveryExclude(b))
 	if len(cands) == 0 {
 		return nil
 	}
@@ -202,6 +182,32 @@ func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []net
 		}
 	}
 	return nn.spreadAcrossSites(cands, -1, n, nil)
+}
+
+// flatPlacement is grid placement without topology knowledge: replica one
+// on the writer when possible, the rest in shuffled candidate order, and
+// recovery copies placed as randomPlacement places them. It is the paper's
+// implicit baseline for a grid deployment without site awareness, and
+// stock Hadoop's choice in a HOD cluster.
+type flatPlacement struct{}
+
+func (flatPlacement) Name() string { return PlacementFlat }
+
+func (flatPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int, exclude map[netmodel.NodeID]struct{}) []netmodel.NodeID {
+	if n <= 0 {
+		return nil
+	}
+	cands, targets, skipIx := nn.writerFirst(writer, size, exclude)
+	for i := 0; len(targets) < n && i < len(cands); i++ {
+		if i != skipIx {
+			targets = append(targets, cands[i].ID)
+		}
+	}
+	return targets
+}
+
+func (flatPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []netmodel.NodeID {
+	return randomPlacement{}.ReplicationTargets(nn, b, n)
 }
 
 // randomPlacement scatters replicas uniformly at random with no writer
@@ -225,6 +231,12 @@ func (randomPlacement) ChooseTargets(nn *Namenode, _ netmodel.NodeID, size float
 }
 
 func (randomPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []netmodel.NodeID {
+	return randomPlacement{}.ChooseTargets(nn, -1, b.Size, n, recoveryExclude(b))
+}
+
+// recoveryExclude is the exclusion set for a recovery copy of b: its
+// current replicas and its in-flight copies.
+func recoveryExclude(b *BlockInfo) map[netmodel.NodeID]struct{} {
 	exclude := make(map[netmodel.NodeID]struct{}, len(b.replicas)+len(b.pending))
 	for id := range b.replicas {
 		exclude[id] = struct{}{}
@@ -232,7 +244,7 @@ func (randomPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []n
 	for id := range b.pending {
 		exclude[id] = struct{}{}
 	}
-	return randomPlacement{}.ChooseTargets(nn, -1, b.Size, n, exclude)
+	return exclude
 }
 
 // fifoOrder recovers blocks in the order their under-replication was

@@ -42,7 +42,7 @@ func placementFingerprint(h *harness, log *event.Log) []string {
 // that pins explicit policy names against the defaults on identical inputs.
 func runPlacementChurn(t *testing.T, seed int64, churn int, mod func(*Config)) []string {
 	t.Helper()
-	cfg := Config{Replication: 3, SiteAware: true, DeadTimeout: 20 * sim.Second, CheckInterval: 5 * sim.Second}
+	cfg := Config{Replication: 3, DeadTimeout: 20 * sim.Second, CheckInterval: 5 * sim.Second}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -125,7 +125,7 @@ func TestAlternatePlacementPoliciesDeterministic(t *testing.T) {
 // block queued behind a backlog of healthier blocks, the rarest-first order
 // must serve it first while FIFO serves the queue head.
 func TestRarestOrderRecoversMostEndangeredFirst(t *testing.T) {
-	h := newHarness(t, 9, 2, Config{Replication: 3, MaxReplicationStreams: 1})
+	h := newHarness(t, 9, 2, Config{Replication: 3, MaxReplicationStreams: 1, PlacementPolicy: PlacementFlat})
 	// Build a queue by hand: healthy-ish blocks first, the endangered block
 	// last, so FIFO and rarest-first must disagree on the next pick.
 	f := h.nn.SeedFile("/in/data", 4*DefaultBlockSize, 0)
@@ -153,7 +153,7 @@ func TestRarestOrderRecoversMostEndangeredFirst(t *testing.T) {
 }
 
 // TestRandomPlacementIgnoresWriter: the random policy must not prefer the
-// writer node, where the grid policy pins replica one to it.
+// writer node, where the grid and flat policies pin replica one to it.
 func TestRandomPlacementIgnoresWriter(t *testing.T) {
 	onWriter := func(cfg Config, seed int64) int {
 		h := newHarness(t, seed, 4, cfg)
@@ -172,11 +172,14 @@ func TestRandomPlacementIgnoresWriter(t *testing.T) {
 		}
 		return n
 	}
-	grid := onWriter(Config{Replication: 3, SiteAware: true}, 4)
+	grid := onWriter(Config{Replication: 3}, 4)
 	if grid != 20 {
 		t.Fatalf("grid policy placed %d/20 first replicas on the writer", grid)
 	}
-	random := onWriter(Config{Replication: 3, SiteAware: true, PlacementPolicy: PlacementRandom}, 4)
+	if flat := onWriter(Config{Replication: 3, PlacementPolicy: PlacementFlat}, 4); flat != 20 {
+		t.Fatalf("flat policy placed %d/20 first replicas on the writer", flat)
+	}
+	random := onWriter(Config{Replication: 3, PlacementPolicy: PlacementRandom}, 4)
 	if random == 20 {
 		t.Fatal("random policy always hit the writer; it should not prefer it")
 	}
@@ -197,7 +200,7 @@ func TestHDFSPolicyRegistry(t *testing.T) {
 	if _, err := NewReplicationOrder("nope"); err == nil || !strings.Contains(err.Error(), ReplicationRarest) {
 		t.Fatalf("unknown replication name error %v should list valid names", err)
 	}
-	if got := PlacementPolicyNames(); strings.Join(got, ",") != "grid,random" {
+	if got := PlacementPolicyNames(); strings.Join(got, ",") != "flat,grid,random" {
 		t.Fatalf("placement names %v", got)
 	}
 	if got := ReplicationOrderNames(); strings.Join(got, ",") != "fifo,rarest" {

@@ -13,6 +13,7 @@ package hod
 import (
 	"hog/internal/core"
 	"hog/internal/grid"
+	"hog/internal/hdfs"
 	"hog/internal/mapred"
 	"hog/internal/sim"
 	"hog/internal/workload"
@@ -148,7 +149,7 @@ func hodClusterConfig(cfg Config, seed int64) core.Config {
 	c := core.HOGConfig(cfg.NodesPerJob, cfg.Churn, seed)
 	c.HDFS.Replication = 3
 	c.HDFS.DeadTimeout = 900 * sim.Second
-	c.HDFS.SiteAware = false
+	c.HDFS.PlacementPolicy = hdfs.PlacementFlat
 	c.MapRed.TrackerTimeout = 900 * sim.Second
 	return c
 }

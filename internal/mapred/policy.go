@@ -12,8 +12,8 @@ import (
 // maintained scheduler indexes (schedindex.go) are the shared substrate every
 // policy queries: a policy decides job ordering or straggler criteria, never
 // bookkeeping. Policies are selected by name through Config.SchedulerPolicy /
-// Config.SpeculationPolicy (see internal/core's Policies block and the
-// hog.WithSchedulerPolicy option); the defaults reproduce the pre-extraction
+// Config.SpeculationPolicy (set by the hog.WithSchedulerPolicy and
+// hog.WithSpeculationPolicy options); the defaults reproduce the pre-extraction
 // behaviour bit for bit, which policy_equiv_test.go pins.
 
 // TaskKind distinguishes map from reduce work in policy callbacks.

@@ -1,102 +1,29 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
-// Dist is a distribution of durations used for stochastic model parameters
-// (node lifetimes, provisioning delays, inter-arrival gaps). Samples are
-// drawn from the engine's random source so runs stay deterministic.
-type Dist interface {
-	// Sample draws one duration. Implementations must never return a
-	// negative duration.
-	Sample(r *rand.Rand) Time
-	// Mean returns the distribution's expected value, used by schedulers
-	// and by documentation/reporting.
-	Mean() Time
-}
-
-// Constant is a degenerate distribution that always returns V.
-type Constant struct{ V Time }
-
-// Sample implements Dist.
-func (c Constant) Sample(*rand.Rand) Time { return c.V }
-
-// Mean implements Dist.
-func (c Constant) Mean() Time { return c.V }
-
-// Exponential is an exponential distribution with the given mean, the
-// classic memoryless model for preemption lifetimes and job inter-arrival
-// times (the paper samples inter-arrival gaps from an exponential with a
-// 14 second mean).
-type Exponential struct{ M Time }
-
-// Sample implements Dist.
-func (d Exponential) Sample(r *rand.Rand) Time {
-	return Time(r.ExpFloat64() * float64(d.M))
-}
-
-// Mean implements Dist.
-func (d Exponential) Mean() Time { return d.M }
-
-// Uniform draws uniformly from [Lo, Hi].
-type Uniform struct{ Lo, Hi Time }
-
-// Sample implements Dist.
-func (d Uniform) Sample(r *rand.Rand) Time {
-	if d.Hi <= d.Lo {
-		return d.Lo
-	}
-	return d.Lo + Time(r.Int63n(int64(d.Hi-d.Lo)+1))
-}
-
-// Mean implements Dist.
-func (d Uniform) Mean() Time { return (d.Lo + d.Hi) / 2 }
-
-// Normal is a truncated-at-zero normal distribution.
-type Normal struct{ Mu, Sigma Time }
-
-// Sample implements Dist.
-func (d Normal) Sample(r *rand.Rand) Time {
-	v := r.NormFloat64()*float64(d.Sigma) + float64(d.Mu)
-	if v < 0 {
-		v = 0
-	}
-	return Time(v)
-}
-
-// Mean implements Dist. The truncation bias is ignored; for the parameters
-// used in this repo (sigma << mu) it is negligible.
-func (d Normal) Mean() Time { return d.Mu }
-
-// Shifted adds a fixed offset to another distribution, e.g. a constant
-// startup cost plus an exponential queueing delay for glide-in provisioning.
-type Shifted struct {
+// Dist is the one family of durations the model draws: a shifted
+// exponential, Offset plus an exponential with the given Mean. It covers
+// every stochastic input of the glide-in model — memoryless node lifetimes
+// and batch-preemption gaps (Offset 0), a fixed startup cost plus a
+// queueing delay for provisioning, and the paper's exponential job
+// inter-arrival gaps with a 14 second mean. Samples are drawn from the
+// engine's random source so runs stay deterministic.
+//
+// The zero value means "unset": callers that take an optional Dist (a site
+// without preemption, a pool with the default provisioning delay) test
+// IsZero. Offset and Mean must not be negative; core.Validate rejects a
+// config that carries one.
+type Dist struct {
 	Offset Time
-	D      Dist
+	Mean   Time
 }
 
-// Sample implements Dist.
-func (d Shifted) Sample(r *rand.Rand) Time { return d.Offset + d.D.Sample(r) }
-
-// Mean implements Dist.
-func (d Shifted) Mean() Time { return d.Offset + d.D.Mean() }
-
-// LogNormal is a log-normal distribution parameterised by the mean and
-// sigma of the underlying normal (in log-space of seconds). Heavy-tailed
-// delays such as batch-queue waits are commonly log-normal.
-type LogNormal struct {
-	MuLog, SigmaLog float64
+// Sample draws one duration. It draws exactly one value from r, even when
+// Mean is zero.
+func (d Dist) Sample(r *rand.Rand) Time {
+	return d.Offset + Time(r.ExpFloat64()*float64(d.Mean))
 }
 
-// Sample implements Dist.
-func (d LogNormal) Sample(r *rand.Rand) Time {
-	v := math.Exp(r.NormFloat64()*d.SigmaLog + d.MuLog)
-	return Seconds(v)
-}
-
-// Mean implements Dist.
-func (d LogNormal) Mean() Time {
-	return Seconds(math.Exp(d.MuLog + d.SigmaLog*d.SigmaLog/2))
-}
+// IsZero reports whether d is the unset zero value.
+func (d Dist) IsZero() bool { return d == Dist{} }

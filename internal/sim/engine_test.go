@@ -165,7 +165,7 @@ func TestDeterminism(t *testing.T) {
 		spawn = func() {
 			fires = append(fires, e.Now())
 			if len(fires) < 50 {
-				e.After(Exponential{M: Second}.Sample(e.Rand()), spawn)
+				e.After(Dist{Mean: Second}.Sample(e.Rand()), spawn)
 			}
 		}
 		e.After(0, spawn)
@@ -256,44 +256,43 @@ func TestDistributions(t *testing.T) {
 	dists := []struct {
 		name string
 		d    Dist
+		mean Time
 	}{
-		{"constant", Constant{V: 3 * Second}},
-		{"exponential", Exponential{M: 3 * Second}},
-		{"uniform", Uniform{Lo: Second, Hi: 5 * Second}},
-		{"normal", Normal{Mu: 3 * Second, Sigma: Second / 2}},
-		{"shifted", Shifted{Offset: Second, D: Exponential{M: 2 * Second}}},
-		{"lognormal", LogNormal{MuLog: 1.0, SigmaLog: 0.5}},
+		{"constant", Dist{Offset: 3 * Second}, 3 * Second},
+		{"exponential", Dist{Mean: 3 * Second}, 3 * Second},
+		{"shifted", Dist{Offset: Second, Mean: 2 * Second}, 3 * Second},
 	}
 	for _, tc := range dists {
 		var sum float64
 		const n = 20000
 		for i := 0; i < n; i++ {
 			v := tc.d.Sample(r)
-			if v < 0 {
-				t.Fatalf("%s produced negative sample %v", tc.name, v)
+			if v < tc.d.Offset {
+				t.Fatalf("%s produced sample %v below its offset", tc.name, v)
 			}
 			sum += float64(v)
 		}
-		mean := sum / n
-		want := float64(tc.d.Mean())
-		if want == 0 {
-			continue
-		}
+		mean, want := sum/n, float64(tc.mean)
 		if mean < 0.9*want || mean > 1.1*want {
 			t.Errorf("%s empirical mean %.0f, want ~%.0f", tc.name, mean, want)
 		}
 	}
-}
-
-func TestUniformDegenerate(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	d := Uniform{Lo: 5 * Second, Hi: 5 * Second}
-	if d.Sample(r) != 5*Second {
-		t.Fatal("degenerate uniform should return Lo")
+	// Each sample is Offset plus one scaled ExpFloat64: one value drawn per
+	// sample, even when Mean is zero.
+	a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	d := Dist{Offset: 45 * Second, Mean: 90 * Second}
+	for i := 0; i < 100; i++ {
+		if got, want := d.Sample(a), 45*Second+Time(b.ExpFloat64()*float64(90*Second)); got != want {
+			t.Fatalf("sample %d = %v, want %v", i, got, want)
+		}
 	}
-	inverted := Uniform{Lo: 5 * Second, Hi: Second}
-	if inverted.Sample(r) != 5*Second {
-		t.Fatal("inverted uniform should clamp to Lo")
+	Dist{Offset: Second}.Sample(a)
+	b.ExpFloat64()
+	if a.Int63() != b.Int63() {
+		t.Fatal("a zero-mean sample did not draw exactly one value")
+	}
+	if !(Dist{}).IsZero() || (Dist{Offset: 1}).IsZero() || (Dist{Mean: 1}).IsZero() {
+		t.Fatal("IsZero must hold only for the zero value")
 	}
 }
 

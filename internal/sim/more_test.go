@@ -82,11 +82,11 @@ func TestStopThenRunResumes(t *testing.T) {
 	}
 }
 
-// Property: Exponential sampling is memoryless-ish: the mean of samples
+// Property: exponential sampling is memoryless-ish: the mean of samples
 // conditioned on exceeding a threshold is threshold + mean (within noise).
 func TestExponentialMemoryless(t *testing.T) {
 	e := New(5)
-	d := Exponential{M: 10 * Second}
+	d := Dist{Mean: 10 * Second}
 	thr := 5 * Second
 	var condSum float64
 	n := 0

@@ -49,8 +49,12 @@ import (
 // (heap_scheduler, sequential_engine, shards) and the network's global
 // rebalance knob from the config: the simulator has one event engine and
 // one rebalancer. v4 dropped the JobTracker's ScanScheduler field: the
-// indexed scheduler is the only assignment path.
-const Version = 4
+// indexed scheduler is the only assignment path. v5 carries core.Config
+// as itself: distributions are the plain sim.Dist{Offset, Mean}, so the
+// hand-kept config mirror is gone; the top-level Policies block and
+// HDFS.SiteAware are gone too (policies are named only on the subsystem
+// configs, and "flat" placement replaces SiteAware=false).
+const Version = 5
 
 // magic identifies a HOG snapshot; the trailing NUL pins the length to 8.
 var magic = [8]byte{'H', 'O', 'G', 'S', 'N', 'A', 'P', 0}
@@ -113,9 +117,9 @@ func TakeCensus(sys *core.System) Census {
 	return c
 }
 
-// payload is the JSON body of a v1 snapshot.
+// payload is the JSON body of a snapshot.
 type payload struct {
-	Config    configDTO           `json:"config"`
+	Config    core.Config         `json:"config"`
 	Schedule  *workload.Schedule  `json:"schedule,omitempty"`
 	Scenarios []core.ScenarioSpec `json:"scenarios,omitempty"`
 	Phase     core.RunPhase       `json:"phase"`
@@ -141,16 +145,12 @@ func Save(sys *core.System) ([]byte, error) {
 	if sys.Diverged() {
 		return nil, errors.New("snapshot: cannot save a diverged fork branch (its history is not reproducible from its recipe)")
 	}
-	cfgDTO, err := encodeConfig(sys.Config())
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
 	specs, err := sys.ScenarioSpecs()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	p := payload{
-		Config:    cfgDTO,
+		Config:    sys.Config(),
 		Scenarios: specs,
 		Phase:     sys.Phase(),
 		Now:       sys.Eng.Now(),
@@ -229,11 +229,7 @@ func Restore(data []byte, obs ...event.Observer) (*core.System, error) {
 	if err := json.Unmarshal(body, &p); err != nil {
 		return nil, fmt.Errorf("snapshot: decoding payload: %w", err)
 	}
-	cfg, err := decodeConfig(p.Config)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	sys, err := core.NewSystem(cfg, obs...)
+	sys, err := core.NewSystem(p.Config, obs...)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: rebuilding system: %w", err)
 	}

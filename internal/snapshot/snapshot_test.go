@@ -108,16 +108,16 @@ func snapshotRun(t *testing.T, cfg core.Config, sc *core.Scenario, frac float64)
 }
 
 // policyPoints covers every decision point's non-default choice plus the
-// default, per the PR-8 registries.
+// default, each named on its subsystem config.
 var policyPoints = []struct {
 	name string
-	pol  core.Policies
+	set  func(*core.Config)
 }{
-	{"default", core.Policies{}},
-	{"fair", core.Policies{Scheduler: "fair"}},
-	{"site-load", core.Policies{Speculation: "site-load"}},
-	{"random", core.Policies{Placement: "random"}},
-	{"rarest", core.Policies{Replication: "rarest"}},
+	{"default", func(*core.Config) {}},
+	{"fair", func(c *core.Config) { c.MapRed.SchedulerPolicy = "fair" }},
+	{"site-load", func(c *core.Config) { c.MapRed.SpeculationPolicy = "site-load" }},
+	{"random", func(c *core.Config) { c.HDFS.PlacementPolicy = "random" }},
+	{"rarest", func(c *core.Config) { c.HDFS.ReplicationOrder = "rarest" }},
 }
 
 // TestRoundTrip1k: a 1k-node LARGE-GRID run snapshotted mid-run and
@@ -130,7 +130,7 @@ func TestRoundTrip1k(t *testing.T) {
 		t.Run(pp.name+"/seq", func(t *testing.T) {
 			t.Parallel()
 			cfg := core.LargeGridConfig(1000, grid.ChurnStable, 7)
-			cfg.Policies = pp.pol
+			pp.set(&cfg)
 			want := straightRun(t, cfg, nil)
 			got := snapshotRun(t, cfg, nil, 0.5)
 			if want != got {
@@ -360,6 +360,9 @@ func badContainers(data []byte) []badContainer {
 		{"v2", withHeader(data, 2, n), ErrVersion},
 		// v3 containers still carried mapred's ScanScheduler.
 		{"v3", withHeader(data, 3, n), ErrVersion},
+		// v4 containers carried the config mirror with kind-tagged
+		// distributions and the top-level policies block.
+		{"v4", withHeader(data, 4, n), ErrVersion},
 		// A length within 8 of 2^64 wraps if the checksum's 8 bytes are
 		// added to it; the reader must still see a truncated container.
 		{"length wraps", withHeader(data[:28], Version, 1<<64-8), ErrTruncated},

@@ -156,7 +156,7 @@ func Generate(seed int64, cfg Config) *Schedule {
 	}
 	r.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
 	var t sim.Time
-	gap := sim.Exponential{M: mean}
+	gap := sim.Dist{Mean: mean}
 	for i := range jobs {
 		if i > 0 {
 			t += gap.Sample(r)

@@ -16,7 +16,7 @@ import (
 // WithNet options.
 type (
 	// HDFSConfig holds namenode parameters (replication, dead timeout,
-	// site-aware placement).
+	// placement policy).
 	HDFSConfig = hdfs.Config
 	// MapRedConfig holds JobTracker parameters (heartbeats, speculation,
 	// delay scheduling).
@@ -59,9 +59,6 @@ type Option func(*builder)
 //		hog.WithScenario(hog.NewScenario("outage").
 //			SiteOutageAt(hog.Minutes(5), "FNAL_FERMIGRID", 1.0)),
 //	)
-//
-// The legacy NewSystem(Config) facade remains for existing callers; it runs
-// the same validator but panics on invalid input.
 func New(opts ...Option) (*System, error) {
 	b := &builder{}
 	for _, o := range opts {
@@ -96,9 +93,9 @@ func (b *builder) errf(format string, args ...any) {
 // later registers a refinement to run after the supply options.
 func (b *builder) later(f func(*builder)) { b.deferred = append(b.deferred, f) }
 
-// WithConfig starts from a complete Config (the migration path from the
-// NewSystem facade: any config that worked there works here, with errors
-// instead of panics). Later options refine it.
+// WithConfig starts from a complete Config, such as a preset from
+// HOGConfig or DedicatedClusterConfig edited in place. Later options refine
+// it.
 func WithConfig(cfg Config) Option {
 	return func(b *builder) {
 		b.cfg = cfg
@@ -240,28 +237,28 @@ func WithZombies(mode ZombieMode) Option {
 // ("fifo", "fair"). The empty string keeps the default ("fifo", the paper's
 // choice); unknown names are rejected at New time.
 func WithSchedulerPolicy(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.Policies.Scheduler = name }) }
+	return func(b *builder) { b.later(func(b *builder) { b.cfg.MapRed.SchedulerPolicy = name }) }
 }
 
 // WithSpeculationPolicy selects the straggler criterion by registry name
 // ("threshold", "site-load"). The empty string keeps the default
 // ("threshold", the paper's slowdown rule).
 func WithSpeculationPolicy(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.Policies.Speculation = name }) }
+	return func(b *builder) { b.later(func(b *builder) { b.cfg.MapRed.SpeculationPolicy = name }) }
 }
 
 // WithPlacementPolicy selects the block-placement policy by registry name
 // ("grid", "random"). The empty string keeps the default ("grid", the
 // paper's site-aware spread).
 func WithPlacementPolicy(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.Policies.Placement = name }) }
+	return func(b *builder) { b.later(func(b *builder) { b.cfg.HDFS.PlacementPolicy = name }) }
 }
 
 // WithReplicationOrder selects the block-recovery ordering by registry name
 // ("fifo", "rarest"). The empty string keeps the default ("fifo", recovery
 // in loss order).
 func WithReplicationOrder(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.Policies.Replication = name }) }
+	return func(b *builder) { b.later(func(b *builder) { b.cfg.HDFS.ReplicationOrder = name }) }
 }
 
 // WithPools configures fair-share pools for the "fair" scheduler policy.
@@ -273,7 +270,7 @@ func WithPools(pools map[string]FairPoolConfig) Option {
 
 // WithHDFS overrides namenode parameters in place:
 //
-//	hog.WithHDFS(func(c *hog.HDFSConfig) { c.Replication = 2; c.SiteAware = false })
+//	hog.WithHDFS(func(c *hog.HDFSConfig) { c.Replication = 2; c.PlacementPolicy = "flat" })
 func WithHDFS(mut func(*HDFSConfig)) Option {
 	return func(b *builder) { b.later(func(b *builder) { mut(&b.cfg.HDFS) }) }
 }

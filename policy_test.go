@@ -89,7 +89,7 @@ func TestPolicyNameListings(t *testing.T) {
 	if got := strings.Join(SpeculationPolicyNames(), ","); got != "site-load,threshold" {
 		t.Errorf("speculation names %q", got)
 	}
-	if got := strings.Join(PlacementPolicyNames(), ","); got != "grid,random" {
+	if got := strings.Join(PlacementPolicyNames(), ","); got != "flat,grid,random" {
 		t.Errorf("placement names %q", got)
 	}
 	if got := strings.Join(ReplicationOrderNames(), ","); got != "fifo,rarest" {
