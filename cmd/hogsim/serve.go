@@ -295,6 +295,18 @@ func (req advanceRequest) target(now, end sim.Time) (sim.Time, error) {
 	return sim.Seconds(req.ToS), nil
 }
 
+// runSliced advances sys to target in advanceStep slices, stopping early
+// once ctx is done; the caller checks ctx.Err() for that case.
+func runSliced(ctx context.Context, sys *core.System, target sim.Time) error {
+	for t := sys.Eng.Now(); t < target && ctx.Err() == nil; {
+		t = min(t+advanceStep, target)
+		if err := sys.RunTo(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
 	if !decodeBody(w, r, &req) {
@@ -307,11 +319,7 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	for t := s.sys.Eng.Now(); err == nil && t < target && r.Context().Err() == nil; {
-		t = min(t+advanceStep, target)
-		err = s.sys.RunTo(t)
-	}
-	if err != nil {
+	if err := runSliced(r.Context(), s.sys, target); err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
@@ -350,7 +358,9 @@ type forkReply struct {
 // handleFork snapshots the warm simulation and runs each requested branch to
 // completion on its own restored copy — the served system is never disturbed.
 // Branches run serially under the lock: the reply is deterministic, and the
-// endpoint's job is reproducibility, not latency.
+// endpoint's job is reproducibility, not latency. Like /advance, each branch
+// runs in advanceStep slices, and a cancelled request (the client left, or
+// the server's timeout replied) stops the fork and releases the lock.
 func (s *server) handleFork(w http.ResponseWriter, r *http.Request) {
 	var req forkRequest
 	if !decodeBody(w, r, &req) {
@@ -386,6 +396,14 @@ func (s *server) handleFork(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusConflict, fmt.Errorf("branch %q: %w", b.Name, err))
 				return
 			}
+		}
+		if err := runSliced(r.Context(), sys, sys.RunStart()+sys.Config().RunBound); err != nil {
+			writeError(w, http.StatusConflict, fmt.Errorf("branch %q: %w", b.Name, err))
+			return
+		}
+		if err := r.Context().Err(); err != nil {
+			writeError(w, http.StatusServiceUnavailable, err)
+			return
 		}
 		res := sys.FinishWorkload()
 		sum := metrics.Summarize(res.JobResponses)

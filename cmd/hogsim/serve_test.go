@@ -394,3 +394,31 @@ func TestServeForkBodyLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestServeForkHonoursCancellation: a /fork whose request is already
+// cancelled (the client left, or the server's timeout replied) must stop
+// before running its branches to completion, answer 503, and leave the lock
+// free for the next request.
+func TestServeForkHonoursCancellation(t *testing.T) {
+	srv := testServer(t)
+	body := `{"branches": [{"name": "a"}, {"name": "b"}]}`
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/fork", strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.handleFork(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled /fork = %d (%s), want 503", rec.Code, rec.Body)
+	}
+
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /state after a cancelled fork = %d", resp.StatusCode)
+	}
+}

@@ -28,8 +28,10 @@ func run(label string, repl int, placement string) {
 	sys, err := hog.New(
 		hog.WithHOGPool(60, hog.ChurnNone),
 		hog.WithSeed(11),
-		hog.WithHDFS(func(c *hog.HDFSConfig) { c.Replication = repl }),
-		hog.WithPlacementPolicy(placement),
+		hog.WithHDFS(func(c *hog.HDFSConfig) {
+			c.Replication = repl
+			c.PlacementPolicy = placement
+		}),
 		hog.WithObserver(narrator),
 		collect,
 		// Five minutes into the run, the largest site's batch system preempts

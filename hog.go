@@ -2,7 +2,7 @@
 // MapReduce on the Open Science Grid (He, Weitzel, Swanson, Lu — SC
 // Companion 2012), rebuilt as a Go library.
 //
-// The package exposes three layers:
+// The package exposes two layers:
 //
 //   - The grid-scale simulation stack: a deterministic discrete-event
 //     reproduction of HOG — glide-in worker pools over five OSG sites with
@@ -11,9 +11,6 @@
 //     comparison cluster. Systems are built with New and functional options,
 //     observed through the typed event stream (Observer, EventLog), and
 //     driven through scripted fault injection (Scenario).
-//   - A real, concurrent, in-process MapReduce engine (RunJob, Mapper,
-//     Reducer, ...) with the Hadoop programming model the paper promises to
-//     leave unchanged.
 //   - The HOD (Hadoop On Demand) baseline (RunHOD) from the paper's
 //     related-work comparison.
 //
@@ -33,7 +30,6 @@ import (
 	"hog/internal/hod"
 	"hog/internal/mapred"
 	"hog/internal/metrics"
-	"hog/internal/mrlocal"
 	"hog/internal/sim"
 	"hog/internal/workload"
 )
@@ -117,43 +113,6 @@ func FacebookBins() []WorkloadBin { return workload.Table1() }
 
 // TruncatedBins returns the paper's Table II (the six bins actually run).
 func TruncatedBins() []WorkloadBin { return workload.Table2() }
-
-// Real in-process MapReduce engine.
-type (
-	// Mapper transforms one input record into intermediate records.
-	Mapper = mrlocal.Mapper
-	// Reducer folds all values of a key into output records.
-	Reducer = mrlocal.Reducer
-	// MapperFunc adapts a function to Mapper.
-	MapperFunc = mrlocal.MapperFunc
-	// ReducerFunc adapts a function to Reducer.
-	ReducerFunc = mrlocal.ReducerFunc
-	// Emit receives records from map and reduce functions.
-	Emit = mrlocal.Emit
-	// Partitioner assigns keys to reduce partitions.
-	Partitioner = mrlocal.Partitioner
-	// HashPartitioner is the default key partitioner.
-	HashPartitioner = mrlocal.HashPartitioner
-	// JobConfig describes an in-process MapReduce job.
-	JobConfig = mrlocal.Config
-	// JobOutput is a finished in-process job's result.
-	JobOutput = mrlocal.Output
-	// KeyValue is an intermediate or output record.
-	KeyValue = mrlocal.KeyValue
-)
-
-// RunJob executes an in-process MapReduce job over the given documents.
-func RunJob(cfg JobConfig, docs []string) (*JobOutput, error) { return mrlocal.Run(cfg, docs) }
-
-// JobStage is one stage of a chained in-process pipeline.
-type JobStage = mrlocal.Stage
-
-// RunJobChain executes MapReduce jobs back to back, each stage consuming the
-// previous stage's key\tvalue output — the standard Hadoop job-chaining
-// idiom, which HOG runs unchanged.
-func RunJobChain(stages []JobStage, docs []string) (*mrlocal.ChainResult, error) {
-	return mrlocal.RunChain(stages, docs)
-}
 
 // HOD baseline.
 type (

@@ -1,32 +1,15 @@
 package hog
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-)
 
-func TestFacadeWordCount(t *testing.T) {
-	out, err := RunJob(JobConfig{
-		Name: "wc",
-		Mapper: MapperFunc(func(_, line string, emit Emit) error {
-			for _, w := range strings.Fields(line) {
-				emit(w, "1")
-			}
-			return nil
-		}),
-		Reducer: ReducerFunc(func(k string, vs []string, emit Emit) error {
-			emit(k, "seen")
-			return nil
-		}),
-		NumReducers: 2,
-	}, []string{"a b a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.Lookup("a"); len(got) != 1 {
-		t.Fatalf("Lookup(a) = %v", got)
-	}
-}
+	"hog/internal/grid"
+	"hog/internal/hdfs"
+	"hog/internal/mapred"
+	"hog/internal/netmodel"
+)
 
 func TestFacadeSimulation(t *testing.T) {
 	sched := GenerateWorkload(1, 0.05)
@@ -243,5 +226,80 @@ func TestFacadeSnapshotRestoreFork(t *testing.T) {
 	}
 	if SnapshotVersion < 1 {
 		t.Fatalf("SnapshotVersion = %d", SnapshotVersion)
+	}
+}
+
+// TestFacadeOptions covers the options no other test builds with. Each grid
+// preset rejects a non-positive target and, at a small one, reaches the
+// Config with its own site list; each refinement lands in its Config field;
+// and a custom static cluster gets the subsystem defaults and runs.
+func TestFacadeOptions(t *testing.T) {
+	presets := []struct {
+		name  string
+		opt   func(int, ChurnProfile) Option
+		sites []SiteConfig
+	}{
+		{"WithLargeGrid", WithLargeGrid, grid.LargeGridSites(ChurnNone)},
+		{"WithMegaGrid", WithMegaGrid, grid.MegaGridSites(ChurnNone)},
+		{"WithGigaGrid", WithGigaGrid, grid.GigaGridSites(ChurnNone)},
+	}
+	for _, p := range presets {
+		for _, bad := range []int{0, -1} {
+			_, err := New(p.opt(bad, ChurnNone))
+			if err == nil || !strings.Contains(err.Error(), p.name+": non-positive target") {
+				t.Errorf("%s(%d): error %v, want a non-positive target error", p.name, bad, err)
+			}
+		}
+		sys, err := New(p.opt(8, ChurnNone), WithSeed(4))
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		cfg := sys.Config()
+		if cfg.Grid == nil || cfg.Grid.TargetNodes != 8 || !reflect.DeepEqual(cfg.Grid.Sites, p.sites) || cfg.Seed != 4 {
+			t.Errorf("%s(8) with seed 4 built %+v", p.name, cfg.Grid)
+		}
+	}
+
+	costs := JobCosts{MapCostPerMB: Seconds(1), SortCostPerMB: Seconds(2), ReduceCostPerMB: Seconds(3),
+		MapSelectivity: 0.5, ReduceSelectivity: 0.25}
+	refinements := []struct {
+		name string
+		opt  Option
+		got  func(Config) any
+		want any
+	}{
+		{"WithCosts", WithCosts(costs), func(c Config) any { return c.Costs }, costs},
+		{"WithRunBound", WithRunBound(Hours(3)), func(c Config) any { return c.RunBound }, Hours(3)},
+		{"WithSampleInterval", WithSampleInterval(Seconds(7)), func(c Config) any { return c.SampleInterval }, Seconds(7)},
+		{"WithNet", WithNet(func(c *NetConfig) { c.WANFlowBps = 1e6 }), func(c Config) any { return c.Net.WANFlowBps }, 1e6},
+	}
+	for _, r := range refinements {
+		sys, err := New(WithHOGPool(8, ChurnNone), r.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if got := r.got(sys.Config()); got != r.want {
+			t.Errorf("%s: Config field %v, want %v", r.name, got, r.want)
+		}
+	}
+
+	if _, err := New(WithStaticGroups()); err == nil || !strings.Contains(err.Error(), "WithStaticGroups: no groups") {
+		t.Errorf("WithStaticGroups(): error %v, want a no-groups error", err)
+	}
+	group := StaticGroup{Count: 6, MapSlots: 2, ReduceSlots: 1, DiskBytes: 100e9, Domain: "lab.local", Speed: 1}
+	sys, err := New(WithStaticGroups(group), WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sys.Config()
+	if cfg.Grid != nil || !reflect.DeepEqual(cfg.Static, []StaticGroup{group}) {
+		t.Errorf("WithStaticGroups built grid %+v, static %+v", cfg.Grid, cfg.Static)
+	}
+	if cfg.Net != netmodel.DefaultConfig() || cfg.HDFS != hdfs.DefaultConfig() || !reflect.DeepEqual(cfg.MapRed, mapred.DefaultConfig()) {
+		t.Errorf("WithStaticGroups did not fill the subsystem defaults: net %+v, hdfs %+v, mapred %+v", cfg.Net, cfg.HDFS, cfg.MapRed)
+	}
+	res := sys.RunWorkload(GenerateWorkload(4, 0.05))
+	if res.JobsFailed != 0 || len(res.JobResponses) == 0 {
+		t.Fatalf("static cluster run: %d jobs done, %d failed", len(res.JobResponses), res.JobsFailed)
 	}
 }

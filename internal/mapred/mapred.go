@@ -72,21 +72,14 @@ type JobConfig struct {
 	ReduceCostPerMB sim.Time
 	// OutputReplication for the job's output files; 0 uses the HDFS default.
 	OutputReplication int
-	// Bin tags the job with its workload bin (reporting only).
+	// Bin tags the job with its workload bin, which also names its
+	// fair-share pool, "bin<N>" (the "fair" scheduler policy; see
+	// Config.Pools), so multi-bin workloads are multi-tenant.
 	Bin int
-	// Pool names the fair-share pool the job is scheduled under (the "fair"
-	// scheduler policy; see Config.Pools). Empty derives the pool from the
-	// workload bin, so multi-bin workloads are multi-tenant by default.
-	Pool string
 }
 
-// pool returns the effective fair-share pool name.
-func (c JobConfig) pool() string {
-	if c.Pool != "" {
-		return c.Pool
-	}
-	return fmt.Sprintf("bin%d", c.Bin)
-}
+// pool returns the job's fair-share pool name.
+func (c JobConfig) pool() string { return fmt.Sprintf("bin%d", c.Bin) }
 
 func (c JobConfig) withDefaults() JobConfig {
 	if c.MapSelectivity <= 0 {
@@ -159,9 +152,9 @@ type Config struct {
 	// SpeculationPolicy names the straggler criterion; empty selects
 	// "threshold", the paper's slowdown rule.
 	SpeculationPolicy string
-	// Pools configures fair-share pools by name for the "fair" scheduler
-	// policy. Pools absent from the map get weight 1 and no cap; the map
-	// may be nil.
+	// Pools configures fair-share pools for the "fair" scheduler policy,
+	// keyed "bin<N>" by the jobs' workload bin. Pools absent from the map
+	// get weight 1 and no cap; the map may be nil.
 	Pools map[string]PoolConfig
 }
 
@@ -303,8 +296,8 @@ type Job struct {
 	blacklist      map[netmodel.NodeID]int
 	blacklistedSet map[netmodel.NodeID]bool
 
-	// pool is the job's fair-share pool, cached at submit (JobConfig.Pool
-	// or the workload bin).
+	// pool is the job's fair-share pool, cached at submit from its
+	// workload bin.
 	pool string
 
 	// skipSince tracks how long the job has been declining non-local map

@@ -12,9 +12,9 @@ import (
 // maintained scheduler indexes (schedindex.go) are the shared substrate every
 // policy queries: a policy decides job ordering or straggler criteria, never
 // bookkeeping. Policies are selected by name through Config.SchedulerPolicy /
-// Config.SpeculationPolicy (set by the hog.WithSchedulerPolicy and
-// hog.WithSpeculationPolicy options); the defaults reproduce the pre-extraction
-// behaviour bit for bit, which policy_equiv_test.go pins.
+// Config.SpeculationPolicy (set through the hog.WithMapRed option or
+// hogbench's -sched and -spec flags); the defaults reproduce the
+// pre-extraction behaviour bit for bit, which policy_equiv_test.go pins.
 
 // TaskKind distinguishes map from reduce work in policy callbacks.
 type TaskKind int8
@@ -131,10 +131,9 @@ func (fifoScheduler) JobOrder(jt *JobTracker, _ *TaskTracker) []*Job { return jt
 
 // fairScheduler implements fair-share pool scheduling in the style of the
 // Hadoop fair scheduler (Zaharia et al., EuroSys'10 — delay scheduling's
-// home): each job belongs to a pool (JobConfig.Pool, defaulting to its
-// workload bin), pools have weights and optional running-task caps
-// (Config.Pools), and free slots go to the pool with the lowest
-// running-tasks-per-weight usage first. Within a pool, submission order is
+// home): each job belongs to its workload bin's pool ("bin<N>"), pools have
+// weights and optional running-task caps (Config.Pools), and free slots go
+// to the pool with the lowest running-tasks-per-weight usage first. Within a pool, submission order is
 // kept (the sort is stable over the FIFO active list).
 type fairScheduler struct {
 	scratch []*Job

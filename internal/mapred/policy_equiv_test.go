@@ -46,23 +46,23 @@ func TestFairSchedulerPoolCap(t *testing.T) {
 	jtCfg := hogJTCfg()
 	jtCfg.SchedulerPolicy = SchedulerFair
 	jtCfg.Pools = map[string]PoolConfig{
-		"capped": {Weight: 1, MaxRunning: 2},
+		"bin1": {Weight: 1, MaxRunning: 2},
 	}
 	c := newCluster(5, 4, hogNNCfg(), jtCfg) // 20 nodes
 	for i := 0; i < 3; i++ {
 		cfg := smallJob(c, fmt.Sprintf("cap%d", i), 6, 1)
-		cfg.Pool = "capped"
+		cfg.Bin = 1
 		c.jt.Submit(cfg)
 	}
 	free := smallJob(c, "free", 8, 2)
-	free.Pool = "open"
+	free.Bin = 2
 	c.jt.Submit(free)
 	worst := 0
 	c.eng.Every(sim.Second, func() {
-		if n := c.jt.PoolRunning("capped"); n > worst {
+		if n := c.jt.PoolRunning("bin1"); n > worst {
 			worst = n
 		}
-		if got, want := c.jt.PoolRunning("capped"), countPool(c.jt, "capped"); got != want {
+		if got, want := c.jt.PoolRunning("bin1"), countPool(c.jt, "bin1"); got != want {
 			t.Fatalf("pool counter %d disagrees with recount %d at %v", got, want, c.eng.Now())
 		}
 	})
@@ -88,11 +88,11 @@ func TestFairSchedulerSharesAcrossPools(t *testing.T) {
 	c := newCluster(9, 2, hogNNCfg(), jtCfg) // 10 nodes: contention
 	for i := 0; i < 4; i++ {
 		cfg := smallJob(c, fmt.Sprintf("bulk%d", i), 10, 1)
-		cfg.Pool = "bulk"
+		cfg.Bin = 1
 		c.jt.Submit(cfg)
 	}
 	late := smallJob(c, "late", 2, 0)
-	late.Pool = "light"
+	late.Bin = 2
 	var lateJob *Job
 	c.eng.Schedule(10*sim.Second, func() { lateJob = c.jt.Submit(late) })
 	c.runUntilDone(t, 4*sim.Hour)

@@ -65,7 +65,12 @@ func New(opts ...Option) (*System, error) {
 		o(b)
 	}
 	if !b.supply {
-		return nil, errors.New("hog: no worker supply configured; use WithHOGPool, WithLargeGrid, WithMegaGrid, WithGigaGrid, WithDedicatedCluster, WithStaticGroups, or WithConfig")
+		// A supply option that rejected its arguments says why; only a call
+		// with none at all gets the generic message.
+		if len(b.errs) == 0 {
+			b.errf("no worker supply configured; use WithHOGPool, WithLargeGrid, WithMegaGrid, WithGigaGrid, WithDedicatedCluster, WithStaticGroups, or WithConfig")
+		}
+		return nil, errors.Join(b.errs...)
 	}
 	for _, f := range b.deferred {
 		f(b)
@@ -233,49 +238,24 @@ func WithZombies(mode ZombieMode) Option {
 	return func(b *builder) { b.later(func(b *builder) { b.cfg.Zombie = mode }) }
 }
 
-// WithSchedulerPolicy selects the job-ordering policy by registry name
-// ("fifo", "fair"). The empty string keeps the default ("fifo", the paper's
-// choice); unknown names are rejected at New time.
-func WithSchedulerPolicy(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.MapRed.SchedulerPolicy = name }) }
-}
-
-// WithSpeculationPolicy selects the straggler criterion by registry name
-// ("threshold", "site-load"). The empty string keeps the default
-// ("threshold", the paper's slowdown rule).
-func WithSpeculationPolicy(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.MapRed.SpeculationPolicy = name }) }
-}
-
-// WithPlacementPolicy selects the block-placement policy by registry name
-// ("grid", "random"). The empty string keeps the default ("grid", the
-// paper's site-aware spread).
-func WithPlacementPolicy(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.HDFS.PlacementPolicy = name }) }
-}
-
-// WithReplicationOrder selects the block-recovery ordering by registry name
-// ("fifo", "rarest"). The empty string keeps the default ("fifo", recovery
-// in loss order).
-func WithReplicationOrder(name string) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.HDFS.ReplicationOrder = name }) }
-}
-
-// WithPools configures fair-share pools for the "fair" scheduler policy.
-// Jobs name their pool through JobConfig.Pool (defaulting to their workload
-// bin); pools absent from the map get weight 1 and no running cap.
-func WithPools(pools map[string]FairPoolConfig) Option {
-	return func(b *builder) { b.later(func(b *builder) { b.cfg.MapRed.Pools = pools }) }
-}
-
-// WithHDFS overrides namenode parameters in place:
+// WithHDFS overrides namenode parameters in place, including the two
+// storage policies, PlacementPolicy ("grid", "flat", "random") and
+// ReplicationOrder ("fifo", "rarest"):
 //
 //	hog.WithHDFS(func(c *hog.HDFSConfig) { c.Replication = 2; c.PlacementPolicy = "flat" })
 func WithHDFS(mut func(*HDFSConfig)) Option {
 	return func(b *builder) { b.later(func(b *builder) { mut(&b.cfg.HDFS) }) }
 }
 
-// WithMapRed overrides JobTracker parameters in place.
+// WithMapRed overrides JobTracker parameters in place, including the two
+// scheduling policies, SchedulerPolicy ("fifo", "fair") and
+// SpeculationPolicy ("threshold", "site-load"), and the fair scheduler's
+// Pools, keyed "bin<N>" by workload bin:
+//
+//	hog.WithMapRed(func(c *hog.MapRedConfig) {
+//		c.SchedulerPolicy = "fair"
+//		c.Pools = map[string]hog.FairPoolConfig{"bin1": {MaxRunning: 4}}
+//	})
 func WithMapRed(mut func(*MapRedConfig)) Option {
 	return func(b *builder) { b.later(func(b *builder) { mut(&b.cfg.MapRed) }) }
 }

@@ -27,16 +27,21 @@ func TestPolicyOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestPolicyOptionsSelect: each With*Policy option must reach its subsystem.
+// TestPolicyOptionsSelect: each policy field written through WithHDFS or
+// WithMapRed must reach its subsystem.
 func TestPolicyOptionsSelect(t *testing.T) {
 	sys, err := New(
 		WithHOGPool(15, ChurnNone),
 		WithSeed(1),
-		WithSchedulerPolicy("fair"),
-		WithSpeculationPolicy("site-load"),
-		WithPlacementPolicy("random"),
-		WithReplicationOrder("rarest"),
-		WithPools(map[string]FairPoolConfig{"prod": {Weight: 3}, "batch": {Weight: 1, MaxRunning: 8}}),
+		WithMapRed(func(c *MapRedConfig) {
+			c.SchedulerPolicy = "fair"
+			c.SpeculationPolicy = "site-load"
+			c.Pools = map[string]FairPoolConfig{"bin1": {Weight: 3}, "bin6": {Weight: 1, MaxRunning: 8}}
+		}),
+		WithHDFS(func(c *HDFSConfig) {
+			c.PlacementPolicy = "random"
+			c.ReplicationOrder = "rarest"
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +58,9 @@ func TestPolicyOptionsSelect(t *testing.T) {
 	if got := sys.NN.ReplicationOrderName(); got != "rarest" {
 		t.Errorf("replication order %q, want rarest", got)
 	}
+	if got := sys.JT.Config().Pools["bin6"].MaxRunning; got != 8 {
+		t.Errorf("bin6 pool cap %d, want 8", got)
+	}
 }
 
 // TestPolicyOptionsValidation: unknown names and bad pool parameters must be
@@ -63,11 +71,11 @@ func TestPolicyOptionsValidation(t *testing.T) {
 		opt  Option
 		want string
 	}{
-		{"scheduler", WithSchedulerPolicy("lottery"), `unknown scheduler policy "lottery"`},
-		{"speculation", WithSpeculationPolicy("psychic"), `unknown speculation policy "psychic"`},
-		{"placement", WithPlacementPolicy("antigravity"), `unknown placement policy "antigravity"`},
-		{"replication", WithReplicationOrder("loudest"), `unknown replication order "loudest"`},
-		{"pool weight", WithPools(map[string]FairPoolConfig{"p": {Weight: -1}}), "negative weight"},
+		{"scheduler", WithMapRed(func(c *MapRedConfig) { c.SchedulerPolicy = "lottery" }), `unknown scheduler policy "lottery"`},
+		{"speculation", WithMapRed(func(c *MapRedConfig) { c.SpeculationPolicy = "psychic" }), `unknown speculation policy "psychic"`},
+		{"placement", WithHDFS(func(c *HDFSConfig) { c.PlacementPolicy = "antigravity" }), `unknown placement policy "antigravity"`},
+		{"replication", WithHDFS(func(c *HDFSConfig) { c.ReplicationOrder = "loudest" }), `unknown replication order "loudest"`},
+		{"pool weight", WithMapRed(func(c *MapRedConfig) { c.Pools = map[string]FairPoolConfig{"p": {Weight: -1}} }), "negative weight"},
 	}
 	for _, tc := range cases {
 		_, err := New(WithHOGPool(15, ChurnNone), WithSeed(1), tc.opt)
@@ -78,6 +86,36 @@ func TestPolicyOptionsValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestFacadePoolCapBinds: a fair-share pool configured through the facade,
+// keyed by a workload bin, must hold that bin's jobs to its running cap on a
+// simulated pool, and the cap must actually bind (the bin reaches it).
+func TestFacadePoolCapBinds(t *testing.T) {
+	const pool, limit = "bin6", 3
+	sys, err := New(
+		WithHOGPool(15, ChurnNone),
+		WithSeed(2),
+		WithMapRed(func(c *MapRedConfig) {
+			c.SchedulerPolicy = "fair"
+			c.Pools = map[string]FairPoolConfig{pool: {MaxRunning: limit}}
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0
+	sys.Eng.Every(Seconds(1), func() { worst = max(worst, sys.JT.PoolRunning(pool)) })
+	res := sys.RunWorkload(GenerateWorkload(2, 0.1))
+	if res.JobsFailed != 0 {
+		t.Fatalf("%d jobs failed", res.JobsFailed)
+	}
+	if worst > limit {
+		t.Fatalf("pool %s ran %d tasks at once, cap is %d", pool, worst, limit)
+	}
+	if worst < limit {
+		t.Fatalf("pool %s peaked at %d running tasks, never reaching its cap %d", pool, worst, limit)
 	}
 }
 
