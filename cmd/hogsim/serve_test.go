@@ -369,6 +369,79 @@ func FuzzAdvanceTarget(f *testing.F) {
 	})
 }
 
+// forkSeeds are /fork bodies: a baseline with a divergence branch, and the
+// two divergences whose offset or poll once overflowed the engine clock and
+// panicked it with "sim: Schedule in the past".
+var forkSeeds = []string{
+	`{"branches":[{"name":"base"},{"name":"outage","divergence":{"name":"o","steps":[{"verb":"site-outage","at":30000000,"site":"UCSDT2","frac":0.5},{"verb":"crash-namenode","at":60000000},{"verb":"restart-masters","at":90000000}]}}]}`,
+	`{"branches":[{"name":"far","divergence":{"name":"far","steps":[{"verb":"crash-namenode","at":9223372036854775807}]}}]}`,
+	`{"branches":[{"name":"poll","divergence":{"name":"poll","poll":9223372036854775807,"steps":[{"verb":"retarget-alive-below","below":5,"target":12}]}}]}`,
+}
+
+// maxFuzzBranches caps the branches one fuzz input runs: every branch is a
+// full restore, and the target looks for a hostile divergence, not a long
+// branch list.
+const maxFuzzBranches = 4
+
+// FuzzForkBody feeds hostile /fork bodies through the path handleFork takes:
+// decode a forkRequest, then for each branch restore a warm snapshot of a
+// small HOG system, rebuild and apply its divergence, and run the branch
+// five simulated minutes. A stage may reject its input with an error but
+// must never panic.
+func FuzzForkBody(f *testing.F) {
+	for _, s := range forkSeeds {
+		f.Add([]byte(s))
+	}
+	sys, err := core.NewSystem(core.HOGConfig(12, grid.ChurnStable, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Jobs keep arriving for ten minutes, so a branch is still running when
+	// its divergence steps fire.
+	jobs := &workload.Schedule{Jobs: []workload.JobSpec{
+		{Name: "a", Maps: 2, Reduces: 1, InputBytes: 128e6},
+		{Name: "b", Submit: 5 * sim.Minute, Maps: 2, Reduces: 1, InputBytes: 128e6},
+		{Name: "c", Submit: 10 * sim.Minute, Maps: 2, Reduces: 1, InputBytes: 128e6},
+	}}
+	if err := sys.StartWorkload(jobs); err != nil {
+		f.Fatal(err)
+	}
+	if err := sys.RunTo(sys.RunStart() + 2*sim.Minute); err != nil {
+		f.Fatal(err)
+	}
+	data, err := snapshot.Save(sys)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req forkRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			return
+		}
+		for i, b := range req.Branches {
+			if i == maxFuzzBranches {
+				break
+			}
+			branch, err := snapshot.Restore(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Divergence != nil {
+				sc, err := core.ScenarioFromSpec(*b.Divergence)
+				if err != nil {
+					continue
+				}
+				if err := branch.ApplyDivergence(sc); err != nil {
+					continue
+				}
+			}
+			if err := branch.RunTo(branch.Eng.Now() + 5*sim.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestServeForkBodyLimits refuses oversized and malformed /fork bodies.
 func TestServeForkBodyLimits(t *testing.T) {
 	srv := testServer(t)

@@ -309,12 +309,13 @@ type System struct {
 	order          []netmodel.NodeID
 	workerList     []*worker // join order, parallel to order
 	bus            *event.Bus
-	scenarios      []*Scenario
+	scenarios      []ScenarioSpec // as admitted by Apply
 	scenariosArmed bool
-	// timedKeys maps "offset|target-key" of every applied timed step to its
-	// description, so Apply can reject a later scenario scheduling a
-	// conflicting action on the same target at the same instant.
-	timedKeys map[string]string
+	// timedKeys maps each target an admitted timed step acts on, at its
+	// instant on the workload-start timeline, to that step, so a later
+	// scenario or divergence scheduling a conflicting action on the same
+	// target at the same instant is rejected.
+	timedKeys map[conflictKey]StepSpec
 
 	// Fault-injection bookkeeping (faults.go): which sites and nodes carry
 	// an installed partition (name/ID -> cut mode), which nodes are under
@@ -461,26 +462,6 @@ func (s *System) Subscribe(o event.Observer) { s.bus.Subscribe(o) }
 
 // Zombies returns the number of currently zombie workers.
 func (s *System) Zombies() int { return s.zombies }
-
-// CrashNameNode fails the namenode process: soft state (the block map) is
-// lost; physical blocks on datanodes survive. Restart via RestartMasters.
-func (s *System) CrashNameNode() { s.NN.Crash() }
-
-// CrashJobTracker fails the JobTracker process: in-flight task state is
-// lost; completed map output on surviving nodes is kept across restart.
-func (s *System) CrashJobTracker() { s.JT.Crash() }
-
-// RestartMasters restarts whichever masters are down. The namenode enters
-// safe mode until enough block reports arrive; trackers re-register with
-// the JobTracker as their backed-off retries land.
-func (s *System) RestartMasters() {
-	if s.NN.Down() {
-		s.NN.Restart()
-	}
-	if s.JT.Down() {
-		s.JT.Restart()
-	}
-}
 
 // jitter spreads a retry delay over [d, 1.5d] so a restarted master is not
 // hit by every worker on the same beat. Drawn from the engine RNG, but only
@@ -787,19 +768,8 @@ func (s *System) RunStart() sim.Time { return s.runStart }
 func (s *System) RunSchedule() *workload.Schedule { return s.runSched }
 
 // ScenarioSpecs returns the serializable form of every applied scenario, in
-// application order. It fails if any applied scenario contains a When step,
-// whose closures cannot be serialized.
-func (s *System) ScenarioSpecs() ([]ScenarioSpec, error) {
-	var out []ScenarioSpec
-	for _, sc := range s.scenarios {
-		spec, err := sc.Spec()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, spec)
-	}
-	return out, nil
-}
+// application order. Callers must not modify them.
+func (s *System) ScenarioSpecs() []ScenarioSpec { return s.scenarios }
 
 // RNGStream describes one named simulator random stream: its seed and how
 // many values it has drawn (the stream's position).

@@ -93,20 +93,15 @@ func (s *System) ghostPartitioned(w *worker) {
 	s.JT.NodeCrashed(w.id)
 }
 
-// PartitionSiteNamed installs a directed cut between the named site and the
+// partitionSite installs a directed cut between the named site and the
 // rest of the fabric (mode per partitionCuts). Heartbeats, block reports,
 // shuffle fetches, and replication transfers across the cut all stop; nodes
 // within the site still reach each other. Emits PartitionStarted with the
-// number of healthy workers behind the cut.
-func (s *System) PartitionSiteNamed(site, mode string) error {
-	cutIn, cutOut, err := partitionCuts(mode)
-	if err != nil {
-		return fmt.Errorf("core: partition site %q: %w", site, err)
-	}
-	id, ok := s.Net.SiteByName(site)
-	if !ok {
-		return fmt.Errorf("core: partition: no network site named %q", site)
-	}
+// number of healthy workers behind the cut. The partition-site step checked
+// the mode when it was built and the site at Apply.
+func (s *System) partitionSite(site, mode string) {
+	cutIn, cutOut, _ := partitionCuts(mode)
+	id, _ := s.Net.SiteByName(site)
 	s.Net.PartitionSite(id, cutIn, cutOut)
 	if s.partedSites == nil {
 		s.partedSites = make(map[string]string)
@@ -123,17 +118,13 @@ func (s *System) PartitionSiteNamed(site, mode string) error {
 		}
 	}
 	s.emitPartition(event.PartitionStarted, site, mode, affected)
-	return nil
 }
 
-// PartitionNodesNamed installs node-level cuts on the count lowest-ID healthy
-// workers of the named site (mode per partitionCuts). Node cuts sever the
-// victims even from their own site's nodes.
-func (s *System) PartitionNodesNamed(site string, count int, mode string) error {
-	cutIn, cutOut, err := partitionCuts(mode)
-	if err != nil {
-		return fmt.Errorf("core: partition nodes at %q: %w", site, err)
-	}
+// partitionNodes installs node-level cuts on the count lowest-ID healthy
+// workers of the named site (mode per partitionCuts, checked when the step
+// was built). Node cuts sever the victims even from their own site's nodes.
+func (s *System) partitionNodes(site string, count int, mode string) {
+	cutIn, cutOut, _ := partitionCuts(mode)
 	picked := s.pickWorkers(site, count, func(w *worker) bool {
 		_, already := s.partedNodes[w.id]
 		return !already
@@ -149,21 +140,17 @@ func (s *System) PartitionNodesNamed(site string, count int, mode string) error 
 		}
 	}
 	s.emitPartition(event.PartitionStarted, site, "node:"+mode, len(picked))
-	return nil
 }
 
-// HealPartitionNamed removes the site-level cut on the named site and every
+// healPartition removes the site-level cut on the named site and every
 // node-level cut on workers there, then runs heal-side recovery for each
 // healthy worker that was behind a cut: a datanode the namenode dead-marked
 // (but whose hardware survived) re-registers with its preserved replica
 // inventory, a dead-marked tracker revives, and a tracker the JobTracker
 // still believes alive gets its ghost beliefs resolved immediately instead
-// of waiting out the timeout.
-func (s *System) HealPartitionNamed(site string) error {
-	id, ok := s.Net.SiteByName(site)
-	if !ok {
-		return fmt.Errorf("core: heal: no network site named %q", site)
-	}
+// of waiting out the timeout. The site was checked at Apply.
+func (s *System) healPartition(site string) {
+	id, _ := s.Net.SiteByName(site)
 	_, siteCut := s.partedSites[site]
 	healed := 0
 	for _, w := range s.workerList {
@@ -197,7 +184,6 @@ func (s *System) HealPartitionNamed(site string) error {
 		s.recoverWorker(w)
 	}
 	s.emitPartition(event.PartitionHealed, site, "", healed)
-	return nil
 }
 
 // recoverWorker reconciles one healthy worker with the masters after the
@@ -229,20 +215,16 @@ func (s *System) emitPartition(t event.Type, site, detail string, n int) {
 	s.bus.Emit(ev)
 }
 
-// DegradeNodesNamed puts the count lowest-ID healthy workers of the named
+// degradeNodes puts the count lowest-ID healthy workers of the named
 // site under gray degradation: their disks run at 1/factor of nominal
 // bandwidth (factor 1 leaves disks alone), their compute slows by the same
 // factor, each heartbeat beat is dropped with probability loss (drawn from
 // the counted "gray" stream), and the namenode excludes them from replica
 // placement while flagged. The nodes stay registered and mostly responsive —
 // the "limping, not dead" failure the dead-timeout machinery cannot see.
-func (s *System) DegradeNodesNamed(site string, count int, factor, loss float64) error {
-	if factor < 1 {
-		return fmt.Errorf("core: degrade at %q: factor %g below 1", site, factor)
-	}
-	if loss < 0 || loss >= 1 {
-		return fmt.Errorf("core: degrade at %q: heartbeat loss %g outside [0,1)", site, loss)
-	}
+// The degrade-nodes step checked factor >= 1 and loss in [0,1) when it was
+// built.
+func (s *System) degradeNodes(site string, count int, factor, loss float64) {
 	if s.degraded == nil {
 		s.degraded = make(map[netmodel.NodeID]struct{})
 	}
@@ -272,17 +254,14 @@ func (s *System) DegradeNodesNamed(site string, count int, factor, loss float64)
 			s.bus.Emit(ev)
 		}
 	}
-	return nil
 }
 
-// RestoreNodesNamed lifts gray degradation from every degraded worker at the
-// named site: disk and compute return to nominal, heartbeat loss stops, and
-// the namenode accepts the nodes for placement again.
-func (s *System) RestoreNodesNamed(site string) error {
-	id, ok := s.Net.SiteByName(site)
-	if !ok {
-		return fmt.Errorf("core: restore: no network site named %q", site)
-	}
+// restoreNodes lifts gray degradation from every degraded worker at the
+// named site (checked at Apply): disk and compute return to nominal,
+// heartbeat loss stops, and the namenode accepts the nodes for placement
+// again.
+func (s *System) restoreNodes(site string) {
+	id, _ := s.Net.SiteByName(site)
 	ids := make([]netmodel.NodeID, 0, len(s.degraded))
 	for nid := range s.degraded {
 		if s.Net.SiteOf(nid) == id {
@@ -311,22 +290,21 @@ func (s *System) RestoreNodesNamed(site string) error {
 			s.bus.Emit(ev)
 		}
 	}
-	return nil
 }
 
-// CorruptFileReplicas silently corrupts up to count replicas of the named
+// corruptReplicas silently corrupts up to count replicas of the named
 // file, spreading the damage round-robin across its blocks (replica holders
 // visited in ascending node-ID order; fire-time resolution, since the file
 // and its placement exist only once the workload staged it). A block's last
 // healthy replica is never corrupted, so every damaged block keeps a clean
 // copy for read failover and re-replication — corruption here models silent
 // bit rot that the checksum path must detect and repair, not data loss.
-// Returns how many replicas were actually corrupted — zero when the file
-// does not exist (yet) or no block can spare another replica.
-func (s *System) CorruptFileReplicas(file string, count int) int {
+// Nothing is corrupted when the file does not exist (yet) or no block can
+// spare another replica.
+func (s *System) corruptReplicas(file string, count int) {
 	fi := s.NN.File(file)
 	if fi == nil {
-		return 0
+		return
 	}
 	corrupted := 0
 	for progressed := true; progressed && corrupted < count; {
@@ -359,7 +337,6 @@ func (s *System) CorruptFileReplicas(file string, count int) int {
 			}
 		}
 	}
-	return corrupted
 }
 
 // PartitionedSites returns the number of sites with an installed cut.

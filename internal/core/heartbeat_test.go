@@ -48,6 +48,12 @@ func oracleScenario(site, other string) *Scenario {
 		HealPartitionAt(660*sim.Second, other)
 }
 
+// fireAt schedules st's action at absolute instant t outside any scenario,
+// so it can strike during warm-up.
+func fireAt(sys *System, t sim.Time, st StepSpec) {
+	sys.Eng.Schedule(t, func() { verbs[st.Verb].run(sys, st) })
+}
+
 // runHeartbeats runs cfg with the lazy driver or the eager oracle. Warm-up
 // faults are injected directly, since scenario steps are anchored at the
 // workload start: a namenode outage long enough for workers to give up on
@@ -63,15 +69,14 @@ func runHeartbeats(t *testing.T, cfg Config, eager bool) heartbeatRun {
 	sys.Subscribe(log)
 	sites := cfg.Grid.Sites
 	site, other := sites[0].Name, sites[1].Name
-	at := func(t sim.Time, fn func()) { sys.Eng.Schedule(t, fn) }
-	at(200*sim.Second, sys.CrashNameNode)
-	at(500*sim.Second, sys.RestartMasters)
-	at(700*sim.Second+sim.Second/2, sys.CrashJobTracker)
-	at(701*sim.Second+sim.Second/3, sys.RestartMasters)
-	at(800*sim.Second, func() { sys.PartitionSiteNamed(site, "out") })
-	at(810*sim.Second, func() { sys.DegradeNodesNamed(other, 5, 1, 0.7) })
-	at(900*sim.Second, func() { sys.HealPartitionNamed(site) })
-	at(960*sim.Second, func() { sys.RestoreNodesNamed(other) })
+	fireAt(sys, 200*sim.Second, StepSpec{Verb: "crash-namenode"})
+	fireAt(sys, 500*sim.Second, StepSpec{Verb: "restart-masters"})
+	fireAt(sys, 700*sim.Second+sim.Second/2, StepSpec{Verb: "crash-jobtracker"})
+	fireAt(sys, 701*sim.Second+sim.Second/3, StepSpec{Verb: "restart-masters"})
+	fireAt(sys, 800*sim.Second, StepSpec{Verb: "partition-site", Site: site, Mode: "out"})
+	fireAt(sys, 810*sim.Second, StepSpec{Verb: "degrade-nodes", Site: other, Count: 5, Factor: 1, Loss: 0.7})
+	fireAt(sys, 900*sim.Second, StepSpec{Verb: "heal-partition", Site: site})
+	fireAt(sys, 960*sim.Second, StepSpec{Verb: "restore-nodes", Site: other})
 	if err := sys.Apply(oracleScenario(site, other)); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +177,8 @@ func TestLazyHeartbeatsMatchEagerOracle(t *testing.T) {
 		sys := New(cfg)
 		log := event.NewLog(event.MasterGiveUp)
 		sys.Subscribe(log)
-		sys.Eng.Schedule(200*sim.Second, sys.CrashNameNode)
-		sys.Eng.Schedule(500*sim.Second, sys.RestartMasters)
+		fireAt(sys, 200*sim.Second, StepSpec{Verb: "crash-namenode"})
+		fireAt(sys, 500*sim.Second, StepSpec{Verb: "restart-masters"})
 		sys.AwaitNodes()
 		if log.Count(event.MasterGiveUp) == 0 {
 			t.Fatal("the warm-up outage made no worker give up on the namenode")

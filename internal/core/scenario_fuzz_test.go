@@ -25,6 +25,11 @@ var scenarioRegressions = []string{
 	// A 1µs poll made a ten-minute run fire 132M events; Poll now rejects
 	// periods under a millisecond.
 	`{"name":"pool","poll":1,"steps":[{"verb":"retarget-alive-below","below":5,"target":12}]}`,
+	// An offset or poll of the largest int64 overflowed anchor+offset, and
+	// StartWorkload panicked with "sim: Schedule in the past"; Apply now
+	// rejects any offset or poll longer than the run bound.
+	`{"name":"far","steps":[{"verb":"crash-namenode","at":9223372036854775807}]}`,
+	`{"name":"pool","poll":9223372036854775807,"steps":[{"verb":"retarget-alive-below","below":5,"target":12}]}`,
 }
 
 // FuzzScenarioFromSpec feeds hostile JSON through the path a /fork

@@ -113,6 +113,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"unknown net site", static, NewScenario("x").DegradeNetwork(sim.Second, "NOPE", 0.5), "no network site"},
 		{"bad poll", grids, NewScenario("x").Poll(0).RetargetPool(sim.Second, 5), "poll interval"},
 		{"microsecond poll", grids, NewScenario("x").Poll(sim.Microsecond).RetargetPool(sim.Second, 5), "poll interval"},
+		{"offset beyond run bound", grids, NewScenario("x").CrashNameNodeAt(49 * sim.Hour), "beyond the run bound"},
+		{"poll beyond run bound", grids, NewScenario("x").Poll(49*sim.Hour).RetargetWhenAliveBelow(5, 12), "beyond the run bound"},
 	}
 	for _, tc := range cases {
 		if err := tc.sys.Apply(tc.sc); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -124,15 +126,43 @@ func TestScenarioValidation(t *testing.T) {
 	if err := grids.Apply(NewScenario("ok").SiteOutageAt(sim.Second, "UCSDT2", 0.5)); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
 	}
-	if err := static.Apply(NewScenario("ok").DegradeNetwork(sim.Second, "cluster.local", 0.5)); err != nil {
+	ok := NewScenario("ok").DegradeNetwork(sim.Second, "cluster.local", 0.5)
+	if err := static.Apply(ok); err != nil {
 		t.Fatalf("static DegradeNetwork rejected: %v", err)
 	}
+	// A step added after Apply was never validated, so it must not reach
+	// the system: this pool action on the static cluster once fired and
+	// dereferenced its nil pool.
+	ok.KillFraction(2*sim.Second, 0.5)
+	if specs := static.ScenarioSpecs(); len(specs) != 1 || len(specs[0].Steps) != 1 {
+		t.Fatalf("applied specs = %+v, want the one step validated at Apply", specs)
+	}
+	static.RunWorkload(tinySchedule(1))
 }
 
-// TestScenarioSameInstantConflicts exercises Apply's rejection of two
+// midRun returns a small HOG system two simulated minutes into its
+// workload, the state a fork divergence is applied to.
+func midRun(t *testing.T, base *Scenario) *System {
+	t.Helper()
+	sys := New(HOGConfig(10, grid.ChurnNone, 1))
+	if base != nil {
+		if err := sys.Apply(base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.StartWorkload(tinySchedule(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(sys.RunStart() + 2*sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestScenarioSameInstantConflicts exercises the rejection of two
 // same-instant steps acting on the same target, whose declaration-order
 // outcome the author cannot have meant — and the combinations that must
-// stay legal.
+// stay legal. Apply and ApplyDivergence share the check.
 func TestScenarioSameInstantConflicts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,16 +189,23 @@ func TestScenarioSameInstantConflicts(t *testing.T) {
 			NewScenario("x").CrashNameNodeAt(sim.Minute).SiteOutageAt(sim.Minute, "UCSDT2", 0.5), ""},
 	}
 	for _, tc := range cases {
-		sys := New(HOGConfig(10, grid.ChurnNone, 1))
-		err := sys.Apply(tc.sc)
-		if tc.want == "" {
-			if err != nil {
-				t.Fatalf("%s: Apply rejected legal scenario: %v", tc.name, err)
+		for _, apply := range []struct {
+			name string
+			fn   func(*Scenario) error
+		}{
+			{"Apply", New(HOGConfig(10, grid.ChurnNone, 1)).Apply},
+			{"ApplyDivergence", midRun(t, nil).ApplyDivergence},
+		} {
+			err := apply.fn(tc.sc)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("%s: %s rejected legal scenario: %v", tc.name, apply.name, err)
+				}
+				continue
 			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: Apply error %v does not mention %q", tc.name, err, tc.want)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: %s error %v does not mention %q", tc.name, apply.name, err, tc.want)
+			}
 		}
 	}
 	// Conflicts are also caught across separately applied scenarios, and a
@@ -183,6 +220,17 @@ func TestScenarioSameInstantConflicts(t *testing.T) {
 	}
 	if err := sys.Apply(NewScenario("second").RestartMastersAfter(2 * sim.Minute)); err != nil {
 		t.Fatalf("corrected scenario rejected: %v", err)
+	}
+	// A divergence offset counts from the fork instant, so a restart that
+	// lands on an applied crash at 5m past the workload start conflicts.
+	mid := midRun(t, NewScenario("base").CrashNameNodeAt(5*sim.Minute))
+	crash := 5*sim.Minute - (mid.Eng.Now() - mid.RunStart())
+	err = mid.ApplyDivergence(NewScenario("fork").RestartMastersAfter(crash))
+	if err == nil || !strings.Contains(err.Error(), "already-applied") {
+		t.Fatalf("divergence conflict with an applied step = %v", err)
+	}
+	if err := mid.ApplyDivergence(NewScenario("fork").RestartMastersAfter(crash + sim.Second)); err != nil {
+		t.Fatalf("divergence at a free instant rejected: %v", err)
 	}
 }
 

@@ -145,13 +145,9 @@ func Save(sys *core.System) ([]byte, error) {
 	if sys.Diverged() {
 		return nil, errors.New("snapshot: cannot save a diverged fork branch (its history is not reproducible from its recipe)")
 	}
-	specs, err := sys.ScenarioSpecs()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
 	p := payload{
 		Config:    sys.Config(),
-		Scenarios: specs,
+		Scenarios: sys.ScenarioSpecs(),
 		Phase:     sys.Phase(),
 		Now:       sys.Eng.Now(),
 		Census:    TakeCensus(sys),

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -423,23 +424,28 @@ func TestSaveRejections(t *testing.T) {
 		t.Fatal("Save accepted a finished run")
 	}
 
+	// A mid-run fork branch that diverged is not reproducible from its
+	// recipe.
 	sys2, err := core.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	when := core.NewScenario("custom").When("noop", func(*core.System) bool { return false }, func(*core.System) {})
-	if err := sys2.Apply(when); err != nil {
+	if err := sys2.StartWorkload(sched(cfg.Seed, 0.05)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Save(sys2); err == nil {
-		t.Fatal("Save accepted a When scenario it cannot serialize")
-	} else if !strings.Contains(err.Error(), "When") {
-		t.Fatalf("Save error does not explain the When limitation: %v", err)
+	if err := sys2.RunTo(sys2.RunStart() + 10*sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys2.ApplyDivergence(core.NewScenario("drill").ChurnBurst(sim.Minute, 0.2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Save(sys2); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("Save of a diverged branch = %v, want a diverged error", err)
 	}
 }
 
-// TestScenarioSpecRoundTrip: every typed verb survives Spec →
-// ScenarioFromSpec.
+// TestScenarioSpecRoundTrip: every typed verb survives Spec → JSON →
+// ScenarioFromSpec, the path snapshots and /fork bodies take.
 func TestScenarioSpecRoundTrip(t *testing.T) {
 	sc := core.NewScenario("all-verbs").
 		Poll(7*sim.Second).
@@ -452,12 +458,33 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 		CrashNameNodeAt(70*sim.Second).
 		CrashJobTrackerAt(80*sim.Second).
 		RestartMastersAfter(90*sim.Second).
-		RetargetWhenAliveBelow(10, 100)
+		RetargetWhenAliveBelow(10, 100).
+		PartitionSiteAt(100*sim.Second, "MIT_CMS", "in").
+		PartitionNodesAt(110*sim.Second, "UCSDT2", 2, "out").
+		HealPartitionAt(120*sim.Second, "MIT_CMS").
+		DegradeNodesAt(130*sim.Second, "AGLT2", 3, 4, 0.25).
+		RestoreNodesAt(140*sim.Second, "AGLT2").
+		CorruptReplicasAt(150*sim.Second, "/in/job", 2)
 	spec, err := sc.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.ScenarioFromSpec(spec)
+	verbs := make(map[string]bool)
+	for _, st := range spec.Steps {
+		verbs[st.Verb] = true
+	}
+	if len(verbs) != 16 {
+		t.Fatalf("spec carries %d distinct verbs, want all 16", len(verbs))
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded core.ScenarioSpec
+	if err := json.Unmarshal(body, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.ScenarioFromSpec(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

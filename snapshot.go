@@ -24,8 +24,8 @@ const SnapshotVersion = snapshot.Version
 // with ScenarioFromSpec.
 type ScenarioSpec = core.ScenarioSpec
 
-// ScenarioFromSpec rebuilds a Scenario from its declarative spec. Scenarios
-// containing When steps (arbitrary Go predicates) have no spec form.
+// ScenarioFromSpec rebuilds a Scenario from its declarative spec, checking
+// every step's arguments.
 func ScenarioFromSpec(spec ScenarioSpec) (*Scenario, error) {
 	return core.ScenarioFromSpec(spec)
 }
