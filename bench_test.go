@@ -55,8 +55,7 @@ func BenchmarkLargeGrid(b *testing.B) {
 // BenchmarkMegaGrid runs the Facebook workload end to end at the MEGA-GRID
 // scale: ~10,000 nodes over forty sites, an order of magnitude past
 // LARGE-GRID and two past the paper. One iteration is a full provisioning
-// ramp plus workload execution; quick-mode CI runs it once and uploads the
-// harness document as BENCH_mega.json.
+// ramp plus workload execution; quick-mode CI runs it once.
 func BenchmarkMegaGrid(b *testing.B) {
 	var r experiments.ScaleGridResult
 	for i := 0; i < b.N; i++ {

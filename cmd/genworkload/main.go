@@ -3,12 +3,10 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"hog/internal/workload"
 )
@@ -46,20 +44,7 @@ func main() {
 				j.Submit.Seconds(), j.Name, j.Bin, j.Maps, j.Reduces, j.InputBytes/1e6)
 		}
 	case "csv":
-		w := csv.NewWriter(os.Stdout)
-		_ = w.Write([]string{"submit_s", "name", "bin", "maps", "reduces", "input_bytes"})
-		for _, j := range s.Jobs {
-			_ = w.Write([]string{
-				strconv.FormatFloat(j.Submit.Seconds(), 'f', 3, 64),
-				j.Name,
-				strconv.Itoa(j.Bin),
-				strconv.Itoa(j.Maps),
-				strconv.Itoa(j.Reduces),
-				strconv.FormatFloat(j.InputBytes, 'f', 0, 64),
-			})
-		}
-		w.Flush()
-		if err := w.Error(); err != nil {
+		if err := s.WriteCSV(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -25,40 +25,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
-
-	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"hog/internal/experiments"
 	"hog/internal/harness"
-	"hog/internal/hdfs"
-	"hog/internal/mapred"
 )
 
-// policyFlags describes the global policy-forcing flags: each row is one
-// decision point with its flag name and registry listing. listText and the
-// flag validation both walk this table, so -list can never drift from what
-// the flags accept.
-type policyFlag struct {
-	flag  string
-	desc  string
-	names func() []string
-}
-
-func policyFlags() []policyFlag {
-	return []policyFlag{
-		{"sched", "job-ordering policy", mapred.SchedulerPolicyNames},
-		{"place", "block-placement policy", hdfs.PlacementPolicyNames},
-		{"spec", "straggler criterion", mapred.SpeculationPolicyNames},
-		{"repl", "block-recovery order", hdfs.ReplicationOrderNames},
-	}
-}
-
-// listText renders the -list output: the experiment registry and its
-// aliases, then the policy registries (already sorted by their Names
-// functions).
+// listText renders the -list output: the experiment registry, then its
+// aliases.
 func listText() string {
 	var b strings.Builder
 	for _, s := range harness.Specs() {
@@ -67,21 +43,7 @@ func listText() string {
 	for _, a := range aliasIDs() {
 		fmt.Fprintf(&b, "%-10s alias of %s\n", a, harness.Aliases()[a])
 	}
-	b.WriteString("\npolicies (forced globally by flag; swept by -exp policy):\n")
-	for _, p := range policyFlags() {
-		fmt.Fprintf(&b, "  -%-6s %-22s %s\n", p.flag, p.desc, strings.Join(p.names(), ", "))
-	}
 	return b.String()
-}
-
-// checkPolicyName validates one policy flag value against its registry,
-// returning a usage error naming the valid choices. Empty keeps the default.
-func checkPolicyName(pf policyFlag, val string) error {
-	if val == "" || slices.Contains(pf.names(), val) {
-		return nil
-	}
-	return fmt.Errorf("unknown %s %q for -%s; known: %s",
-		pf.desc, val, pf.flag, strings.Join(pf.names(), ", "))
 }
 
 // aliasIDs returns the alias -exp values, sorted.
@@ -116,10 +78,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced scale and single seed")
 	list := flag.Bool("list", false, "list experiment ids")
 	scale := flag.Float64("scale", 0, "override workload scale (0 = preset)")
-	schedPol := flag.String("sched", "", "force a job-ordering policy in every run (see -list)")
-	placePol := flag.String("place", "", "force a block-placement policy in every run (see -list)")
-	specPol := flag.String("spec", "", "force a straggler criterion in every run (see -list)")
-	replPol := flag.String("repl", "", "force a block-recovery order in every run (see -list)")
 	parallel := flag.Int("parallel", 1, "worker pool size for the trial matrix")
 	jsonOut := flag.Bool("json", false, "emit the versioned JSON results document")
 	outPath := flag.String("out", "", "write output to this file instead of stdout")
@@ -166,16 +124,6 @@ func run() int {
 	}
 	if *scale > 0 {
 		opts.Scale = *scale
-	}
-	opts.SchedulerPolicy = *schedPol
-	opts.PlacementPolicy = *placePol
-	opts.SpeculationPolicy = *specPol
-	opts.ReplicationOrder = *replPol
-	for i, val := range []string{*schedPol, *placePol, *specPol, *replPol} {
-		if err := checkPolicyName(policyFlags()[i], val); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
 	}
 
 	// Validate the id before touching -out, so a typo can't truncate a

@@ -79,26 +79,6 @@ func TestStaticClusterNeverChurns(t *testing.T) {
 	}
 }
 
-// TestDecommissionIntegration shrinks the pool gracefully via HDFS
-// decommission before releasing nodes: no under-replication spike.
-func TestDecommissionIntegration(t *testing.T) {
-	cfg := HOGConfig(30, grid.ChurnNone, 25)
-	sys := New(cfg)
-	sys.AwaitNodes()
-	// Seed data so nodes actually hold blocks.
-	sys.NN.SeedFile("/in/data", 20*64e6, 0)
-	victim := sys.Pool.AliveNodes()[0]
-	done := false
-	sys.NN.Decommission(victim.ID, func() { done = true })
-	sys.Eng.RunUntil(sys.Eng.Now() + 30*sim.Minute)
-	if !done {
-		t.Fatalf("decommission never completed (queue %d)", sys.NN.UnderReplicated())
-	}
-	if sys.NN.Stats().BlocksLost != 0 {
-		t.Fatal("graceful drain lost blocks")
-	}
-}
-
 // TestZombieDiskCheckConverges verifies disk-check zombies disappear within
 // the probe interval.
 func TestZombieDiskCheckConverges(t *testing.T) {

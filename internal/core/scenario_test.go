@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,19 @@ func TestValidateErrors(t *testing.T) {
 			c.Grid.Pool.ProvisionDelay.Mean = -1
 			return c
 		}(), "pool provision delay {Offset:"},
+		// start+bound once overflowed the int64 clock: the run ended at
+		// once, or a step anchored below the bound (a crash at MaxInt64-1s)
+		// passed Apply and StartWorkload panicked.
+		{"run bound above ceiling", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.RunBound = math.MaxInt64
+			return c
+		}(), "run bound"},
+		{"provision bound above ceiling", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.Grid.ProvisionBound = math.MaxInt64
+			return c
+		}(), "provision bound"},
 	}
 	for _, tc := range cases {
 		sys, err := NewSystem(tc.cfg)
@@ -93,6 +107,80 @@ func TestValidateErrors(t *testing.T) {
 			New(tc.cfg)
 		}()
 	}
+}
+
+// osgCapacity is the most workers the five OSG sites of HOGConfig hold.
+const osgCapacity = 400 + 350 + 250 + 200 + 150
+
+// TestRunBoundCeiling checks that the run bound's ceiling is itself safe:
+// a step anchored one second below it is admitted and armed without
+// overflowing the clock. (A bound past the ceiling is refused at
+// construction; TestValidateErrors.)
+func TestRunBoundCeiling(t *testing.T) {
+	cfg := HOGConfig(12, grid.ChurnNone, 1)
+	cfg.RunBound = maxBound
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("bound at the ceiling rejected: %v", err)
+	}
+	if err := sys.Apply(NewScenario("far").CrashNameNodeAt(maxBound - sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.StartWorkload(tinySchedule(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunTo(sys.RunStart() + sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolRequestsBounded replays the memory hazard of an unbounded pool
+// target: the pool queued one provision event per missing worker, so a
+// retarget to 1e12 in a /fork body or a snapshot exhausted memory. Whatever
+// sets the target — an applied scenario, a divergence, the config — the
+// pool now keeps at most its sites' capacity alive or requested.
+func TestPoolRequestsBounded(t *testing.T) {
+	const target = 200_000 // the pool once queued a request for each
+	bounded := func(name string, sys *System, capacity int) {
+		t.Helper()
+		if n := sys.Pool.AliveCount() + sys.Pool.InFlight(); n > capacity {
+			t.Fatalf("%s: %d workers alive or requested, above the sites' capacity %d", name, n, capacity)
+		}
+	}
+	applied := New(HOGConfig(10, grid.ChurnNone, 1))
+	if err := applied.Apply(NewScenario("grow").RetargetPool(sim.Second, target)); err != nil {
+		t.Fatal(err)
+	}
+	if err := applied.StartWorkload(tinySchedule(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := applied.RunTo(applied.RunStart() + 2*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	bounded("Apply", applied, osgCapacity)
+
+	diverged := midRun(t, nil)
+	if err := diverged.ApplyDivergence(NewScenario("heal").RetargetWhenAliveBelow(11, target)); err != nil {
+		t.Fatal(err)
+	}
+	if err := diverged.RunTo(diverged.Eng.Now() + sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := diverged.Pool.Target(); got != target {
+		t.Fatalf("divergence never retargeted: target %d", got)
+	}
+	bounded("ApplyDivergence", diverged, osgCapacity)
+
+	cfg := HOGConfig(target, grid.ChurnNone, 1)
+	for i := range cfg.Grid.Sites {
+		cfg.Grid.Sites[i].Capacity = 4
+	}
+	cfg.Grid.ProvisionBound = 20 * sim.Minute
+	sys := New(cfg)
+	if got := sys.AwaitNodes(); got != 20 {
+		t.Fatalf("pool reached %d workers, want every site full (20)", got)
+	}
+	bounded("config", sys, 20)
 }
 
 func TestScenarioValidation(t *testing.T) {

@@ -52,6 +52,9 @@ func Validate(cfg Config) error {
 		if negativeDist(g.Pool.ProvisionDelay) {
 			return fmt.Errorf("core: pool provision delay %+v has a negative offset or mean", g.Pool.ProvisionDelay)
 		}
+		if g.ProvisionBound > maxBound {
+			return fmt.Errorf("core: provision bound %v above the %v ceiling", g.ProvisionBound, maxBound)
+		}
 	}
 	for i, g := range cfg.Static {
 		if g.Count < 0 {
@@ -75,8 +78,16 @@ func Validate(cfg Config) error {
 	if cfg.RunBound < 0 {
 		return fmt.Errorf("core: negative run bound %v", cfg.RunBound)
 	}
+	if cfg.RunBound > maxBound {
+		return fmt.Errorf("core: run bound %v above the %v ceiling", cfg.RunBound, maxBound)
+	}
 	return nil
 }
+
+// maxBound caps the run and provisioning bounds at ten simulated years, far
+// above the 48 h presets, so the run's end instant (start plus bound) and
+// every step anchored before it stay clear of the clock's int64 overflow.
+const maxBound = 10 * 365 * 24 * sim.Hour
 
 // minBlockSize is the smallest HDFS block size a config may set (1 MiB).
 const minBlockSize = 1 << 20

@@ -53,7 +53,7 @@ func SiteFailureTrial(c SiteFailureCase, opts Options) SiteFailureResult {
 	cfg := core.HOGConfig(60, grid.ChurnNone, opts.Seeds[0])
 	cfg.HDFS.Replication = c.Repl
 	cfg.HDFS.PlacementPolicy = c.Placement
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	outage := core.NewScenario("whole-site outage").
 		SiteOutageAt(300*sim.Second, SiteFailureSite, 1.0)
 	if err := sys.Apply(outage); err != nil {
@@ -107,7 +107,7 @@ func ReplicationTrial(repl int, opts Options) ReplicationResult {
 	opts = opts.WithDefaults()
 	cfg := core.HOGConfig(60, grid.ChurnUnstable, opts.Seeds[0])
 	cfg.HDFS.Replication = repl
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	return ReplicationResult{
 		Repl: repl, JobsFailed: res.JobsFailed, BlocksLost: res.NN.BlocksLost,
@@ -157,7 +157,7 @@ func HeartbeatTrial(timeout sim.Time, opts Options) HeartbeatResult {
 	cfg := core.HOGConfig(60, grid.ChurnUnstable, opts.Seeds[0])
 	cfg.HDFS.DeadTimeout = timeout
 	cfg.MapRed.TrackerTimeout = timeout
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	return HeartbeatResult{Timeout: timeout, Response: res.ResponseTime, JobsFailed: res.JobsFailed}
 }
@@ -203,7 +203,7 @@ func ZombieTrial(mode core.ZombieMode, opts Options) ZombieResult {
 	opts = opts.WithDefaults()
 	cfg := core.HOGConfig(55, grid.ChurnUnstable, opts.Seeds[0])
 	cfg.Zombie = mode
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	return ZombieResult{
 		Mode:           mode,
@@ -269,7 +269,7 @@ func DiskOverflowTrial(factor float64, opts Options) DiskOverflowResult {
 	// Slow the reduces so intermediate output lingers, as the paper's
 	// WAN-bound reduces did.
 	cfg.Costs.ReduceCostPerMB = 400 * sim.Millisecond
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	return DiskOverflowResult{
 		DiskGB:    diskGB,
@@ -336,7 +336,7 @@ func RedundantCopiesTrial(c NCopyCase, opts Options) NCopyResult {
 	cfg.MapRed.Speculative = c.Speculative
 	cfg.MapRed.MaxTaskCopies = c.Copies
 	cfg.MapRed.EagerRedundancy = c.Eager
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	return NCopyResult{
 		Copies: c.Copies, Eager: c.Eager,
@@ -390,7 +390,7 @@ func DelayTrial(wait sim.Time, opts Options) DelayResult {
 	cfg := core.HOGConfig(60, grid.ChurnStable, opts.Seeds[0])
 	cfg.HDFS.Replication = 2 // make locality contended
 	cfg.MapRed.LocalityWait = wait
-	sys := core.New(opts.tune(cfg))
+	sys := core.New(cfg)
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	local := res.MapLocality[0]
 	nonLocal := res.MapLocality[1] + res.MapLocality[2]
@@ -468,7 +468,7 @@ func HODTrial(system string, opts Options) HODResultRow {
 		hodRes := hod.Run(s, cfg)
 		return HODResultRow{system, hodRes.ResponseTime, hodRes.ReconstructionOverhead, hodRes.TimedOut}
 	case HODSystems()[1]:
-		sys := core.New(opts.tune(core.HOGConfig(30, grid.ChurnStable, opts.Seeds[0])))
+		sys := core.New(core.HOGConfig(30, grid.ChurnStable, opts.Seeds[0]))
 		return HODResultRow{system, sys.RunWorkload(s).ResponseTime, 0, 0}
 	default:
 		panic(fmt.Sprintf("experiments: unknown HOD system %q", system))

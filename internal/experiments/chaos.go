@@ -94,7 +94,7 @@ type chaosFold struct {
 func runAudited(opts Options, scenario func([]workload.JobSpec) *core.Scenario) chaosRun {
 	cfg := core.HOGConfig(60, grid.ChurnUnstable, opts.Seeds[0])
 	log := event.NewLog()
-	sys, err := core.NewSystem(opts.tune(cfg), log)
+	sys, err := core.NewSystem(cfg, log)
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,7 @@ func EventCountsTrial(opts Options) EventCountsResult {
 	cfg := core.HOGConfig(60, grid.ChurnUnstable, opts.Seeds[0])
 	cfg.Zombie = core.ZombieDiskCheck
 	log := event.NewLog()
-	sys, err := core.NewSystem(opts.tune(cfg), log)
+	sys, err := core.NewSystem(cfg, log)
 	if err != nil {
 		panic(err)
 	}

@@ -30,34 +30,6 @@ type Options struct {
 	Seeds []int64
 	// Nodes overrides the Figure 4 sweep points.
 	Nodes []int
-	// SchedulerPolicy, SpeculationPolicy, PlacementPolicy, and
-	// ReplicationOrder force the named policy in every simulated system
-	// (hogbench -sched, -spec, -place, -repl). They can change results —
-	// they are ablation selectors — but the empty string keeps each
-	// decision point's default, under which every run is bit-identical to
-	// the pre-policy behaviour. The POLICY experiment ignores them for the
-	// decision point it is sweeping.
-	SchedulerPolicy   string
-	SpeculationPolicy string
-	PlacementPolicy   string
-	ReplicationOrder  string
-}
-
-// tune applies the option-level knobs to a built core config.
-func (o Options) tune(cfg core.Config) core.Config {
-	if o.SchedulerPolicy != "" {
-		cfg.MapRed.SchedulerPolicy = o.SchedulerPolicy
-	}
-	if o.SpeculationPolicy != "" {
-		cfg.MapRed.SpeculationPolicy = o.SpeculationPolicy
-	}
-	if o.PlacementPolicy != "" {
-		cfg.HDFS.PlacementPolicy = o.PlacementPolicy
-	}
-	if o.ReplicationOrder != "" {
-		cfg.HDFS.ReplicationOrder = o.ReplicationOrder
-	}
-	return cfg
 }
 
 // fig4Nodes returns the sampling points on the paper's Figure 4 x-axis.
@@ -318,7 +290,7 @@ type Table3Result struct {
 // workload response that forms Figure 4's dashed line.
 func Table3(opts Options) Table3Result {
 	opts = opts.WithDefaults()
-	sys := core.New(opts.tune(core.DedicatedClusterConfig(opts.Seeds[0])))
+	sys := core.New(core.DedicatedClusterConfig(opts.Seeds[0]))
 	r := Table3Result{}
 	for _, t := range sys.JT.AliveTrackers() {
 		r.Nodes++
@@ -364,7 +336,7 @@ type Fig4TrialResult struct {
 // line) for the given seed.
 func Fig4Cluster(seed int64, opts Options) Fig4TrialResult {
 	opts = opts.WithDefaults()
-	cl := core.New(opts.tune(core.DedicatedClusterConfig(seed)))
+	cl := core.New(core.DedicatedClusterConfig(seed))
 	res := cl.RunWorkload(sched(seed, opts.Scale))
 	return Fig4TrialResult{Nodes: 30, Response: res.ResponseTime, Completed: len(res.JobResponses)}
 }
@@ -374,7 +346,7 @@ func Fig4Cluster(seed int64, opts Options) Fig4TrialResult {
 // procedure).
 func Fig4Trial(nodes int, seed int64, opts Options) Fig4TrialResult {
 	opts = opts.WithDefaults()
-	sys := core.New(opts.tune(core.HOGConfig(nodes, grid.ChurnStable, seed)))
+	sys := core.New(core.HOGConfig(nodes, grid.ChurnStable, seed))
 	res := sys.RunWorkload(sched(seed, opts.Scale))
 	return Fig4TrialResult{Nodes: nodes, Response: res.ResponseTime, Completed: len(res.JobResponses)}
 }
@@ -473,7 +445,7 @@ type FluctuationRun struct {
 // and area beneath the availability curve.
 func FluctuationTrial(c FluctuationCase, opts Options) FluctuationRun {
 	opts = opts.WithDefaults()
-	sys := core.New(opts.tune(core.HOGConfig(55, c.Churn, c.Seed)))
+	sys := core.New(core.HOGConfig(55, c.Churn, c.Seed))
 	res := sys.RunWorkload(sched(7, opts.Scale))
 	return FluctuationRun{
 		Label:    c.Label,

@@ -22,8 +22,7 @@ import (
 
 // PolicyPair is one decision point with its default and alternative policy.
 type PolicyPair struct {
-	// Kind names the decision point: "sched", "place", "spec", or "repl"
-	// (matching the hogbench flag that forces it globally).
+	// Kind names the decision point: "sched", "place", "spec", or "repl".
 	Kind string
 	// Baseline is the default policy (the paper's behaviour); Variant is
 	// the shipped alternative.
@@ -57,12 +56,11 @@ type PolicyTrialResult struct {
 }
 
 // PolicyTrial runs one 60-node workload with the named policy forced at the
-// given decision point; every other decision point keeps its default (or the
-// global option override), so pairs sharing (kind, seed) differ only in the
-// swept policy.
+// given decision point; every other decision point keeps its default, so
+// pairs sharing (kind, seed) differ only in the swept policy.
 func PolicyTrial(kind, name string, churn grid.ChurnProfile, seed int64, opts Options) PolicyTrialResult {
 	opts = opts.WithDefaults()
-	cfg := opts.tune(core.HOGConfig(60, churn, seed))
+	cfg := core.HOGConfig(60, churn, seed)
 	switch kind {
 	case "sched":
 		cfg.MapRed.SchedulerPolicy = name

@@ -47,7 +47,7 @@ type ScaleGridResult struct {
 // ScaleGrid runs the Facebook workload on the preset's stable pool.
 func ScaleGrid(opts Options, p ScalePreset) ScaleGridResult {
 	opts = opts.WithDefaults()
-	sys := core.New(opts.tune(p.config(p.Target, grid.ChurnStable, opts.Seeds[0])))
+	sys := core.New(p.config(p.Target, grid.ChurnStable, opts.Seeds[0]))
 	res := sys.RunWorkload(sched(opts.Seeds[0], opts.Scale))
 	out := ScaleGridResult{
 		Target:       p.Target,

@@ -59,7 +59,7 @@ type WhatIfBranchResult struct {
 // whatIfWarm builds the MEGA-GRID system, starts the Facebook workload,
 // runs to three quarters of the submission window, and snapshots.
 func whatIfWarm(opts Options) ([]byte, sim.Time) {
-	sys := core.New(opts.tune(core.MegaGridConfig(10000, grid.ChurnStable, opts.Seeds[0])))
+	sys := core.New(core.MegaGridConfig(10000, grid.ChurnStable, opts.Seeds[0]))
 	s := sched(opts.Seeds[0], opts.Scale)
 	if err := sys.StartWorkload(s); err != nil {
 		panic(err)

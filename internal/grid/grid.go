@@ -95,6 +95,9 @@ type Pool struct {
 	target   int
 	inflight int
 	alive    int
+	// capacity is the sites' total Capacity, the most workers the pool can
+	// ever run at once.
+	capacity int
 	nodes    map[netmodel.NodeID]*Node
 	stats    Stats
 
@@ -137,6 +140,7 @@ func NewPool(eng *sim.Engine, net *netmodel.Network, sites []SiteConfig, cfg Poo
 		sr := &siteRuntime{cfg: sc}
 		sr.netSite = net.AddSite(sc.Name, sc.UplinkBps, sc.DownlinkBps)
 		p.sites = append(p.sites, sr)
+		p.capacity += sc.Capacity
 		p.scheduleBatchPreemption(sr)
 	}
 	return p
@@ -203,8 +207,11 @@ func (p *Pool) SiteNames() []string {
 // AliveAtSite returns the number of alive nodes at site index i.
 func (p *Pool) AliveAtSite(i int) int { return p.sites[i].alive }
 
+// maintain submits one request per missing worker, but never more than the
+// sites can run: a target above their total capacity (or a hostile one of
+// 1e12) would otherwise queue one provision event per missing worker.
 func (p *Pool) maintain() {
-	for p.alive+p.inflight < p.target {
+	for p.alive+p.inflight < min(p.target, p.capacity) {
 		p.inflight++
 		p.stats.RequestsSubmitted++
 		delay := p.cfg.ProvisionDelay.Sample(p.eng.Rand())

@@ -21,6 +21,29 @@ func quietSites(n int) []SiteConfig {
 	return sites[:n]
 }
 
+// TestPoolRequestsBoundedByCapacity pins that a target above the sites'
+// total capacity requests no more workers than they can run. The pool once
+// queued one provision event per missing worker: a target of 200,000 left
+// 200,000 pending events, and 1e12 exhausted memory. The 1e12 case runs
+// only once the smaller one passes.
+func TestPoolRequestsBoundedByCapacity(t *testing.T) {
+	sites := quietSites(2)
+	capacity := sites[0].Capacity + sites[1].Capacity
+	for _, target := range []int{200_000, 1e12} {
+		eng, _, p := newTestPool(1, sites, DefaultPoolConfig())
+		p.SetTarget(target)
+		if p.InFlight() != capacity || eng.Pending() != capacity {
+			t.Fatalf("target %d: %d requests in flight, %d events pending; want %d each",
+				target, p.InFlight(), eng.Pending(), capacity)
+		}
+		eng.RunUntil(30 * sim.Minute)
+		if p.AliveCount() != capacity || p.InFlight() != 0 {
+			t.Fatalf("target %d: %d alive, %d in flight; want every site full and nothing queued",
+				target, p.AliveCount(), p.InFlight())
+		}
+	}
+}
+
 func TestPoolReachesTarget(t *testing.T) {
 	eng, _, p := newTestPool(1, quietSites(5), DefaultPoolConfig())
 	joins := 0
@@ -152,13 +175,14 @@ func TestHostnamesMapToSiteDomains(t *testing.T) {
 	eng, net, p := newTestPool(8, quietSites(5), DefaultPoolConfig())
 	p.SetTarget(60)
 	eng.RunUntil(30 * sim.Minute)
-	m := topology.NewMapper()
 	domains := map[string]bool{}
 	for _, sc := range quietSites(5) {
 		domains[topology.SiteFromHostname("x."+sc.Domain)] = true
 	}
+	seen := map[string]bool{}
 	for _, n := range p.AliveNodes() {
-		site := m.Site(n.Hostname)
+		site := topology.SiteFromHostname(n.Hostname)
+		seen[site] = true
 		if !domains[site] {
 			t.Fatalf("hostname %q mapped to unknown site %q", n.Hostname, site)
 		}
@@ -166,8 +190,8 @@ func TestHostnamesMapToSiteDomains(t *testing.T) {
 			t.Fatal("netmodel hostname mismatch")
 		}
 	}
-	if len(m.Sites()) < 2 {
-		t.Fatalf("expected nodes spread over >=2 sites, got %v", m.Sites())
+	if len(seen) < 2 {
+		t.Fatalf("expected nodes spread over >=2 sites, got %v", seen)
 	}
 }
 

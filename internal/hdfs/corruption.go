@@ -119,7 +119,7 @@ func (nn *Namenode) invalidateCorrupt(b *BlockInfo, id netmodel.NodeID) {
 		nn.loseBlock(b)
 		return
 	}
-	if nn.effectiveReplicas(b)+len(b.pending) < nn.targetReplication(b) {
+	if len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
 		nn.queueReplication(b.ID)
 		nn.pumpReplication()
 	}
@@ -235,7 +235,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	// Mirror a late block report: top up anything still short (a recovered
 	// corrupt replica does not help a block whose other copies also died).
 	for _, bid := range bids {
-		if b := nn.blocks[bid]; b != nil && nn.effectiveReplicas(b)+len(b.pending) < nn.targetReplication(b) {
+		if b := nn.blocks[bid]; b != nil && len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
 			nn.queueReplication(bid)
 		}
 	}

@@ -278,11 +278,10 @@ type Stats struct {
 // namenode's soft state and Restart rebuilds it from datanode block reports
 // behind a safe-mode gate (see safemode.go and docs/FAULTS.md).
 type Namenode struct {
-	eng    *sim.Engine
-	net    *netmodel.Network
-	disk   *disk.Tracker
-	cfg    Config
-	mapper *topology.Mapper
+	eng  *sim.Engine
+	net  *netmodel.Network
+	disk *disk.Tracker
+	cfg  Config
 
 	datanodes map[netmodel.NodeID]*DatanodeInfo
 	// dnOrder holds every registered datanode in ascending ID order — the
@@ -313,8 +312,6 @@ type Namenode struct {
 	// policies (policy.go), resolved by name from the configuration.
 	place     PlacementPolicy
 	replOrder ReplicationOrder
-
-	decommissioning map[netmodel.NodeID]func()
 
 	// corruptCount and grayCount summarise fault-injection state (corruption.go)
 	// so the census can gate its fold-in on "any present" without scanning.
@@ -357,10 +354,10 @@ type Namenode struct {
 	OnBlockLost func(b *BlockInfo)
 	// OnPlacementChange is invoked after a block replica appears on (added)
 	// or disappears from (removed) a datanode — replication, writes,
-	// balancer moves, decommission drains, node death, file deletion. The
-	// MapReduce scheduler index subscribes to keep its per-node and per-site
-	// pending-task sets in sync with block placement; NewJobTracker chains
-	// onto any previously installed callback.
+	// balancer moves, node death, file deletion. The MapReduce scheduler
+	// index subscribes to keep its per-node and per-site pending-task sets
+	// in sync with block placement; NewJobTracker chains onto any
+	// previously installed callback.
 	OnPlacementChange func(bid BlockID, node netmodel.NodeID, added bool)
 
 	// Events receives NodeDead, BlockLost, and ReplicationDone events when
@@ -378,7 +375,6 @@ func NewNamenode(eng *sim.Engine, net *netmodel.Network, dt *disk.Tracker, cfg C
 		net:        net,
 		disk:       dt,
 		cfg:        cfg.withDefaults(),
-		mapper:     topology.NewMapper(),
 		datanodes:  make(map[netmodel.NodeID]*DatanodeInfo),
 		siteIx:     make(map[string]int),
 		blocks:     make(map[BlockID]*BlockInfo),
@@ -429,7 +425,7 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 	d := &DatanodeInfo{
 		ID:       id,
 		Hostname: hostname,
-		Site:     nn.mapper.Site(hostname),
+		Site:     topology.SiteFromHostname(hostname),
 		Alive:    true,
 		heard:    nn.eng.Now(),
 		beat:     &nn.beat,
@@ -639,16 +635,6 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 		}
 	}
 	d.blocks = nil
-	if done, draining := nn.decommissioning[d.ID]; draining {
-		// A preempted node cannot finish draining; the dead-node path above
-		// now owns its blocks, so complete the decommission immediately
-		// rather than leaving a stale entry until some later stream pokes
-		// checkAllDecommissions.
-		delete(nn.decommissioning, d.ID)
-		if done != nil {
-			done()
-		}
-	}
 	if nn.OnDatanodeDead != nil {
 		nn.OnDatanodeDead(d.ID)
 	}
@@ -656,7 +642,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 }
 
 // ForceDead immediately declares a datanode dead, bypassing the heartbeat
-// timeout (used by tests and by voluntary decommission).
+// timeout (used by tests).
 func (nn *Namenode) ForceDead(id netmodel.NodeID) {
 	if d, ok := nn.datanodes[id]; ok {
 		nn.markDead(d)

@@ -7,15 +7,14 @@ import (
 )
 
 // gatherCandidates fills the namenode's candidate scratch buffer with every
-// live, non-excluded, non-draining datanode that has room for a block of
-// the given size — in ascending ID order (dnOrder is maintained sorted, so
-// no per-call sort) — then shuffles it with the engine's RNG so ties break
-// randomly but reproducibly. The scan plus shuffle is O(datanodes); the old
+// live, non-excluded datanode that has room for a block of the given size —
+// in ascending ID order (dnOrder is maintained sorted, so no per-call sort) —
+// then shuffles it with the engine's RNG so ties break randomly but
+// reproducibly. The scan plus shuffle is O(datanodes); the old
 // per-call sort made it O(datanodes log datanodes), the largest single cost
 // of a LARGE-GRID run. The excluded datanodes are stamped with a fresh
 // placement epoch up front, so the scan tests a field instead of making a
-// map lookup per candidate; the decommissioning lookup runs only while some
-// node is draining.
+// map lookup per candidate.
 func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]struct{}) []*DatanodeInfo {
 	nn.placeEpoch++
 	for id := range exclude {
@@ -23,7 +22,6 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 			d.placeMark = nn.placeEpoch
 		}
 	}
-	draining := len(nn.decommissioning) > 0
 	cands := nn.candBuf[:0]
 	for _, d := range nn.dnOrder {
 		if !d.Alive {
@@ -38,11 +36,6 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 		}
 		if d.placeMark == nn.placeEpoch {
 			continue
-		}
-		if draining {
-			if _, ok := nn.decommissioning[d.ID]; ok {
-				continue
-			}
 		}
 		if nn.disk.Free(d.ID) >= size {
 			cands = append(cands, d)

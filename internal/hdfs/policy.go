@@ -12,7 +12,8 @@ import (
 // and the recovery ring stay on the Namenode as the shared substrate; a
 // policy only decides which candidates become targets and which queued block
 // recovers next. Policies are selected by name through Config.PlacementPolicy
-// and Config.ReplicationOrder (core.Validate vets the names); the
+// and Config.ReplicationOrder (set through the hog.WithHDFS option; the
+// POLICY experiment sweeps them; core.Validate vets the names); the
 // defaults reproduce the pre-extraction behaviour bit for bit, which
 // policy_equiv_test.go pins.
 
@@ -281,7 +282,7 @@ func (rarestOrder) Next(nn *Namenode) (BlockID, bool) {
 		bid := q.at(i)
 		have := -1
 		if b := nn.blocks[bid]; b != nil {
-			have = nn.effectiveReplicas(b) + len(b.pending)
+			have = len(b.replicas) + len(b.pending)
 		}
 		if i == 0 || have < bestHave || (have == bestHave && bid < bestBid) {
 			best, bestHave, bestBid = i, have, bid

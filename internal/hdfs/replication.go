@@ -109,7 +109,7 @@ func (nn *Namenode) pumpReplication() {
 			continue
 		}
 		want := nn.targetReplication(b)
-		have := nn.effectiveReplicas(b) + len(b.pending)
+		have := len(b.replicas) + len(b.pending)
 		if have >= want {
 			continue
 		}
@@ -166,38 +166,11 @@ func (nn *Namenode) pumpReplication() {
 			} else {
 				nn.disk.Release(dst, b.Size)
 			}
-			if nn.blocks[bid] != nil && nn.effectiveReplicas(b)+len(b.pending) < nn.targetReplication(b) {
+			if nn.blocks[bid] != nil && len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
 				nn.queueReplication(bid)
 			}
-			nn.checkAllDecommissions()
 			nn.pumpReplication()
 		})
-	}
-}
-
-// effectiveReplicas counts replicas on nodes that are staying: replicas on
-// decommissioning nodes do not satisfy the target.
-func (nn *Namenode) effectiveReplicas(b *BlockInfo) int {
-	n := 0
-	for id := range b.replicas {
-		if _, draining := nn.decommissioning[id]; !draining {
-			n++
-		}
-	}
-	return n
-}
-
-func (nn *Namenode) checkAllDecommissions() {
-	if len(nn.decommissioning) == 0 {
-		return
-	}
-	ids := make([]netmodel.NodeID, 0, len(nn.decommissioning))
-	for id := range nn.decommissioning {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		nn.checkDecommission(id)
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 // deferred while degraded; reads of reported blocks keep working.
 
 // Crash drops the namenode's soft state: every in-flight replication stream
-// is abandoned, the recovery queue is cleared, decommission drains are
-// forgotten (their completion callbacks never fire), and the replica map
-// empties. Physical state survives — datanodes keep their blocks and disk
+// is abandoned, the recovery queue is cleared, and the replica map empties.
+// Physical state survives — datanodes keep their blocks and disk
 // reservations — which is precisely what block reports reconcile later.
 func (nn *Namenode) Crash() {
 	if nn.down {
@@ -64,7 +63,6 @@ func (nn *Namenode) Crash() {
 	}
 	nn.replQueue = blockRing{}
 	nn.replQueued = make(map[BlockID]struct{})
-	nn.decommissioning = nil
 
 	// Empty the replica map in deterministic order so the placement hook
 	// (the MapReduce scheduler index) sees a well-defined removal sequence.

@@ -82,7 +82,6 @@ func newQuietClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdf
 	c.jt = NewJobTracker(c.eng, c.net, c.nn, c.dt, jtCfg)
 	c.jt.DiskUsable = func(n netmodel.NodeID) bool { return c.state[n] == healthy }
 	c.jt.DataServable = func(n netmodel.NodeID) bool { return c.state[n] == healthy }
-	mapper := topology.NewMapper()
 	for _, dom := range domains {
 		sid := c.net.AddSite(dom, 300e6, 300e6)
 		for i := 0; i < nodesPerSite; i++ {
@@ -90,7 +89,7 @@ func newQuietClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdf
 			id := c.net.AddNode(sid, host)
 			c.dt.SetCapacity(id, 40e9)
 			c.nn.Register(id, host)
-			c.jt.RegisterTracker(id, host, mapper.Site(host), 1, 1)
+			c.jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 1, 1)
 			c.nodes = append(c.nodes, id)
 			c.state[id] = healthy
 		}

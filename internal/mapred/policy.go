@@ -12,8 +12,8 @@ import (
 // maintained scheduler indexes (schedindex.go) are the shared substrate every
 // policy queries: a policy decides job ordering or straggler criteria, never
 // bookkeeping. Policies are selected by name through Config.SchedulerPolicy /
-// Config.SpeculationPolicy (set through the hog.WithMapRed option or
-// hogbench's -sched and -spec flags); the defaults reproduce the
+// Config.SpeculationPolicy (set through the hog.WithMapRed option; the
+// POLICY experiment sweeps them); the defaults reproduce the
 // pre-extraction behaviour bit for bit, which policy_equiv_test.go pins.
 
 // TaskKind distinguishes map from reduce work in policy callbacks.

@@ -44,7 +44,6 @@ func schedulerRun(scan bool) int {
 	if scan {
 		useScanOracle(jt)
 	}
-	mapper := topology.NewMapper()
 	var nodes, workers []netmodel.NodeID
 	for s := 0; s < nSites; s++ {
 		dom := fmt.Sprintf("site%d.edu", s)
@@ -55,10 +54,10 @@ func schedulerRun(scan bool) int {
 			nn.Register(id, host)
 			if i < dataPerSite {
 				dt.SetCapacity(id, 100e9)
-				jt.RegisterTracker(id, host, mapper.Site(host), 0, 1)
+				jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 0, 1)
 			} else {
 				dt.SetCapacity(id, 1e6) // too small for a block: no replicas land here
-				jt.RegisterTracker(id, host, mapper.Site(host), 1, 1)
+				jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 1, 1)
 				workers = append(workers, id)
 			}
 			nodes = append(nodes, id)

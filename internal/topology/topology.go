@@ -5,16 +5,14 @@
 // script that maps a worker's DNS name to a "rack" identifier derived from
 // the last two labels of the hostname (workername.site.edu -> site.edu). The
 // namenode and jobtracker then treat each site as a failure domain. This
-// package reimplements that script as a library function plus a resolver
-// cache equivalent to Hadoop's CachedDNSToSwitchMapping.
+// package reimplements that script as a library function. Hadoop caches the
+// script's answers (CachedDNSToSwitchMapping); the simulator needs no cache,
+// since every node registers once under a fresh hostname.
 package topology
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
-// DefaultRack is returned for hostnames a mapper cannot classify, mirroring
+// DefaultRack is returned for hostnames SiteFromHostname cannot classify, mirroring
 // Hadoop's /default-rack behaviour for unresolvable nodes.
 const DefaultRack = "default-rack"
 
@@ -37,60 +35,4 @@ func SiteFromHostname(host string) string {
 		return DefaultRack
 	}
 	return strings.ToLower(a + "." + b)
-}
-
-// Mapper resolves hostnames to site identifiers and caches results, the
-// analogue of Hadoop's rack-awareness script invocation: the script runs
-// once per newly discovered node and the result is remembered.
-type Mapper struct {
-	mu    sync.Mutex
-	cache map[string]string
-	// Resolve is the mapping function; defaults to SiteFromHostname.
-	Resolve func(host string) string
-	// calls counts resolver invocations (not cache hits) for tests that
-	// verify the once-per-node contract.
-	calls int
-}
-
-// NewMapper returns a Mapper using SiteFromHostname.
-func NewMapper() *Mapper {
-	return &Mapper{cache: make(map[string]string), Resolve: SiteFromHostname}
-}
-
-// Site returns the site identifier for host, consulting the cache first.
-func (m *Mapper) Site(host string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.cache[host]; ok {
-		return s
-	}
-	m.calls++
-	s := m.Resolve(host)
-	if s == "" {
-		s = DefaultRack
-	}
-	m.cache[host] = s
-	return s
-}
-
-// Calls reports how many times the resolver has been invoked.
-func (m *Mapper) Calls() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.calls
-}
-
-// Sites returns the distinct sites seen so far, in no particular order.
-func (m *Mapper) Sites() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range m.cache {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -38,34 +38,6 @@ func TestSameSiteGrouping(t *testing.T) {
 	}
 }
 
-func TestMapperCaches(t *testing.T) {
-	m := NewMapper()
-	for i := 0; i < 5; i++ {
-		if got := m.Site("w1.fnal.gov"); got != "fnal.gov" {
-			t.Fatalf("Site = %q", got)
-		}
-	}
-	if m.Calls() != 1 {
-		t.Fatalf("resolver calls = %d, want 1 (cache miss only once)", m.Calls())
-	}
-	m.Site("w2.ucsd.edu")
-	if m.Calls() != 2 {
-		t.Fatalf("resolver calls = %d, want 2", m.Calls())
-	}
-	sites := m.Sites()
-	if len(sites) != 2 {
-		t.Fatalf("Sites = %v, want 2 distinct", sites)
-	}
-}
-
-func TestMapperEmptyResolverResult(t *testing.T) {
-	m := NewMapper()
-	m.Resolve = func(string) string { return "" }
-	if got := m.Site("whatever.example.com"); got != DefaultRack {
-		t.Fatalf("empty resolver result mapped to %q, want %q", got, DefaultRack)
-	}
-}
-
 // Property: the site is always a suffix of the (lowercased) input for
 // well-formed multi-label hostnames, and never contains whitespace.
 func TestSiteSuffixProperty(t *testing.T) {

@@ -1,18 +1,14 @@
-// Package traceio exports simulation results as CSV and JSON so figures can
-// be regenerated by external plotting tools — the workflow the paper's own
-// evaluation used (node-count traces behind Figure 5, response-time series
-// behind Figure 4).
+// Package traceio exports simulation time series as CSV so figures can be
+// regenerated by external plotting tools — the workflow the paper's own
+// evaluation used (node-count traces behind Figure 5).
 package traceio
 
 import (
 	"encoding/csv"
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
 	"hog/internal/metrics"
-	"hog/internal/sim"
 )
 
 // WriteSeriesCSV writes a step time series as (t_seconds, value) rows.
@@ -26,72 +22,6 @@ func WriteSeriesCSV(w io.Writer, s *metrics.Series) error {
 			strconv.FormatFloat(p.T.Seconds(), 'f', 3, 64),
 			strconv.FormatFloat(p.V, 'f', 3, 64),
 		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// SeriesJSON is the JSON shape of an exported series.
-type SeriesJSON struct {
-	Name   string       `json:"name"`
-	Points [][2]float64 `json:"points"` // [seconds, value]
-}
-
-// WriteSeriesJSON writes a step time series as JSON.
-func WriteSeriesJSON(w io.Writer, s *metrics.Series) error {
-	out := SeriesJSON{Name: s.Name}
-	for _, p := range s.Points() {
-		out.Points = append(out.Points, [2]float64{p.T.Seconds(), p.V})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ResponseRow is one (x, responses...) row of a response-time sweep such as
-// Figure 4.
-type ResponseRow struct {
-	X         float64
-	Label     string
-	Responses []sim.Time
-}
-
-// WriteSweepCSV writes sweep rows with one column per repetition plus a mean.
-func WriteSweepCSV(w io.Writer, xName string, rows []ResponseRow) error {
-	cw := csv.NewWriter(w)
-	maxRuns := 0
-	for _, r := range rows {
-		if len(r.Responses) > maxRuns {
-			maxRuns = len(r.Responses)
-		}
-	}
-	header := []string{xName, "label"}
-	for i := 0; i < maxRuns; i++ {
-		header = append(header, fmt.Sprintf("run%d_s", i+1))
-	}
-	header = append(header, "mean_s")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{strconv.FormatFloat(r.X, 'f', -1, 64), r.Label}
-		var sum float64
-		for i := 0; i < maxRuns; i++ {
-			if i < len(r.Responses) {
-				sum += r.Responses[i].Seconds()
-				rec = append(rec, strconv.FormatFloat(r.Responses[i].Seconds(), 'f', 1, 64))
-			} else {
-				rec = append(rec, "")
-			}
-		}
-		if len(r.Responses) > 0 {
-			rec = append(rec, strconv.FormatFloat(sum/float64(len(r.Responses)), 'f', 1, 64))
-		} else {
-			rec = append(rec, "")
-		}
-		if err := cw.Write(rec); err != nil {
 			return err
 		}
 	}

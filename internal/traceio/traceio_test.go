@@ -3,8 +3,6 @@ package traceio
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"hog/internal/metrics"
@@ -36,52 +34,5 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 	if rows[2][0] != "10.000" || rows[2][1] != "52.000" {
 		t.Fatalf("row = %v", rows[2])
-	}
-}
-
-func TestWriteSeriesJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSeriesJSON(&buf, sampleSeries()); err != nil {
-		t.Fatal(err)
-	}
-	var got SeriesJSON
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "nodes" || len(got.Points) != 3 {
-		t.Fatalf("decoded %+v", got)
-	}
-	if got.Points[1] != [2]float64{10, 52} {
-		t.Fatalf("point = %v", got.Points[1])
-	}
-}
-
-func TestWriteSweepCSV(t *testing.T) {
-	rows := []ResponseRow{
-		{X: 55, Label: "hog", Responses: []sim.Time{4396 * sim.Second, 3896 * sim.Second}},
-		{X: 100, Label: "hog", Responses: []sim.Time{2600 * sim.Second}},
-		{X: 0, Label: "cluster"},
-	}
-	var buf bytes.Buffer
-	if err := WriteSweepCSV(&buf, "nodes", rows); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if !strings.HasPrefix(recs[0][2], "run1") || recs[0][4] != "mean_s" {
-		t.Fatalf("header = %v", recs[0])
-	}
-	// Mean of 4396 and 3896 is 4146.
-	if recs[1][4] != "4146.0" {
-		t.Fatalf("mean = %q", recs[1][4])
-	}
-	// Missing runs are blank, empty responses give blank mean.
-	if recs[2][3] != "" || recs[3][4] != "" {
-		t.Fatalf("padding wrong: %v / %v", recs[2], recs[3])
 	}
 }
