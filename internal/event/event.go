@@ -264,12 +264,21 @@ func (b *Bus) Emit(e Event) {
 // Log is a bundled Observer that records events, optionally filtered to a
 // set of types, and maintains per-type counts over everything it saw (counts
 // are kept even for filtered-out types).
+//
+// Retained events live in fixed-size chunks rather than one growing slice: a
+// 10,000-node warm-up retains tens of thousands of events, and doubling a
+// multi-megabyte slice leaves the old copy as garbage each time, so the
+// process's peak memory would depend on where the collector happened to run.
 type Log struct {
 	keep   uint64 // bitmask of types to retain; keepAll short-circuits
 	all    bool
-	events []Event
+	chunks [][]Event
+	n      int // retained events across chunks
 	counts [NumTypes]int
 }
+
+// logChunk is the number of events per chunk, about 24 KiB.
+const logChunk = 256
 
 // NewLog returns a collector. With no arguments it retains every event;
 // otherwise only the listed types are retained (counts still cover all).
@@ -287,16 +296,27 @@ func (l *Log) HandleEvent(e Event) {
 		l.counts[e.Type]++
 	}
 	if l.all || l.keep&(1<<e.Type) != 0 {
-		l.events = append(l.events, e)
+		k := len(l.chunks)
+		if k == 0 || len(l.chunks[k-1]) == logChunk {
+			l.chunks = append(l.chunks, make([]Event, 0, logChunk))
+			k++
+		}
+		l.chunks[k-1] = append(l.chunks[k-1], e)
+		l.n++
 	}
 }
 
-// Events returns the retained events in emission order. The slice is owned
-// by the log; callers must not mutate it.
-func (l *Log) Events() []Event { return l.events }
+// Events returns a copy of the retained events in emission order.
+func (l *Log) Events() []Event {
+	out := make([]Event, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
 
 // Len returns the number of retained events.
-func (l *Log) Len() int { return len(l.events) }
+func (l *Log) Len() int { return l.n }
 
 // Count returns how many events of type t were observed (filtered or not).
 func (l *Log) Count(t Type) int {
@@ -329,19 +349,21 @@ func (l *Log) Fingerprint() uint64 {
 		wi(int64(len(s)))
 		h.Write([]byte(s))
 	}
-	for i := range l.events {
-		e := &l.events[i]
-		wi(int64(e.Time))
-		wi(int64(e.Type))
-		wi(int64(e.Node))
-		ws(e.Site)
-		wi(int64(e.Job))
-		wi(int64(e.Task))
-		wi(int64(e.Kind))
-		wi(int64(e.Locality))
-		wi(e.Block)
-		wi(int64(e.Value))
-		ws(e.Detail)
+	for _, c := range l.chunks {
+		for i := range c {
+			e := &c[i]
+			wi(int64(e.Time))
+			wi(int64(e.Type))
+			wi(int64(e.Node))
+			ws(e.Site)
+			wi(int64(e.Job))
+			wi(int64(e.Task))
+			wi(int64(e.Kind))
+			wi(int64(e.Locality))
+			wi(e.Block)
+			wi(int64(e.Value))
+			ws(e.Detail)
+		}
 	}
 	return h.Sum64()
 }

@@ -50,6 +50,29 @@ func TestLogFilterAndCounts(t *testing.T) {
 	}
 }
 
+func TestLogAcrossChunks(t *testing.T) {
+	l := NewLog()
+	const n = 3*logChunk + 5
+	for i := 0; i < n; i++ {
+		e := At(TaskLaunched, sim.Time(i))
+		e.Task = i
+		l.HandleEvent(e)
+	}
+	evs := l.Events()
+	if l.Len() != n || len(evs) != n {
+		t.Fatalf("Len = %d, len(Events) = %d, want %d", l.Len(), len(evs), n)
+	}
+	for i, e := range evs {
+		if e.Task != i || e.Time != sim.Time(i) {
+			t.Fatalf("event %d = task %d at %v, want emission order", i, e.Task, e.Time)
+		}
+	}
+	evs[0].Task = -7
+	if l.Events()[0].Task != 0 {
+		t.Fatal("mutating the Events result changed the log")
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	mk := func(mutate func(*Event)) uint64 {
 		l := NewLog()
