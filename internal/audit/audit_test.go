@@ -35,8 +35,8 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 	}
 }
 
-// masters builds a namenode and JobTracker over two registered nodes, the
-// state the liveness rules consult.
+// masters builds a namenode and JobTracker over two registered nodes with
+// room for a few blocks each, the state the event rules consult.
 func masters(t *testing.T) (*hdfs.Namenode, *mapred.JobTracker, []netmodel.NodeID) {
 	t.Helper()
 	eng := sim.New(1)
@@ -48,6 +48,7 @@ func masters(t *testing.T) (*hdfs.Namenode, *mapred.JobTracker, []netmodel.NodeI
 	var ids []netmodel.NodeID
 	for _, host := range []string{"n0.a.edu", "n1.a.edu"} {
 		id := net.AddNode(site, host)
+		dt.SetCapacity(id, 1e9)
 		d := nn.Register(id, host)
 		jt.RegisterTracker(id, host, d.Site, 1, 1)
 		ids = append(ids, id)
@@ -206,6 +207,74 @@ func TestLivenessRulesFire(t *testing.T) {
 		a.HandleEvent(masterEvent(event.MasterRecovered, 5, "namenode"))
 		if got := rules(a)["monotone-time"]; got != 1 {
 			t.Fatalf("monotone-time fired %d times, want 1: %v", got, a.Violations())
+		}
+	})
+}
+
+// TestStateRulesFire feeds the auditor crafted events that contradict the
+// masters' block and job state, one rule at a time, and checks each fires
+// by name — and that the consistent version of each event passes.
+func TestStateRulesFire(t *testing.T) {
+	t.Run("block-lost", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		bid := nn.SeedFile("/in", hdfs.DefaultBlockSize, 2).Blocks[0]
+		lost := event.At(event.BlockLost, 1)
+		lost.Block = int64(bid)
+		a.HandleEvent(lost)
+		if got := rules(a)["block-lost"]; got != 1 {
+			t.Fatalf("block-lost fired %d times for a live block, want 1: %v", got, a.Violations())
+		}
+		nn.ForceDead(ids[0])
+		nn.ForceDead(ids[1])
+		if !nn.Block(bid).Lost() {
+			t.Fatal("block not lost with both its holders dead")
+		}
+		lost.Time = 2
+		a.HandleEvent(lost)
+		if a.Count() != 1 {
+			t.Fatalf("a genuinely lost block raised %v", a.Violations())
+		}
+	})
+	t.Run("corrupt-invalidation", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		bid := nn.SeedFile("/in", hdfs.DefaultBlockSize, 2).Blocks[0]
+		if !nn.CorruptReplica(bid, ids[0]) {
+			t.Fatal("could not corrupt the replica")
+		}
+		inv := nodeEvent(event.ReplicaInvalidated, 1, ids[0])
+		inv.Block = int64(bid)
+		a.HandleEvent(inv)
+		if got := rules(a)["corrupt-invalidation"]; got != 1 {
+			t.Fatalf("corrupt-invalidation fired %d times for a surviving marker, want 1: %v", got, a.Violations())
+		}
+		inv = nodeEvent(event.ReplicaInvalidated, 2, ids[1])
+		inv.Block = int64(bid)
+		a.HandleEvent(inv)
+		if a.Count() != 1 {
+			t.Fatalf("invalidating a clean replica raised %v", a.Violations())
+		}
+	})
+	t.Run("job-complete", func(t *testing.T) {
+		nn, jt, _ := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		nn.SeedFile("/in", 2*hdfs.DefaultBlockSize, 2)
+		j := jt.Submit(mapred.JobConfig{Name: "j", InputFile: "/in", Reduces: 1})
+		done := event.At(event.JobFinished, 1)
+		done.Job = int(j.ID)
+		done.Detail = "succeeded"
+		a.HandleEvent(done)
+		if got := rules(a)["job-complete"]; got != 1 {
+			t.Fatalf("job-complete fired %d times for a job with no finished task, want 1: %v", got, a.Violations())
+		}
+		done.Time, done.Detail = 2, "failed"
+		a.HandleEvent(done)
+		if a.Count() != 1 {
+			t.Fatalf("an unfinished job's failure raised %v", a.Violations())
 		}
 	})
 }

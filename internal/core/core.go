@@ -266,25 +266,10 @@ type worker struct {
 	// longer needs visiting.
 	exc bool
 
-	// Master-loss retry state, per master (see retryNN/retryJT). nnLost is
-	// set when a heartbeat to a crashed namenode goes unanswered; the worker
-	// then retries at nnRetryAt with exponential backoff nnBackoff, and
-	// re-registers when the master is back. nnLostSince anchors the total
-	// retry-duration cap (Config.MasterRetryTotal); once it is exceeded the
-	// worker sets nnGaveUp and stops retrying for good. Likewise jt* for the
-	// JobTracker.
-	nnLost   bool
-	jtLost   bool
-	nnGaveUp bool
-	jtGaveUp bool
 	// seq is the worker's index in workerList.
-	seq         int32
-	nnRetryAt   sim.Time
-	jtRetryAt   sim.Time
-	nnBackoff   sim.Time
-	jtBackoff   sim.Time
-	nnLostSince sim.Time
-	jtLostSince sim.Time
+	seq int32
+	// nn and jt are the worker's links to the namenode and the JobTracker.
+	nn, jt masterLink
 
 	// Gray-degradation state (faults.go). grayLoss is the probability each
 	// heartbeat beat is dropped, drawn from the dedicated counting "gray"
@@ -434,7 +419,7 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 	// Heartbeat driver (tick): healthy workers report to both masters,
 	// zombies only to the JobTracker (their datanode died with the working
 	// dir). Master-crash handling rides the same beats: a worker whose master
-	// is down flips to backed-off retries (retryNN/retryJT) and re-registers
+	// is down flips to backed-off retries (retry) and re-registers
 	// on recovery. With no master faults this draws zero RNG.
 	hb := s.JT.Config().HeartbeatInterval
 	if s.cfg.MasterBackoffInitial <= 0 {
@@ -470,71 +455,51 @@ func (s *System) jitter(d sim.Time) sim.Time {
 	return d + sim.Time(s.Eng.Rand().Int63n(int64(d)/2+1))
 }
 
-// retryNN drives one worker's backed-off reconnection to the namenode.
-// Retries are quantized to heartbeat beats: the worker acts on the first
-// beat at or after its scheduled retry instant. A campaign that has been
-// failing for MasterRetryTotal gives up for good: the daemon exits its
-// retry loop (MasterGiveUp) and never reconnects, even if the master later
-// returns — the dead scan reaps it like any silent node.
-func (s *System) retryNN(w *worker, now sim.Time, down bool) {
-	if !w.nnLost {
-		// Heartbeat went unanswered: note the loss, back off.
-		w.nnLost = true
-		w.nnLostSince = now
-		w.nnBackoff = s.cfg.MasterBackoffInitial
-		w.nnRetryAt = now + s.jitter(w.nnBackoff)
-		return
-	}
-	if w.nnGaveUp || now < w.nnRetryAt {
-		return
-	}
-	if down {
-		if now-w.nnLostSince >= s.cfg.MasterRetryTotal {
-			w.nnGaveUp = true
-			s.emitGiveUp(w, "namenode")
-			return
-		}
-		// Retry failed: double the backoff, up to the cap.
-		w.nnBackoff *= 2
-		if w.nnBackoff > s.cfg.MasterBackoffMax {
-			w.nnBackoff = s.cfg.MasterBackoffMax
-		}
-		w.nnRetryAt = now + s.jitter(w.nnBackoff)
-		return
-	}
-	w.nnLost = false
-	w.nnBackoff = 0
-	s.NN.Reregister(w.id)
+// masterLink is a worker's connection state to one master. lost is set
+// when a heartbeat to a crashed master goes unanswered; the worker then
+// retries at retryAt with exponential backoff and re-registers when the
+// master is back. lostSince anchors the total retry-duration cap
+// (Config.MasterRetryTotal); once it is exceeded the worker sets gaveUp and
+// stops retrying for good.
+type masterLink struct {
+	lost, gaveUp                bool
+	retryAt, backoff, lostSince sim.Time
 }
 
-// retryJT is retryNN for the JobTracker connection.
-func (s *System) retryJT(w *worker, now sim.Time, down bool) {
-	if !w.jtLost {
-		w.jtLost = true
-		w.jtLostSince = now
-		w.jtBackoff = s.cfg.MasterBackoffInitial
-		w.jtRetryAt = now + s.jitter(w.jtBackoff)
-		return
+// retry drives one worker's backed-off reconnection over link l to a master
+// that is down or was lost, and reports whether the master is back: the
+// caller then re-registers the worker with it. Retries are quantized to
+// heartbeat beats: the worker acts on the first beat at or after its
+// scheduled retry instant. A campaign that has been failing for
+// MasterRetryTotal gives up for good: the daemon exits its retry loop
+// (MasterGiveUp) and never reconnects, even if the master later returns —
+// the dead scan reaps it like any silent node.
+func (s *System) retry(w *worker, l *masterLink, now sim.Time, down bool, master string) bool {
+	if !l.lost {
+		// Heartbeat went unanswered: note the loss, back off.
+		l.lost = true
+		l.lostSince = now
+		l.backoff = s.cfg.MasterBackoffInitial
+		l.retryAt = now + s.jitter(l.backoff)
+		return false
 	}
-	if w.jtGaveUp || now < w.jtRetryAt {
-		return
+	if l.gaveUp || now < l.retryAt {
+		return false
 	}
 	if down {
-		if now-w.jtLostSince >= s.cfg.MasterRetryTotal {
-			w.jtGaveUp = true
-			s.emitGiveUp(w, "jobtracker")
-			return
+		if now-l.lostSince >= s.cfg.MasterRetryTotal {
+			l.gaveUp = true
+			s.emitGiveUp(w, master)
+			return false
 		}
-		w.jtBackoff *= 2
-		if w.jtBackoff > s.cfg.MasterBackoffMax {
-			w.jtBackoff = s.cfg.MasterBackoffMax
-		}
-		w.jtRetryAt = now + s.jitter(w.jtBackoff)
-		return
+		// Retry failed: double the backoff, up to the cap.
+		l.backoff = min(2*l.backoff, s.cfg.MasterBackoffMax)
+		l.retryAt = now + s.jitter(l.backoff)
+		return false
 	}
-	w.jtLost = false
-	w.jtBackoff = 0
-	s.JT.ReregisterTracker(w.tr)
+	l.lost = false
+	l.backoff = 0
+	return true
 }
 
 // emitGiveUp reports a worker abandoning its master-reconnect campaign.

@@ -1,8 +1,8 @@
 package core
 
-// eagerTick is the heartbeat driver before lazy heartbeats, verbatim apart
-// from the work counts: every beat walks every worker and writes each master
-// record it reaches. The masters never see Settle under it, so all their
+// eagerTick is the heartbeat driver before lazy heartbeats, apart from the
+// work counts and the reconnect loop it shares with the lazy driver (retry):
+// every beat walks every worker and writes each master record it reaches. The masters never see Settle under it, so all their
 // records stay quiet and each dead scan walks every alive record, as the old
 // scans did.
 func eagerTick(s *System) {
@@ -30,24 +30,21 @@ func eagerTick(s *System) {
 		if w.grayLoss > 0 && s.gray.rnd.Float64() < w.grayLoss {
 			continue
 		}
-		switch w.health {
-		case workerHealthy:
-			if nnDown || w.nnLost {
-				s.retryNN(w, now, nnDown)
+		if w.health == workerHealthy {
+			if nnDown || w.nn.lost {
+				if s.retry(w, &w.nn, now, nnDown, "namenode") {
+					s.NN.Reregister(w.id)
+				}
 			} else {
 				s.NN.HeartbeatDatanode(w.dn)
 			}
-			if jtDown || w.jtLost {
-				s.retryJT(w, now, jtDown)
-			} else {
-				s.JT.HeartbeatTracker(w.tr)
+		}
+		if jtDown || w.jt.lost {
+			if s.retry(w, &w.jt, now, jtDown, "jobtracker") {
+				s.JT.ReregisterTracker(w.tr)
 			}
-		case workerZombie:
-			if jtDown || w.jtLost {
-				s.retryJT(w, now, jtDown)
-			} else {
-				s.JT.HeartbeatTracker(w.tr)
-			}
+		} else {
+			s.JT.HeartbeatTracker(w.tr)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"hog/internal/liveness"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
 )
@@ -10,9 +11,9 @@ import (
 // This file is the heartbeat driver. Every worker beats both masters each
 // heartbeat interval, but in the steady state — healthy, master-reachable,
 // no gray loss, no master retry — a beat only records "heard from at this
-// tick". So the masters keep one tick stamp (BeatTick) that their steady
-// records read, and the driver visits only the exceptions, in workerList
-// order:
+// tick". So each master's heartbeat ledger (internal/liveness) keeps one
+// tick stamp (BeatTick) that its steady records read, and the driver visits
+// only the exceptions, in workerList order:
 //
 //   - workers that joined but have not beaten yet,
 //   - workers that died since the last tick, which drops them,
@@ -41,11 +42,9 @@ type Work struct {
 	// workers unsettled since the last tick.
 	Exceptions int
 
-	NNScans, NNScanned int64
-	JTScans, JTScanned int64
-	// NNQuiet and JTQuiet are the masters' current quiet-set sizes: what
-	// their next dead scans will visit.
-	NNQuiet, JTQuiet int
+	// NN and JT are the masters' dead-scan work, with their current
+	// quiet-set sizes: what their next dead scans will visit.
+	NN, JT liveness.Work
 
 	// Net is the network rebalancer's work: rebalances, registry entries
 	// visited and flows re-timed.
@@ -60,8 +59,8 @@ type Work struct {
 func (s *System) Work() Work {
 	w := s.work
 	w.Exceptions = len(s.exc) + len(s.excNew)
-	w.NNScans, w.NNScanned, w.NNQuiet = s.NN.DeadScanWork()
-	w.JTScans, w.JTScanned, w.JTQuiet = s.JT.DeadScanWork()
+	w.NN = s.NN.LivenessWork()
+	w.JT = s.JT.LivenessWork()
 	w.Net = s.Net.Work()
 	w.MapProbes, w.PlacementLookups = s.JT.AssignWork()
 	return w
@@ -140,27 +139,25 @@ func (s *System) visit(w *worker, now sim.Time, nnDown, jtDown bool) bool {
 	if w.grayLoss > 0 && s.gray.rnd.Float64() < w.grayLoss {
 		return true
 	}
-	switch w.health {
-	case workerHealthy:
-		if nnDown || w.nnLost {
-			s.retryNN(w, now, nnDown)
+	// Zombies beat only the JobTracker: their datanode died with the
+	// working directory.
+	if w.health == workerHealthy {
+		if nnDown || w.nn.lost {
+			if s.retry(w, &w.nn, now, nnDown, "namenode") {
+				s.NN.Reregister(w.id)
+			}
 		} else {
 			s.NN.HeartbeatDatanode(w.dn)
 		}
-		if jtDown || w.jtLost {
-			s.retryJT(w, now, jtDown)
-		} else {
-			s.JT.HeartbeatTracker(w.tr)
-		}
-	case workerZombie:
-		if jtDown || w.jtLost {
-			s.retryJT(w, now, jtDown)
-		} else {
-			s.JT.HeartbeatTracker(w.tr)
-		}
-		return true
 	}
-	if !s.lazy || nnDown || jtDown || w.nnLost || w.jtLost || w.grayLoss > 0 {
+	if jtDown || w.jt.lost {
+		if s.retry(w, &w.jt, now, jtDown, "jobtracker") {
+			s.JT.ReregisterTracker(w.tr)
+		}
+	} else {
+		s.JT.HeartbeatTracker(w.tr)
+	}
+	if w.health == workerZombie || !s.lazy || nnDown || jtDown || w.nn.lost || w.jt.lost || w.grayLoss > 0 {
 		return true
 	}
 	if nn, jt := s.NN.Settle(w.dn), s.JT.Settle(w.tr); !nn || !jt {

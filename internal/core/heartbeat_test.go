@@ -90,8 +90,8 @@ func runHeartbeats(t *testing.T, cfg Config, eager bool) heartbeatRun {
 		alive := 0
 		for _, w := range sys.workerList {
 			put(int64(w.id))
-			put(int64(w.dn.LastHeartbeat()))
-			put(int64(w.tr.LastHeartbeat()))
+			put(int64(sys.NN.LastHeartbeat(w.dn)))
+			put(int64(sys.JT.LastHeartbeat(w.tr)))
 			if w.tr.Alive {
 				alive++
 			}
@@ -241,16 +241,16 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 				jtExc++
 			}
 		}
-		if after.NNQuiet != nnExc || after.JTQuiet != jtExc {
+		if after.NN.Quiet != nnExc || after.JT.Quiet != jtExc {
 			t.Fatalf("at %v quiet sets %d/%d, exceptional workers' alive records %d/%d",
-				next, after.NNQuiet, after.JTQuiet, nnExc, jtExc)
+				next, after.NN.Quiet, after.JT.Quiet, nnExc, jtExc)
 		}
 		if next%hb != 0 { // a scan instant with no tick reshaping the sets first
-			if v := after.NNScanned - before.NNScanned; v > int64(before.NNQuiet) {
-				t.Fatalf("at %v the namenode scan visited %d records, quiet set %d", next, v, before.NNQuiet)
+			if v := after.NN.Scanned - before.NN.Scanned; v > int64(before.NN.Quiet) {
+				t.Fatalf("at %v the namenode scan visited %d records, quiet set %d", next, v, before.NN.Quiet)
 			}
-			if v := after.JTScanned - before.JTScanned; v > int64(before.JTQuiet) {
-				t.Fatalf("at %v the JobTracker scan visited %d records, quiet set %d", next, v, before.JTQuiet)
+			if v := after.JT.Scanned - before.JT.Scanned; v > int64(before.JT.Quiet) {
+				t.Fatalf("at %v the JobTracker scan visited %d records, quiet set %d", next, v, before.JT.Quiet)
 			}
 		}
 		if v := after.IdleVisits - before.IdleVisits; v > int64(before.Exceptions) {
@@ -264,12 +264,12 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 
 	lazy, eager := sys.Work(), oracle.Work()
 	t.Logf("%d steps; lazy %+v; eager %+v", checked, lazy, eager)
-	if lazy.NNScans == 0 || lazy.IdleTicks == 0 {
+	if lazy.NN.Scans == 0 || lazy.IdleTicks == 0 {
 		t.Fatal("no dead scans or idle ticks during warm-up")
 	}
-	if lazy.NNScanned*20 > eager.NNScanned || lazy.JTScanned*20 > eager.JTScanned {
+	if lazy.NN.Scanned*20 > eager.NN.Scanned || lazy.JT.Scanned*20 > eager.JT.Scanned {
 		t.Errorf("dead scans visited %d/%d records, eager %d/%d: want at least 20x fewer",
-			lazy.NNScanned, lazy.JTScanned, eager.NNScanned, eager.JTScanned)
+			lazy.NN.Scanned, lazy.JT.Scanned, eager.NN.Scanned, eager.JT.Scanned)
 	}
 	if lazy.Visits*20 > eager.Visits {
 		t.Errorf("driver visited %d workers, eager %d: want at least 20x fewer", lazy.Visits, eager.Visits)

@@ -79,6 +79,27 @@ func TestValidateErrors(t *testing.T) {
 			c.RunBound = math.MaxInt64
 			return c
 		}(), "run bound"},
+		// A supply this large queued or built one worker each.
+		{"grid capacity above ceiling", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.Grid.Sites[0].Capacity = maxWorkers
+			return c
+		}(), "grid site capacities sum above"},
+		{"grid capacity overflowing the sum", func() Config {
+			c := HOGConfig(10, grid.ChurnNone, 1)
+			c.Grid.Sites[1].Capacity = math.MaxInt
+			return c
+		}(), "grid site capacities sum above"},
+		{"static count above ceiling", func() Config {
+			c := DedicatedClusterConfig(1)
+			c.Static = append(c.Static, StaticGroup{Count: maxWorkers, MapSlots: 1})
+			return c
+		}(), "static group counts sum above"},
+		{"static count overflowing the sum", func() Config {
+			c := DedicatedClusterConfig(1)
+			c.Static = append(c.Static, StaticGroup{Count: math.MaxInt, MapSlots: 1}, StaticGroup{Count: math.MaxInt, MapSlots: 1})
+			return c
+		}(), "static group counts sum above"},
 		{"provision bound above ceiling", func() Config {
 			c := HOGConfig(10, grid.ChurnNone, 1)
 			c.Grid.ProvisionBound = math.MaxInt64

@@ -28,6 +28,7 @@ func Validate(cfg Config) error {
 			return fmt.Errorf("core: negative grid target %d", g.TargetNodes)
 		}
 		seen := make(map[string]bool, len(g.Sites))
+		capacity := 0
 		for i, sc := range g.Sites {
 			if sc.Name == "" {
 				return fmt.Errorf("core: site %d has no name", i)
@@ -39,6 +40,10 @@ func Validate(cfg Config) error {
 			if sc.Capacity < 0 {
 				return fmt.Errorf("core: site %q has negative capacity %d", sc.Name, sc.Capacity)
 			}
+			if sc.Capacity > maxWorkers-capacity {
+				return fmt.Errorf("core: grid site capacities sum above the %d-worker ceiling", maxWorkers)
+			}
+			capacity += sc.Capacity
 			if sc.BatchPreemptFrac < 0 || sc.BatchPreemptFrac > 1 {
 				return fmt.Errorf("core: site %q batch preemption fraction %g outside [0,1]", sc.Name, sc.BatchPreemptFrac)
 			}
@@ -56,10 +61,15 @@ func Validate(cfg Config) error {
 			return fmt.Errorf("core: provision bound %v above the %v ceiling", g.ProvisionBound, maxBound)
 		}
 	}
+	static := 0
 	for i, g := range cfg.Static {
 		if g.Count < 0 {
 			return fmt.Errorf("core: static group %d has negative count %d", i, g.Count)
 		}
+		if g.Count > maxWorkers-static {
+			return fmt.Errorf("core: static group counts sum above the %d-worker ceiling", maxWorkers)
+		}
+		static += g.Count
 		if g.Count > 0 && g.MapSlots <= 0 && g.ReduceSlots <= 0 {
 			return fmt.Errorf("core: static group %d has no task slots", i)
 		}
@@ -88,6 +98,11 @@ func Validate(cfg Config) error {
 // above the 48 h presets, so the run's end instant (start plus bound) and
 // every step anchored before it stay clear of the clock's int64 overflow.
 const maxBound = 10 * 365 * 24 * sim.Hour
+
+// maxWorkers caps the workers a config (a snapshot's, say) can supply through
+// its grid sites' capacities or its static groups' counts, about ten times
+// GIGA-GRID's ~100k slots: the pool and the static build make each one.
+const maxWorkers = 1 << 20
 
 // minBlockSize is the smallest HDFS block size a config may set (1 MiB).
 const minBlockSize = 1 << 20

@@ -198,8 +198,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 		return 0
 	}
 	d.Alive = true
-	d.heard = nn.eng.Now()
-	nn.addQuiet(d)
+	nn.live.Add(&d.live, id, d, nn.eng.Now())
 	held := d.held
 	d.held = nil
 	bids := make([]BlockID, 0, len(held))

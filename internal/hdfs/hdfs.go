@@ -14,13 +14,12 @@
 package hdfs
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"hog/internal/disk"
 	"hog/internal/event"
+	"hog/internal/liveness"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
 	"hog/internal/topology"
@@ -119,33 +118,25 @@ type DatanodeInfo struct {
 	Hostname string
 	Site     string
 	Alive    bool
-	// steady, quietIx, heard and beat are the lazy-heartbeat state (see
-	// LastHeartbeat). A steady record heartbeats on every driver tick, so it
-	// reads the namenode's shared tick stamp, *beat, instead of being written
-	// per node per tick; heard holds explicit stamps, and the frozen time of
-	// a record that is not steady. quietIx is the record's slot in the
-	// namenode's quiet set, -1 for steady and dead records.
-	steady  bool
-	quietIx int32
-	blocks  map[BlockID]struct{}
-	heard   sim.Time
-	beat    *sim.Time
-	// held preserves the physical inventory (block -> size) of a node the
-	// namenode declared dead but whose hardware may still be running behind a
-	// network partition: markDead captures blocks here instead of discarding
-	// them, and RecoverDatanode hands them back when the partition heals
-	// (corruption.go). Sizes ride along so space pinned by a file deleted
-	// during the outage can be reclaimed at recovery. physLost marks nodes
-	// whose hardware is genuinely gone (preemption, kill, disk overflow) —
-	// nothing is held or recoverable.
-	held     map[BlockID]float64
-	physLost bool
 	// gray marks a node under injected gray degradation (slow disk, flaky
 	// heartbeats); placement refuses it while flagged.
 	gray bool
 	// awaitingReport is set when a restarted namenode is waiting for this
 	// datanode's block report (see safemode.go).
 	awaitingReport bool
+	// physLost marks nodes whose hardware is genuinely gone (preemption,
+	// kill, disk overflow): nothing is held or recoverable.
+	physLost bool
+	// live is the node's entry in the namenode's heartbeat ledger.
+	live   liveness.Record
+	blocks map[BlockID]struct{}
+	// held preserves the physical inventory (block -> size) of a node the
+	// namenode declared dead but whose hardware may still be running behind a
+	// network partition: markDead captures blocks here instead of discarding
+	// them, and RecoverDatanode hands them back when the partition heals
+	// (corruption.go). Sizes ride along so space pinned by a file deleted
+	// during the outage can be reclaimed at recovery.
+	held map[BlockID]float64
 	// siteIx is the dense index of Site in the namenode's site registry;
 	// the placement hot path counts replicas per site through it instead of
 	// hashing site name strings.
@@ -153,14 +144,6 @@ type DatanodeInfo struct {
 	// placeMark is the namenode placeEpoch of the last placement call that
 	// excluded this datanode.
 	placeMark uint64
-}
-
-// LastHeartbeat returns when the namenode last heard from the datanode.
-func (d *DatanodeInfo) LastHeartbeat() sim.Time {
-	if d.steady && *d.beat > d.heard {
-		return *d.beat
-	}
-	return d.heard
 }
 
 // hold records a replica physically on the datanode. The inventory map is
@@ -285,7 +268,7 @@ type Namenode struct {
 
 	datanodes map[netmodel.NodeID]*DatanodeInfo
 	// dnOrder holds every registered datanode in ascending ID order — the
-	// deterministic base order the placement policy and the dead scan need,
+	// deterministic base order the placement policy and the census need,
 	// maintained incrementally instead of sorted per call.
 	dnOrder []*DatanodeInfo
 	// siteIx assigns each distinct awareness site a dense index; siteCands
@@ -334,16 +317,9 @@ type Namenode struct {
 	// the replica map understates who holds what.
 	awaiting int
 
-	// Lazy heartbeats. beat is the instant of the heartbeat driver's last
-	// tick (BeatTick): every steady record heartbeat then. quiet holds the
-	// alive records outside the steady state — freshly registered, revived,
-	// or no longer beating — and is all checkDead scans, because a steady
-	// record is at most one heartbeat interval old. scans and scanned count
-	// dead scans and the records they visited.
-	beat    sim.Time
-	quiet   []*DatanodeInfo
-	scans   int64
-	scanned int64
+	// live is the heartbeat ledger over the alive datanodes; checkDead
+	// scans only its quiet set.
+	live liveness.Ledger[*DatanodeInfo]
 
 	stats Stats
 
@@ -427,10 +403,8 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 		Hostname: hostname,
 		Site:     topology.SiteFromHostname(hostname),
 		Alive:    true,
-		heard:    nn.eng.Now(),
-		beat:     &nn.beat,
 	}
-	nn.addQuiet(d)
+	nn.live.Add(&d.live, id, d, nn.eng.Now())
 	ix, ok := nn.siteIx[d.Site]
 	if !ok {
 		ix = len(nn.siteIx)
@@ -450,86 +424,42 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 	return d
 }
 
-// Heartbeat records a datanode heartbeat.
-func (nn *Namenode) Heartbeat(id netmodel.NodeID) {
-	nn.HeartbeatDatanode(nn.datanodes[id])
-}
-
-// HeartbeatDatanode is Heartbeat for callers that already hold the info —
-// the per-beat driver loop over ten thousand workers skips ten thousand map
-// probes this way. Heartbeats to a crashed namenode are lost; the sender is
-// expected to notice and retry (see the master backoff in internal/core).
+// HeartbeatDatanode records a datanode heartbeat. Callers hold the info, so
+// the per-beat driver loop over ten thousand workers makes no map probe.
+// Heartbeats to a crashed namenode are lost; the sender is expected to
+// notice and retry (see the master backoff in internal/core).
 func (nn *Namenode) HeartbeatDatanode(d *DatanodeInfo) {
-	if nn.down {
-		return
-	}
-	if d != nil && d.Alive {
-		d.heard = nn.eng.Now()
+	if !nn.down && d != nil && d.Alive {
+		nn.live.Beat(&d.live, nn.eng.Now())
 	}
 }
 
 // BeatTick records that every steady datanode heartbeat at the current
-// instant. The heartbeat driver calls it once per tick, after it has
-// quiesced every record that did not beat on the tick.
+// instant (liveness.Ledger.Tick). Beats to a crashed namenode are lost.
 func (nn *Namenode) BeatTick() {
 	if !nn.down {
-		nn.beat = nn.eng.Now()
+		nn.live.Tick(nn.eng.Now())
 	}
 }
 
 // Settle moves a datanode that heartbeat at the current instant into the
-// steady state: from now on its heartbeats are implied by BeatTick, and the
-// dead scan skips it. The caller promises the node heartbeats on every tick
-// until it calls Quiesce. Records that did not just heartbeat stay quiet.
+// steady state (liveness.Ledger.Settle). Dead records need no settling; a
+// crashed namenode settles nothing.
 func (nn *Namenode) Settle(d *DatanodeInfo) bool {
-	switch {
-	case d == nil || !d.Alive || d.steady:
-		return true
-	case nn.down || d.heard != nn.eng.Now():
-		return false
-	}
-	nn.dropQuiet(d)
-	d.steady = true
-	return true
+	return !d.Alive || !nn.down && nn.live.Settle(&d.live, nn.eng.Now())
 }
 
-// Quiesce takes a datanode out of the steady state, freezing its last
-// heartbeat at the last tick (or a later explicit stamp). The driver calls
-// it before the first tick the node may miss.
+// Quiesce takes a datanode out of the steady state
+// (liveness.Ledger.Quiesce).
 func (nn *Namenode) Quiesce(d *DatanodeInfo) {
-	if d == nil || !d.steady {
-		return
-	}
-	d.heard = d.LastHeartbeat()
-	d.steady = false
-	nn.addQuiet(d)
+	nn.live.Quiesce(&d.live, d.ID, d)
 }
 
-func (nn *Namenode) addQuiet(d *DatanodeInfo) {
-	d.quietIx = int32(len(nn.quiet))
-	nn.quiet = append(nn.quiet, d)
-}
+// LastHeartbeat returns when the namenode last heard from the datanode.
+func (nn *Namenode) LastHeartbeat(d *DatanodeInfo) sim.Time { return nn.live.Last(&d.live) }
 
-// dropQuiet removes d from the quiet set if it is there.
-func (nn *Namenode) dropQuiet(d *DatanodeInfo) {
-	i := int(d.quietIx)
-	if i < 0 {
-		return
-	}
-	last := nn.quiet[len(nn.quiet)-1]
-	nn.quiet[i] = last
-	last.quietIx = int32(i)
-	nn.quiet[len(nn.quiet)-1] = nil
-	nn.quiet = nn.quiet[:len(nn.quiet)-1]
-	d.quietIx = -1
-}
-
-// DeadScanWork returns how many dead scans ran, how many datanode records
-// they visited in total, and the current quiet-set size (what the next scan
-// will visit). The counts are bookkeeping only: no result reports them.
-func (nn *Namenode) DeadScanWork() (scans, visited int64, quiet int) {
-	return nn.scans, nn.scanned, len(nn.quiet)
-}
+// LivenessWork returns the dead scans' work counters.
+func (nn *Namenode) LivenessWork() liveness.Work { return nn.live.Work() }
 
 // Datanode returns the info for id, or nil.
 func (nn *Namenode) Datanode(id netmodel.NodeID) *DatanodeInfo { return nn.datanodes[id] }
@@ -555,22 +485,9 @@ func (nn *Namenode) Block(id BlockID) *BlockInfo { return nn.blocks[id] }
 func (nn *Namenode) UnderReplicated() int { return len(nn.replQueued) }
 
 func (nn *Namenode) checkDead() {
-	now := nn.eng.Now()
-	nn.scans++
-	nn.scanned += int64(len(nn.quiet))
-	// Only quiet records can have expired (see BeatTick). markDead queues
-	// replication work and draws from the engine RNG, so victims are
-	// processed in ascending-ID order, the order a walk of dnOrder yields.
-	// The victim set is fixed before any markDead runs, so the recovery work
-	// one death triggers cannot change which nodes this scan declares dead.
-	var doomed []*DatanodeInfo
-	for _, d := range nn.quiet {
-		if now-d.heard > nn.cfg.DeadTimeout {
-			doomed = append(doomed, d)
-		}
-	}
-	slices.SortFunc(doomed, func(a, b *DatanodeInfo) int { return cmp.Compare(a.ID, b.ID) })
-	for _, d := range doomed {
+	// markDead queues replication work and draws from the engine RNG, so
+	// the ledger hands victims over in ascending-ID order.
+	for _, d := range nn.live.Expired(nn.eng.Now(), nn.cfg.DeadTimeout) {
 		nn.markDead(d)
 	}
 }
@@ -583,9 +500,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 	if !d.Alive {
 		return
 	}
-	d.heard = d.LastHeartbeat()
-	d.steady = false
-	nn.dropQuiet(d)
+	nn.live.Drop(&d.live)
 	d.Alive = false
 	nn.clearAwaiting(d)
 	nn.stats.DatanodesDead++

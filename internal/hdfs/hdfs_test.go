@@ -52,7 +52,7 @@ func (h *harness) heartbeatAll(except map[netmodel.NodeID]bool) *sim.Ticker {
 	return h.eng.Every(3*sim.Second, func() {
 		for _, id := range h.all {
 			if except == nil || !except[id] {
-				h.nn.Heartbeat(id)
+				h.nn.HeartbeatDatanode(h.nn.Datanode(id))
 			}
 		}
 	})

@@ -109,7 +109,7 @@ func (nn *Namenode) Restart() {
 			nn.awaiting++
 			// Grace-stamp so the dead scan, once it resumes, measures from
 			// the restart rather than charging nodes for the outage.
-			d.heard = now
+			nn.live.Stamp(&d.live, now)
 		}
 	}
 	nn.smTotal, nn.smReported = 0, 0
@@ -152,7 +152,7 @@ func (nn *Namenode) Reregister(id netmodel.NodeID) {
 	if d == nil || !d.Alive {
 		return
 	}
-	d.heard = nn.eng.Now()
+	nn.live.Stamp(&d.live, nn.eng.Now())
 	nn.clearAwaiting(d)
 	bids := make([]BlockID, 0, len(d.blocks))
 	for bid := range d.blocks {
@@ -220,7 +220,7 @@ func (nn *Namenode) exitSafeMode() {
 	now := nn.eng.Now()
 	for _, d := range nn.dnOrder {
 		if d.Alive && d.awaitingReport {
-			d.heard = now
+			nn.live.Stamp(&d.live, now)
 			for bid := range d.blocks {
 				deferred[bid] = struct{}{}
 			}

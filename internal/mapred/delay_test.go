@@ -96,7 +96,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 	}
 
 	// First non-local offer starts the wait instead of launching.
-	c.jt.Heartbeat(remotes[0].Node)
+	c.jt.HeartbeatTracker(remotes[0])
 	if remotes[0].runningMaps != 0 {
 		t.Fatal("non-local map launched before LocalityWait expired")
 	}
@@ -106,7 +106,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 
 	// After the wait expires, the same tracker gets a map...
 	c.eng.RunUntil(31 * sim.Second)
-	c.jt.Heartbeat(remotes[0].Node)
+	c.jt.HeartbeatTracker(remotes[0])
 	if remotes[0].runningMaps != 1 {
 		t.Fatal("non-local map not launched after LocalityWait expired")
 	}
@@ -115,7 +115,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 		t.Fatalf("skipSince = %v after a non-local launch, want 0 (the bug reset it to -1)", j.skipSince)
 	}
 	// A second non-local tracker launches immediately, with no fresh wait.
-	c.jt.Heartbeat(remotes[1].Node)
+	c.jt.HeartbeatTracker(remotes[1])
 	if remotes[1].runningMaps != 1 {
 		t.Fatal("second non-local map paid a fresh LocalityWait (serial over-penalty)")
 	}
@@ -124,7 +124,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 	if len(locals) == 0 {
 		t.Fatal("no tracker is node-local to a pending map")
 	}
-	c.jt.Heartbeat(locals[0].Node)
+	c.jt.HeartbeatTracker(locals[0])
 	if locals[0].runningMaps == 0 {
 		t.Fatal("node-local tracker got no map")
 	}
@@ -147,7 +147,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no free non-local tracker for the fresh-wait check")
 	}
-	c.jt.Heartbeat(tr.Node)
+	c.jt.HeartbeatTracker(tr)
 	if tr.runningMaps != 0 || j.skipSince != 31*sim.Second {
 		t.Fatalf("fresh wait not started after node-local reset: running=%d skipSince=%v", tr.runningMaps, j.skipSince)
 	}
@@ -176,7 +176,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 			t.Fatal("no free non-local tracker left while draining")
 		}
 		before := tr.runningMaps
-		c.jt.Heartbeat(tr.Node)
+		c.jt.HeartbeatTracker(tr)
 		if tr.runningMaps == before {
 			t.Fatalf("expired wait declined a non-local launch while draining (skipSince=%v)", j.skipSince)
 		}
@@ -192,7 +192,7 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 	if idle == nil {
 		t.Fatal("no idle tracker left for the re-arm probe")
 	}
-	c.jt.Heartbeat(idle.Node)
+	c.jt.HeartbeatTracker(idle)
 	if j.skipSince != -1 {
 		t.Fatalf("skipSince = %v after the backlog drained, want -1 (wait must re-arm)", j.skipSince)
 	}

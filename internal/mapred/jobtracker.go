@@ -1,14 +1,13 @@
 package mapred
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"hog/internal/disk"
 	"hog/internal/event"
 	"hog/internal/hdfs"
+	"hog/internal/liveness"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
 )
@@ -24,11 +23,8 @@ type TaskTracker struct {
 	// awaitingReregister is set while a recovered JobTracker waits for this
 	// tracker to re-register (see recovery.go).
 	awaitingReregister bool
-	// steady, quietIx, heard and beat implement lazy heartbeats exactly as
-	// on hdfs.DatanodeInfo: a steady tracker reads the JobTracker's tick
-	// stamp, the rest sit in the quiet set the dead scan walks.
-	steady  bool
-	quietIx int32
+	// live is the tracker's entry in the JobTracker's heartbeat ledger.
+	live liveness.Record
 	// Speed scales compute rates on this worker (1.0 = nominal). Table
 	// III's cluster mixes dual-core Opteron-275 and older single-core
 	// Opteron-64 nodes; the latter run slot-for-slot slower.
@@ -37,16 +33,6 @@ type TaskTracker struct {
 	runningMaps    int
 	runningReduces int
 	attempts       map[*attempt]struct{}
-	heard          sim.Time
-	beat           *sim.Time
-}
-
-// LastHeartbeat returns when the JobTracker last heard from the tracker.
-func (t *TaskTracker) LastHeartbeat() sim.Time {
-	if t.steady && *t.beat > t.heard {
-		return *t.beat
-	}
-	return t.heard
 }
 
 // addAttempt records a live attempt on the tracker. The set is allocated
@@ -96,8 +82,8 @@ type JobTracker struct {
 
 	trackers map[netmodel.NodeID]*TaskTracker
 	// trackerOrder holds every registered tracker in ascending node order:
-	// the deterministic scan order for dead detection, without per-scan
-	// sorting at ten-thousand-tracker scale.
+	// the deterministic walk order for recovery, the census and the policies,
+	// without per-walk sorting at ten-thousand-tracker scale.
 	trackerOrder []*TaskTracker
 	jobs         []*Job
 	nextID       JobID
@@ -109,13 +95,9 @@ type JobTracker struct {
 	// alive counts trackers with Alive set.
 	alive int
 
-	// Lazy heartbeats, as in the namenode: beat is the driver's last tick,
-	// quiet the alive trackers outside the steady state (all checkDead
-	// scans), scans and scanned the dead-scan work done.
-	beat    sim.Time
-	quiet   []*TaskTracker
-	scans   int64
-	scanned int64
+	// live is the heartbeat ledger over the alive trackers; checkDead scans
+	// only its quiet set.
+	live liveness.Ledger[*TaskTracker]
 
 	// sched and spec are the active scheduling and speculation policies
 	// (policy.go), resolved by name from the configuration.
@@ -232,12 +214,10 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 		ReduceSlots: reduceSlots,
 		Alive:       true,
 		Speed:       1.0,
-		heard:       jt.eng.Now(),
-		beat:        &jt.beat,
 	}
 	jt.trackers[node] = t
 	jt.alive++
-	jt.addQuiet(t)
+	jt.live.Add(&t.live, node, t, jt.eng.Now())
 	sl := jt.siteLoads[site]
 	if sl == nil {
 		sl = &siteLoad{}
@@ -271,22 +251,14 @@ func (jt *JobTracker) AliveTrackers() []*TaskTracker {
 	return out
 }
 
-// Heartbeat records a tracker heartbeat and, as in Hadoop, triggers task
-// assignment for its free slots.
-func (jt *JobTracker) Heartbeat(node netmodel.NodeID) {
-	jt.HeartbeatTracker(jt.trackers[node])
-}
-
-// HeartbeatTracker is Heartbeat for callers that already hold the tracker —
-// the per-beat driver loop over ten thousand workers skips ten thousand map
-// probes this way.
+// HeartbeatTracker records a tracker heartbeat and, as in Hadoop, triggers
+// task assignment for its free slots. Callers hold the tracker, so the
+// per-beat driver loop over ten thousand workers makes no map probe.
 func (jt *JobTracker) HeartbeatTracker(t *TaskTracker) {
 	if jt.down || t == nil || !t.Alive {
 		return
 	}
-	if !t.steady {
-		t.heard = jt.eng.Now()
-	}
+	jt.live.Beat(&t.live, jt.eng.Now())
 	jt.assign(t)
 }
 
@@ -294,58 +266,27 @@ func (jt *JobTracker) HeartbeatTracker(t *TaskTracker) {
 // instant; see hdfs.Namenode.BeatTick.
 func (jt *JobTracker) BeatTick() {
 	if !jt.down {
-		jt.beat = jt.eng.Now()
+		jt.live.Tick(jt.eng.Now())
 	}
 }
 
 // Settle moves a tracker that heartbeat at the current instant into the
 // steady state; see hdfs.Namenode.Settle.
 func (jt *JobTracker) Settle(t *TaskTracker) bool {
-	switch {
-	case t == nil || !t.Alive || t.steady:
-		return true
-	case jt.down || t.heard != jt.eng.Now():
-		return false
-	}
-	jt.dropQuiet(t)
-	t.steady = true
-	return true
+	return !t.Alive || !jt.down && jt.live.Settle(&t.live, jt.eng.Now())
 }
 
 // Quiesce takes a tracker out of the steady state; see
 // hdfs.Namenode.Quiesce.
 func (jt *JobTracker) Quiesce(t *TaskTracker) {
-	if t == nil || !t.steady {
-		return
-	}
-	t.heard = t.LastHeartbeat()
-	t.steady = false
-	jt.addQuiet(t)
+	jt.live.Quiesce(&t.live, t.Node, t)
 }
 
-func (jt *JobTracker) addQuiet(t *TaskTracker) {
-	t.quietIx = int32(len(jt.quiet))
-	jt.quiet = append(jt.quiet, t)
-}
+// LastHeartbeat returns when the JobTracker last heard from the tracker.
+func (jt *JobTracker) LastHeartbeat(t *TaskTracker) sim.Time { return jt.live.Last(&t.live) }
 
-func (jt *JobTracker) dropQuiet(t *TaskTracker) {
-	i := int(t.quietIx)
-	if i < 0 {
-		return
-	}
-	last := jt.quiet[len(jt.quiet)-1]
-	jt.quiet[i] = last
-	last.quietIx = int32(i)
-	jt.quiet[len(jt.quiet)-1] = nil
-	jt.quiet = jt.quiet[:len(jt.quiet)-1]
-	t.quietIx = -1
-}
-
-// DeadScanWork returns the dead scans run, the tracker records they visited
-// in total, and the current quiet-set size; see hdfs.Namenode.DeadScanWork.
-func (jt *JobTracker) DeadScanWork() (scans, visited int64, quiet int) {
-	return jt.scans, jt.scanned, len(jt.quiet)
-}
+// LivenessWork returns the dead scans' work counters.
+func (jt *JobTracker) LivenessWork() liveness.Work { return jt.live.Work() }
 
 // AssignWork returns how many jobs map assignment probed and how many
 // placement-index lookups it made. The counts are bookkeeping only: no
@@ -401,20 +342,9 @@ func (jt *JobTracker) Jobs() []*Job { return jt.jobs }
 func (jt *JobTracker) ActiveJobs() int { return jt.active }
 
 func (jt *JobTracker) checkDead() {
-	now := jt.eng.Now()
-	jt.scans++
-	jt.scanned += int64(len(jt.quiet))
-	// Only quiet trackers can have expired. markDead consumes RNG, so
-	// victims go in ascending node order, as a trackerOrder walk yields. The
-	// victim set is fixed before any markDead runs, as in the namenode.
-	var doomed []*TaskTracker
-	for _, t := range jt.quiet {
-		if now-t.heard > jt.cfg.TrackerTimeout {
-			doomed = append(doomed, t)
-		}
-	}
-	slices.SortFunc(doomed, func(a, b *TaskTracker) int { return cmp.Compare(a.Node, b.Node) })
-	for _, t := range doomed {
+	// markDead consumes RNG, so the ledger hands victims over in ascending
+	// node order.
+	for _, t := range jt.live.Expired(jt.eng.Now(), jt.cfg.TrackerTimeout) {
 		jt.markDead(t)
 	}
 }
@@ -471,9 +401,7 @@ func (jt *JobTracker) markDead(t *TaskTracker) {
 	if !t.Alive {
 		return
 	}
-	t.heard = t.LastHeartbeat()
-	t.steady = false
-	jt.dropQuiet(t)
+	jt.live.Drop(&t.live)
 	t.Alive = false
 	jt.alive--
 	if sl := jt.siteLoads[t.Site]; sl != nil {

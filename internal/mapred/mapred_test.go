@@ -50,10 +50,10 @@ func newClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdfs.Con
 		for _, id := range c.nodes {
 			switch c.state[id] {
 			case healthy:
-				c.nn.Heartbeat(id)
-				c.jt.Heartbeat(id)
+				c.nn.HeartbeatDatanode(c.nn.Datanode(id))
+				c.jt.HeartbeatTracker(c.jt.Tracker(id))
 			case zombie:
-				c.jt.Heartbeat(id)
+				c.jt.HeartbeatTracker(c.jt.Tracker(id))
 			default:
 				continue
 			}

@@ -80,7 +80,7 @@ func (jt *JobTracker) Restart() {
 	for _, t := range jt.trackerOrder {
 		if t.Alive {
 			t.awaitingReregister = true
-			t.heard = now
+			jt.live.Stamp(&t.live, now)
 		}
 	}
 	jt.Start()
@@ -116,7 +116,7 @@ func (jt *JobTracker) ReregisterTracker(t *TaskTracker) {
 			jt.Events.Emit(ev)
 		}
 	}
-	t.heard = jt.eng.Now()
+	jt.live.Stamp(&t.live, jt.eng.Now())
 	jt.assign(t)
 }
 
@@ -131,9 +131,8 @@ func (jt *JobTracker) ReviveTracker(node netmodel.NodeID) bool {
 		return false
 	}
 	t.Alive = true
-	t.heard = jt.eng.Now()
 	jt.alive++
-	jt.addQuiet(t)
+	jt.live.Add(&t.live, node, t, jt.eng.Now())
 	if sl := jt.siteLoads[t.Site]; sl != nil {
 		sl.slots += t.MapSlots + t.ReduceSlots
 	}

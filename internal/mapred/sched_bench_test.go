@@ -67,8 +67,8 @@ func schedulerRun(scan bool) int {
 	jt.Start()
 	eng.Every(3*sim.Second, func() {
 		for _, id := range nodes {
-			nn.Heartbeat(id)
-			jt.Heartbeat(id)
+			nn.HeartbeatDatanode(nn.Datanode(id))
+			jt.HeartbeatTracker(jt.Tracker(id))
 		}
 	})
 	for i := 0; i < nJobs; i++ {

@@ -167,6 +167,19 @@ func TestRestoreRejectsNegativeDist(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsHugeSupply: a payload whose grid asks for 1e12 workers
+// is refused by Restore before anything is built. Its pool used to queue one
+// provision event per worker up to the sites' capacity.
+func TestRestoreRejectsHugeSupply(t *testing.T) {
+	_, err := Restore(frame(editedBody(t, func(c *core.Config) {
+		c.Grid.Sites[0].Capacity = 1e12
+		c.Grid.TargetNodes = 1e12
+	})))
+	if err == nil || !strings.Contains(err.Error(), "worker ceiling") {
+		t.Fatalf("Restore of a 1e12-worker site: err = %v, want a worker-ceiling error", err)
+	}
+}
+
 // fuzzMaxNodes bounds the worker count a FuzzRestore input may ask for, so
 // each accepted input stays a small run.
 const fuzzMaxNodes = 64
