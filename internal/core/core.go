@@ -266,7 +266,7 @@ type worker struct {
 	// longer needs visiting.
 	exc bool
 
-	// seq is the worker's index in workerList.
+	// seq is the worker's join index: the exception list sorts by it.
 	seq int32
 	// nn and jt are the worker's links to the namenode and the JobTracker.
 	nn, jt masterLink
@@ -289,10 +289,13 @@ type System struct {
 	NN   *hdfs.Namenode
 	JT   *mapred.JobTracker
 
-	cfg            Config
-	workers        map[netmodel.NodeID]*worker
+	cfg     Config
+	workers map[netmodel.NodeID]*worker
+	// order is every worker that ever joined, in join order; workerList is
+	// its subsequence the heartbeat tick walks: every worker that is not
+	// dead, plus the dead ones the tick has not visited since they died.
 	order          []netmodel.NodeID
-	workerList     []*worker // join order, parallel to order
+	workerList     []*worker
 	bus            *event.Bus
 	scenarios      []ScenarioSpec // as admitted by Apply
 	scenariosArmed bool
@@ -548,7 +551,7 @@ func (s *System) onJoin(n *grid.Node) {
 // addWorker records a freshly started worker. It is exceptional until the
 // driver sees its first heartbeat.
 func (s *System) addWorker(w *worker) {
-	w.seq = int32(len(s.workerList))
+	w.seq = int32(len(s.order))
 	s.workers[w.id] = w
 	s.order = append(s.order, w.id)
 	s.workerList = append(s.workerList, w)

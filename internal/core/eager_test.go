@@ -10,8 +10,9 @@ func eagerTick(s *System) {
 	jtDown := s.JT.Down()
 	now := s.Eng.Now()
 	s.work.Ticks++
-	s.work.Visits += int64(len(s.workerList))
-	for _, w := range s.workerList {
+	s.work.Visits += int64(len(s.order))
+	for _, id := range s.order {
+		w := s.workers[id]
 		if w.health == workerDead {
 			continue
 		}

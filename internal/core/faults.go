@@ -154,21 +154,21 @@ func (s *System) healPartition(site string) {
 	_, siteCut := s.partedSites[site]
 	healed := 0
 	for _, w := range s.workerList {
-		if s.Net.SiteOf(w.id) != id {
+		if w.health != workerHealthy || s.Net.SiteOf(w.id) != id {
 			continue
 		}
-		_, nodeCut := s.partedNodes[w.id]
-		if !siteCut && !nodeCut {
-			continue
+		if _, nodeCut := s.partedNodes[w.id]; siteCut || nodeCut {
+			healed++
 		}
-		if nodeCut {
-			s.Net.HealNode(w.id)
-			delete(s.partedNodes, w.id)
+	}
+	// Node cuts outlive their workers' deaths, and the tick drops dead
+	// workers from workerList, so the cuts come from partedNodes. Lifting
+	// a cut is order-free.
+	for nid := range s.partedNodes {
+		if s.Net.SiteOf(nid) == id {
+			s.Net.HealNode(nid)
+			delete(s.partedNodes, nid)
 		}
-		if w.health != workerHealthy {
-			continue
-		}
-		healed++
 	}
 	if siteCut {
 		s.Net.HealSite(id)

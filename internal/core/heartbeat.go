@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"hog/internal/hdfs"
 	"hog/internal/liveness"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
@@ -26,9 +27,12 @@ import (
 // for event and draw for draw: that loop is kept as the oracle in the tests.
 //
 // While the JobTracker has an unfinished job, each beat may assign tasks and
-// draw engine randomness, so the tick walks every worker in order as the
-// eager loop did, minus the per-record writes. Without one, assign is a
-// no-op and the tick walks the exception list alone.
+// draw engine randomness, so the tick walks workerList in order as the eager
+// loop walked every worker, minus the per-record writes. A dead worker
+// leaves workerList after the visit that quiesces its records: later visits
+// would only call Quiesce on records that are no longer steady, a no-op, so
+// the walk costs what the living cost. Without an unfinished job, assign is
+// a no-op and the tick walks the exception list alone.
 
 // Work counts the work of the simulator's hot loops: driver ticks and the
 // worker visits they made (the idle ticks walked only the exception list),
@@ -49,6 +53,9 @@ type Work struct {
 	// Net is the network rebalancer's work: rebalances, registry entries
 	// visited and flows re-timed.
 	Net netmodel.Work
+	// Place is replica placement's candidate scans: calls, placeable-list
+	// entries visited and candidates gathered.
+	Place hdfs.PlaceWork
 	// MapProbes counts the jobs map assignment probed for a pending map,
 	// and PlacementLookups the per-node and per-site placement-index
 	// lookups those probes made.
@@ -62,6 +69,7 @@ func (s *System) Work() Work {
 	w.NN = s.NN.LivenessWork()
 	w.JT = s.JT.LivenessWork()
 	w.Net = s.Net.Work()
+	w.Place = s.NN.PlaceWork()
 	w.MapProbes, w.PlacementLookups = s.JT.AssignWork()
 	return w
 }
@@ -94,17 +102,28 @@ func (s *System) tick() {
 		clear(s.excNew)
 		s.excNew = s.excNew[:0]
 		keep = s.exc[:0]
-		for _, w := range s.workerList {
+		list := s.workerList
+		s.work.Visits += int64(len(list))
+		live := 0
+		for i, w := range list {
 			if w.exc || nnDown || jtDown {
 				if s.visit(w, now, nnDown, jtDown) {
 					keep = append(keep, w)
 				}
-				continue
+				if w.health == workerDead {
+					continue
+				}
+			} else {
+				// Steady: the datanode beat is implied by BeatTick.
+				s.JT.HeartbeatTracker(w.tr)
 			}
-			// Steady: the datanode beat is implied by BeatTick.
-			s.JT.HeartbeatTracker(w.tr)
+			if live != i {
+				list[live] = w
+			}
+			live++
 		}
-		s.work.Visits += int64(len(s.workerList))
+		clear(list[live:])
+		s.workerList = list[:live]
 	}
 	clear(keep[len(keep):cap(keep)])
 	s.exc = keep

@@ -88,7 +88,8 @@ func runHeartbeats(t *testing.T, cfg Config, eager bool) heartbeatRun {
 	}
 	sys.Eng.Every(7*sim.Second, func() {
 		alive := 0
-		for _, w := range sys.workerList {
+		for _, id := range sys.order {
+			w := sys.workers[id]
 			put(int64(w.id))
 			put(int64(sys.NN.LastHeartbeat(w.dn)))
 			put(int64(sys.JT.LastHeartbeat(w.tr)))
@@ -233,7 +234,8 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 		sys.Eng.RunUntil(next)
 		after := sys.Work()
 		nnExc, jtExc := 0, 0
-		for _, w := range sys.workerList {
+		for _, id := range sys.order {
+			w := sys.workers[id]
 			if w.exc && w.dn.Alive {
 				nnExc++
 			}
@@ -276,18 +278,19 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 	}
 }
 
-// TestHotLoopWorkPinned pins the rebalancer and map-assignment work
-// counters of one small grid run. They are plain counts of deterministic
+// TestHotLoopWorkPinned pins the rebalancer, map-assignment and placement
+// work counters of one small grid run. They are plain counts of deterministic
 // loops, so a change to either loop's visiting shows up here as an exact
 // diff, and a run that drifts from its seed shows up as one too.
 func TestHotLoopWorkPinned(t *testing.T) {
 	sys := New(HOGConfig(30, grid.ChurnNone, 2))
 	sys.RunWorkload(tinySchedule(2))
 	w := sys.Work()
-	got := [5]int64{w.Net.Rebalances, w.Net.Visits, w.Net.Retimed, w.MapProbes, w.PlacementLookups}
-	want := [5]int64{23008, 1051557, 365092, 6105, 381}
+	got := [8]int64{w.Net.Rebalances, w.Net.Visits, w.Net.Retimed, w.MapProbes, w.PlacementLookups,
+		w.Place.Calls, w.Place.Scanned, w.Place.Gathered}
+	want := [8]int64{23008, 1051557, 365092, 6105, 381, 589, 17670, 17670}
 	if got != want {
-		t.Errorf("rebalances, visits, re-timed, map probes, placement lookups = %v, want %v", got, want)
+		t.Errorf("rebalances, visits, re-timed, map probes, placement lookups, placement calls, scanned, gathered = %v, want %v", got, want)
 	}
 	if w.Net.Retimed > w.Net.Visits {
 		t.Errorf("re-timed %d flows but visited only %d registry entries", w.Net.Retimed, w.Net.Visits)

@@ -43,9 +43,9 @@ func (p *Pool) Census() Census {
 		h.Write(b[:])
 	}
 	for _, s := range p.sites {
-		c.SiteAlive = append(c.SiteAlive, s.alive)
+		c.SiteAlive = append(c.SiteAlive, len(s.nodes))
 		c.SiteHostSeq = append(c.SiteHostSeq, s.hostSeq)
-		put(uint64(s.alive))
+		put(uint64(len(s.nodes)))
 		put(uint64(s.hostSeq))
 	}
 	ids := make([]netmodel.NodeID, 0, len(p.nodes))

@@ -8,7 +8,9 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hog/internal/event"
 	"hog/internal/netmodel"
@@ -98,8 +100,10 @@ type Pool struct {
 	// capacity is the sites' total Capacity, the most workers the pool can
 	// ever run at once.
 	capacity int
-	nodes    map[netmodel.NodeID]*Node
-	stats    Stats
+	// nodes holds every node that ever joined; the sites' lists hold the
+	// alive ones, so no walk over the pool visits the dead.
+	nodes map[netmodel.NodeID]*Node
+	stats Stats
 
 	// OnJoin is invoked when a node has started its daemons; OnPreempt when
 	// the site kills it (the process tree and working directory are gone).
@@ -114,7 +118,9 @@ type Pool struct {
 type siteRuntime struct {
 	cfg     SiteConfig
 	netSite netmodel.SiteID
-	alive   int
+	ix      int // index in the pool's site list
+	// nodes are the site's alive nodes in ascending ID order.
+	nodes   []*Node
 	hostSeq int
 }
 
@@ -137,7 +143,7 @@ func NewPool(eng *sim.Engine, net *netmodel.Network, sites []SiteConfig, cfg Poo
 	}
 	p := &Pool{eng: eng, net: net, cfg: cfg, nodes: make(map[netmodel.NodeID]*Node)}
 	for _, sc := range sites {
-		sr := &siteRuntime{cfg: sc}
+		sr := &siteRuntime{cfg: sc, ix: len(p.sites)}
 		sr.netSite = net.AddSite(sc.Name, sc.UplinkBps, sc.DownlinkBps)
 		p.sites = append(p.sites, sr)
 		p.capacity += sc.Capacity
@@ -186,13 +192,32 @@ func (p *Pool) Node(id netmodel.NodeID) *Node { return p.nodes[id] }
 
 // AliveNodes returns all currently alive nodes in ID order.
 func (p *Pool) AliveNodes() []*Node {
-	var out []*Node
-	for id := netmodel.NodeID(0); int(id) < p.net.NumNodes(); id++ {
-		if n, ok := p.nodes[id]; ok && n.Alive {
-			out = append(out, n)
+	out := make([]*Node, 0, p.alive)
+	for _, sr := range p.sites {
+		out = append(out, sr.nodes...)
+	}
+	slices.SortFunc(out, byID)
+	return out
+}
+
+func byID(a, b *Node) int { return cmp.Compare(a.ID, b.ID) }
+
+// CheckLiveLists reports a breach of the sites' alive lists' invariant:
+// each holds exactly the site's alive nodes, in ascending ID order.
+func (p *Pool) CheckLiveLists() error {
+	want := make([][]*Node, len(p.sites))
+	for _, n := range p.nodes {
+		if n.Alive {
+			want[n.Site] = append(want[n.Site], n)
 		}
 	}
-	return out
+	for i, sr := range p.sites {
+		slices.SortFunc(want[i], byID)
+		if !slices.Equal(sr.nodes, want[i]) {
+			return fmt.Errorf("site %s lists %d alive nodes out of %d, or out of ID order", sr.cfg.Name, len(sr.nodes), len(want[i]))
+		}
+	}
+	return nil
 }
 
 // SiteNames returns configured site names in order.
@@ -205,7 +230,7 @@ func (p *Pool) SiteNames() []string {
 }
 
 // AliveAtSite returns the number of alive nodes at site index i.
-func (p *Pool) AliveAtSite(i int) int { return p.sites[i].alive }
+func (p *Pool) AliveAtSite(i int) int { return len(p.sites[i].nodes) }
 
 // maintain submits one request per missing worker, but never more than the
 // sites can run: a target above their total capacity (or a hostile one of
@@ -238,7 +263,7 @@ func (p *Pool) provision() {
 	n := &Node{
 		ID:           id,
 		Hostname:     host,
-		Site:         p.siteIndex(sr),
+		Site:         sr.ix,
 		SiteName:     sr.cfg.Name,
 		Alive:        true,
 		JoinedAt:     p.eng.Now(),
@@ -248,7 +273,8 @@ func (p *Pool) provision() {
 	}
 	p.nodes[id] = n
 	p.alive++
-	sr.alive++
+	// Node IDs grow with every AddNode, so the append keeps ID order.
+	sr.nodes = append(sr.nodes, n)
 	p.stats.Provisioned++
 	if !sr.cfg.NodeLifetime.IsZero() {
 		life := sr.cfg.NodeLifetime.Sample(p.eng.Rand())
@@ -266,19 +292,10 @@ func (p *Pool) provision() {
 	p.maintain()
 }
 
-func (p *Pool) siteIndex(sr *siteRuntime) int {
-	for i, s := range p.sites {
-		if s == sr {
-			return i
-		}
-	}
-	return -1
-}
-
 func (p *Pool) chooseSite() *siteRuntime {
 	var total float64
 	for _, s := range p.sites {
-		if s.alive < s.cfg.Capacity {
+		if len(s.nodes) < s.cfg.Capacity {
 			w := s.cfg.Weight
 			if w <= 0 {
 				w = float64(s.cfg.Capacity)
@@ -291,7 +308,7 @@ func (p *Pool) chooseSite() *siteRuntime {
 	}
 	x := p.eng.Rand().Float64() * total
 	for _, s := range p.sites {
-		if s.alive < s.cfg.Capacity {
+		if len(s.nodes) < s.cfg.Capacity {
 			w := s.cfg.Weight
 			if w <= 0 {
 				w = float64(s.cfg.Capacity)
@@ -319,7 +336,9 @@ func (p *Pool) preempt(n *Node, counter *int, replace bool, kind string) {
 		n.lifetime.Cancel()
 	}
 	p.alive--
-	p.sites[n.Site].alive--
+	sr := p.sites[n.Site]
+	i, _ := slices.BinarySearchFunc(sr.nodes, n, byID)
+	sr.nodes = slices.Delete(sr.nodes, i, i+1)
 	if p.Events.Active() {
 		ev := event.At(event.NodePreempted, p.eng.Now())
 		ev.Node = n.ID
@@ -390,15 +409,8 @@ func (p *Pool) BurstPreempt(frac float64) int {
 // replacements as it does for any external kill). It returns the number of
 // nodes killed.
 func (p *Pool) KillFraction(frac float64) int {
-	var victims []*Node
-	for _, n := range p.nodes {
-		if n.Alive {
-			victims = append(victims, n)
-		}
-	}
-	sortNodesByID(victims)
-	r := p.eng.Rand()
-	r.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+	victims := p.AliveNodes()
+	sim.Shuffle(p.eng.Rand(), victims)
 	k := int(frac*float64(len(victims)) + 0.5)
 	if k > len(victims) {
 		k = len(victims)
@@ -422,16 +434,10 @@ func (p *Pool) scheduleBatchPreemption(sr *siteRuntime) {
 }
 
 func (p *Pool) batchPreempt(sr *siteRuntime, frac float64) int {
-	var victims []*Node
-	for _, n := range p.nodes {
-		if n.Alive && n.Site == p.siteIndex(sr) {
-			victims = append(victims, n)
-		}
-	}
-	// Deterministic order before shuffling: map iteration is random.
-	sortNodesByID(victims)
-	r := p.eng.Rand()
-	r.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+	// The shuffle starts from ID order; preempt edits sr.nodes, so it
+	// shuffles a copy.
+	victims := slices.Clone(sr.nodes)
+	sim.Shuffle(p.eng.Rand(), victims)
 	k := int(frac*float64(len(victims)) + 0.5)
 	if k > len(victims) {
 		k = len(victims)
@@ -442,19 +448,13 @@ func (p *Pool) batchPreempt(sr *siteRuntime, frac float64) int {
 	return k
 }
 
-func sortNodesByID(ns []*Node) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].ID < ns[j-1].ID; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
+// anyAliveNode returns the newest alive node, the first one a shrinking
+// target releases, or nil.
 func (p *Pool) anyAliveNode() *Node {
 	var best *Node
-	for _, n := range p.nodes {
-		if n.Alive && (best == nil || n.ID > best.ID) {
-			best = n // release the newest first
+	for _, sr := range p.sites {
+		if k := len(sr.nodes); k > 0 && (best == nil || sr.nodes[k-1].ID > best.ID) {
+			best = sr.nodes[k-1]
 		}
 	}
 	return best

@@ -321,20 +321,36 @@ func TestPreemptSiteNamedMatchesIndex(t *testing.T) {
 
 func TestBurstAndKillFraction(t *testing.T) {
 	eng, _, p := newTestPool(4, quietSites(5), DefaultPoolConfig())
+	check := func(step string) {
+		t.Helper()
+		if err := p.CheckLiveLists(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
 	p.SetTarget(80)
 	eng.RunUntil(time30())
+	check("provisioning")
 	if n := p.BurstPreempt(0.5); n < 30 || n > 50 {
 		t.Fatalf("BurstPreempt(0.5) killed %d of 80", n)
 	}
+	check("burst")
 	eng.RunUntil(eng.Now() + time30()) // pool heals
+	check("healing")
 	if p.AliveCount() != 80 {
 		t.Fatalf("pool did not heal after burst: alive=%d", p.AliveCount())
 	}
 	if n := p.KillFraction(0.25); n != 20 {
 		t.Fatalf("KillFraction(0.25) killed %d of 80, want 20", n)
 	}
+	check("kill")
 	if p.Stats().Killed < 20 {
 		t.Fatalf("killed counter = %d", p.Stats().Killed)
+	}
+	newest := p.AliveNodes()[p.AliveCount()-1]
+	p.SetTarget(p.AliveCount() - 1)
+	check("release")
+	if newest.Alive {
+		t.Fatalf("shrinking the target kept the newest node %d", newest.ID)
 	}
 }
 

@@ -198,6 +198,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 		return 0
 	}
 	d.Alive = true
+	nn.placeable = insertByID(nn.placeable, d)
 	nn.live.Add(&d.live, id, d, nn.eng.Now())
 	held := d.held
 	d.held = nil

@@ -14,7 +14,9 @@
 package hdfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hog/internal/disk"
@@ -271,6 +273,13 @@ type Namenode struct {
 	// deterministic base order the placement policy and the census need,
 	// maintained incrementally instead of sorted per call.
 	dnOrder []*DatanodeInfo
+	// placeable is dnOrder's live subsequence, the list placement scans. A
+	// death leaves its entry in place and the next gatherCandidates scan
+	// drops it in passing (deleting eagerly would move the tail of a
+	// ten-thousand-entry list per death), so between scans it also holds
+	// the datanodes that died since the last one.
+	placeable []*DatanodeInfo
+	placeWork PlaceWork
 	// siteIx assigns each distinct awareness site a dense index; siteCands
 	// and siteCounts are reusable scratch for the placement policy's
 	// per-site greedy spread (see chooseTargets).
@@ -415,13 +424,22 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 	}
 	d.siteIx = ix
 	nn.datanodes[id] = d
-	// Nodes register with ascending IDs in practice; the insertion walk is
-	// a no-op then, and keeps dnOrder correct if they ever do not.
-	nn.dnOrder = append(nn.dnOrder, d)
-	for i := len(nn.dnOrder) - 1; i > 0 && nn.dnOrder[i-1].ID > id; i-- {
-		nn.dnOrder[i], nn.dnOrder[i-1] = nn.dnOrder[i-1], nn.dnOrder[i]
-	}
+	nn.dnOrder = insertByID(nn.dnOrder, d)
+	nn.placeable = insertByID(nn.placeable, d)
 	return d
+}
+
+// insertByID adds d to a list kept in ascending ID order unless it is
+// already there. Nodes register with ascending IDs in practice, so the
+// insertion is an append.
+func insertByID(list []*DatanodeInfo, d *DatanodeInfo) []*DatanodeInfo {
+	i, found := slices.BinarySearchFunc(list, d.ID, func(e *DatanodeInfo, id netmodel.NodeID) int {
+		return cmp.Compare(e.ID, id)
+	})
+	if found {
+		return list
+	}
+	return slices.Insert(list, i, d)
 }
 
 // HeartbeatDatanode records a datanode heartbeat. Callers hold the info, so
@@ -466,8 +484,8 @@ func (nn *Namenode) Datanode(id netmodel.NodeID) *DatanodeInfo { return nn.datan
 
 // AliveDatanodes returns live datanodes in ID order.
 func (nn *Namenode) AliveDatanodes() []*DatanodeInfo {
-	var out []*DatanodeInfo
-	for _, d := range nn.dnOrder {
+	out := make([]*DatanodeInfo, 0, len(nn.placeable))
+	for _, d := range nn.placeable {
 		if d.Alive {
 			out = append(out, d)
 		}

@@ -1,20 +1,34 @@
 package hdfs
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"hog/internal/netmodel"
+	"hog/internal/sim"
 )
+
+// PlaceWork counts the placement scan's work: gatherCandidates calls, the
+// placeable-list entries they visited (live datanodes plus the deaths not
+// yet dropped) and the candidates they kept. The counts are exact for a
+// seed but feed no result.
+type PlaceWork struct {
+	Calls, Scanned, Gathered int64
+}
+
+// PlaceWork returns the placement scan's work counters.
+func (nn *Namenode) PlaceWork() PlaceWork { return nn.placeWork }
 
 // gatherCandidates fills the namenode's candidate scratch buffer with every
 // live, non-excluded datanode that has room for a block of the given size —
-// in ascending ID order (dnOrder is maintained sorted, so no per-call sort) —
-// then shuffles it with the engine's RNG so ties break randomly but
-// reproducibly. The scan plus shuffle is O(datanodes); the old
-// per-call sort made it O(datanodes log datanodes), the largest single cost
-// of a LARGE-GRID run. The excluded datanodes are stamped with a fresh
-// placement epoch up front, so the scan tests a field instead of making a
-// map lookup per candidate.
+// in ascending ID order (the placeable list is kept sorted, so no per-call
+// sort) — then shuffles it with the engine's RNG so ties break randomly but
+// reproducibly. The scan plus shuffle is O(live datanodes): the scan drops
+// the datanodes that died since the previous call from the placeable list
+// as it passes them, so a preempted node is visited at most once more. The
+// excluded datanodes are stamped with a fresh placement epoch up front, so
+// the scan tests a field instead of making a map lookup per candidate.
 func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]struct{}) []*DatanodeInfo {
 	nn.placeEpoch++
 	for id := range exclude {
@@ -23,10 +37,16 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 		}
 	}
 	cands := nn.candBuf[:0]
-	for _, d := range nn.dnOrder {
+	list := nn.placeable
+	kept := 0
+	for i, d := range list {
 		if !d.Alive {
 			continue
 		}
+		if kept != i {
+			list[kept] = d
+		}
+		kept++
 		if d.gray {
 			// A node flagged for gray degradation still heartbeats, but giving
 			// it new replicas would stash data behind a slow disk and widen the
@@ -41,13 +61,31 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 			cands = append(cands, d)
 		}
 	}
+	clear(list[kept:])
+	nn.placeable = list[:kept]
+	nn.placeWork.Calls++
+	nn.placeWork.Scanned += int64(len(list))
+	nn.placeWork.Gathered += int64(len(cands))
 	nn.candBuf = cands
-	if len(cands) == 0 {
-		return cands
-	}
-	r := nn.eng.Rand()
-	r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	sim.Shuffle(nn.eng.Rand(), cands)
 	return cands
+}
+
+// CheckLiveList reports a breach of the placeable list's invariant: it is
+// strictly ascending by ID, and its live entries are exactly dnOrder's.
+func (nn *Namenode) CheckLiveList() error {
+	for i := 1; i < len(nn.placeable); i++ {
+		if nn.placeable[i-1].ID >= nn.placeable[i].ID {
+			return fmt.Errorf("placeable list out of ID order at %d: %d then %d", i, nn.placeable[i-1].ID, nn.placeable[i].ID)
+		}
+	}
+	dead := func(d *DatanodeInfo) bool { return !d.Alive }
+	got := slices.DeleteFunc(slices.Clone(nn.placeable), dead)
+	want := slices.DeleteFunc(slices.Clone(nn.dnOrder), dead)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("placeable list holds %d live datanodes, dnOrder %d, or other ones", len(got), len(want))
+	}
+	return nil
 }
 
 // spreadAcrossSites appends up to n targets chosen from cands (in shuffled
@@ -61,18 +99,34 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 // minimal" — is evaluated through per-site FIFO queues of candidate
 // positions: the winner is the earliest queue head among minimum-count
 // sites, which is the same candidate the original O(replicas × candidates)
-// rescan picked, at O(replicas × sites).
+// rescan picked, at O(replicas × sites). No site can supply more than the
+// want = n−len(targets) targets still missing, so a queue stops at want
+// positions and the candidate walk stops once every site's queue is full;
+// placement_oracle_test.go keeps the uncapped queues as the oracle.
 func (nn *Namenode) spreadAcrossSites(cands []*DatanodeInfo, skipIx int, n int, targets []netmodel.NodeID) []netmodel.NodeID {
+	want := n - len(targets)
+	if want <= 0 {
+		return targets
+	}
 	for s := range nn.siteCands {
 		nn.siteCands[s] = nn.siteCands[s][:0]
 	}
-	remaining := 0
+	remaining, full := 0, 0
 	for i, d := range cands {
 		if i == skipIx {
 			continue
 		}
-		nn.siteCands[d.siteIx] = append(nn.siteCands[d.siteIx], int32(i))
+		q := nn.siteCands[d.siteIx]
+		if len(q) == want {
+			continue
+		}
+		nn.siteCands[d.siteIx] = append(q, int32(i))
 		remaining++
+		if len(q)+1 == want {
+			if full++; full == len(nn.siteCands) {
+				break
+			}
+		}
 	}
 	heads := nn.siteHeads
 	for s := range heads {
