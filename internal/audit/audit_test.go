@@ -277,4 +277,49 @@ func TestStateRulesFire(t *testing.T) {
 			t.Fatalf("an unfinished job's failure raised %v", a.Violations())
 		}
 	})
+	// The replica rules check state the namenode keeps consistent on every
+	// path, so the breach is written into a datanode record's exported
+	// fields. A replica on a node the namenode never registered cannot be
+	// injected: replicas are only ever added through a registered record.
+	t.Run("replica-liveness", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		nn.SeedFile("/in", hdfs.DefaultBlockSize, 2)
+		a.Sweep(1)
+		if a.Count() != 0 {
+			t.Fatalf("a fully replicated block raised %v", a.Violations())
+		}
+		d := nn.Datanode(ids[0])
+		d.Alive = false // dead, but its replicas were never dropped
+		a.Sweep(2)
+		if got := rules(a)["replica-liveness"]; got != 1 || a.Count() != 1 {
+			t.Fatalf("replica-liveness fired %d times for a replica on a dead node, want 1: %v", got, a.Violations())
+		}
+		d.Alive = true
+		a.Sweep(3)
+		if a.Count() != 1 {
+			t.Fatalf("replicas on live nodes raised %v", a.Violations())
+		}
+	})
+	t.Run("replica-presence", func(t *testing.T) {
+		nn, jt, ids := masters(t)
+		a := audit.New()
+		a.Attach(nn, jt)
+		nn.SeedFile("/in", hdfs.DefaultBlockSize, 2)
+		a.Sweep(1)
+		if a.Count() != 0 {
+			t.Fatalf("a fully replicated block raised %v", a.Violations())
+		}
+		// A record naming the wrong node: the dead-marking clears ids[0]'s
+		// inventory but drops ids[1]'s replica record instead of its own.
+		d := nn.Datanode(ids[0])
+		d.ID = ids[1]
+		nn.ForceDead(ids[0])
+		d.ID, d.Alive = ids[0], true
+		a.Sweep(2)
+		if got := rules(a)["replica-presence"]; got != 1 || a.Count() != 1 {
+			t.Fatalf("replica-presence fired %d times for a replica not physically held, want 1: %v", got, a.Violations())
+		}
+	})
 }

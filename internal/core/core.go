@@ -253,8 +253,7 @@ const (
 )
 
 type worker struct {
-	node *grid.Node
-	id   netmodel.NodeID
+	id netmodel.NodeID
 	// dn and tr are the worker's master-side records, held directly so the
 	// per-beat driver loop doesn't pay a map probe per worker per master.
 	dn *hdfs.DatanodeInfo
@@ -266,8 +265,6 @@ type worker struct {
 	// longer needs visiting.
 	exc bool
 
-	// seq is the worker's join index: the exception list sorts by it.
-	seq int32
 	// nn and jt are the worker's links to the namenode and the JobTracker.
 	nn, jt masterLink
 
@@ -289,12 +286,12 @@ type System struct {
 	NN   *hdfs.Namenode
 	JT   *mapred.JobTracker
 
-	cfg     Config
-	workers map[netmodel.NodeID]*worker
-	// order is every worker that ever joined, in join order; workerList is
-	// its subsequence the heartbeat tick walks: every worker that is not
+	cfg Config
+	// workers holds every worker that ever joined, indexed by node ID with
+	// no gaps: each joins as netmodel.AddNode issues its ID. workerList is
+	// the subsequence the heartbeat tick walks: every worker that is not
 	// dead, plus the dead ones the tick has not visited since they died.
-	order          []netmodel.NodeID
+	workers        []*worker
 	workerList     []*worker
 	bus            *event.Bus
 	scenarios      []ScenarioSpec // as admitted by Apply
@@ -384,7 +381,6 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 	s := &System{
 		Eng:      sim.New(cfg.Seed),
 		cfg:      cfg,
-		workers:  make(map[netmodel.NodeID]*worker),
 		bus:      &event.Bus{},
 		Reported: metrics.NewSeries("reported-nodes"),
 		gray:     newGrayStream(cfg.Seed),
@@ -398,14 +394,11 @@ func NewSystem(cfg Config, obs ...event.Observer) (*System, error) {
 	s.NN.Events = s.bus
 	s.JT = mapred.NewJobTracker(s.Eng, s.Net, s.NN, s.Disk, cfg.MapRed)
 	s.JT.Events = s.bus
-	s.JT.DiskUsable = func(n netmodel.NodeID) bool {
-		w := s.workers[n]
+	healthy := func(n netmodel.NodeID) bool {
+		w := netmodel.Lookup(s.workers, n)
 		return w != nil && w.health == workerHealthy
 	}
-	s.JT.DataServable = func(n netmodel.NodeID) bool {
-		w := s.workers[n]
-		return w != nil && w.health == workerHealthy
-	}
+	s.JT.DiskUsable, s.JT.DataServable = healthy, healthy
 	s.JT.OnDiskOverflow = s.onDiskOverflow
 	s.NN.Start()
 	s.JT.Start()
@@ -545,15 +538,13 @@ func (s *System) onJoin(n *grid.Node) {
 	s.Disk.SetCapacity(n.ID, n.DiskCapacity)
 	dn := s.NN.Register(n.ID, n.Hostname)
 	tr := s.JT.RegisterTracker(n.ID, n.Hostname, dn.Site, n.MapSlots, n.ReduceSlots)
-	s.addWorker(&worker{node: n, id: n.ID, health: workerHealthy, dn: dn, tr: tr})
+	s.addWorker(&worker{id: n.ID, health: workerHealthy, dn: dn, tr: tr})
 }
 
 // addWorker records a freshly started worker. It is exceptional until the
 // driver sees its first heartbeat.
 func (s *System) addWorker(w *worker) {
-	w.seq = int32(len(s.order))
-	s.workers[w.id] = w
-	s.order = append(s.order, w.id)
+	s.workers = netmodel.Store(s.workers, w.id, w)
 	s.workerList = append(s.workerList, w)
 	s.unsettle(w)
 }
@@ -561,7 +552,7 @@ func (s *System) addWorker(w *worker) {
 // onPreempt applies the configured daemon behaviour when a site kills the
 // glide-in and removes its working directory.
 func (s *System) onPreempt(n *grid.Node) {
-	w := s.workers[n.ID]
+	w := netmodel.Lookup(s.workers, n.ID)
 	if w == nil || w.health == workerDead {
 		return
 	}
@@ -619,7 +610,7 @@ func (s *System) emitZombie(n *grid.Node) {
 // (§IV.D.2): the failure is reported to the jobtracker and the daemons stop,
 // so the pool requests a replacement.
 func (s *System) onDiskOverflow(n netmodel.NodeID) {
-	w := s.workers[n]
+	w := netmodel.Lookup(s.workers, n)
 	if w == nil || w.health == workerDead {
 		return
 	}
@@ -641,7 +632,7 @@ func (s *System) onDiskOverflow(n netmodel.NodeID) {
 // target (grid systems). It returns the reached node count.
 func (s *System) AwaitNodes() int {
 	if s.Pool == nil {
-		return len(s.order)
+		return len(s.workers)
 	}
 	g := s.cfg.Grid
 	s.Pool.SetTarget(g.TargetNodes)

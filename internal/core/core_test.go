@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hog/internal/grid"
+	"hog/internal/netmodel"
 	"hog/internal/sim"
 	"hog/internal/workload"
 )
@@ -15,7 +16,7 @@ func tinySchedule(seed int64) *workload.Schedule {
 
 func TestDedicatedClusterRunsWorkload(t *testing.T) {
 	sys := New(DedicatedClusterConfig(1))
-	if got := len(sys.order); got != 30 {
+	if got := len(sys.workers); got != 30 {
 		t.Fatalf("dedicated cluster has %d nodes, want 30 (Table III)", got)
 	}
 	// Slot audit: 20*4 + 10*2 = 100 map slots, 30 reduce slots.
@@ -36,6 +37,35 @@ func TestDedicatedClusterRunsWorkload(t *testing.T) {
 	}
 	if len(res.JobResponses) == 0 {
 		t.Fatal("no job responses recorded")
+	}
+}
+
+// TestWorkersJoinInIDOrder checks what the ID-indexed worker table relies
+// on: every worker joins in the same call that issued its node ID, so join
+// order is ID order and the table has no gaps, through churn and a shrink.
+func TestWorkersJoinInIDOrder(t *testing.T) {
+	static := New(DedicatedClusterConfig(1))
+	for id, w := range static.workers {
+		if w == nil || w.id != netmodel.NodeID(id) {
+			t.Fatalf("static cluster: table slot %d holds no worker of that ID", id)
+		}
+	}
+	cfg := HOGConfig(40, grid.ChurnUnstable, 6)
+	sys := New(cfg)
+	join := sys.Pool.OnJoin
+	joins := 0
+	sys.Pool.OnJoin = func(n *grid.Node) {
+		if want := netmodel.NodeID(joins); n.ID != want || int(n.ID) != sys.Net.NumNodes()-1 {
+			t.Fatalf("join %d got node ID %d (network issued %d)", joins, n.ID, sys.Net.NumNodes())
+		}
+		joins++
+		join(n)
+	}
+	sys.AwaitNodes()
+	sys.Pool.SetTarget(20)
+	sys.Eng.RunUntil(sys.Eng.Now() + 2*sim.Hour)
+	if joins <= cfg.Grid.TargetNodes || len(sys.workers) != joins {
+		t.Fatalf("%d joins, %d table slots; want churn past the target of %d and one slot per join", joins, len(sys.workers), cfg.Grid.TargetNodes)
 	}
 }
 

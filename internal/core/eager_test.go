@@ -10,9 +10,8 @@ func eagerTick(s *System) {
 	jtDown := s.JT.Down()
 	now := s.Eng.Now()
 	s.work.Ticks++
-	s.work.Visits += int64(len(s.order))
-	for _, id := range s.order {
-		w := s.workers[id]
+	s.work.Visits += int64(len(s.workers))
+	for _, w := range s.workers {
 		if w.health == workerDead {
 			continue
 		}

@@ -75,7 +75,6 @@ func (s *System) pickWorkers(site string, count int, ok func(*worker) bool) []*w
 		}
 		cands = append(cands, w)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
 	if count > 0 && len(cands) > count {
 		cands = cands[:count]
 	}
@@ -262,19 +261,12 @@ func (s *System) degradeNodes(site string, count int, factor, loss float64) {
 // again.
 func (s *System) restoreNodes(site string) {
 	id, _ := s.Net.SiteByName(site)
-	ids := make([]netmodel.NodeID, 0, len(s.degraded))
-	for nid := range s.degraded {
-		if s.Net.SiteOf(nid) == id {
-			ids = append(ids, nid)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, nid := range ids {
-		w := s.workers[nid]
-		delete(s.degraded, nid)
-		if w == nil {
+	for _, w := range s.workers {
+		nid := w.id
+		if _, ok := s.degraded[nid]; !ok || s.Net.SiteOf(nid) != id {
 			continue
 		}
+		delete(s.degraded, nid)
 		w.grayLoss = 0
 		if w.tr != nil && w.origSpeed > 0 {
 			w.tr.Speed = w.origSpeed

@@ -86,7 +86,7 @@ func (s *System) tick() {
 			s.exc = append(s.exc, s.excNew...)
 			clear(s.excNew)
 			s.excNew = s.excNew[:0]
-			slices.SortFunc(s.exc, func(a, b *worker) int { return int(a.seq - b.seq) })
+			slices.SortFunc(s.exc, func(a, b *worker) int { return int(a.id - b.id) })
 		}
 		keep = s.exc[:0]
 		for _, w := range s.exc {

@@ -88,8 +88,7 @@ func runHeartbeats(t *testing.T, cfg Config, eager bool) heartbeatRun {
 	}
 	sys.Eng.Every(7*sim.Second, func() {
 		alive := 0
-		for _, id := range sys.order {
-			w := sys.workers[id]
+		for _, w := range sys.workers {
 			put(int64(w.id))
 			put(int64(sys.NN.LastHeartbeat(w.dn)))
 			put(int64(sys.JT.LastHeartbeat(w.tr)))
@@ -234,8 +233,7 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 		sys.Eng.RunUntil(next)
 		after := sys.Work()
 		nnExc, jtExc := 0, 0
-		for _, id := range sys.order {
-			w := sys.workers[id]
+		for _, w := range sys.workers {
 			if w.exc && w.dn.Alive {
 				nnExc++
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hog/internal/grid"
+	"hog/internal/netmodel"
 	"hog/internal/sim"
 )
 
@@ -11,7 +12,8 @@ import (
 // shadow: the namenode's placeable list against its datanodes, each grid
 // site's alive list against the pool's nodes, and the heartbeat tick's
 // workerList against the roster, which must keep every worker that is not
-// dead, in join order.
+// dead, in ID order. The roster itself must hold a worker at every node ID
+// the network issued: a worker joins as its ID is issued.
 func checkLiveLists(t *testing.T, sys *System) {
 	t.Helper()
 	if err := sys.NN.CheckLiveList(); err != nil {
@@ -22,16 +24,21 @@ func checkLiveLists(t *testing.T, sys *System) {
 	}
 	var listed []*worker
 	for i, w := range sys.workerList {
-		if i > 0 && sys.workerList[i-1].seq >= w.seq {
-			t.Fatalf("at %v: workerList out of join order at %d", sys.Eng.Now(), i)
+		if i > 0 && sys.workerList[i-1].id >= w.id {
+			t.Fatalf("at %v: workerList out of ID order at %d", sys.Eng.Now(), i)
 		}
 		if w.health != workerDead {
 			listed = append(listed, w)
 		}
 	}
+	if len(sys.workers) != sys.Net.NumNodes() {
+		t.Fatalf("at %v: roster spans %d node IDs, the network issued %d", sys.Eng.Now(), len(sys.workers), sys.Net.NumNodes())
+	}
 	j := 0
-	for _, id := range sys.order {
-		w := sys.workers[id]
+	for id, w := range sys.workers {
+		if w == nil || w.id != netmodel.NodeID(id) {
+			t.Fatalf("at %v: roster slot %d holds no worker of that ID", sys.Eng.Now(), id)
+		}
 		if w.health == workerDead {
 			continue
 		}
@@ -75,7 +82,7 @@ func TestLiveListsTrackChurn(t *testing.T) {
 		checkLiveLists(t, sys)
 		w := sys.Work()
 		if w.Ticks > last.Ticks && w.IdleTicks == last.IdleTicks {
-			fullRoster += int64(len(sys.order))
+			fullRoster += int64(len(sys.workers))
 		}
 		last = w
 		for id := range sys.partedNodes {

@@ -3,9 +3,6 @@ package grid
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
-
-	"hog/internal/netmodel"
 )
 
 // Census is a deterministic digest of the pool's state, recorded in
@@ -33,7 +30,6 @@ func (p *Pool) Census() Census {
 		Target:   p.target,
 		InFlight: p.inflight,
 		Alive:    p.alive,
-		Nodes:    len(p.nodes),
 		Stats:    p.stats,
 	}
 	h := fnv.New64a()
@@ -48,14 +44,12 @@ func (p *Pool) Census() Census {
 		put(uint64(len(s.nodes)))
 		put(uint64(s.hostSeq))
 	}
-	ids := make([]netmodel.NodeID, 0, len(p.nodes))
-	for id := range p.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := p.nodes[id]
-		put(uint64(id))
+	for _, n := range p.nodes {
+		if n == nil {
+			continue
+		}
+		c.Nodes++
+		put(uint64(n.ID))
 		if n.Alive {
 			put(1)
 		} else {

@@ -100,9 +100,9 @@ type Pool struct {
 	// capacity is the sites' total Capacity, the most workers the pool can
 	// ever run at once.
 	capacity int
-	// nodes holds every node that ever joined; the sites' lists hold the
-	// alive ones, so no walk over the pool visits the dead.
-	nodes map[netmodel.NodeID]*Node
+	// nodes holds every node that ever joined, indexed by ID; the sites'
+	// lists hold the alive ones, so no walk over the pool visits the dead.
+	nodes []*Node
 	stats Stats
 
 	// OnJoin is invoked when a node has started its daemons; OnPreempt when
@@ -141,7 +141,7 @@ func NewPool(eng *sim.Engine, net *netmodel.Network, sites []SiteConfig, cfg Poo
 	if cfg.DiskBytesPerNode <= 0 {
 		cfg.DiskBytesPerNode = 40e9
 	}
-	p := &Pool{eng: eng, net: net, cfg: cfg, nodes: make(map[netmodel.NodeID]*Node)}
+	p := &Pool{eng: eng, net: net, cfg: cfg}
 	for _, sc := range sites {
 		sr := &siteRuntime{cfg: sc, ix: len(p.sites)}
 		sr.netSite = net.AddSite(sc.Name, sc.UplinkBps, sc.DownlinkBps)
@@ -187,8 +187,8 @@ func (p *Pool) InFlight() int { return p.inflight }
 // Stats returns a copy of the pool's counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// Node returns the node with the given ID, or nil.
-func (p *Pool) Node(id netmodel.NodeID) *Node { return p.nodes[id] }
+// Node returns the node with the given ID, or nil if the pool never ran it.
+func (p *Pool) Node(id netmodel.NodeID) *Node { return netmodel.Lookup(p.nodes, id) }
 
 // AliveNodes returns all currently alive nodes in ID order.
 func (p *Pool) AliveNodes() []*Node {
@@ -207,12 +207,11 @@ func byID(a, b *Node) int { return cmp.Compare(a.ID, b.ID) }
 func (p *Pool) CheckLiveLists() error {
 	want := make([][]*Node, len(p.sites))
 	for _, n := range p.nodes {
-		if n.Alive {
+		if n != nil && n.Alive {
 			want[n.Site] = append(want[n.Site], n)
 		}
 	}
 	for i, sr := range p.sites {
-		slices.SortFunc(want[i], byID)
 		if !slices.Equal(sr.nodes, want[i]) {
 			return fmt.Errorf("site %s lists %d alive nodes out of %d, or out of ID order", sr.cfg.Name, len(sr.nodes), len(want[i]))
 		}
@@ -271,7 +270,7 @@ func (p *Pool) provision() {
 		MapSlots:     p.cfg.MapSlots,
 		ReduceSlots:  p.cfg.ReduceSlots,
 	}
-	p.nodes[id] = n
+	p.nodes = netmodel.Store(p.nodes, id, n)
 	p.alive++
 	// Node IDs grow with every AddNode, so the append keeps ID order.
 	sr.nodes = append(sr.nodes, n)
@@ -357,7 +356,7 @@ func (p *Pool) preempt(n *Node, counter *int, replace bool, kind string) {
 // Kill removes a node for an internal reason (e.g. disk overflow shutting
 // down the daemons, §IV.D.2) and requests a replacement.
 func (p *Pool) Kill(id netmodel.NodeID) {
-	if n, ok := p.nodes[id]; ok {
+	if n := p.Node(id); n != nil {
 		p.preempt(n, &p.stats.Killed, true, "killed")
 	}
 }

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -134,7 +136,7 @@ func TestSiteCapacityRespected(t *testing.T) {
 }
 
 func TestKillRequestsReplacement(t *testing.T) {
-	eng, _, p := newTestPool(6, quietSites(5), DefaultPoolConfig())
+	eng, net, p := newTestPool(6, quietSites(5), DefaultPoolConfig())
 	p.SetTarget(10)
 	eng.RunUntil(20 * sim.Minute)
 	victim := p.AliveNodes()[0]
@@ -151,6 +153,17 @@ func TestKillRequestsReplacement(t *testing.T) {
 	}
 	if p.Node(victim.ID) == nil {
 		t.Fatal("dead node should remain queryable")
+	}
+	// IDs the pool never ran, before its first node and past its last, look
+	// up as nil, and killing one is a no-op.
+	for _, id := range []netmodel.NodeID{-1, netmodel.NodeID(net.NumNodes()), 1 << 20} {
+		if n := p.Node(id); n != nil {
+			t.Fatalf("Node(%d) = %+v for an ID the pool never ran", id, n)
+		}
+		p.Kill(id)
+	}
+	if c := p.Census(); c.Nodes != net.NumNodes() || p.Stats().Killed != 1 {
+		t.Fatalf("census counts %d nodes of %d issued, %d kills; want all and 1", c.Nodes, net.NumNodes(), p.Stats().Killed)
 	}
 }
 
@@ -192,6 +205,45 @@ func TestHostnamesMapToSiteDomains(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("expected nodes spread over >=2 sites, got %v", seen)
+	}
+}
+
+// TestPresetAwarenessSiteCollisions lists, per preset, the grid sites that
+// HDFS's hostname-derived awareness site merges into one failure domain.
+// MEGA's UFL_HPC (ufl.edu) and FLORIDA_T2 (phys.ufl.edu) share ufl.edu, and
+// GIGA's 64 generated pools share osg-federation.org, leaving 39 awareness
+// sites for MEGA's 40 grid sites and 40 for GIGA's 104. These are known, and
+// fixing them moves MEGA and GIGA results; any other merge fails here.
+func TestPresetAwarenessSiteCollisions(t *testing.T) {
+	ufl := []string{"UFL_HPC", "FLORIDA_T2"}
+	var pools []string
+	for i := 0; i < 64; i++ {
+		pools = append(pools, fmt.Sprintf("OSG_POOL_%02d", i))
+	}
+	for _, tc := range []struct {
+		name  string
+		sites []SiteConfig
+		want  map[string][]string
+	}{
+		{"osg", OSGSites(ChurnNone), map[string][]string{}},
+		{"large", LargeGridSites(ChurnNone), map[string][]string{}},
+		{"mega", MegaGridSites(ChurnNone), map[string][]string{"ufl.edu": ufl}},
+		{"giga", GigaGridSites(ChurnNone), map[string][]string{"ufl.edu": ufl, "osg-federation.org": pools}},
+	} {
+		bySite := map[string][]string{}
+		for _, sc := range tc.sites {
+			s := topology.SiteFromHostname("x." + sc.Domain)
+			bySite[s] = append(bySite[s], sc.Name)
+		}
+		got := map[string][]string{}
+		for s, names := range bySite {
+			if len(names) > 1 {
+				got[s] = names
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: awareness sites merging grid sites = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

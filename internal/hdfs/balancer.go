@@ -26,7 +26,7 @@ func (nn *Namenode) BalanceOnce(threshold float64, maxMoves int) int {
 	var all []util
 	var sum float64
 	for _, d := range nn.datanodes {
-		if !d.Alive {
+		if d == nil || !d.Alive {
 			continue
 		}
 		u := nn.disk.Utilization(d.ID)
@@ -138,7 +138,7 @@ func (nn *Namenode) startMove(bid BlockID, src, dst netmodel.NodeID) bool {
 			nn.disk.Release(dst, b.Size)
 			return
 		}
-		if d, ok := nn.datanodes[dst]; !ok || !d.Alive {
+		if d := nn.Datanode(dst); d == nil || !d.Alive {
 			nn.disk.Release(dst, b.Size)
 			return
 		}
@@ -146,7 +146,7 @@ func (nn *Namenode) startMove(bid BlockID, src, dst netmodel.NodeID) bool {
 		nn.stats.BalancerMoves++
 		// Drop the source replica only if the block stays at or above its
 		// target without it.
-		if sd, ok := nn.datanodes[src]; ok {
+		if sd := nn.Datanode(src); sd != nil {
 			if _, has := b.replicas[src]; has && len(b.replicas) > nn.targetReplication(b) {
 				nn.dropReplica(b, src)
 				delete(sd.blocks, bid)

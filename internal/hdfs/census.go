@@ -33,13 +33,12 @@ type Census struct {
 }
 
 // Census digests the namenode's current state. The hash walks every
-// datanode in the deterministic dnOrder (ID, liveness, replica count) and
+// registered datanode in ascending ID order (ID, liveness, replica count) and
 // every block in ascending block-ID order (size, liveness flags, sorted
 // replica set), so two namenodes agreeing on the counts but placing
 // replicas differently still differ.
 func (nn *Namenode) Census() Census {
 	c := Census{
-		Datanodes:     len(nn.datanodes),
 		Blocks:        len(nn.blocks),
 		Files:         len(nn.files),
 		NextBlock:     nn.nextBlock,
@@ -56,7 +55,11 @@ func (nn *Namenode) Census() Census {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, d := range nn.dnOrder {
+	for _, d := range nn.datanodes {
+		if d == nil {
+			continue
+		}
+		c.Datanodes++
 		if d.Alive {
 			c.AliveNodes++
 			put(1)

@@ -31,7 +31,7 @@ const (
 // (the node must physically hold one, live or preserved across a dead-marking).
 func (nn *Namenode) CorruptReplica(bid BlockID, id netmodel.NodeID) bool {
 	b := nn.blocks[bid]
-	d := nn.datanodes[id]
+	d := nn.Datanode(id)
 	if b == nil || d == nil {
 		return false
 	}
@@ -100,7 +100,7 @@ func (nn *Namenode) invalidateCorrupt(b *BlockInfo, id netmodel.NodeID) {
 	delete(b.corrupt, id)
 	nn.corruptCount--
 	nn.stats.ReplicasInvalidated++
-	if d := nn.datanodes[id]; d != nil {
+	if d := nn.Datanode(id); d != nil {
 		delete(d.blocks, b.ID)
 	}
 	nn.disk.Release(id, b.Size)
@@ -140,7 +140,7 @@ func (nn *Namenode) recoverPipelineHop(bid BlockID, tid netmodel.NodeID) {
 // SetNodeGray flags (or unflags) a node as gray-degraded: it still
 // heartbeats, but placement refuses it until the flag clears. Idempotent.
 func (nn *Namenode) SetNodeGray(id netmodel.NodeID, gray bool) {
-	d := nn.datanodes[id]
+	d := nn.Datanode(id)
 	if d == nil || d.gray == gray {
 		return
 	}
@@ -160,7 +160,7 @@ func (nn *Namenode) GrayDatanodes() int { return nn.grayCount }
 // markers, and gray flag die with it, and a later partition heal has nothing
 // to recover. Safe in either order relative to the dead-timeout markDead.
 func (nn *Namenode) MarkPhysicallyLost(id netmodel.NodeID) {
-	d := nn.datanodes[id]
+	d := nn.Datanode(id)
 	if d == nil || d.physLost {
 		return
 	}
@@ -193,7 +193,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	if nn.down {
 		return 0
 	}
-	d := nn.datanodes[id]
+	d := nn.Datanode(id)
 	if d == nil || d.Alive || d.physLost {
 		return 0
 	}

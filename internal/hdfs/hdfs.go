@@ -268,12 +268,12 @@ type Namenode struct {
 	disk *disk.Tracker
 	cfg  Config
 
-	datanodes map[netmodel.NodeID]*DatanodeInfo
-	// dnOrder holds every registered datanode in ascending ID order — the
-	// deterministic base order the placement policy and the census need,
-	// maintained incrementally instead of sorted per call.
-	dnOrder []*DatanodeInfo
-	// placeable is dnOrder's live subsequence, the list placement scans. A
+	// datanodes is indexed by NodeID, nil where none registered, so a walk
+	// visits every datanode in ascending ID order — the deterministic order
+	// the census, safe mode and the balancer need.
+	datanodes []*DatanodeInfo
+	// placeable is the live datanodes in ID order, the list placement
+	// scans; RecoverDatanode puts a revived one back by binary search. A
 	// death leaves its entry in place and the next gatherCandidates scan
 	// drops it in passing (deleting eagerly would move the tail of a
 	// ten-thousand-entry list per death), so between scans it also holds
@@ -360,7 +360,6 @@ func NewNamenode(eng *sim.Engine, net *netmodel.Network, dt *disk.Tracker, cfg C
 		net:        net,
 		disk:       dt,
 		cfg:        cfg.withDefaults(),
-		datanodes:  make(map[netmodel.NodeID]*DatanodeInfo),
 		siteIx:     make(map[string]int),
 		blocks:     make(map[BlockID]*BlockInfo),
 		files:      make(map[string]*FileInfo),
@@ -404,7 +403,7 @@ func (nn *Namenode) Stop() {
 // (paper: the topology script "is executed each time a new node is
 // discovered by the namenode").
 func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo {
-	if _, ok := nn.datanodes[id]; ok {
+	if nn.Datanode(id) != nil {
 		panic(fmt.Sprintf("hdfs: datanode %d registered twice", id))
 	}
 	d := &DatanodeInfo{
@@ -423,8 +422,7 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 		nn.siteHeads = append(nn.siteHeads, 0)
 	}
 	d.siteIx = ix
-	nn.datanodes[id] = d
-	nn.dnOrder = insertByID(nn.dnOrder, d)
+	nn.datanodes = netmodel.Store(nn.datanodes, id, d)
 	nn.placeable = insertByID(nn.placeable, d)
 	return d
 }
@@ -479,8 +477,10 @@ func (nn *Namenode) LastHeartbeat(d *DatanodeInfo) sim.Time { return nn.live.Las
 // LivenessWork returns the dead scans' work counters.
 func (nn *Namenode) LivenessWork() liveness.Work { return nn.live.Work() }
 
-// Datanode returns the info for id, or nil.
-func (nn *Namenode) Datanode(id netmodel.NodeID) *DatanodeInfo { return nn.datanodes[id] }
+// Datanode returns the info for id, or nil if id never registered.
+func (nn *Namenode) Datanode(id netmodel.NodeID) *DatanodeInfo {
+	return netmodel.Lookup(nn.datanodes, id)
+}
 
 // AliveDatanodes returns live datanodes in ID order.
 func (nn *Namenode) AliveDatanodes() []*DatanodeInfo {
@@ -577,7 +577,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 // ForceDead immediately declares a datanode dead, bypassing the heartbeat
 // timeout (used by tests).
 func (nn *Namenode) ForceDead(id netmodel.NodeID) {
-	if d, ok := nn.datanodes[id]; ok {
+	if d := nn.Datanode(id); d != nil {
 		nn.markDead(d)
 	}
 }

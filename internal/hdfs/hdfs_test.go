@@ -361,6 +361,38 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 	h.nn.Register(h.all[0], "dup.fnal.gov")
 }
 
+// TestDatanodeLookupSparseIDs registers datanodes at sparse IDs: a lookup of
+// an ID never registered, in a gap or past the end of the table, returns nil
+// without panicking, as do the calls that take a node ID, and the census
+// counts registered datanodes only.
+func TestDatanodeLookupSparseIDs(t *testing.T) {
+	eng := sim.New(1)
+	nn := NewNamenode(eng, netmodel.New(eng, netmodel.Config{}), disk.NewTracker(), Config{})
+	nn.Register(3, "wn3.fnal.gov")
+	nn.Register(7, "wn7.ucsd.edu")
+	for _, id := range []netmodel.NodeID{-1, 0, 5, 8, 1 << 20} {
+		if d := nn.Datanode(id); d != nil {
+			t.Fatalf("Datanode(%d) = %+v for an unregistered ID", id, d)
+		}
+		nn.ForceDead(id)
+		nn.SetNodeGray(id, true)
+		nn.MarkPhysicallyLost(id)
+		nn.Reregister(id)
+		if nn.RecoverDatanode(id) != 0 {
+			t.Fatalf("RecoverDatanode(%d) restored replicas of an unregistered ID", id)
+		}
+	}
+	if d := nn.Datanode(7); d == nil || d.ID != 7 {
+		t.Fatalf("Datanode(7) = %+v, want the registered datanode", d)
+	}
+	if c := nn.Census(); c.Datanodes != 2 || c.AliveNodes != 2 {
+		t.Fatalf("census counts %d datanodes, %d alive; want 2, 2", c.Datanodes, c.AliveNodes)
+	}
+	if err := nn.CheckLiveList(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDuplicateCreatePanics(t *testing.T) {
 	h := newHarness(t, 16, 1, Config{PlacementPolicy: PlacementFlat})
 	h.nn.CreateFile("/x", DefaultBlockSize, 1)

@@ -81,8 +81,8 @@ func (nn *Namenode) DeleteFile(name string) {
 			// (or, while down, on every former holder). Reclaim the space by
 			// physical inventory instead, so deletion never leaks disk and a
 			// later block report cannot resurrect a deleted block.
-			for _, d := range nn.dnOrder {
-				if _, held := d.blocks[bid]; held {
+			for _, d := range nn.datanodes {
+				if d != nil && d.HasBlock(bid) {
 					delete(d.blocks, bid)
 					nn.disk.Release(d.ID, b.Size)
 				}
@@ -111,7 +111,7 @@ func (nn *Namenode) DeleteFile(name string) {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			if d, ok := nn.datanodes[id]; ok {
+			if d := nn.Datanode(id); d != nil {
 				delete(d.blocks, bid)
 			}
 			nn.disk.Release(id, b.Size)
@@ -125,8 +125,8 @@ func (nn *Namenode) DeleteFile(name string) {
 }
 
 func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
-	d, ok := nn.datanodes[id]
-	if !ok || !d.Alive {
+	d := nn.Datanode(id)
+	if d == nil || !d.Alive {
 		return
 	}
 	if nn.down {
@@ -274,11 +274,11 @@ func (nn *Namenode) writeFileNow(writer netmodel.NodeID, name string, size float
 					nn.disk.Release(tid, b.Size)
 					return
 				}
-				d, ok := nn.datanodes[tid]
+				d := nn.Datanode(tid)
 				switch {
-				case ok && d.Alive && !d.gray && nn.net.MasterReachable(tid):
+				case d != nil && d.Alive && !d.gray && nn.net.MasterReachable(tid):
 					nn.addReplica(b, tid)
-				case ok && d.Alive:
+				case d != nil && d.Alive:
 					// The hop went gray or was partitioned mid-write: its ack
 					// cannot reach (or cannot be trusted by) the namenode, so
 					// the replica is not committed — pipeline recovery drops
@@ -337,12 +337,12 @@ func (nn *Namenode) ReadSource(reader netmodel.NodeID, bid BlockID) (src netmode
 		return reader, true, true
 	}
 	readerSite := ""
-	if d, okd := nn.datanodes[reader]; okd {
+	if d := nn.Datanode(reader); d != nil {
 		readerSite = d.Site
 	}
 	var sameSite, any []netmodel.NodeID
 	for id := range b.replicas {
-		d := nn.datanodes[id]
+		d := nn.Datanode(id)
 		if d == nil || !d.Alive {
 			continue
 		}

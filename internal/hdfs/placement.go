@@ -32,7 +32,7 @@ func (nn *Namenode) PlaceWork() PlaceWork { return nn.placeWork }
 func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]struct{}) []*DatanodeInfo {
 	nn.placeEpoch++
 	for id := range exclude {
-		if d := nn.datanodes[id]; d != nil {
+		if d := nn.Datanode(id); d != nil {
 			d.placeMark = nn.placeEpoch
 		}
 	}
@@ -72,18 +72,19 @@ func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]s
 }
 
 // CheckLiveList reports a breach of the placeable list's invariant: it is
-// strictly ascending by ID, and its live entries are exactly dnOrder's.
+// strictly ascending by ID, and its live entries are exactly the live
+// registered datanodes.
 func (nn *Namenode) CheckLiveList() error {
 	for i := 1; i < len(nn.placeable); i++ {
 		if nn.placeable[i-1].ID >= nn.placeable[i].ID {
 			return fmt.Errorf("placeable list out of ID order at %d: %d then %d", i, nn.placeable[i-1].ID, nn.placeable[i].ID)
 		}
 	}
-	dead := func(d *DatanodeInfo) bool { return !d.Alive }
+	dead := func(d *DatanodeInfo) bool { return d == nil || !d.Alive }
 	got := slices.DeleteFunc(slices.Clone(nn.placeable), dead)
-	want := slices.DeleteFunc(slices.Clone(nn.dnOrder), dead)
+	want := slices.DeleteFunc(slices.Clone(nn.datanodes), dead)
 	if !slices.Equal(got, want) {
-		return fmt.Errorf("placeable list holds %d live datanodes, dnOrder %d, or other ones", len(got), len(want))
+		return fmt.Errorf("placeable list holds %d live datanodes, the table %d, or other ones", len(got), len(want))
 	}
 	return nil
 }
@@ -175,7 +176,7 @@ func (nn *Namenode) SitesOf(b *BlockInfo) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for id := range b.replicas {
-		if d, ok := nn.datanodes[id]; ok && !seen[d.Site] {
+		if d := nn.Datanode(id); d != nil && !seen[d.Site] {
 			seen[d.Site] = true
 			out = append(out, d.Site)
 		}

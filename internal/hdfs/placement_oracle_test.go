@@ -65,7 +65,7 @@ func TestSpreadAcrossSitesMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
 		nn := newSiteNamenode(r, 1+r.Intn(12), 1+r.Intn(60))
-		cands := slices.Clone(nn.dnOrder)
+		cands := slices.Clone(nn.datanodes)
 		r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		cands = cands[:r.Intn(len(cands)+1)]
 		skipIx := -1
@@ -118,7 +118,7 @@ func TestPlacementScanBoundUnderChurn(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		deaths := 0
 		for k := r.Intn(20); k > 0; k-- {
-			switch d := nn.dnOrder[r.Intn(len(nn.dnOrder))]; {
+			switch d := nn.datanodes[r.Intn(len(nn.datanodes))]; {
 			case d.Alive:
 				if r.Intn(3) == 0 {
 					nn.MarkPhysicallyLost(d.ID)

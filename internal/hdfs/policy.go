@@ -121,7 +121,7 @@ func (nn *Namenode) ReplicationOrderName() string { return nn.replOrder.Name() }
 // writer's index in cands, or -1 when it was not taken.
 func (nn *Namenode) writerFirst(writer netmodel.NodeID, size float64, exclude map[netmodel.NodeID]struct{}) (cands []*DatanodeInfo, targets []netmodel.NodeID, skipIx int) {
 	cands = nn.gatherCandidates(size, exclude)
-	if w, ok := nn.datanodes[writer]; ok && w.Alive {
+	if w := nn.Datanode(writer); w != nil && w.Alive {
 		if _, ex := exclude[writer]; !ex && nn.disk.Free(writer) >= size {
 			for i := range cands {
 				if cands[i].ID == writer {
@@ -154,7 +154,7 @@ func (gridPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size fl
 		nn.siteCounts[s] = 0
 	}
 	for _, id := range targets {
-		nn.siteCounts[nn.datanodes[id].siteIx]++
+		nn.siteCounts[nn.Datanode(id).siteIx]++
 	}
 	return nn.spreadAcrossSites(cands, skipIx, n, targets)
 }
@@ -173,12 +173,12 @@ func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []net
 		nn.siteCounts[s] = 0
 	}
 	for id := range b.replicas {
-		if d, ok := nn.datanodes[id]; ok {
+		if d := nn.Datanode(id); d != nil {
 			nn.siteCounts[d.siteIx]++
 		}
 	}
 	for id := range b.pending {
-		if d, ok := nn.datanodes[id]; ok {
+		if d := nn.Datanode(id); d != nil {
 			nn.siteCounts[d.siteIx]++
 		}
 	}

@@ -153,7 +153,7 @@ func (nn *Namenode) pumpReplication() {
 			delete(nn.streams, st)
 			nn.replStreams--
 			delete(b.pending, dst)
-			if d, ok := nn.datanodes[dst]; ok && d.Alive && nn.blocks[bid] != nil {
+			if d := nn.Datanode(dst); d != nil && d.Alive && nn.blocks[bid] != nil {
 				nn.addReplica(b, dst)
 				nn.stats.ReplicationsDone++
 				nn.stats.BytesReplicated += b.Size
@@ -224,7 +224,7 @@ func (nn *Namenode) targetReplication(b *BlockInfo) int {
 func (nn *Namenode) anyReplica(b *BlockInfo) (src netmodel.NodeID, ok bool) {
 	ids := make([]netmodel.NodeID, 0, len(b.replicas))
 	for id := range b.replicas {
-		if d, okd := nn.datanodes[id]; okd && d.Alive {
+		if d := nn.Datanode(id); d != nil && d.Alive {
 			ids = append(ids, id)
 		}
 	}

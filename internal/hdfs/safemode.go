@@ -102,9 +102,9 @@ func (nn *Namenode) Restart() {
 	nn.safeMode = true
 	nn.safeModeSince = now
 	nn.awaiting = 0
-	for _, d := range nn.dnOrder {
-		d.awaitingReport = false
-		if d.Alive {
+	for _, d := range nn.datanodes {
+		// A dead datanode owes no report: markDead cleared its flag.
+		if d != nil && d.Alive {
 			d.awaitingReport = true
 			nn.awaiting++
 			// Grace-stamp so the dead scan, once it resumes, measures from
@@ -148,7 +148,7 @@ func (nn *Namenode) Reregister(id netmodel.NodeID) {
 	if nn.down {
 		return
 	}
-	d := nn.datanodes[id]
+	d := nn.Datanode(id)
 	if d == nil || !d.Alive {
 		return
 	}
@@ -218,8 +218,8 @@ func (nn *Namenode) exitSafeMode() {
 	// defers loss declarations for the blocks only they still hold.
 	deferred := make(map[BlockID]struct{})
 	now := nn.eng.Now()
-	for _, d := range nn.dnOrder {
-		if d.Alive && d.awaitingReport {
+	for _, d := range nn.datanodes {
+		if d != nil && d.Alive && d.awaitingReport {
 			nn.live.Stamp(&d.live, now)
 			for bid := range d.blocks {
 				deferred[bid] = struct{}{}

@@ -19,12 +19,11 @@ type Census struct {
 
 // Census digests the JobTracker's current state. AttemptSeq is a strict
 // event-order signature (every task attempt ever launched draws one); the
-// hash additionally walks every tracker in registration order and every
+// hash additionally walks every tracker in ascending node order and every
 // job's tasks in submission order, covering completion counts, failures and
 // per-job counters.
 func (jt *JobTracker) Census() Census {
 	c := Census{
-		Trackers:   len(jt.trackers),
 		Jobs:       len(jt.jobs),
 		ActiveJobs: jt.active,
 		AttemptSeq: jt.attemptSeq,
@@ -36,7 +35,8 @@ func (jt *JobTracker) Census() Census {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, tr := range jt.trackerOrder {
+	jt.ForEachTracker(func(tr *TaskTracker) {
+		c.Trackers++
 		put(uint64(tr.Node))
 		if tr.Alive {
 			c.AliveTrackers++
@@ -44,7 +44,7 @@ func (jt *JobTracker) Census() Census {
 		} else {
 			put(0)
 		}
-	}
+	})
 	for _, j := range jt.jobs {
 		put(uint64(j.ID))
 		put(uint64(j.State))

@@ -80,15 +80,14 @@ type JobTracker struct {
 	disk *disk.Tracker
 	cfg  Config
 
-	trackers map[netmodel.NodeID]*TaskTracker
-	// trackerOrder holds every registered tracker in ascending node order:
-	// the deterministic walk order for recovery, the census and the policies,
-	// without per-walk sorting at ten-thousand-tracker scale.
-	trackerOrder []*TaskTracker
-	jobs         []*Job
-	nextID       JobID
-	active       int // running or pending jobs
-	attemptSeq   int64
+	// trackers is indexed by node ID, nil where none registered, so a walk
+	// visits every tracker in ascending node order: the deterministic order
+	// for recovery, the census and the policies.
+	trackers   []*TaskTracker
+	jobs       []*Job
+	nextID     JobID
+	active     int // running or pending jobs
+	attemptSeq int64
 	// down is true between Crash and Restart; heartbeats are lost then and
 	// the senders back off and retry (see the master backoff in internal/core).
 	down bool
@@ -159,7 +158,6 @@ func NewJobTracker(eng *sim.Engine, net *netmodel.Network, nn *hdfs.Namenode, dt
 		nn:          nn,
 		disk:        dt,
 		cfg:         cfg.withDefaults(),
-		trackers:    make(map[netmodel.NodeID]*TaskTracker),
 		blockMaps:   make(map[hdfs.BlockID][]*mapTask),
 		poolRunning: make(map[string]int),
 		siteLoads:   make(map[string]*siteLoad),
@@ -203,7 +201,7 @@ func (jt *JobTracker) Stop() {
 
 // RegisterTracker adds a worker's task daemon with the given slot counts.
 func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site string, mapSlots, reduceSlots int) *TaskTracker {
-	if _, ok := jt.trackers[node]; ok {
+	if jt.Tracker(node) != nil {
 		panic(fmt.Sprintf("mapred: tracker %d registered twice", node))
 	}
 	t := &TaskTracker{
@@ -215,7 +213,7 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 		Alive:       true,
 		Speed:       1.0,
 	}
-	jt.trackers[node] = t
+	jt.trackers = netmodel.Store(jt.trackers, node, t)
 	jt.alive++
 	jt.live.Add(&t.live, node, t, jt.eng.Now())
 	sl := jt.siteLoads[site]
@@ -224,17 +222,13 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 		jt.siteLoads[site] = sl
 	}
 	sl.slots += mapSlots + reduceSlots
-	// Trackers register with ascending node IDs in practice; the insertion
-	// walk keeps trackerOrder correct if they ever do not.
-	jt.trackerOrder = append(jt.trackerOrder, t)
-	for i := len(jt.trackerOrder) - 1; i > 0 && jt.trackerOrder[i-1].Node > node; i-- {
-		jt.trackerOrder[i], jt.trackerOrder[i-1] = jt.trackerOrder[i-1], jt.trackerOrder[i]
-	}
 	return t
 }
 
-// Tracker returns the tracker for node, or nil.
-func (jt *JobTracker) Tracker(node netmodel.NodeID) *TaskTracker { return jt.trackers[node] }
+// Tracker returns the tracker for node, or nil if node never registered.
+func (jt *JobTracker) Tracker(node netmodel.NodeID) *TaskTracker {
+	return netmodel.Lookup(jt.trackers, node)
+}
 
 // AliveTrackerCount returns the number of trackers the JobTracker believes
 // alive.
@@ -243,8 +237,8 @@ func (jt *JobTracker) AliveTrackerCount() int { return jt.alive }
 // AliveTrackers returns live trackers in node order.
 func (jt *JobTracker) AliveTrackers() []*TaskTracker {
 	var out []*TaskTracker
-	for _, t := range jt.trackerOrder {
-		if t.Alive {
+	for _, t := range jt.trackers {
+		if t != nil && t.Alive {
 			out = append(out, t)
 		}
 	}
@@ -356,8 +350,8 @@ func (jt *JobTracker) checkDead() {
 // copy finishes first. This is precisely the latency the paper's 30-second
 // timeout attacks.
 func (jt *JobTracker) NodeCrashed(node netmodel.NodeID) {
-	t, ok := jt.trackers[node]
-	if !ok {
+	t := jt.Tracker(node)
+	if t == nil {
 		return
 	}
 	var atts []*attempt
@@ -379,8 +373,8 @@ func (jt *JobTracker) NodeCrashed(node netmodel.NodeID) {
 // while the tasktracker survived (the zombie scenario): running tasks die
 // and report failure immediately, so the JobTracker learns right away.
 func (jt *JobTracker) NodeLostWorkdir(node netmodel.NodeID) {
-	t, ok := jt.trackers[node]
-	if !ok {
+	t := jt.Tracker(node)
+	if t == nil {
 		return
 	}
 	var atts []*attempt
@@ -480,7 +474,7 @@ func (jt *JobTracker) outputStillNeeded(j *Job, m *mapTask) bool {
 
 // ForceTrackerDead marks a tracker dead immediately (failure injection).
 func (jt *JobTracker) ForceTrackerDead(node netmodel.NodeID) {
-	if t, ok := jt.trackers[node]; ok {
+	if t := jt.Tracker(node); t != nil {
 		jt.markDead(t)
 	}
 }
@@ -561,8 +555,8 @@ func (jt *JobTracker) servable(n netmodel.NodeID) bool {
 	if jt.DataServable != nil {
 		return jt.DataServable(n)
 	}
-	t, ok := jt.trackers[n]
-	return ok && t.Alive
+	t := jt.Tracker(n)
+	return t != nil && t.Alive
 }
 
 // AllDone reports whether every submitted job has finished.

@@ -223,6 +223,39 @@ func TestNodeDeathRecovery(t *testing.T) {
 	}
 }
 
+// TestTrackerLookupSparseIDs registers trackers at sparse IDs: a lookup of
+// an ID never registered, in a gap or past the end of the table, returns nil
+// without panicking, as do the calls that take a node ID, and the census and
+// the tracker walks see registered trackers only.
+func TestTrackerLookupSparseIDs(t *testing.T) {
+	eng := sim.New(1)
+	net := netmodel.New(eng, netmodel.Config{})
+	dt := disk.NewTracker()
+	nn := hdfs.NewNamenode(eng, net, dt, hdfs.DefaultConfig())
+	jt := NewJobTracker(eng, net, nn, dt, DefaultConfig())
+	jt.RegisterTracker(7, "wn7.ucsd.edu", "ucsd.edu", 1, 1)
+	jt.RegisterTracker(3, "wn3.fnal.gov", "fnal.gov", 1, 1)
+	for _, id := range []netmodel.NodeID{-1, 0, 5, 8, 1 << 20} {
+		if tr := jt.Tracker(id); tr != nil {
+			t.Fatalf("Tracker(%d) = %+v for an unregistered ID", id, tr)
+		}
+		jt.NodeCrashed(id)
+		jt.NodeLostWorkdir(id)
+		jt.ForceTrackerDead(id)
+		if jt.ReviveTracker(id) {
+			t.Fatalf("ReviveTracker(%d) revived an unregistered ID", id)
+		}
+	}
+	var order []netmodel.NodeID
+	jt.ForEachTracker(func(tr *TaskTracker) { order = append(order, tr.Node) })
+	if len(order) != 2 || order[0] != 3 || order[1] != 7 {
+		t.Fatalf("ForEachTracker visited %v, want [3 7]", order)
+	}
+	if c := jt.Census(); c.Trackers != 2 || c.AliveTrackers != 2 {
+		t.Fatalf("census counts %d trackers, %d alive; want 2, 2", c.Trackers, c.AliveTrackers)
+	}
+}
+
 func TestCompletedMapOutputLossReExecutes(t *testing.T) {
 	c := newCluster(6, 4, hogNNCfg(), hogJTCfg())
 	// Large-ish maps and slow reduces ensure maps complete well before

@@ -300,11 +300,11 @@ func (jt *JobTracker) PoolsWithRunning() []string {
 // counted: they occupy no slot.
 func (jt *JobTracker) RunningByPool() map[string]int {
 	out := make(map[string]int)
-	for _, t := range jt.trackerOrder {
+	jt.ForEachTracker(func(t *TaskTracker) {
 		for a := range t.attempts {
 			out[a.job.pool]++
 		}
-	}
+	})
 	return out
 }
 
@@ -324,7 +324,7 @@ func (jt *JobTracker) SpeculativeLaunchCheck(jobID, taskIdx int, kind TaskKind, 
 			break
 		}
 	}
-	t := jt.trackers[node]
+	t := jt.Tracker(node)
 	if j == nil || t == nil {
 		return false, true
 	}

@@ -28,8 +28,8 @@ func (jt *JobTracker) Crash() {
 	}
 	jt.down = true
 	jt.Stop()
-	for _, t := range jt.trackerOrder {
-		if len(t.attempts) == 0 {
+	for _, t := range jt.trackers {
+		if t == nil || len(t.attempts) == 0 {
 			continue
 		}
 		atts := make([]*attempt, 0, len(t.attempts))
@@ -77,8 +77,8 @@ func (jt *JobTracker) Restart() {
 	}
 	jt.down = false
 	now := jt.eng.Now()
-	for _, t := range jt.trackerOrder {
-		if t.Alive {
+	for _, t := range jt.trackers {
+		if t != nil && t.Alive {
 			t.awaitingReregister = true
 			jt.live.Stamp(&t.live, now)
 		}
@@ -126,7 +126,7 @@ func (jt *JobTracker) ReregisterTracker(t *TaskTracker) {
 // assignment resumes on it. markDead already failed its attempts and cleared
 // its ghosts, so there is no task state to reconcile.
 func (jt *JobTracker) ReviveTracker(node netmodel.NodeID) bool {
-	t := jt.trackers[node]
+	t := jt.Tracker(node)
 	if t == nil || t.Alive {
 		return false
 	}
@@ -176,8 +176,10 @@ func (jt *JobTracker) Down() bool { return jt.down }
 // ForEachTracker visits every registered tracker in ascending node order —
 // the deterministic iteration the audit sweep needs.
 func (jt *JobTracker) ForEachTracker(fn func(*TaskTracker)) {
-	for _, t := range jt.trackerOrder {
-		fn(t)
+	for _, t := range jt.trackers {
+		if t != nil {
+			fn(t)
+		}
 	}
 }
 

@@ -48,8 +48,26 @@ import (
 )
 
 // NodeID identifies a node in the network. IDs are dense, starting at 0, in
-// the order nodes were added.
+// the order nodes were added, so per-node state lives in tables indexed by
+// NodeID (Lookup, Store).
 type NodeID int
+
+// Lookup returns tab[id], or the zero value if id is outside tab.
+func Lookup[T any](tab []T, id NodeID) (v T) {
+	if uint(id) < uint(len(tab)) {
+		v = tab[id]
+	}
+	return v
+}
+
+// Store sets tab[id] to v, first growing tab with zero values to reach id.
+func Store[T any](tab []T, id NodeID, v T) []T {
+	if n := int(id) + 1; n > len(tab) {
+		tab = append(tab, make([]T, n-len(tab))...)
+	}
+	tab[id] = v
+	return tab
+}
 
 // SiteID identifies a site (a shared WAN uplink/downlink domain).
 type SiteID int
