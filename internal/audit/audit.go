@@ -269,9 +269,7 @@ func (a *Auditor) sweepHDFS(now sim.Time) {
 		a.violate(now, "corrupt-acked", "%d corrupt reads acknowledged as good data", acked)
 	}
 	nn.ForEachBlock(func(b *hdfs.BlockInfo) {
-		reps := b.Replicas()
-		sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-		for _, id := range reps {
+		for _, id := range b.Replicas() {
 			d := nn.Datanode(id)
 			switch {
 			case d == nil || !d.Alive:

@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hog/internal/audit"
@@ -322,4 +323,38 @@ func TestStateRulesFire(t *testing.T) {
 			t.Fatalf("replica-presence fired %d times for a replica not physically held, want 1: %v", got, a.Violations())
 		}
 	})
+}
+
+// BenchmarkSweep times one audit sweep over a namenode shaped like the
+// chaos-repair workload's: the paper's 60-node pool over five sites,
+// holding about 4000 blocks at HOG's replication factor of 10.
+func BenchmarkSweep(b *testing.B) {
+	eng := sim.New(1)
+	net := netmodel.New(eng, netmodel.DefaultConfig())
+	dt := disk.NewTracker()
+	nn := hdfs.NewNamenode(eng, net, dt, hdfs.HOGConfig())
+	for s := 0; s < 5; s++ {
+		dom := fmt.Sprintf("site%d.edu", s)
+		sid := net.AddSite(dom, 1e9, 1e9)
+		for i := 0; i < 12; i++ {
+			host := fmt.Sprintf("n%d.%s", i, dom)
+			id := net.AddNode(sid, host)
+			dt.SetCapacity(id, 100e9)
+			nn.Register(id, host)
+		}
+	}
+	for f := 0; f < 40; f++ {
+		nn.SeedFile(fmt.Sprintf("/in/%d", f), 100*hdfs.DefaultBlockSize, 0)
+	}
+	a := audit.New()
+	a.Attach(nn, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Sweep(sim.Time(i))
+	}
+	b.StopTimer()
+	if a.Count() != 0 {
+		b.Fatalf("sweep raised %v", a.Violations())
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"hog/internal/event"
 	"hog/internal/netmodel"
@@ -310,7 +309,6 @@ func (s *System) corruptReplicas(file string, count int) {
 				continue
 			}
 			reps := b.Replicas()
-			sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
 			healthy := 0
 			for _, nid := range reps {
 				if !b.CorruptOn(nid) {

@@ -74,7 +74,7 @@ func (nn *Namenode) BalanceOnce(threshold float64, maxMoves int) int {
 			if !ok {
 				continue
 			}
-			size := nn.blocks[bid].Size
+			size := nn.Block(bid).Size
 			if nn.startMove(bid, over.d.ID, under.d.ID) {
 				moves++
 				if c := nn.disk.Capacity(over.d.ID); c > 0 {
@@ -104,14 +104,8 @@ func (nn *Namenode) sortedBlocksOf(d *DatanodeInfo) []BlockID {
 // dst does not already host, is not in flight to dst, and fits on dst.
 func (nn *Namenode) pickMovableBlock(cands []BlockID, dst *DatanodeInfo) (BlockID, bool) {
 	for _, bid := range cands {
-		b := nn.blocks[bid]
-		if b == nil {
-			continue
-		}
-		if _, dup := b.replicas[dst.ID]; dup {
-			continue
-		}
-		if _, pend := b.pending[dst.ID]; pend {
+		b := nn.Block(bid)
+		if b == nil || b.replicas.Has(dst.ID) || b.pending.Has(dst.ID) {
 			continue
 		}
 		if nn.disk.Free(dst.ID) >= b.Size {
@@ -124,17 +118,17 @@ func (nn *Namenode) pickMovableBlock(cands []BlockID, dst *DatanodeInfo) (BlockI
 // startMove copies a block src->dst and drops the src replica once the copy
 // is durable, mirroring the balancer's copy-then-delete protocol.
 func (nn *Namenode) startMove(bid BlockID, src, dst netmodel.NodeID) bool {
-	b := nn.blocks[bid]
+	b := nn.Block(bid)
 	if b == nil {
 		return false
 	}
 	if !nn.disk.Reserve(dst, b.Size) {
 		return false
 	}
-	b.pending[dst] = struct{}{}
+	b.pending.Add(dst)
 	nn.net.StartFlow(src, dst, b.Size, func() {
-		delete(b.pending, dst)
-		if nn.blocks[bid] == nil { // file deleted mid-move
+		b.pending.Remove(dst)
+		if nn.Block(bid) == nil { // file deleted mid-move
 			nn.disk.Release(dst, b.Size)
 			return
 		}
@@ -147,7 +141,7 @@ func (nn *Namenode) startMove(bid BlockID, src, dst netmodel.NodeID) bool {
 		// Drop the source replica only if the block stays at or above its
 		// target without it.
 		if sd := nn.Datanode(src); sd != nil {
-			if _, has := b.replicas[src]; has && len(b.replicas) > nn.targetReplication(b) {
+			if b.replicas.Has(src) && b.replicas.Len() > nn.targetReplication(b) {
 				nn.dropReplica(b, src)
 				delete(sd.blocks, bid)
 				nn.disk.Release(src, b.Size)

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,11 +37,11 @@ func balancerState(t *testing.T, seed int64) *harness {
 // pendingMoves captures the scheduled move set as sorted (block, dst) pairs.
 func pendingMoves(nn *Namenode) []string {
 	var out []string
-	for bid, b := range nn.blocks {
-		for dst := range b.pending {
-			out = append(out, fmt.Sprintf("%d->%d", bid, dst))
+	nn.ForEachBlock(func(b *BlockInfo) {
+		for _, dst := range b.pending {
+			out = append(out, fmt.Sprintf("%d->%d", b.ID, dst))
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -69,17 +70,12 @@ func TestBalanceOnceDeterministic(t *testing.T) {
 	b.heartbeatAll(nil)
 	a.eng.RunUntil(10 * sim.Minute)
 	b.eng.RunUntil(10 * sim.Minute)
-	for bid, ba := range a.nn.blocks {
-		bb := b.nn.blocks[bid]
-		if bb == nil || ba.NumReplicas() != bb.NumReplicas() {
-			t.Fatalf("post-move replica counts diverge for block %d", bid)
+	a.nn.ForEachBlock(func(ba *BlockInfo) {
+		bb := b.nn.Block(ba.ID)
+		if bb == nil || !slices.Equal(ba.replicas, bb.replicas) {
+			t.Fatalf("post-move placement diverges for block %d", ba.ID)
 		}
-		for id := range ba.replicas {
-			if _, ok := bb.replicas[id]; !ok {
-				t.Fatalf("post-move placement diverges for block %d", bid)
-			}
-		}
-	}
+	})
 }
 
 // TestBlockRingFIFO pins the ring buffer's ordering and wrap-around.

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"sort"
-
-	"hog/internal/netmodel"
 )
 
 // Census is a deterministic digest of namenode state, recorded in snapshots
@@ -34,14 +31,13 @@ type Census struct {
 
 // Census digests the namenode's current state. The hash walks every
 // registered datanode in ascending ID order (ID, liveness, replica count) and
-// every block in ascending block-ID order (size, liveness flags, sorted
+// every block in ascending block-ID order (size, liveness flags, ascending
 // replica set), so two namenodes agreeing on the counts but placing
 // replicas differently still differ.
 func (nn *Namenode) Census() Census {
 	c := Census{
-		Blocks:        len(nn.blocks),
 		Files:         len(nn.files),
-		NextBlock:     nn.nextBlock,
+		NextBlock:     BlockID(len(nn.blocks)),
 		ReplQueue:     nn.replQueue.len(),
 		ReplStreams:   nn.replStreams,
 		Down:          nn.down,
@@ -80,15 +76,12 @@ func (nn *Namenode) Census() Census {
 			put(uint64(len(d.held)))
 		}
 	}
-	bids := make([]BlockID, 0, len(nn.blocks))
-	for bid := range nn.blocks {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	reps := make([]netmodel.NodeID, 0, 16)
-	for _, bid := range bids {
-		blk := nn.blocks[bid]
-		put(uint64(bid))
+	for _, blk := range nn.blocks {
+		if blk == nil {
+			continue
+		}
+		c.Blocks++
+		put(uint64(blk.ID))
 		put(math.Float64bits(blk.Size))
 		flags := uint64(0)
 		if blk.lost {
@@ -98,24 +91,14 @@ func (nn *Namenode) Census() Census {
 			flags |= 2
 		}
 		put(flags)
-		reps = reps[:0]
-		for id := range blk.replicas {
-			reps = append(reps, id)
-		}
-		sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-		for _, id := range reps {
+		for _, id := range blk.replicas {
 			put(uint64(id))
 		}
-		put(uint64(len(blk.pending)))
-		if len(blk.corrupt) > 0 {
-			c.CorruptReplicas += len(blk.corrupt)
+		put(uint64(blk.pending.Len()))
+		if blk.corrupt.Len() > 0 {
+			c.CorruptReplicas += blk.corrupt.Len()
 			put(^uint64(0) - 3)
-			reps = reps[:0]
-			for id := range blk.corrupt {
-				reps = append(reps, id)
-			}
-			sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-			for _, id := range reps {
+			for _, id := range blk.corrupt {
 				put(uint64(id))
 			}
 		}

@@ -30,7 +30,7 @@ const (
 // verification catches it. Reports whether a replica was actually corrupted
 // (the node must physically hold one, live or preserved across a dead-marking).
 func (nn *Namenode) CorruptReplica(bid BlockID, id netmodel.NodeID) bool {
-	b := nn.blocks[bid]
+	b := nn.Block(bid)
 	d := nn.Datanode(id)
 	if b == nil || d == nil {
 		return false
@@ -40,13 +40,9 @@ func (nn *Namenode) CorruptReplica(bid BlockID, id netmodel.NodeID) bool {
 			return false
 		}
 	}
-	if b.corrupt == nil {
-		b.corrupt = make(map[netmodel.NodeID]struct{})
-	}
-	if _, already := b.corrupt[id]; already {
+	if !b.corrupt.Add(id) {
 		return false
 	}
-	b.corrupt[id] = struct{}{}
 	nn.corruptCount++
 	nn.stats.ReplicasCorrupted++
 	if nn.Events.Active() {
@@ -65,7 +61,7 @@ func (nn *Namenode) CorruptReplicaCount() int { return nn.corruptCount }
 
 // forgetCorrupt drops every corruption marker on a block being deleted.
 func (nn *Namenode) forgetCorrupt(b *BlockInfo) {
-	nn.corruptCount -= len(b.corrupt)
+	nn.corruptCount -= b.corrupt.Len()
 	b.corrupt = nil
 }
 
@@ -75,11 +71,8 @@ func (nn *Namenode) forgetCorrupt(b *BlockInfo) {
 // reclaimed, and the block queued for re-replication; false tells the caller
 // to fail over to another replica.
 func (nn *Namenode) VerifyRead(bid BlockID, src netmodel.NodeID) bool {
-	b := nn.blocks[bid]
-	if b == nil {
-		return true
-	}
-	if _, bad := b.corrupt[src]; !bad {
+	b := nn.Block(bid)
+	if b == nil || !b.corrupt.Has(src) {
 		return true
 	}
 	nn.stats.CorruptReadsDetected++
@@ -97,7 +90,7 @@ func (nn *Namenode) VerifyRead(bid BlockID, src netmodel.NodeID) bool {
 // the node's physical inventory, reclaims its disk space, and queues the
 // block for recovery — rarest-first orders see the diminished count at once.
 func (nn *Namenode) invalidateCorrupt(b *BlockInfo, id netmodel.NodeID) {
-	delete(b.corrupt, id)
+	b.corrupt.Remove(id)
 	nn.corruptCount--
 	nn.stats.ReplicasInvalidated++
 	if d := nn.Datanode(id); d != nil {
@@ -115,11 +108,11 @@ func (nn *Namenode) invalidateCorrupt(b *BlockInfo, id netmodel.NodeID) {
 		// The safe-mode exit sweep re-derives loss and recovery work.
 		return
 	}
-	if len(b.replicas) == 0 && len(b.pending) == 0 {
+	if b.replicas.Len() == 0 && b.pending.Len() == 0 {
 		nn.loseBlock(b)
 		return
 	}
-	if len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
+	if b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
 		nn.queueReplication(b.ID)
 		nn.pumpReplication()
 	}
@@ -166,11 +159,8 @@ func (nn *Namenode) MarkPhysicallyLost(id netmodel.NodeID) {
 	}
 	d.physLost = true
 	scrub := func(bid BlockID) {
-		if b := nn.blocks[bid]; b != nil {
-			if _, bad := b.corrupt[id]; bad {
-				delete(b.corrupt, id)
-				nn.corruptCount--
-			}
+		if b := nn.Block(bid); b != nil && b.corrupt.Remove(id) {
+			nn.corruptCount--
 		}
 	}
 	for bid := range d.blocks {
@@ -209,7 +199,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
 	restored := 0
 	for _, bid := range bids {
-		b := nn.blocks[bid]
+		b := nn.Block(bid)
 		if b == nil {
 			// The file was deleted while the node was unreachable: its copy
 			// is garbage, and no deletion path could reach the space it pins.
@@ -235,7 +225,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	// Mirror a late block report: top up anything still short (a recovered
 	// corrupt replica does not help a block whose other copies also died).
 	for _, bid := range bids {
-		if b := nn.blocks[bid]; b != nil && len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
+		if b := nn.Block(bid); b != nil && b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
 			nn.queueReplication(bid)
 		}
 	}
@@ -260,7 +250,7 @@ func (nn *Namenode) readAttempt(reader netmodel.NodeID, bid BlockID, attempt int
 			done(false)
 		}
 	}
-	b := nn.blocks[bid]
+	b := nn.Block(bid)
 	if b == nil {
 		fail()
 		return
@@ -287,7 +277,7 @@ func (nn *Namenode) readAttempt(reader netmodel.NodeID, bid BlockID, attempt int
 		return
 	}
 	deliver := func() {
-		if nn.blocks[bid] == nil {
+		if nn.Block(bid) == nil {
 			fail()
 			return
 		}

@@ -182,14 +182,14 @@ type BlockInfo struct {
 	ID       BlockID
 	File     string
 	Size     float64
-	replicas map[netmodel.NodeID]struct{}
-	pending  map[netmodel.NodeID]struct{} // in-flight replication targets
+	replicas nodeSet
+	pending  nodeSet // in-flight replication targets
 	// corrupt records replicas whose on-disk bytes are bad (scenario-injected).
 	// It is physical truth the namenode does not act on until a reader's
 	// checksum verification catches it (corruption.go); markers survive
 	// partition-induced replica drops and die only with the hardware, with
 	// invalidation after detection, or with the file.
-	corrupt map[netmodel.NodeID]struct{}
+	corrupt nodeSet
 	lost    bool
 	// writing marks a block whose client write pipeline has not finished:
 	// it legitimately has no replicas and no pending copies yet, so loss
@@ -197,29 +197,24 @@ type BlockInfo struct {
 	writing bool
 }
 
-// Replicas returns the IDs of live replicas in unspecified order.
-func (b *BlockInfo) Replicas() []netmodel.NodeID {
-	out := make([]netmodel.NodeID, 0, len(b.replicas))
-	for id := range b.replicas {
-		out = append(out, id)
-	}
-	return out
-}
+// Replicas returns the IDs of the block's replicas in ascending order. The
+// slice is the block's own set, not a copy: it is read-only, and valid only
+// until the block's next replica change (a write, recovery copy, balancer
+// move, invalidation, dead-marking or deletion). Callers that may trigger
+// one while walking it must copy it first.
+func (b *BlockInfo) Replicas() []netmodel.NodeID { return b.replicas }
 
 // NumReplicas returns the live replica count.
-func (b *BlockInfo) NumReplicas() int { return len(b.replicas) }
+func (b *BlockInfo) NumReplicas() int { return b.replicas.Len() }
 
 // NumPending returns the number of in-flight copies toward this block.
-func (b *BlockInfo) NumPending() int { return len(b.pending) }
+func (b *BlockInfo) NumPending() int { return b.pending.Len() }
 
 // NumCorrupt returns the number of replicas marked physically corrupt.
-func (b *BlockInfo) NumCorrupt() int { return len(b.corrupt) }
+func (b *BlockInfo) NumCorrupt() int { return b.corrupt.Len() }
 
 // CorruptOn reports whether the replica on id is physically corrupt.
-func (b *BlockInfo) CorruptOn(id netmodel.NodeID) bool {
-	_, ok := b.corrupt[id]
-	return ok
-}
+func (b *BlockInfo) CorruptOn(id netmodel.NodeID) bool { return b.corrupt.Has(id) }
 
 // Lost reports whether all replicas (and pending copies) were lost.
 func (b *BlockInfo) Lost() bool { return b.lost }
@@ -291,9 +286,12 @@ type Namenode struct {
 	// placeEpoch numbers gatherCandidates calls; a datanode whose
 	// placeMark equals it is excluded from the current call.
 	placeEpoch uint64
-	blocks     map[BlockID]*BlockInfo
-	files      map[string]*FileInfo
-	nextBlock  BlockID
+	// blocks is indexed by BlockID. IDs are issued densely from zero, so
+	// the table only grows, its length is the next ID to issue, and a walk
+	// visits blocks in ascending ID order; a deleted block leaves a nil
+	// slot.
+	blocks []*BlockInfo
+	files  map[string]*FileInfo
 
 	replQueue   blockRing
 	replQueued  map[BlockID]struct{}
@@ -361,7 +359,6 @@ func NewNamenode(eng *sim.Engine, net *netmodel.Network, dt *disk.Tracker, cfg C
 		disk:       dt,
 		cfg:        cfg.withDefaults(),
 		siteIx:     make(map[string]int),
-		blocks:     make(map[BlockID]*BlockInfo),
 		files:      make(map[string]*FileInfo),
 		replQueued: make(map[BlockID]struct{}),
 		streams:    make(map[*replStream]struct{}),
@@ -496,8 +493,14 @@ func (nn *Namenode) AliveDatanodes() []*DatanodeInfo {
 // File returns the file record, or nil.
 func (nn *Namenode) File(name string) *FileInfo { return nn.files[name] }
 
-// Block returns the block record, or nil.
-func (nn *Namenode) Block(id BlockID) *BlockInfo { return nn.blocks[id] }
+// Block returns the block record, or nil if id was never issued or its file
+// was deleted.
+func (nn *Namenode) Block(id BlockID) *BlockInfo {
+	if uint64(id) < uint64(len(nn.blocks)) {
+		return nn.blocks[id]
+	}
+	return nil
+}
 
 // UnderReplicated returns the current length of the recovery queue.
 func (nn *Namenode) UnderReplicated() int { return len(nn.replQueued) }
@@ -537,7 +540,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 	}
 	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
 	for _, bid := range bids {
-		b := nn.blocks[bid]
+		b := nn.Block(bid)
 		nn.dropReplica(b, d.ID)
 		if nn.down || nn.safeMode {
 			// While degraded the replica map understates reality (unreported
@@ -546,7 +549,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 			// re-derives both from the rebuilt block map.
 			continue
 		}
-		if len(b.replicas) == 0 && len(b.pending) == 0 {
+		if b.replicas.Len() == 0 && b.pending.Len() == 0 {
 			nn.loseBlock(b)
 			continue
 		}
@@ -562,7 +565,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 		// owner of the hardware before or shortly after this point.
 		d.held = make(map[BlockID]float64, len(d.blocks))
 		for bid := range d.blocks {
-			if b := nn.blocks[bid]; b != nil {
+			if b := nn.Block(bid); b != nil {
 				d.held[bid] = b.Size
 			}
 		}

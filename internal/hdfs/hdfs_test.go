@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,7 +135,7 @@ func TestWriteFilePipelineAndLocality(t *testing.T) {
 		if b.NumReplicas() != 3 {
 			t.Fatalf("block %d replicas = %d, want 3", bid, b.NumReplicas())
 		}
-		if _, onWriter := b.replicas[writer]; !onWriter {
+		if !b.replicas.Has(writer) {
 			t.Fatal("first replica should land on the writing node")
 		}
 	}
@@ -231,7 +232,7 @@ func TestDeadDatanodeTriggersReplication(t *testing.T) {
 		if b.NumReplicas() != 3 {
 			t.Fatalf("block %d replicas = %d after recovery, want 3", bid, b.NumReplicas())
 		}
-		if _, still := b.replicas[victim]; still {
+		if b.replicas.Has(victim) {
 			t.Fatal("dead node still listed as replica")
 		}
 	}
@@ -290,7 +291,7 @@ func TestBlockLossWhenAllReplicasDie(t *testing.T) {
 	b := h.nn.Block(f.Blocks[0])
 	lost := 0
 	h.nn.OnBlockLost = func(*BlockInfo) { lost++ }
-	for _, id := range b.Replicas() {
+	for _, id := range slices.Clone(b.Replicas()) { // ForceDead edits the set
 		h.nn.ForceDead(id)
 	}
 	if !b.Lost() || lost != 1 {

@@ -2,7 +2,6 @@ package hdfs
 
 import (
 	"fmt"
-	"sort"
 
 	"hog/internal/netmodel"
 )
@@ -23,15 +22,8 @@ func (nn *Namenode) CreateFile(name string, size float64, repl int) *FileInfo {
 		if remaining < bs {
 			bs = remaining
 		}
-		b := &BlockInfo{
-			ID:       nn.nextBlock,
-			File:     name,
-			Size:     bs,
-			replicas: make(map[netmodel.NodeID]struct{}),
-			pending:  make(map[netmodel.NodeID]struct{}),
-		}
-		nn.nextBlock++
-		nn.blocks[b.ID] = b
+		b := &BlockInfo{ID: BlockID(len(nn.blocks)), File: name, Size: bs}
+		nn.blocks = append(nn.blocks, b)
 		nn.stats.BlocksCreated++
 		f.Blocks = append(f.Blocks, b.ID)
 	}
@@ -52,14 +44,14 @@ func (nn *Namenode) CreateFile(name string, size float64, repl int) *FileInfo {
 func (nn *Namenode) SeedFile(name string, size float64, repl int) *FileInfo {
 	f := nn.CreateFile(name, size, repl)
 	for _, bid := range f.Blocks {
-		b := nn.blocks[bid]
-		targets := nn.chooseTargets(-1, b.Size, f.Replication, nil)
+		b := nn.Block(bid)
+		targets := nn.chooseTargets(-1, b.Size, f.Replication)
 		for _, tid := range targets {
 			if nn.disk.Reserve(tid, b.Size) {
 				nn.addReplica(b, tid)
 			}
 		}
-		if len(b.replicas) < f.Replication {
+		if b.replicas.Len() < f.Replication {
 			nn.queueReplication(bid)
 		}
 	}
@@ -74,7 +66,7 @@ func (nn *Namenode) DeleteFile(name string) {
 		return
 	}
 	for _, bid := range f.Blocks {
-		b := nn.blocks[bid]
+		b := nn.Block(bid)
 		if nn.down || nn.safeMode || nn.awaiting > 0 {
 			// While degraded, the replica map understates reality: copies can
 			// sit on datanodes the restarted namenode has not heard from yet
@@ -87,30 +79,21 @@ func (nn *Namenode) DeleteFile(name string) {
 					nn.disk.Release(d.ID, b.Size)
 				}
 			}
-			ids := make([]netmodel.NodeID, 0, len(b.replicas))
-			for id := range b.replicas {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				nn.dropReplica(b, id)
+			for b.replicas.Len() > 0 {
+				nn.dropReplica(b, b.replicas[0])
 			}
 			if nn.safeMode && !b.lost && !b.writing {
 				nn.smTotal-- // dropReplica above settled smReported
 			}
 			delete(nn.replQueued, bid)
 			nn.forgetCorrupt(b)
-			delete(nn.blocks, bid)
+			nn.blocks[bid] = nil
 			continue
 		}
-		// Sort before dropping so the placement hook fires in a
-		// deterministic order (as markDead does for its victims).
-		ids := make([]netmodel.NodeID, 0, len(b.replicas))
-		for id := range b.replicas {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		// Drain the replica set from the front, so the placement hook fires
+		// in ascending node order (as markDead does for its victims).
+		for b.replicas.Len() > 0 {
+			id := b.replicas[0]
 			if d := nn.Datanode(id); d != nil {
 				delete(d.blocks, bid)
 			}
@@ -119,7 +102,7 @@ func (nn *Namenode) DeleteFile(name string) {
 		}
 		delete(nn.replQueued, bid)
 		nn.forgetCorrupt(b)
-		delete(nn.blocks, bid)
+		nn.blocks[bid] = nil
 	}
 	delete(nn.files, name)
 }
@@ -136,8 +119,8 @@ func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
 		d.hold(b.ID)
 		return
 	}
-	_, had := b.replicas[id]
-	if nn.safeMode && !b.writing && !had && len(b.replicas) == 0 {
+	added := b.replicas.Add(id)
+	if nn.safeMode && !b.writing && added && b.replicas.Len() == 1 {
 		if b.lost {
 			// A block written off before the crash resurfaces: it joins the
 			// threshold's denominator along with its report.
@@ -145,10 +128,9 @@ func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
 		}
 		nn.smReported++
 	}
-	b.replicas[id] = struct{}{}
 	b.lost = false
 	d.hold(b.ID)
-	if !had && nn.OnPlacementChange != nil {
+	if added && nn.OnPlacementChange != nil {
 		nn.OnPlacementChange(b.ID, id, true)
 	}
 }
@@ -164,7 +146,7 @@ func (nn *Namenode) finishWrite(b *BlockInfo) {
 	b.writing = false
 	if nn.safeMode && !b.lost {
 		nn.smTotal++
-		if len(b.replicas) > 0 {
+		if b.replicas.Len() > 0 {
 			nn.smReported++
 		}
 	}
@@ -174,11 +156,10 @@ func (nn *Namenode) finishWrite(b *BlockInfo) {
 // hook. Callers own the datanode-side bookkeeping (d.blocks) and the disk
 // accounting, which differ per removal path.
 func (nn *Namenode) dropReplica(b *BlockInfo, id netmodel.NodeID) {
-	if _, ok := b.replicas[id]; !ok {
+	if !b.replicas.Remove(id) {
 		return
 	}
-	delete(b.replicas, id)
-	if nn.safeMode && !b.writing && len(b.replicas) == 0 {
+	if nn.safeMode && !b.writing && b.replicas.Len() == 0 {
 		nn.smReported--
 	}
 	if nn.OnPlacementChange != nil {
@@ -221,13 +202,13 @@ func (nn *Namenode) writeFileNow(writer netmodel.NodeID, name string, size float
 			}
 			return
 		}
-		b := nn.blocks[f.Blocks[i]]
+		b := nn.Block(f.Blocks[i])
 		if b == nil {
 			// The file was deleted mid-write (e.g. a losing speculative
 			// attempt was torn down); abandon the rest quietly.
 			return
 		}
-		targets := nn.chooseTargets(writer, b.Size, f.Replication, nil)
+		targets := nn.chooseTargets(writer, b.Size, f.Replication)
 		skipped += f.Replication - len(targets)
 		if len(targets) == 0 {
 			nn.finishWrite(b)
@@ -269,7 +250,7 @@ func (nn *Namenode) writeFileNow(writer netmodel.NodeID, name string, size float
 		remainingHops := 0
 		hopDone := func(tid netmodel.NodeID) func() {
 			return func() {
-				if _, exists := nn.blocks[b.ID]; !exists {
+				if nn.Block(b.ID) == nil {
 					// File deleted mid-write; give the space back.
 					nn.disk.Release(tid, b.Size)
 					return
@@ -295,7 +276,7 @@ func (nn *Namenode) writeFileNow(writer netmodel.NodeID, name string, size float
 				remainingHops--
 				if remainingHops == 0 {
 					nn.finishWrite(b)
-					if len(b.replicas) < f.Replication {
+					if b.replicas.Len() < f.Replication {
 						nn.queueReplication(b.ID)
 						nn.pumpReplication()
 					}
@@ -329,11 +310,11 @@ func (nn *Namenode) writeFileNow(writer netmodel.NodeID, name string, size float
 // scheduler's locality levels reuse this order). ok is false when the block
 // has no live replicas.
 func (nn *Namenode) ReadSource(reader netmodel.NodeID, bid BlockID) (src netmodel.NodeID, local bool, ok bool) {
-	b := nn.blocks[bid]
-	if b == nil || len(b.replicas) == 0 {
+	b := nn.Block(bid)
+	if b == nil || b.replicas.Len() == 0 {
 		return 0, false, false
 	}
-	if _, here := b.replicas[reader]; here {
+	if b.replicas.Has(reader) {
 		return reader, true, true
 	}
 	readerSite := ""
@@ -341,7 +322,7 @@ func (nn *Namenode) ReadSource(reader netmodel.NodeID, bid BlockID) (src netmode
 		readerSite = d.Site
 	}
 	var sameSite, any []netmodel.NodeID
-	for id := range b.replicas {
+	for _, id := range b.replicas {
 		d := nn.Datanode(id)
 		if d == nil || !d.Alive {
 			continue
@@ -356,10 +337,9 @@ func (nn *Namenode) ReadSource(reader netmodel.NodeID, bid BlockID) (src netmode
 			sameSite = append(sameSite, id)
 		}
 	}
-	// Sort before the random pick: the candidates came from map iteration,
-	// and determinism requires a stable order under the seeded RNG.
+	// The candidates are in ascending ID order, so the seeded pick is
+	// deterministic.
 	pick := func(ids []netmodel.NodeID) netmodel.NodeID {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		return ids[nn.eng.Rand().Intn(len(ids))]
 	}
 	if len(sameSite) > 0 {

@@ -21,19 +21,24 @@ type PlaceWork struct {
 func (nn *Namenode) PlaceWork() PlaceWork { return nn.placeWork }
 
 // gatherCandidates fills the namenode's candidate scratch buffer with every
-// live, non-excluded datanode that has room for a block of the given size —
+// live datanode that has room for a block of the given size and, when b is
+// not nil, holds no replica or in-flight copy of the recovering block b —
 // in ascending ID order (the placeable list is kept sorted, so no per-call
 // sort) — then shuffles it with the engine's RNG so ties break randomly but
 // reproducibly. The scan plus shuffle is O(live datanodes): the scan drops
 // the datanodes that died since the previous call from the placeable list
-// as it passes them, so a preempted node is visited at most once more. The
-// excluded datanodes are stamped with a fresh placement epoch up front, so
-// the scan tests a field instead of making a map lookup per candidate.
-func (nn *Namenode) gatherCandidates(size float64, exclude map[netmodel.NodeID]struct{}) []*DatanodeInfo {
+// as it passes them, so a preempted node is visited at most once more. b's
+// holders are stamped with a fresh placement epoch up front, so the scan
+// tests a field instead of searching the block's sets per candidate.
+func (nn *Namenode) gatherCandidates(size float64, b *BlockInfo) []*DatanodeInfo {
 	nn.placeEpoch++
-	for id := range exclude {
-		if d := nn.Datanode(id); d != nil {
-			d.placeMark = nn.placeEpoch
+	if b != nil {
+		for _, set := range [2]nodeSet{b.replicas, b.pending} {
+			for _, id := range set {
+				if d := nn.Datanode(id); d != nil {
+					d.placeMark = nn.placeEpoch
+				}
+			}
 		}
 	}
 	cands := nn.candBuf[:0]
@@ -159,8 +164,8 @@ func (nn *Namenode) spreadAcrossSites(cands []*DatanodeInfo, skipIx int, n int, 
 // placement policy (policy.go; the default "grid" policy documents the
 // paper's rule). Fewer than n targets are returned when the cluster cannot
 // satisfy the request; callers queue the block for later re-replication.
-func (nn *Namenode) chooseTargets(writer netmodel.NodeID, size float64, n int, exclude map[netmodel.NodeID]struct{}) []netmodel.NodeID {
-	return nn.place.ChooseTargets(nn, writer, size, n, exclude)
+func (nn *Namenode) chooseTargets(writer netmodel.NodeID, size float64, n int) []netmodel.NodeID {
+	return nn.place.ChooseTargets(nn, writer, size, n)
 }
 
 // chooseReplicationTargets picks targets for re-replicating block b through
@@ -175,7 +180,7 @@ func (nn *Namenode) chooseReplicationTargets(b *BlockInfo, n int) []netmodel.Nod
 func (nn *Namenode) SitesOf(b *BlockInfo) []string {
 	seen := make(map[string]bool)
 	var out []string
-	for id := range b.replicas {
+	for _, id := range b.replicas {
 		if d := nn.Datanode(id); d != nil && !seen[d.Site] {
 			seen[d.Site] = true
 			out = append(out, d.Site)

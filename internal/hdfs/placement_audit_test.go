@@ -4,9 +4,10 @@ package hdfs_test
 // CheckSeededFilePlacement so the unit test here and the chaos runner in
 // internal/experiments enforce the same contract. This external test file
 // builds the namenode through the exported API only — exactly what the
-// audit package sees.
+// audit package sees — plus the export_test.go hooks.
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,5 +47,35 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplicatedNowhereFires drops every copy of a block without declaring
+// it lost: the audit sweep must report that block, once, and nothing else.
+func TestReplicatedNowhereFires(t *testing.T) {
+	eng := sim.New(1)
+	net := netmodel.New(eng, netmodel.Config{})
+	dt := disk.NewTracker()
+	nn := hdfs.NewNamenode(eng, net, dt, hdfs.Config{Replication: 2})
+	sid := net.AddSite("a.edu", 1e9, 1e9)
+	for _, host := range []string{"n0.a.edu", "n1.a.edu"} {
+		id := net.AddNode(sid, host)
+		dt.SetCapacity(id, 1e9)
+		nn.Register(id, host)
+	}
+	f := nn.SeedFile("/in", 2*hdfs.DefaultBlockSize, 2)
+	a := audit.New()
+	a.Attach(nn, nil)
+	a.Sweep(1)
+	if a.Count() != 0 {
+		t.Fatalf("a fully replicated file raised %v", a.Violations())
+	}
+	b := nn.Block(f.Blocks[1])
+	for _, id := range slices.Clone(b.Replicas()) {
+		nn.ForgetReplica(b.ID, id)
+	}
+	a.Sweep(2)
+	if a.Count() != 1 || a.Violations()[0].Rule != "replicated-nowhere" {
+		t.Fatalf("want one replicated-nowhere violation, got %d: %v", a.Count(), a.Violations())
 	}
 }

@@ -168,7 +168,7 @@ func BenchmarkPlacement(b *testing.B) {
 	}
 	blk := nn.Block(nn.SeedFile("/bench", DefaultBlockSize, 3).Blocks[0])
 	for id := netmodel.NodeID(1); id < 10000; id += 2 {
-		if _, held := blk.replicas[id]; !held {
+		if !blk.replicas.Has(id) {
 			nn.MarkPhysicallyLost(id)
 			nn.ForceDead(id)
 		}
@@ -176,7 +176,7 @@ func BenchmarkPlacement(b *testing.B) {
 	start := nn.PlaceWork()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := nn.chooseTargets(netmodel.NodeID(2*(i%5000)), DefaultBlockSize, 10, nil); len(got) != 10 {
+		if got := nn.chooseTargets(netmodel.NodeID(2*(i%5000)), DefaultBlockSize, 10); len(got) != 10 {
 			b.Fatalf("write placement chose %d targets", len(got))
 		}
 		if got := nn.chooseReplicationTargets(blk, 7); len(got) != 7 {

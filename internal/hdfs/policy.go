@@ -25,10 +25,10 @@ type PlacementPolicy interface {
 	// Name returns the registry name the policy was constructed under.
 	Name() string
 	// ChooseTargets picks up to n distinct live datanodes with room for a
-	// block of the given size, excluding the nodes in exclude. writer, if a
-	// live datanode, may be preferred for the first replica. Fewer than n
-	// targets mean the cluster cannot satisfy the request right now.
-	ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int, exclude map[netmodel.NodeID]struct{}) []netmodel.NodeID
+	// new block of the given size. writer, if a live datanode, may be
+	// preferred for the first replica. Fewer than n targets mean the
+	// cluster cannot satisfy the request right now.
+	ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int) []netmodel.NodeID
 	// ReplicationTargets picks up to n targets for re-replicating block b,
 	// accounting for its existing and in-flight replicas.
 	ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []netmodel.NodeID
@@ -116,17 +116,15 @@ func (nn *Namenode) PlacementPolicyName() string { return nn.place.Name() }
 func (nn *Namenode) ReplicationOrderName() string { return nn.replOrder.Name() }
 
 // writerFirst gathers the placement candidates and, when the writer is a
-// live datanode outside exclude with room for the block, takes it as the
-// first target (data locality for the producing task). skipIx is the
-// writer's index in cands, or -1 when it was not taken.
-func (nn *Namenode) writerFirst(writer netmodel.NodeID, size float64, exclude map[netmodel.NodeID]struct{}) (cands []*DatanodeInfo, targets []netmodel.NodeID, skipIx int) {
-	cands = nn.gatherCandidates(size, exclude)
-	if w := nn.Datanode(writer); w != nil && w.Alive {
-		if _, ex := exclude[writer]; !ex && nn.disk.Free(writer) >= size {
-			for i := range cands {
-				if cands[i].ID == writer {
-					return cands, []netmodel.NodeID{writer}, i
-				}
+// live datanode with room for the block, takes it as the first target
+// (data locality for the producing task). skipIx is the writer's index in
+// cands, or -1 when it was not taken.
+func (nn *Namenode) writerFirst(writer netmodel.NodeID, size float64) (cands []*DatanodeInfo, targets []netmodel.NodeID, skipIx int) {
+	cands = nn.gatherCandidates(size, nil)
+	if w := nn.Datanode(writer); w != nil && w.Alive && nn.disk.Free(writer) >= size {
+		for i := range cands {
+			if cands[i].ID == writer {
+				return cands, []netmodel.NodeID{writer}, i
 			}
 		}
 	}
@@ -141,11 +139,11 @@ type gridPlacement struct{}
 
 func (gridPlacement) Name() string { return PlacementGrid }
 
-func (gridPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int, exclude map[netmodel.NodeID]struct{}) []netmodel.NodeID {
+func (gridPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int) []netmodel.NodeID {
 	if n <= 0 {
 		return nil
 	}
-	cands, targets, skipIx := nn.writerFirst(writer, size, exclude)
+	cands, targets, skipIx := nn.writerFirst(writer, size)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -163,7 +161,7 @@ func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []net
 	if n <= 0 {
 		return nil
 	}
-	cands := nn.gatherCandidates(b.Size, recoveryExclude(b))
+	cands := nn.gatherCandidates(b.Size, b)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -172,14 +170,11 @@ func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []net
 	for s := range nn.siteCounts {
 		nn.siteCounts[s] = 0
 	}
-	for id := range b.replicas {
-		if d := nn.Datanode(id); d != nil {
-			nn.siteCounts[d.siteIx]++
-		}
-	}
-	for id := range b.pending {
-		if d := nn.Datanode(id); d != nil {
-			nn.siteCounts[d.siteIx]++
+	for _, set := range [2]nodeSet{b.replicas, b.pending} {
+		for _, id := range set {
+			if d := nn.Datanode(id); d != nil {
+				nn.siteCounts[d.siteIx]++
+			}
 		}
 	}
 	return nn.spreadAcrossSites(cands, -1, n, nil)
@@ -194,11 +189,11 @@ type flatPlacement struct{}
 
 func (flatPlacement) Name() string { return PlacementFlat }
 
-func (flatPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int, exclude map[netmodel.NodeID]struct{}) []netmodel.NodeID {
+func (flatPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size float64, n int) []netmodel.NodeID {
 	if n <= 0 {
 		return nil
 	}
-	cands, targets, skipIx := nn.writerFirst(writer, size, exclude)
+	cands, targets, skipIx := nn.writerFirst(writer, size)
 	for i := 0; len(targets) < n && i < len(cands); i++ {
 		if i != skipIx {
 			targets = append(targets, cands[i].ID)
@@ -219,33 +214,26 @@ type randomPlacement struct{}
 
 func (randomPlacement) Name() string { return PlacementRandom }
 
-func (randomPlacement) ChooseTargets(nn *Namenode, _ netmodel.NodeID, size float64, n int, exclude map[netmodel.NodeID]struct{}) []netmodel.NodeID {
+func (randomPlacement) ChooseTargets(nn *Namenode, _ netmodel.NodeID, size float64, n int) []netmodel.NodeID {
+	return randomTargets(nn, size, n, nil)
+}
+
+func (randomPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []netmodel.NodeID {
+	return randomTargets(nn, b.Size, n, b)
+}
+
+// randomTargets takes the first n shuffled candidates; a non-nil b is the
+// block being recovered, whose holders are not candidates.
+func randomTargets(nn *Namenode, size float64, n int, b *BlockInfo) []netmodel.NodeID {
 	if n <= 0 {
 		return nil
 	}
-	cands := nn.gatherCandidates(size, exclude)
+	cands := nn.gatherCandidates(size, b)
 	var targets []netmodel.NodeID
 	for i := 0; len(targets) < n && i < len(cands); i++ {
 		targets = append(targets, cands[i].ID)
 	}
 	return targets
-}
-
-func (randomPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []netmodel.NodeID {
-	return randomPlacement{}.ChooseTargets(nn, -1, b.Size, n, recoveryExclude(b))
-}
-
-// recoveryExclude is the exclusion set for a recovery copy of b: its
-// current replicas and its in-flight copies.
-func recoveryExclude(b *BlockInfo) map[netmodel.NodeID]struct{} {
-	exclude := make(map[netmodel.NodeID]struct{}, len(b.replicas)+len(b.pending))
-	for id := range b.replicas {
-		exclude[id] = struct{}{}
-	}
-	for id := range b.pending {
-		exclude[id] = struct{}{}
-	}
-	return exclude
 }
 
 // fifoOrder recovers blocks in the order their under-replication was
@@ -281,8 +269,8 @@ func (rarestOrder) Next(nn *Namenode) (BlockID, bool) {
 	for i := 0; i < q.len(); i++ {
 		bid := q.at(i)
 		have := -1
-		if b := nn.blocks[bid]; b != nil {
-			have = len(b.replicas) + len(b.pending)
+		if b := nn.Block(bid); b != nil {
+			have = b.replicas.Len() + b.pending.Len()
 		}
 		if i == 0 || have < bestHave || (have == bestHave && bid < bestBid) {
 			best, bestHave, bestBid = i, have, bid

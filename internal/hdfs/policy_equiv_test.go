@@ -2,7 +2,7 @@ package hdfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,17 +17,9 @@ import (
 // identical fingerprints made bit-identical placement decisions.
 func placementFingerprint(h *harness, log *event.Log) []string {
 	var out []string
-	bids := make([]BlockID, 0, len(h.nn.blocks))
-	for bid := range h.nn.blocks {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	for _, bid := range bids {
-		b := h.nn.blocks[bid]
-		reps := b.Replicas()
-		sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-		out = append(out, fmt.Sprintf("block %d replicas=%v lost=%v", bid, reps, b.Lost()))
-	}
+	h.nn.ForEachBlock(func(b *BlockInfo) {
+		out = append(out, fmt.Sprintf("block %d replicas=%v lost=%v", b.ID, b.Replicas(), b.Lost()))
+	})
 	out = append(out, fmt.Sprintf("stats repl=%d bytes=%.0f lost=%d",
 		h.nn.stats.ReplicationsDone, h.nn.stats.BytesReplicated, h.nn.stats.BlocksLost))
 	for _, ev := range log.Events() {
@@ -133,13 +125,10 @@ func TestRarestOrderRecoversMostEndangeredFirst(t *testing.T) {
 		h.nn.queueReplication(bid)
 	}
 	endangered := f.Blocks[len(f.Blocks)-1]
-	b := h.nn.blocks[endangered]
-	var victims []netmodel.NodeID
-	for id := range b.replicas {
-		victims = append(victims, id)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-	for _, id := range victims[1:] { // leave one replica
+	b := h.nn.Block(endangered)
+	// Leave one replica; dropReplica edits the set, so walk a copy.
+	victims := slices.Clone(b.Replicas())
+	for _, id := range victims[1:] {
 		h.nn.dropReplica(b, id)
 	}
 	fifo, _ := NewReplicationOrder("")
@@ -160,7 +149,7 @@ func TestRandomPlacementIgnoresWriter(t *testing.T) {
 		writer := h.all[0]
 		n := 0
 		for i := 0; i < 20; i++ {
-			targets := h.nn.chooseTargets(writer, DefaultBlockSize, 3, nil)
+			targets := h.nn.chooseTargets(writer, DefaultBlockSize, 3)
 			if len(targets) != 3 {
 				t.Fatalf("placement returned %d targets, want 3", len(targets))
 			}

@@ -78,7 +78,7 @@ func (nn *Namenode) queueReplication(bid BlockID) {
 	if _, ok := nn.replQueued[bid]; ok {
 		return
 	}
-	if b := nn.blocks[bid]; b == nil {
+	if nn.Block(bid) == nil {
 		return
 	}
 	nn.replQueued[bid] = struct{}{}
@@ -104,18 +104,18 @@ func (nn *Namenode) pumpReplication() {
 			break
 		}
 		delete(nn.replQueued, bid)
-		b := nn.blocks[bid]
+		b := nn.Block(bid)
 		if b == nil {
 			continue
 		}
 		want := nn.targetReplication(b)
-		have := len(b.replicas) + len(b.pending)
+		have := b.replicas.Len() + b.pending.Len()
 		if have >= want {
 			continue
 		}
 		src, ok := nn.anyReplica(b)
 		if !ok {
-			if len(b.pending) == 0 {
+			if b.pending.Len() == 0 {
 				nn.loseBlock(b)
 			}
 			continue
@@ -145,15 +145,15 @@ func (nn *Namenode) pumpReplication() {
 			nn.queueReplication(bid)
 			continue
 		}
-		b.pending[dst] = struct{}{}
+		b.pending.Add(dst)
 		nn.replStreams++
 		st := &replStream{bid: bid, src: src, dst: dst}
 		nn.streams[st] = struct{}{}
 		st.flow = nn.net.StartFlow(src, dst, b.Size, func() {
 			delete(nn.streams, st)
 			nn.replStreams--
-			delete(b.pending, dst)
-			if d := nn.Datanode(dst); d != nil && d.Alive && nn.blocks[bid] != nil {
+			b.pending.Remove(dst)
+			if d := nn.Datanode(dst); d != nil && d.Alive && nn.Block(bid) != nil {
 				nn.addReplica(b, dst)
 				nn.stats.ReplicationsDone++
 				nn.stats.BytesReplicated += b.Size
@@ -166,7 +166,7 @@ func (nn *Namenode) pumpReplication() {
 			} else {
 				nn.disk.Release(dst, b.Size)
 			}
-			if nn.blocks[bid] != nil && len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
+			if nn.Block(bid) != nil && b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
 				nn.queueReplication(bid)
 			}
 			nn.pumpReplication()
@@ -199,16 +199,16 @@ func (nn *Namenode) cancelStreamsTouching(id netmodel.NodeID) {
 		st.flow.Cancel()
 		delete(nn.streams, st)
 		nn.replStreams--
-		b := nn.blocks[st.bid]
+		b := nn.Block(st.bid)
 		if b == nil {
 			nn.disk.Release(st.dst, 0)
 			continue
 		}
-		delete(b.pending, st.dst)
+		b.pending.Remove(st.dst)
 		nn.disk.Release(st.dst, b.Size)
-		if len(b.replicas) == 0 && len(b.pending) == 0 {
+		if b.replicas.Len() == 0 && b.pending.Len() == 0 {
 			nn.loseBlock(b)
-		} else if len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
+		} else if b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
 			nn.queueReplication(st.bid)
 		}
 	}
@@ -221,9 +221,11 @@ func (nn *Namenode) targetReplication(b *BlockInfo) int {
 	return nn.cfg.Replication
 }
 
+// anyReplica draws a recovery source uniformly from the block's replicas on
+// live datanodes, in ascending ID order so the seeded draw is reproducible.
 func (nn *Namenode) anyReplica(b *BlockInfo) (src netmodel.NodeID, ok bool) {
-	ids := make([]netmodel.NodeID, 0, len(b.replicas))
-	for id := range b.replicas {
+	ids := make([]netmodel.NodeID, 0, b.replicas.Len())
+	for _, id := range b.replicas {
 		if d := nn.Datanode(id); d != nil && d.Alive {
 			ids = append(ids, id)
 		}
@@ -231,6 +233,5 @@ func (nn *Namenode) anyReplica(b *BlockInfo) (src netmodel.NodeID, ok bool) {
 	if len(ids) == 0 {
 		return 0, false
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids[nn.eng.Rand().Intn(len(ids))], true
 }

@@ -56,30 +56,20 @@ func (nn *Namenode) Crash() {
 		st.flow.Cancel()
 		delete(nn.streams, st)
 		nn.replStreams--
-		if b := nn.blocks[st.bid]; b != nil {
-			delete(b.pending, st.dst)
+		if b := nn.Block(st.bid); b != nil {
+			b.pending.Remove(st.dst)
 			nn.disk.Release(st.dst, b.Size)
 		}
 	}
 	nn.replQueue = blockRing{}
 	nn.replQueued = make(map[BlockID]struct{})
 
-	// Empty the replica map in deterministic order so the placement hook
-	// (the MapReduce scheduler index) sees a well-defined removal sequence.
-	bids := make([]BlockID, 0, len(nn.blocks))
-	for bid := range nn.blocks {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	for _, bid := range bids {
-		b := nn.blocks[bid]
-		ids := make([]netmodel.NodeID, 0, len(b.replicas))
-		for id := range b.replicas {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			nn.dropReplica(b, id)
+	// Empty the replica map in ascending block, then node, order so the
+	// placement hook (the MapReduce scheduler index) sees a well-defined
+	// removal sequence.
+	for _, b := range nn.blocks {
+		for b != nil && b.replicas.Len() > 0 {
+			nn.dropReplica(b, b.replicas[0])
 		}
 	}
 	if nn.Events.Active() {
@@ -116,11 +106,11 @@ func (nn *Namenode) Restart() {
 	for _, b := range nn.blocks {
 		// A block still being written cannot be fully reported — it joins
 		// the accounting when its write pipeline finishes.
-		if b.lost || b.writing {
+		if b == nil || b.lost || b.writing {
 			continue
 		}
 		nn.smTotal++
-		if len(b.replicas) > 0 {
+		if b.replicas.Len() > 0 {
 			nn.smReported++
 		}
 	}
@@ -160,7 +150,7 @@ func (nn *Namenode) Reregister(id netmodel.NodeID) {
 	}
 	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
 	for _, bid := range bids {
-		b := nn.blocks[bid]
+		b := nn.Block(bid)
 		if b == nil {
 			// The file was deleted while this node was out of touch; the
 			// degraded DeleteFile path reclaims space by physical scan, so
@@ -176,7 +166,7 @@ func (nn *Namenode) Reregister(id netmodel.NodeID) {
 	}
 	// Late report: top up anything the exit sweep could not cover.
 	for _, bid := range bids {
-		if b := nn.blocks[bid]; b != nil && len(b.replicas)+len(b.pending) < nn.targetReplication(b) {
+		if b := nn.Block(bid); b != nil && b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
 			nn.queueReplication(bid)
 		}
 	}
@@ -226,27 +216,21 @@ func (nn *Namenode) exitSafeMode() {
 			}
 		}
 	}
-	bids := make([]BlockID, 0, len(nn.blocks))
-	for bid := range nn.blocks {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	for _, bid := range bids {
-		b := nn.blocks[bid]
+	for _, b := range nn.blocks {
 		// In-progress writes look unreplicated but are not: their pipeline
 		// queues its own recovery when it finishes.
-		if b.lost || b.writing {
+		if b == nil || b.lost || b.writing {
 			continue
 		}
-		n := len(b.replicas) + len(b.pending)
+		n := b.replicas.Len() + b.pending.Len()
 		if n == 0 {
-			if _, held := deferred[bid]; !held {
+			if _, held := deferred[b.ID]; !held {
 				nn.loseBlock(b)
 			}
 			continue
 		}
 		if n < nn.targetReplication(b) {
-			nn.queueReplication(bid)
+			nn.queueReplication(b.ID)
 		}
 	}
 	nn.Start()
@@ -280,12 +264,9 @@ func (nn *Namenode) SafeModeSince() sim.Time { return nn.safeModeSince }
 // ForEachBlock visits every known block in ascending ID order — the
 // deterministic iteration the audit sweep needs.
 func (nn *Namenode) ForEachBlock(fn func(*BlockInfo)) {
-	bids := make([]BlockID, 0, len(nn.blocks))
-	for bid := range nn.blocks {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	for _, bid := range bids {
-		fn(nn.blocks[bid])
+	for _, b := range nn.blocks {
+		if b != nil {
+			fn(b)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -340,7 +341,7 @@ func TestLostInputFailsJob(t *testing.T) {
 	// Destroy all replicas of the input before submitting.
 	fi := c.nn.File("/in/lost")
 	for _, bid := range fi.Blocks {
-		for _, rep := range c.nn.Block(bid).Replicas() {
+		for _, rep := range slices.Clone(c.nn.Block(bid).Replicas()) { // ForceDead edits the set
 			c.kill(rep)
 			c.nn.ForceDead(rep)
 			c.jt.ForceTrackerDead(rep)

@@ -388,7 +388,8 @@ func (a *attempt) mapRead() {
 // the attempt's own node, then its site, then anywhere. The candidate set is
 // what the namenode believes alive — it may include dead hosts the client
 // will time out against (mapRead pays that cost) — minus replicas this
-// attempt already tried.
+// attempt already tried. Replicas come in ascending ID order, so the seeded
+// pick is reproducible.
 func (a *attempt) pickInputSource(m *mapTask) (src netmodel.NodeID, local, ok bool) {
 	b := a.jt.nn.Block(m.block)
 	if b == nil {
@@ -420,16 +421,7 @@ func (a *attempt) pickInputSource(m *mapTask) (src netmodel.NodeID, local, ok bo
 	if len(pool) == 0 {
 		return 0, false, false
 	}
-	sortNodeIDs(pool)
 	return pool[a.jt.eng.Rand().Intn(len(pool))], false, true
-}
-
-func sortNodeIDs(ids []netmodel.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 func (a *attempt) speed() float64 {
