@@ -5,6 +5,7 @@ import (
 
 	"hog/internal/hdfs"
 	"hog/internal/liveness"
+	"hog/internal/mapred"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
 )
@@ -26,19 +27,23 @@ import (
 // scans walk only those quiet sets. The contract is the eager loop's, event
 // for event and draw for draw: that loop is kept as the oracle in the tests.
 //
-// While the JobTracker has an unfinished job, each beat may assign tasks and
-// draw engine randomness, so the tick walks workerList in order as the eager
-// loop walked every worker, minus the per-record writes. A dead worker
-// leaves workerList after the visit that quiesces its records: later visits
-// would only call Quiesce on records that are no longer steady, a no-op, so
-// the walk costs what the living cost. Without an unfinished job, assign is
-// a no-op and the tick walks the exception list alone.
+// While a beat may be handed a task, it may also draw engine randomness, so
+// the tick walks workerList in order as the eager loop walked every worker,
+// minus the per-record writes. A dead worker leaves workerList after the
+// visit that quiesces its records: later visits would only call Quiesce on
+// records that are no longer steady, a no-op, so the walk costs what the
+// living cost. Whether a beat may be handed a task is the JobTracker's
+// earliest-assignable bound (mapred's NextAssignable). Before it, assign is
+// a no-op for every tracker, so the tick walks the exception list alone:
+// with no unfinished job, and on most ticks of a run whose tasks are all
+// placed and whose stragglers are not yet due.
 
 // Work counts the work of the simulator's hot loops: driver ticks and the
-// worker visits they made (the idle ticks walked only the exception list),
-// each master's dead scans with the records they visited, the network
-// rebalancer's passes, and map assignment's job probes. The counts are exact
-// for a seed but feed no result, census or snapshot.
+// worker visits they made (the idle ticks, those before the earliest
+// assignable instant, walked only the exception list), each master's dead
+// scans with the records they visited, the network rebalancer's passes, and
+// task assignment's walks and probes. The counts are exact for a seed but
+// feed no result, census or snapshot.
 type Work struct {
 	Ticks, IdleTicks   int64
 	Visits, IdleVisits int64
@@ -56,10 +61,11 @@ type Work struct {
 	// Place is replica placement's candidate scans: calls, placeable-list
 	// entries visited and candidates gathered.
 	Place hdfs.PlaceWork
-	// MapProbes counts the jobs map assignment probed for a pending map,
-	// and PlacementLookups the per-node and per-site placement-index
-	// lookups those probes made.
-	MapProbes, PlacementLookups int64
+	// AssignWork is task assignment's work: the slot offers the
+	// earliest-assignable bound let through to the job walk, the jobs map
+	// and reduce assignment probed with the placement-index lookups made,
+	// and speculation's running-task walks.
+	mapred.AssignWork
 }
 
 // Work returns the work counters.
@@ -70,7 +76,7 @@ func (s *System) Work() Work {
 	w.JT = s.JT.LivenessWork()
 	w.Net = s.Net.Work()
 	w.Place = s.NN.PlaceWork()
-	w.MapProbes, w.PlacementLookups = s.JT.AssignWork()
+	w.AssignWork = s.JT.AssignWork()
 	return w
 }
 
@@ -81,7 +87,14 @@ func (s *System) tick() {
 	s.work.Ticks++
 	var keep []*worker
 	s.walking = true
-	if s.JT.AllDone() && !nnDown && !jtDown {
+	// The bound is read once, here. No visit can lower it within the tick:
+	// a visit reaches mapred only through HeartbeatTracker and
+	// ReregisterTracker, whose assign changes no task state unless it
+	// launches, and it cannot launch before the bound; hdfs calls
+	// (Reregister, HeartbeatDatanode) touch only the placement index, which
+	// the bound does not read. Worker transitions, kills included, never
+	// happen inside a tick (unsettle).
+	if s.JT.NextAssignable() > now && !nnDown && !jtDown {
 		if len(s.excNew) > 0 {
 			s.exc = append(s.exc, s.excNew...)
 			clear(s.excNew)

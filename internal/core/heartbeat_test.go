@@ -158,8 +158,8 @@ func TestLazyHeartbeatsMatchEagerOracle(t *testing.T) {
 		})
 	}
 	t.Run("disk-overflow", func(t *testing.T) {
-		// Scratch space runs out mid-assignment, killing workers from
-		// inside a tick's own walk.
+		// Scratch space runs out while tasks write, killing workers
+		// between the ticks of a run with jobs in flight.
 		t.Parallel()
 		cfg := HOGConfig(60, grid.ChurnStable, 22)
 		cfg.Grid.Pool.DiskBytesPerNode = 3e9
@@ -276,7 +276,7 @@ func TestHeartbeatWorkLargeGrid(t *testing.T) {
 	}
 }
 
-// TestHotLoopWorkPinned pins the rebalancer, map-assignment and placement
+// TestHotLoopWorkPinned pins the rebalancer, task-assignment and placement
 // work counters of one small grid run. They are plain counts of deterministic
 // loops, so a change to either loop's visiting shows up here as an exact
 // diff, and a run that drifts from its seed shows up as one too.
@@ -284,16 +284,66 @@ func TestHotLoopWorkPinned(t *testing.T) {
 	sys := New(HOGConfig(30, grid.ChurnNone, 2))
 	sys.RunWorkload(tinySchedule(2))
 	w := sys.Work()
-	got := [8]int64{w.Net.Rebalances, w.Net.Visits, w.Net.Retimed, w.MapProbes, w.PlacementLookups,
+	got := [12]int64{w.Net.Rebalances, w.Net.Visits, w.Net.Retimed,
+		w.MapWalks, w.MapProbes, w.PlacementLookups, w.ReduceWalks, w.ReduceProbes, w.SpecWalks,
 		w.Place.Calls, w.Place.Scanned, w.Place.Gathered}
-	want := [8]int64{23008, 1051557, 365092, 6105, 381, 589, 17670, 17670}
+	want := [12]int64{23008, 1051557, 365092, 368, 681, 381, 71, 123, 0, 589, 17670, 17670}
 	if got != want {
-		t.Errorf("rebalances, visits, re-timed, map probes, placement lookups, placement calls, scanned, gathered = %v, want %v", got, want)
+		t.Errorf("rebalances, visits, re-timed, map walks, map probes, placement lookups, reduce walks, reduce probes, speculation walks, placement calls, scanned, gathered = %v, want %v", got, want)
 	}
 	if w.Net.Retimed > w.Net.Visits {
 		t.Errorf("re-timed %d flows but visited only %d registry entries", w.Net.Retimed, w.Net.Visits)
 	}
 	if w.PlacementLookups > 2*w.MapProbes {
 		t.Errorf("%d placement lookups for %d job probes: at most two per probe", w.PlacementLookups, w.MapProbes)
+	}
+}
+
+// TestQuietTicksLargeGrid pins the earliest-assignable bound on a
+// LARGE-GRID run: a tick with an unfinished job that finds the bound in the
+// future walks the exception list only, most such ticks do, and map
+// assignment's job probes stay within a small multiple of the map attempts
+// launched plus the slot offers the bound let through.
+func TestQuietTicksLargeGrid(t *testing.T) {
+	sys := New(LargeGridConfig(1000, grid.ChurnStable, 2))
+	if err := sys.StartWorkload(tinySchedule(2)); err != nil {
+		t.Fatal(err)
+	}
+	hb := sys.JT.Config().HeartbeatInterval
+	end := sys.RunStart() + sys.RunSchedule().Span()
+	run0 := sys.Work()
+	activeTicks, quietTicks := 0, 0
+	for sys.Eng.Now() <= end || !sys.JT.AllDone() {
+		next := (sys.Eng.Now()/hb + 1) * hb
+		if err := sys.RunTo(next - 1); err != nil {
+			t.Fatal(err)
+		}
+		active := !sys.JT.AllDone()
+		before := sys.Work()
+		if err := sys.RunTo(next); err != nil {
+			t.Fatal(err)
+		}
+		after := sys.Work()
+		if after.Ticks == before.Ticks || !active {
+			continue
+		}
+		activeTicks++
+		if after.IdleTicks == before.IdleTicks {
+			continue
+		}
+		quietTicks++
+		if v := after.Visits - before.Visits; v > int64(before.Exceptions) {
+			t.Fatalf("at %v an active tick past the bound visited %d workers, exception list %d", next, v, before.Exceptions)
+		}
+	}
+	w := sys.Work()
+	launched := int64(sys.FinishWorkload().Counters.MapAttemptsStarted)
+	probes, walks := w.MapProbes-run0.MapProbes, w.MapWalks-run0.MapWalks
+	t.Logf("%d active ticks, %d quiet; %d map probes, %d map walks, %d map attempts", activeTicks, quietTicks, probes, walks, launched)
+	if quietTicks*2 < activeTicks {
+		t.Errorf("only %d of %d active ticks found the bound in the future", quietTicks, activeTicks)
+	}
+	if probes > 4*(launched+walks) {
+		t.Errorf("%d map probes for %d map attempts and %d walks: want at most 4x", probes, launched, walks)
 	}
 }

@@ -192,6 +192,13 @@ func TestDelayWaitPaidOnce(t *testing.T) {
 	if idle == nil {
 		t.Fatal("no idle tracker left for the re-arm probe")
 	}
+	// The armed wait holds the map bound open: the walk must run to re-arm.
+	if at := c.jt.readyAt(KindMap); at > c.eng.Now() {
+		t.Fatalf("map bound %v is past now %v with the wait still armed", at, c.eng.Now())
+	}
+	if _, err := checkReadyBound(c.jt); err != nil {
+		t.Fatal(err)
+	}
 	c.jt.HeartbeatTracker(idle)
 	if j.skipSince != -1 {
 		t.Fatalf("skipSince = %v after the backlog drained, want -1 (wait must re-arm)", j.skipSince)

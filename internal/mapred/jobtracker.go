@@ -110,18 +110,22 @@ type JobTracker struct {
 	poolRunning map[string]int
 	siteLoads   map[string]*siteLoad
 
-	// activeList holds unfinished jobs in submission order; the indexed
-	// assignment path iterates it instead of re-skipping finished jobs.
+	// activeList holds unfinished jobs in submission order; assignment
+	// iterates it instead of re-skipping finished jobs.
 	activeList []*Job
-	// probes and lookups count the indexed map assignment's work: jobs
-	// probed for a pending map, and placement-index map lookups made.
-	probes, lookups int64
+	// mapReady and reduceReady are the earliest-assignable bound per kind,
+	// valid while readyStale is false (readyAt in schedindex.go).
+	mapReady, reduceReady sim.Time
+	readyStale            bool
+	// work counts assignment's work (AssignWork).
+	work AssignWork
 	// blockMaps maps an input block to the active map tasks reading it, for
 	// the namenode placement-change hook.
 	blockMaps map[hdfs.BlockID][]*mapTask
 	// oracle, when set, replaces the indexed assignment path for one slot
-	// of the kind. Only the package tests set it, to the retained linear
-	// scan the indexed scheduler is checked against.
+	// of the kind, ungated by the earliest-assignable bound. Only the
+	// package tests set it, to the retained linear scan the indexed
+	// scheduler is checked against.
 	oracle func(t *TaskTracker, kind TaskKind) bool
 
 	// DiskUsable reports whether a node's scratch directory is readable and
@@ -161,6 +165,7 @@ func NewJobTracker(eng *sim.Engine, net *netmodel.Network, nn *hdfs.Namenode, dt
 		blockMaps:   make(map[hdfs.BlockID][]*mapTask),
 		poolRunning: make(map[string]int),
 		siteLoads:   make(map[string]*siteLoad),
+		readyStale:  true,
 	}
 	var err error
 	if jt.sched, err = NewSchedulerPolicy(jt.cfg.SchedulerPolicy); err != nil {
@@ -282,12 +287,25 @@ func (jt *JobTracker) LastHeartbeat(t *TaskTracker) sim.Time { return jt.live.La
 // LivenessWork returns the dead scans' work counters.
 func (jt *JobTracker) LivenessWork() liveness.Work { return jt.live.Work() }
 
-// AssignWork returns how many jobs map assignment probed and how many
-// placement-index lookups it made. The counts are bookkeeping only: no
-// result reports them.
-func (jt *JobTracker) AssignWork() (probes, lookups int64) {
-	return jt.probes, jt.lookups
+// AssignWork counts task assignment's work. The counts are bookkeeping
+// only: no result reports them.
+type AssignWork struct {
+	// MapWalks and ReduceWalks count the slot offers the earliest-assignable
+	// bound let through to the job walk.
+	MapWalks, ReduceWalks int64
+	// MapProbes counts the jobs map assignment probed for a pending map,
+	// and PlacementLookups the per-node and per-site placement-index
+	// lookups those probes made.
+	MapProbes, PlacementLookups int64
+	// ReduceProbes counts the jobs reduce assignment probed.
+	ReduceProbes int64
+	// SpecWalks counts the running-task walks speculation made past its
+	// straggler gate, both kinds.
+	SpecWalks int64
 }
+
+// AssignWork returns the assignment work counters.
+func (jt *JobTracker) AssignWork() AssignWork { return jt.work }
 
 // Submit enqueues a job built from its input file's blocks (one map task per
 // block, §II.A) and returns it. Scheduling is FIFO in submission order.
@@ -517,15 +535,21 @@ func (jt *JobTracker) assign(t *TaskTracker) {
 }
 
 // assignOne hands one task of the kind to the tracker through the indexed
-// scheduler, or through the test-only oracle when one is installed.
+// scheduler, or through the test-only oracle when one is installed. Before
+// the kind's earliest-assignable bound the walk would find nothing and
+// write nothing, so it is skipped.
 func (jt *JobTracker) assignOne(t *TaskTracker, kind TaskKind) bool {
 	switch {
 	case jt.oracle != nil:
 		return jt.oracle(t, kind)
+	case jt.readyAt(kind) > jt.eng.Now():
+		return false
 	case kind == KindMap:
-		return jt.assignOneMapIndexed(t)
+		jt.work.MapWalks++
+		return jt.assignOneMap(t)
 	default:
-		return jt.assignOneReduceIndexed(t)
+		jt.work.ReduceWalks++
+		return jt.assignOneReduce(t)
 	}
 }
 

@@ -316,12 +316,13 @@ type Job struct {
 	doneReduceN   int
 
 	// specMapMin/specReduceMin cache the minimum oldestRunningStart over
-	// the job's running tasks of each kind (indexed path only): if even the
-	// job's oldest running attempt is not a straggler, no task is, and the
-	// per-slot speculation probe skips its whole running-task walk. The
-	// cache is invalidated (specMinInvalid) by noteMapTask/noteReduceTask,
-	// which every attempt or ghost mutation already funnels through, and
-	// recomputed lazily; -1 means no running attempts.
+	// the job's running tasks of each kind below the copy cap: if even the
+	// oldest of them is not a straggler, no task speculation could pick is,
+	// and the per-slot speculation probe skips its whole running-task walk;
+	// the earliest-assignable bound reads them too. The cache is
+	// invalidated (specMinInvalid) by noteMapTask/noteReduceTask, which
+	// every attempt or ghost mutation already funnels through, and
+	// recomputed lazily (specMin); -1 means no such task.
 	specMapMin    sim.Time
 	specReduceMin sim.Time
 }

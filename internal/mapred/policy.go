@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hog/internal/netmodel"
@@ -58,6 +59,12 @@ type SpeculationPolicy interface {
 	// IsStraggler reports whether a copy started at `started` qualifies for
 	// speculation on tracker t. started < 0 means no running copy.
 	IsStraggler(jt *JobTracker, j *Job, kind TaskKind, t *TaskTracker, started sim.Time) bool
+	// EarliestStraggler returns a lower bound, valid for every tracker, on
+	// the first instant IsStraggler can pass for a copy started at
+	// `started`, given the job's current completion aggregates; never when
+	// it cannot pass until they change. The earliest-assignable bound
+	// (readyAt) relies on it, so it may err early but never late.
+	EarliestStraggler(jt *JobTracker, j *Job, kind TaskKind, started sim.Time) sim.Time
 }
 
 // Registry names of the built-in policies.
@@ -194,6 +201,10 @@ func (thresholdSpeculation) IsStraggler(jt *JobTracker, j *Job, kind TaskKind, _
 	return float64(elapsed) > jt.cfg.SpeculativeSlowdown*float64(avg)
 }
 
+func (thresholdSpeculation) EarliestStraggler(jt *JobTracker, j *Job, kind TaskKind, started sim.Time) sim.Time {
+	return jt.stragglerFrom(j, kind, started, jt.cfg.SpeculativeSlowdown)
+}
+
 // siteLoadSpeculation scales the slowdown threshold by the candidate
 // tracker's site load: an idle site (spare slots that opportunistic
 // preemption may reclaim any moment) speculates eagerly at half the
@@ -212,6 +223,12 @@ func (siteLoadSpeculation) IsStraggler(jt *JobTracker, j *Job, kind TaskKind, t 
 	}
 	eff := jt.cfg.SpeculativeSlowdown * (0.5 + jt.siteUtilization(t.Site))
 	return float64(elapsed) > eff*float64(avg)
+}
+
+// EarliestStraggler uses the least effective slowdown any tracker can see:
+// site utilisation is never negative, so an idle site's half slowdown.
+func (siteLoadSpeculation) EarliestStraggler(jt *JobTracker, j *Job, kind TaskKind, started sim.Time) sim.Time {
+	return jt.stragglerFrom(j, kind, started, 0.5*jt.cfg.SpeculativeSlowdown)
 }
 
 // siteUtilization returns the fraction of a site's slots running tasks,
@@ -252,6 +269,28 @@ func (jt *JobTracker) stragglerElapsedAvg(j *Job, kind TaskKind, started sim.Tim
 		return 0, 0, false
 	}
 	return elapsed, sum / sim.Time(n), true
+}
+
+// stragglerFrom is the shared EarliestStraggler substrate: the first
+// instant a copy started at `started` can pass stragglerElapsedAvg's guards
+// with elapsed > slowdown x the kind's average completed duration, rounded
+// down. The comparison is the policies' own float expression, and an
+// integer elapsed time whose float exceeds x is above floor(x), so the
+// rounding errs early. never while no copy runs, nothing of the kind has
+// completed, or the threshold lies beyond any simulated horizon.
+func (jt *JobTracker) stragglerFrom(j *Job, kind TaskKind, started sim.Time, slowdown float64) sim.Time {
+	sum, n := j.doneMapDur, j.doneMapN
+	if kind == KindReduce {
+		sum, n = j.doneReduceDur, j.doneReduceN
+	}
+	if started < 0 || n == 0 {
+		return never
+	}
+	x := slowdown * float64(sum/sim.Time(n))
+	if !(x < float64(never-started)/2) { // NaN, or past any horizon
+		return never
+	}
+	return started + max(jt.cfg.SpeculativeMinRuntime, sim.Time(math.Floor(x)))
 }
 
 // noteLaunched maintains the pool and site occupancy counters when an

@@ -3,6 +3,8 @@ package mapred
 import (
 	"fmt"
 	"slices"
+
+	"hog/internal/sim"
 )
 
 // The linear-scan scheduler: the assignment path the indexed scheduler
@@ -51,6 +53,107 @@ func checkPlacementIndex(jt *JobTracker) error {
 		}
 	}
 	return nil
+}
+
+// checkReadyBound checks the earliest-assignable bound against a read-only
+// scan: whenever the bound says nothing of a kind is assignable now, no
+// alive tracker with a free slot of that kind may have a candidate in any
+// active job under the walk's own filters, the per-tracker IsStraggler
+// included. A drained map backlog whose delay-scheduling wait is still
+// armed counts as a candidate: the walk would re-arm it. It reports which
+// kinds the bound closed.
+func checkReadyBound(jt *JobTracker) (closed [2]bool, err error) {
+	now := jt.eng.Now()
+	trackers := jt.AliveTrackers()
+	for _, kind := range []TaskKind{KindMap, KindReduce} {
+		if jt.readyAt(kind) <= now {
+			continue
+		}
+		closed[kind] = true
+		for _, j := range jt.activeList {
+			pending, running, armed := jt.scanCandidates(j, kind)
+			if len(pending) == 0 && len(running) == 0 && !armed {
+				continue
+			}
+			for _, t := range trackers {
+				free := t.FreeMapSlots()
+				if kind == KindReduce {
+					free = t.FreeReduceSlots()
+				}
+				if free <= 0 || j.blacklisted(t.Node) {
+					continue
+				}
+				if what := jt.candidateOn(j, kind, t, pending, running, armed); what != "" {
+					return closed, fmt.Errorf("%s bound %v is past now %v, but job %d offers tracker %d %s",
+						kind, jt.readyAt(kind), now, j.ID, t.Node, what)
+				}
+			}
+		}
+	}
+	return closed, nil
+}
+
+// scanCandidates lists, by a scan of every task of the kind in job j, the
+// pending tasks and the running ones below the copy cap, and reports a
+// drained map backlog with an armed wait. Reduces before slowstart list
+// nothing.
+func (jt *JobTracker) scanCandidates(j *Job, kind TaskKind) (pending, running []int, armed bool) {
+	add := func(i int, done bool, failures, n int) {
+		switch {
+		case done || failures >= jt.cfg.MaxTaskAttempts:
+		case n == 0:
+			pending = append(pending, i)
+		case n < jt.cfg.MaxTaskCopies && jt.cfg.Speculative:
+			running = append(running, i)
+		}
+	}
+	if kind == KindMap {
+		for i, m := range j.maps {
+			add(i, m.done, m.failures, m.running())
+		}
+		return pending, running, len(pending) == 0 && jt.cfg.LocalityWait > 0 && j.skipSince >= 0
+	}
+	if !jt.pastSlowstart(j) {
+		return nil, nil, false
+	}
+	for i, r := range j.reduces {
+		add(i, r.done, r.failures, r.running())
+	}
+	return pending, running, false
+}
+
+// candidateOn describes what the walk would act on for tracker t among j's
+// candidates, or returns "".
+func (jt *JobTracker) candidateOn(j *Job, kind TaskKind, t *TaskTracker, pending, running []int, armed bool) string {
+	failedOn := func(i int) bool {
+		if kind == KindMap {
+			return j.maps[i].failedOn[t.Node]
+		}
+		return j.reduces[i].failedOn[t.Node]
+	}
+	for _, i := range pending {
+		if !failedOn(i) {
+			return fmt.Sprintf("pending task %d", i)
+		}
+	}
+	if armed {
+		return "a drained backlog with an armed wait"
+	}
+	for _, i := range running {
+		on, started := false, sim.Time(0)
+		if kind == KindMap {
+			on, started = j.maps[i].runningOn(t.Node), j.maps[i].oldestRunningStart()
+		} else {
+			on, started = j.reduces[i].runningOn(t.Node), j.reduces[i].oldestRunningStart()
+		}
+		if failedOn(i) || on {
+			continue
+		}
+		if jt.cfg.EagerRedundancy || jt.spec.IsStraggler(jt, j, kind, t, started) {
+			return fmt.Sprintf("speculative copy of task %d", i)
+		}
+	}
+	return ""
 }
 
 func (jt *JobTracker) assignOneMapScan(t *TaskTracker) bool {
@@ -125,7 +228,7 @@ func (jt *JobTracker) assignOneMapScan(t *TaskTracker) bool {
 		}
 		// No pending maps in this job: consider speculation before moving
 		// to the next job (Hadoop speculates within the running job first).
-		if m := jt.speculativeMap(j, t); m != nil {
+		if m := jt.speculativeMapScan(j, t); m != nil {
 			jt.launchMap(j, m, t, jt.localityOf(t, m), true)
 			return true
 		}
@@ -133,7 +236,7 @@ func (jt *JobTracker) assignOneMapScan(t *TaskTracker) bool {
 	return false
 }
 
-func (jt *JobTracker) speculativeMap(j *Job, t *TaskTracker) *mapTask {
+func (jt *JobTracker) speculativeMapScan(j *Job, t *TaskTracker) *mapTask {
 	if !jt.cfg.Speculative {
 		return nil
 	}
@@ -179,7 +282,7 @@ func (jt *JobTracker) assignOneReduceScan(t *TaskTracker) bool {
 			jt.launchReduce(j, r, t, false)
 			return true
 		}
-		if r := jt.speculativeReduce(j, t); r != nil {
+		if r := jt.speculativeReduceScan(j, t); r != nil {
 			jt.launchReduce(j, r, t, true)
 			return true
 		}
@@ -187,7 +290,7 @@ func (jt *JobTracker) assignOneReduceScan(t *TaskTracker) bool {
 	return false
 }
 
-func (jt *JobTracker) speculativeReduce(j *Job, t *TaskTracker) *reduceTask {
+func (jt *JobTracker) speculativeReduceScan(j *Job, t *TaskTracker) *reduceTask {
 	if !jt.cfg.Speculative {
 		return nil
 	}

@@ -73,9 +73,24 @@ func runSchedChurn(t *testing.T, seed int64, scan bool, profile string) []string
 // policy equivalence tests use to pin explicit policy names against the
 // defaults on identical inputs. After every heartbeat (every checkEvery-th
 // at scale) the run checks the placement-index invariant
-// (checkPlacementIndex) and fails t on a breach.
+// (checkPlacementIndex) and the earliest-assignable bound (checkReadyBound),
+// and fails t on a breach.
 func runSchedChurnOn(t *testing.T, sh churnShape, seed int64, scan bool, profile string, mod func(*Config)) []string {
 	t.Helper()
+	return runSchedChurnChecked(t, sh, seed, scan, profile, mod).fingerprint
+}
+
+// churnRun is a churn run's fingerprint plus how many of its checks found
+// the map and the reduce bound closed.
+type churnRun struct {
+	fingerprint []string
+	closed      [2]int
+}
+
+// runSchedChurnChecked is runSchedChurnOn with the bound checks' tally.
+func runSchedChurnChecked(t *testing.T, sh churnShape, seed int64, scan bool, profile string, mod func(*Config)) churnRun {
+	t.Helper()
+	var run churnRun
 	nn := hogNNCfg()
 	jt := hogJTCfg()
 	switch profile {
@@ -110,6 +125,15 @@ func runSchedChurnOn(t *testing.T, sh churnShape, seed int64, scan bool, profile
 		if err := checkPlacementIndex(c.jt); err != nil {
 			t.Fatalf("seed %d profile %s at %v: %v", seed, profile, c.eng.Now(), err)
 		}
+		closed, err := checkReadyBound(c.jt)
+		if err != nil {
+			t.Fatalf("seed %d profile %s at %v: %v", seed, profile, c.eng.Now(), err)
+		}
+		for k, shut := range closed {
+			if shut {
+				run.closed[k]++
+			}
+		}
 	}
 	r := rand.New(rand.NewSource(seed * 7919))
 	submitted := 0
@@ -141,7 +165,8 @@ func runSchedChurnOn(t *testing.T, sh churnShape, seed int64, scan bool, profile
 	c.eng.RunWhile(func() bool {
 		return (submitted < sh.jobs || !c.jt.AllDone()) && c.eng.Now() < 8*sim.Hour
 	})
-	return schedFingerprint(c)
+	run.fingerprint = schedFingerprint(c)
+	return run
 }
 
 // sameFingerprint fails t at the first line where two fingerprints differ.
@@ -202,5 +227,40 @@ func TestSchedulerIndexDrained(t *testing.T) {
 	}
 	if n := len(c.jt.blockMaps); n != 0 {
 		t.Fatalf("blockMaps holds %d blocks after completion", n)
+	}
+}
+
+// TestReadyBoundHonest runs the LARGE-GRID churn schedule under four
+// configurations — FIFO, fair with a pool cap, site-load speculation, and
+// delay scheduling with eager redundancy — with the read-only bound check on
+// every wave, and requires each to have closed both bounds at some checks,
+// so the check is not vacuous. The small cluster then holds the gated path
+// to the ungated scan oracle under the same four configurations.
+func TestReadyBoundHonest(t *testing.T) {
+	configs := []struct {
+		name, profile string
+		mod           func(*Config)
+	}{
+		{"fifo", "zombies", nil},
+		{"fair-capped", "kills", func(c *Config) {
+			c.SchedulerPolicy = SchedulerFair
+			c.Pools = map[string]PoolConfig{"bin0": {Weight: 1, MaxRunning: 300}}
+		}},
+		{"site-load", "kills", func(c *Config) { c.SpeculationPolicy = SpeculationSiteLoad }},
+		{"delay-eager", "delay-churn", func(c *Config) { c.EagerRedundancy = true }},
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			run := runSchedChurnChecked(t, gridChurn, 1, false, cfg.profile, cfg.mod)
+			t.Logf("map bound closed at %d checks, reduce bound at %d", run.closed[KindMap], run.closed[KindReduce])
+			if run.closed[KindMap] == 0 || run.closed[KindReduce] == 0 {
+				t.Errorf("map bound closed at %d checks, reduce bound at %d: want both above zero", run.closed[KindMap], run.closed[KindReduce])
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				sameFingerprint(t, fmt.Sprintf("seed %d", seed), "indexed", "scan",
+					runSchedChurnOn(t, smallChurn, seed, false, cfg.profile, cfg.mod),
+					runSchedChurnOn(t, smallChurn, seed, true, cfg.profile, cfg.mod))
+			}
+		})
 	}
 }

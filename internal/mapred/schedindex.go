@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -9,11 +10,11 @@ import (
 	"hog/internal/sim"
 )
 
-// This file implements the incrementally indexed task-assignment path, the
-// only one the simulator runs. The linear scan it replaced rescans every
-// task of every job per free slot per heartbeat — O(jobs x tasks x
-// trackers) — which made thousand-node pools scheduler-bound; it survives
-// as a test oracle (scan_oracle_test.go). The index keeps, per job:
+// This file implements task assignment. It answers every free slot from
+// incrementally maintained indexes instead of rescanning every task of every
+// job per free slot per heartbeat, O(jobs x tasks x trackers); that linear
+// scan survives as a test oracle (scan_oracle_test.go). The index keeps, per
+// job:
 //
 //   - ordered pending/running task sets (by task index),
 //   - pending-map sets keyed by replica node and by replica site, derived
@@ -26,8 +27,11 @@ import (
 // the randomized equivalence tests assert exactly that.
 //
 // The placement sets only ever hold pending maps, so a job whose pending set
-// is empty is skipped without a placement lookup — most active jobs on most
-// heartbeats, once their maps are all running.
+// is empty is skipped without a placement lookup. Above the per-job walk
+// sits the earliest-assignable bound (readyAt): per kind, a lower bound on
+// the first instant any active job could hand any tracker a task. A beat
+// before it skips the walk in O(1); the walk itself is unchanged, so the
+// bound decides only whether it runs, never what it picks.
 
 // taskClass is a task's scheduler-index classification.
 type taskClass int8
@@ -102,6 +106,7 @@ func (jt *JobTracker) registerJobIndex(j *Job) {
 		mapsBySite: make(map[string]*idxSet),
 	}
 	jt.activeList = append(jt.activeList, j)
+	jt.readyStale = true
 	for _, m := range j.maps {
 		jt.blockMaps[m.block] = append(jt.blockMaps[m.block], m)
 		jt.noteMapTask(m)
@@ -117,6 +122,7 @@ func (jt *JobTracker) unregisterJobIndex(j *Job) {
 	if i := slices.Index(jt.activeList, j); i >= 0 {
 		jt.activeList = slices.Delete(jt.activeList, i, i+1)
 	}
+	jt.readyStale = true
 	for _, m := range j.maps {
 		list := jt.blockMaps[m.block]
 		if i := slices.Index(list, m); i >= 0 {
@@ -165,6 +171,7 @@ func (jt *JobTracker) classOfReduce(r *reduceTask) taskClass {
 // Call it after any mutation that can change done/running/failures state.
 func (jt *JobTracker) noteMapTask(m *mapTask) {
 	m.job.specMapMin = specMinInvalid
+	jt.readyStale = true
 	c := jt.classOfMap(m)
 	if c == m.idxClass {
 		return
@@ -189,6 +196,7 @@ func (jt *JobTracker) noteMapTask(m *mapTask) {
 
 func (jt *JobTracker) noteReduceTask(r *reduceTask) {
 	r.job.specReduceMin = specMinInvalid
+	jt.readyStale = true
 	c := jt.classOfReduce(r)
 	if c == r.idxClass {
 		return
@@ -280,19 +288,19 @@ func (jt *JobTracker) blockLiveInSite(bid hdfs.BlockID, site string) bool {
 	return false
 }
 
-// pickMapIndexed returns the map the scan path would pick for tracker t, at
-// its locality level. Level preference first (node, site, remote), lowest
-// task index within a level — the scan's exact order. The three queries are
+// pickMap returns the map the scan path would pick for tracker t, at its
+// locality level. Level preference first (node, site, remote), lowest task
+// index within a level — the scan's exact order. The three queries are
 // mutually consistent: an eligible pending map with a replica on t.Node is
 // always found by the node query, so later queries cannot misclassify. A job
 // with no pending map returns before the placement lookups: the placement
 // sets hold only pending maps, so they are empty too.
-func (jt *JobTracker) pickMapIndexed(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) {
-	jt.probes++
+func (jt *JobTracker) pickMap(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) {
+	jt.work.MapProbes++
 	if len(j.idx.pendingMaps.v) == 0 {
 		return nil, Remote
 	}
-	jt.lookups++
+	jt.work.PlacementLookups++
 	if s := j.idx.mapsByNode[t.Node]; s != nil {
 		for _, i := range s.v {
 			m := j.maps[i]
@@ -302,7 +310,7 @@ func (jt *JobTracker) pickMapIndexed(j *Job, t *TaskTracker) (*mapTask, Locality
 			return m, NodeLocal
 		}
 	}
-	jt.lookups++
+	jt.work.PlacementLookups++
 	if s := j.idx.mapsBySite[t.Site]; s != nil {
 		for _, i := range s.v {
 			m := j.maps[i]
@@ -322,12 +330,14 @@ func (jt *JobTracker) pickMapIndexed(j *Job, t *TaskTracker) (*mapTask, Locality
 	return nil, Remote
 }
 
-func (jt *JobTracker) assignOneMapIndexed(t *TaskTracker) bool {
+// assignOneMap hands the tracker one map: the first job in policy order
+// with a pick (subject to delay scheduling) or a speculative candidate.
+func (jt *JobTracker) assignOneMap(t *TaskTracker) bool {
 	for _, j := range jt.sched.JobOrder(jt, t) {
 		if j.blacklisted(t.Node) {
 			continue
 		}
-		pick, lvl := jt.pickMapIndexed(j, t)
+		pick, lvl := jt.pickMap(j, t)
 		if pick != nil && lvl != NodeLocal && jt.cfg.LocalityWait > 0 {
 			if j.skipSince < 0 {
 				j.skipSince = jt.eng.Now()
@@ -344,13 +354,14 @@ func (jt *JobTracker) assignOneMapIndexed(t *TaskTracker) bool {
 			jt.launchMap(j, pick, t, lvl, false)
 			return true
 		}
-		if jt.cfg.LocalityWait > 0 && len(j.idx.pendingMaps.v) == 0 {
+		if jt.cfg.LocalityWait > 0 && len(j.idx.pendingMaps.v) == 0 && j.skipSince >= 0 {
 			// Backlog drained: re-arm the wait so maps that become pending
 			// later (re-executions, ghost re-queues) get a fresh chance at a
 			// local slot instead of inheriting the long-expired wait.
 			j.skipSince = -1
+			jt.readyStale = true
 		}
-		if m := jt.speculativeMapIndexed(j, t); m != nil {
+		if m := jt.speculativeMap(j, t); m != nil {
 			jt.launchMap(j, m, t, jt.localityOf(t, m), true)
 			return true
 		}
@@ -358,23 +369,20 @@ func (jt *JobTracker) assignOneMapIndexed(t *TaskTracker) bool {
 	return false
 }
 
-// speculativeMapIndexed walks only the job's running maps (in task order)
-// instead of every task; membership already encodes !done && failures<Max.
-// The straggler gate short-circuits the walk entirely in the common case:
-// isStraggler is monotone in the attempt's start time, so if the job's
-// oldest running start does not qualify, nothing does.
-func (jt *JobTracker) speculativeMapIndexed(j *Job, t *TaskTracker) *mapTask {
+// speculativeMap walks only the job's running maps (in task order) instead
+// of every task; membership already encodes !done && failures<Max. The
+// straggler gate short-circuits the walk entirely in the common case:
+// IsStraggler is monotone in the attempt's start time, so if the job's
+// oldest running start below the copy cap does not qualify, no map the walk
+// could pick does.
+func (jt *JobTracker) speculativeMap(j *Job, t *TaskTracker) *mapTask {
 	if !jt.cfg.Speculative {
 		return nil
 	}
-	if !jt.cfg.EagerRedundancy {
-		if j.specMapMin == specMinInvalid {
-			j.specMapMin = jt.oldestRunningOfKind(j, KindMap)
-		}
-		if !jt.spec.IsStraggler(jt, j, KindMap, t, j.specMapMin) {
-			return nil
-		}
+	if !jt.cfg.EagerRedundancy && !jt.spec.IsStraggler(jt, j, KindMap, t, jt.specMin(j, KindMap)) {
+		return nil
 	}
+	jt.work.SpecWalks++
 	for _, i := range j.idx.runningMaps.v {
 		m := j.maps[i]
 		if m.failedOn[t.Node] {
@@ -396,19 +404,36 @@ func (jt *JobTracker) speculativeMapIndexed(j *Job, t *TaskTracker) *mapTask {
 	return nil
 }
 
+// specMin returns the job's cached speculation gate minimum of the kind,
+// recomputing it after an invalidation.
+func (jt *JobTracker) specMin(j *Job, kind TaskKind) sim.Time {
+	cached := &j.specMapMin
+	if kind == KindReduce {
+		cached = &j.specReduceMin
+	}
+	if *cached == specMinInvalid {
+		*cached = jt.oldestRunningOfKind(j, kind)
+	}
+	return *cached
+}
+
 // oldestRunningOfKind recomputes a job's minimum running start for the
-// speculation gate; runs once per invalidation, not per probe.
+// speculation gate over the running tasks below the copy cap, the only ones
+// speculation can pick; -1 when there are none. It runs once per
+// invalidation, not per probe.
 func (jt *JobTracker) oldestRunningOfKind(j *Job, kind TaskKind) sim.Time {
 	oldest := sim.Time(-1)
 	if kind == KindMap {
 		for _, i := range j.idx.runningMaps.v {
-			if s := j.maps[i].oldestRunningStart(); s >= 0 && (oldest < 0 || s < oldest) {
+			m := j.maps[i]
+			if s := m.oldestRunningStart(); s >= 0 && (oldest < 0 || s < oldest) && m.running() < jt.cfg.MaxTaskCopies {
 				oldest = s
 			}
 		}
 	} else {
 		for _, i := range j.idx.runningReduces.v {
-			if s := j.reduces[i].oldestRunningStart(); s >= 0 && (oldest < 0 || s < oldest) {
+			r := j.reduces[i]
+			if s := r.oldestRunningStart(); s >= 0 && (oldest < 0 || s < oldest) && r.running() < jt.cfg.MaxTaskCopies {
 				oldest = s
 			}
 		}
@@ -416,19 +441,16 @@ func (jt *JobTracker) oldestRunningOfKind(j *Job, kind TaskKind) sim.Time {
 	return oldest
 }
 
-func (jt *JobTracker) assignOneReduceIndexed(t *TaskTracker) bool {
+// assignOneReduce hands the tracker one reduce: the first job in policy
+// order past slowstart with a pending reduce or a speculative candidate.
+func (jt *JobTracker) assignOneReduce(t *TaskTracker) bool {
 	for _, j := range jt.sched.JobOrder(jt, t) {
 		if j.blacklisted(t.Node) {
 			continue
 		}
-		if len(j.maps) > 0 {
-			need := int(jt.cfg.SlowstartFraction * float64(len(j.maps)))
-			if need < 1 {
-				need = 1
-			}
-			if j.completedMaps < need {
-				continue
-			}
+		jt.work.ReduceProbes++
+		if !jt.pastSlowstart(j) {
+			continue
 		}
 		for _, i := range j.idx.pendingReduces.v {
 			r := j.reduces[i]
@@ -438,7 +460,7 @@ func (jt *JobTracker) assignOneReduceIndexed(t *TaskTracker) bool {
 			jt.launchReduce(j, r, t, false)
 			return true
 		}
-		if r := jt.speculativeReduceIndexed(j, t); r != nil {
+		if r := jt.speculativeReduce(j, t); r != nil {
 			jt.launchReduce(j, r, t, true)
 			return true
 		}
@@ -446,18 +468,14 @@ func (jt *JobTracker) assignOneReduceIndexed(t *TaskTracker) bool {
 	return false
 }
 
-func (jt *JobTracker) speculativeReduceIndexed(j *Job, t *TaskTracker) *reduceTask {
+func (jt *JobTracker) speculativeReduce(j *Job, t *TaskTracker) *reduceTask {
 	if !jt.cfg.Speculative {
 		return nil
 	}
-	if !jt.cfg.EagerRedundancy {
-		if j.specReduceMin == specMinInvalid {
-			j.specReduceMin = jt.oldestRunningOfKind(j, KindReduce)
-		}
-		if !jt.spec.IsStraggler(jt, j, KindReduce, t, j.specReduceMin) {
-			return nil
-		}
+	if !jt.cfg.EagerRedundancy && !jt.spec.IsStraggler(jt, j, KindReduce, t, jt.specMin(j, KindReduce)) {
+		return nil
 	}
+	jt.work.SpecWalks++
 	for _, i := range j.idx.runningReduces.v {
 		r := j.reduces[i]
 		if r.failedOn[t.Node] {
@@ -477,4 +495,96 @@ func (jt *JobTracker) speculativeReduceIndexed(j *Job, t *TaskTracker) *reduceTa
 		}
 	}
 	return nil
+}
+
+// never is the bound of a kind nothing can make assignable without a state
+// change that marks the bound stale.
+const never = sim.Time(math.MaxInt64)
+
+// readyAt returns the kind's earliest-assignable bound: no beat before that
+// instant can be handed a task of the kind, and none can change scheduler
+// state by walking the jobs (the delay-scheduling re-arm is the one write a
+// walk makes without launching; mapReady covers it). The bound is recomputed
+// lazily on the first call after a change marks it stale: every write the
+// walk reads funnels through noteMapTask or noteReduceTask (task state,
+// completion aggregates, slowstart progress), registerJobIndex,
+// unregisterJobIndex or the re-arm itself. A recompute costs one pass over
+// the active jobs, O(1) each apart from the cached speculation minimum,
+// which is no more than the job walk it stands in for.
+func (jt *JobTracker) readyAt(kind TaskKind) sim.Time {
+	if jt.readyStale {
+		now := jt.eng.Now()
+		jt.mapReady, jt.reduceReady = never, never
+		for _, j := range jt.activeList {
+			jt.mapReady = min(jt.mapReady, jt.mapReadyAt(j, now))
+			jt.reduceReady = min(jt.reduceReady, jt.reduceReadyAt(j, now))
+		}
+		jt.readyStale = false
+	}
+	if kind == KindMap {
+		return jt.mapReady
+	}
+	return jt.reduceReady
+}
+
+// NextAssignable returns the earliest instant at which any heartbeat could
+// be handed a task of either kind (never while nothing can be). A beat
+// before it assigns nothing and changes no scheduler state, so the
+// heartbeat driver skips it.
+func (jt *JobTracker) NextAssignable() sim.Time {
+	return min(jt.readyAt(KindMap), jt.readyAt(KindReduce))
+}
+
+// mapReadyAt is j's term of the map bound. A pending map may be assignable
+// now. So may a drained backlog under delay scheduling whose wait is still
+// armed: the walk re-arms it (skipSince = -1), which later picks depend on.
+// Otherwise only speculation can launch a map.
+func (jt *JobTracker) mapReadyAt(j *Job, now sim.Time) sim.Time {
+	if len(j.idx.pendingMaps.v) > 0 || jt.cfg.LocalityWait > 0 && j.skipSince >= 0 {
+		return now
+	}
+	return jt.specReadyAt(j, KindMap, now)
+}
+
+// reduceReadyAt is j's term of the reduce bound: nothing before slowstart,
+// which moves only when a map completes or re-executes (both noteMapTask).
+func (jt *JobTracker) reduceReadyAt(j *Job, now sim.Time) sim.Time {
+	if !jt.pastSlowstart(j) {
+		return never
+	}
+	if len(j.idx.pendingReduces.v) > 0 {
+		return now
+	}
+	return jt.specReadyAt(j, KindReduce, now)
+}
+
+// specReadyAt is the earliest instant a speculative copy of one of j's
+// running tasks of the kind could launch: now under eager redundancy, the
+// policy's earliest straggler instant for the oldest copy below the copy
+// cap otherwise.
+func (jt *JobTracker) specReadyAt(j *Job, kind TaskKind, now sim.Time) sim.Time {
+	if !jt.cfg.Speculative {
+		return never
+	}
+	oldest := jt.specMin(j, kind)
+	switch {
+	case oldest < 0:
+		return never
+	case jt.cfg.EagerRedundancy:
+		return now
+	}
+	return jt.spec.EarliestStraggler(jt, j, kind, oldest)
+}
+
+// pastSlowstart reports whether enough of j's maps have completed for its
+// reduces to launch (Hadoop's mapred.reduce.slowstart.completed.maps).
+func (jt *JobTracker) pastSlowstart(j *Job) bool {
+	if len(j.maps) == 0 {
+		return true
+	}
+	need := int(jt.cfg.SlowstartFraction * float64(len(j.maps)))
+	if need < 1 {
+		need = 1
+	}
+	return j.completedMaps >= need
 }
