@@ -282,6 +282,9 @@ func TestStateRulesFire(t *testing.T) {
 	// path, so the breach is written into a datanode record's exported
 	// fields. A replica on a node the namenode never registered cannot be
 	// injected: replicas are only ever added through a registered record.
+	// Writing Alive directly bypasses the namenode's placement flags (the
+	// byte per node that placement reads instead of the record), so these
+	// namenodes would fail CheckLiveList; the audit rules read the record.
 	t.Run("replica-liveness", func(t *testing.T) {
 		nn, jt, ids := masters(t)
 		a := audit.New()

@@ -13,12 +13,14 @@ import "hog/internal/netmodel"
 // Tracker accounts disk space per node. It is driven from the simulation
 // loop and is not safe for concurrent use. Node IDs are dense small
 // integers (netmodel hands them out sequentially), so the accounting lives
-// in flat slices: Free sits on the HDFS placement hot path, where it is
-// called once per candidate datanode per block write, and an array load is
-// far cheaper than a map probe at 10k-node scale.
+// in flat slices: an array load is far cheaper than a map probe at
+// 10k-node scale.
 type Tracker struct {
 	capacity []float64
 	used     []float64
+	// roomMark and onRoom are the watch WatchRoom installs.
+	roomMark float64
+	onRoom   func(n netmodel.NodeID, room bool)
 	// OnOverflow, if set, is invoked when a Reserve fails; HOG wires this
 	// to the "worker node out of disk" failure path.
 	OnOverflow func(n netmodel.NodeID, requested float64)
@@ -44,10 +46,36 @@ func (t *Tracker) grow(n netmodel.NodeID) {
 	t.capacity, t.used = cap2, used2
 }
 
+// WatchRoom has the tracker call onRoom(n, room) after every change to a
+// node's capacity or usage that moves Free(n) >= mark, with room its new
+// value, so a watcher can keep a per-node "room for mark bytes" bit
+// without computing free space; it reads a node's starting value from
+// Free. HDFS watches its block size. A tracker has one watch; a new one
+// replaces it.
+func (t *Tracker) WatchRoom(mark float64, onRoom func(n netmodel.NodeID, room bool)) {
+	t.roomMark, t.onRoom = mark, onRoom
+}
+
+// room reports whether node n has room for the watched mark; false when
+// nothing watches.
+func (t *Tracker) room(n netmodel.NodeID) bool {
+	return t.onRoom != nil && t.Free(n) >= t.roomMark
+}
+
+// noteRoom tells the watcher of a change to node n that moved room(n) from
+// had.
+func (t *Tracker) noteRoom(n netmodel.NodeID, had bool) {
+	if t.onRoom != nil && t.room(n) != had {
+		t.onRoom(n, !had)
+	}
+}
+
 // SetCapacity registers (or updates) a node's scratch capacity in bytes.
 func (t *Tracker) SetCapacity(n netmodel.NodeID, bytes float64) {
 	t.grow(n)
+	had := t.room(n)
 	t.capacity[n] = bytes
+	t.noteRoom(n, had)
 }
 
 // Capacity returns the node's capacity (0 for unknown nodes).
@@ -98,6 +126,7 @@ func (t *Tracker) Reserve(n netmodel.NodeID, bytes float64) bool {
 		panic("disk: negative reservation")
 	}
 	t.grow(n)
+	had := t.room(n)
 	if t.used[n]+bytes > t.capacity[n] {
 		t.overflows++
 		if t.OnOverflow != nil {
@@ -106,6 +135,7 @@ func (t *Tracker) Reserve(n netmodel.NodeID, bytes float64) bool {
 		return false
 	}
 	t.used[n] += bytes
+	t.noteRoom(n, had)
 	return true
 }
 
@@ -116,17 +146,21 @@ func (t *Tracker) Release(n netmodel.NodeID, bytes float64) {
 		panic("disk: negative release")
 	}
 	t.grow(n)
+	had := t.room(n)
 	t.used[n] -= bytes
 	if t.used[n] < 0 {
 		t.used[n] = 0
 	}
+	t.noteRoom(n, had)
 }
 
 // Clear drops all usage on a node (the site wiped the working directory
 // after preemption) but keeps its capacity registered.
 func (t *Tracker) Clear(n netmodel.NodeID) {
 	t.grow(n)
+	had := t.room(n)
 	t.used[n] = 0
+	t.noteRoom(n, had)
 }
 
 // Overflows returns the number of failed reservations so far.

@@ -123,3 +123,49 @@ func TestAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a watcher that starts from Free and applies every WatchRoom
+// report holds exactly Free(n) >= mark for every node, through capacity
+// changes, successful and failed reserves, releases and clears, on nodes
+// inside and past the tables, including a mark of zero; and every report
+// is a change.
+func TestWatchRoomTracksFree(t *testing.T) {
+	f := func(mark uint8, ops []uint16) bool {
+		tr := NewTracker()
+		m := float64(mark % 64)
+		room := make(map[netmodel.NodeID]bool)
+		for id := netmodel.NodeID(0); id < 12; id++ {
+			room[id] = tr.Free(id) >= m
+		}
+		ok := true
+		tr.WatchRoom(m, func(n netmodel.NodeID, r bool) {
+			if room[n] == r {
+				ok = false // a report that changes nothing
+			}
+			room[n] = r
+		})
+		for _, op := range ops {
+			n := netmodel.NodeID(op % 12)
+			v := float64(op >> 4 % 90)
+			switch op >> 12 % 4 {
+			case 0:
+				tr.SetCapacity(n, v)
+			case 1:
+				tr.Reserve(n, v)
+			case 2:
+				tr.Release(n, v)
+			default:
+				tr.Clear(n)
+			}
+			for id, r := range room {
+				if r != (tr.Free(id) >= m) {
+					return false
+				}
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

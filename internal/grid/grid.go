@@ -409,7 +409,7 @@ func (p *Pool) BurstPreempt(frac float64) int {
 // nodes killed.
 func (p *Pool) KillFraction(frac float64) int {
 	victims := p.AliveNodes()
-	sim.Shuffle(p.eng.Rand(), victims)
+	sim.Shuffle(p.eng.Source(), victims)
 	k := int(frac*float64(len(victims)) + 0.5)
 	if k > len(victims) {
 		k = len(victims)
@@ -436,7 +436,7 @@ func (p *Pool) batchPreempt(sr *siteRuntime, frac float64) int {
 	// The shuffle starts from ID order; preempt edits sr.nodes, so it
 	// shuffles a copy.
 	victims := slices.Clone(sr.nodes)
-	sim.Shuffle(p.eng.Rand(), victims)
+	sim.Shuffle(p.eng.Source(), victims)
 	k := int(frac*float64(len(victims)) + 0.5)
 	if k > len(victims) {
 		k = len(victims)

@@ -140,8 +140,10 @@ func (nn *Namenode) SetNodeGray(id netmodel.NodeID, gray bool) {
 	d.gray = gray
 	if gray {
 		nn.grayCount++
+		nn.placeFlags[id] |= placeGray
 	} else {
 		nn.grayCount--
+		nn.placeFlags[id] &^= placeGray
 	}
 }
 
@@ -188,7 +190,8 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 		return 0
 	}
 	d.Alive = true
-	nn.placeable = insertByID(nn.placeable, d)
+	nn.placeFlags[id] |= placeAlive
+	nn.placeable = insertByID(nn.placeable, id)
 	nn.live.Add(&d.live, id, d, nn.eng.Now())
 	held := d.held
 	d.held = nil

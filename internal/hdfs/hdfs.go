@@ -14,7 +14,6 @@
 package hdfs
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -139,13 +138,6 @@ type DatanodeInfo struct {
 	// (corruption.go). Sizes ride along so space pinned by a file deleted
 	// during the outage can be reclaimed at recovery.
 	held map[BlockID]float64
-	// siteIx is the dense index of Site in the namenode's site registry;
-	// the placement hot path counts replicas per site through it instead of
-	// hashing site name strings.
-	siteIx int
-	// placeMark is the namenode placeEpoch of the last placement call that
-	// excluded this datanode.
-	placeMark uint64
 }
 
 // hold records a replica physically on the datanode. The inventory map is
@@ -267,25 +259,28 @@ type Namenode struct {
 	// visits every datanode in ascending ID order — the deterministic order
 	// the census, safe mode and the balancer need.
 	datanodes []*DatanodeInfo
-	// placeable is the live datanodes in ID order, the list placement
-	// scans; RecoverDatanode puts a revived one back by binary search. A
-	// death leaves its entry in place and the next gatherCandidates scan
-	// drops it in passing (deleting eagerly would move the tail of a
-	// ten-thousand-entry list per death), so between scans it also holds
-	// the datanodes that died since the last one.
-	placeable []*DatanodeInfo
-	placeWork PlaceWork
+	// placeable is the IDs of the live datanodes in ascending order, the
+	// list placement scans; Register and RecoverDatanode insert by binary
+	// search. A death leaves its entry in place and the next
+	// gatherCandidates scan drops it in passing (deleting eagerly would move
+	// the tail of a ten-thousand-entry list per death), so between scans it
+	// also holds the datanodes that died since the last one. The scan reads
+	// no datanode record, only placeFlags: one byte per NodeID holding the
+	// bits placement tests (see placeAlive). siteOf holds the dense index
+	// of each datanode's awareness site.
+	placeable  []int32
+	placeFlags []uint8
+	siteOf     []int32
+	placeWork  PlaceWork
 	// siteIx assigns each distinct awareness site a dense index; siteCands
 	// and siteCounts are reusable scratch for the placement policy's
-	// per-site greedy spread (see chooseTargets).
+	// per-site greedy spread (see chooseTargets), candBuf for the candidate
+	// scan.
 	siteIx     map[string]int
 	siteCands  [][]int32
 	siteCounts []int
 	siteHeads  []int
-	candBuf    []*DatanodeInfo
-	// placeEpoch numbers gatherCandidates calls; a datanode whose
-	// placeMark equals it is excluded from the current call.
-	placeEpoch uint64
+	candBuf    []int32
 	// blocks is indexed by BlockID. IDs are issued densely from zero, so
 	// the table only grows, its length is the next ID to issue, and a walk
 	// visits blocks in ascending ID order; a deleted block leaves a nil
@@ -363,6 +358,9 @@ func NewNamenode(eng *sim.Engine, net *netmodel.Network, dt *disk.Tracker, cfg C
 		replQueued: make(map[BlockID]struct{}),
 		streams:    make(map[*replStream]struct{}),
 	}
+	// Placement asks for room for a block at a time: the tracker reports
+	// when a node's free space crosses a block, and placeShort mirrors it.
+	dt.WatchRoom(nn.cfg.BlockSize, nn.noteRoom)
 	var err error
 	if nn.place, err = NewPlacementPolicy(nn.cfg.PlacementPolicy); err != nil {
 		panic(err)
@@ -418,23 +416,62 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 		nn.siteCounts = append(nn.siteCounts, 0)
 		nn.siteHeads = append(nn.siteHeads, 0)
 	}
-	d.siteIx = ix
 	nn.datanodes = netmodel.Store(nn.datanodes, id, d)
-	nn.placeable = insertByID(nn.placeable, d)
+	nn.siteOf = netmodel.Store(nn.siteOf, id, int32(ix))
+	nn.placeFlags = netmodel.Store(nn.placeFlags, id, placeAlive|nn.shortBit(id))
+	nn.placeable = insertByID(nn.placeable, id)
 	return d
 }
 
-// insertByID adds d to a list kept in ascending ID order unless it is
+// Placement bits in Namenode.placeFlags, one byte per NodeID. A datanode
+// whose byte is exactly placeAlive can take any block: the scan's common
+// case is one comparison.
+const (
+	// placeAlive marks a registered datanode that is alive, written by
+	// Register, markDead and RecoverDatanode.
+	placeAlive uint8 = 1 << iota
+	// placeGray marks a datanode flagged gray, which placement refuses,
+	// written by SetNodeGray.
+	placeGray
+	// placeShort marks a datanode with less than a block of free space,
+	// kept by the disk tracker's room reports (noteRoom).
+	placeShort
+	// placeHeld marks, for one gatherCandidates call only, the datanodes
+	// holding a replica or in-flight copy of the block being recovered.
+	placeHeld
+)
+
+// shortBit returns placeShort when datanode id lacks a block of free space.
+func (nn *Namenode) shortBit(id netmodel.NodeID) uint8 {
+	if nn.disk.Free(id) >= nn.cfg.BlockSize {
+		return 0
+	}
+	return placeShort
+}
+
+// noteRoom is the disk tracker's room report: it mirrors whether a
+// registered datanode has a block of free space into placeShort. Nodes
+// not registered yet are skipped; Register reads their space itself.
+func (nn *Namenode) noteRoom(id netmodel.NodeID, room bool) {
+	if nn.Datanode(id) == nil {
+		return
+	}
+	if room {
+		nn.placeFlags[id] &^= placeShort
+	} else {
+		nn.placeFlags[id] |= placeShort
+	}
+}
+
+// insertByID adds id to a list kept in ascending order unless it is
 // already there. Nodes register with ascending IDs in practice, so the
 // insertion is an append.
-func insertByID(list []*DatanodeInfo, d *DatanodeInfo) []*DatanodeInfo {
-	i, found := slices.BinarySearchFunc(list, d.ID, func(e *DatanodeInfo, id netmodel.NodeID) int {
-		return cmp.Compare(e.ID, id)
-	})
+func insertByID(list []int32, id netmodel.NodeID) []int32 {
+	i, found := slices.BinarySearch(list, int32(id))
 	if found {
 		return list
 	}
-	return slices.Insert(list, i, d)
+	return slices.Insert(list, i, int32(id))
 }
 
 // HeartbeatDatanode records a datanode heartbeat. Callers hold the info, so
@@ -482,8 +519,8 @@ func (nn *Namenode) Datanode(id netmodel.NodeID) *DatanodeInfo {
 // AliveDatanodes returns live datanodes in ID order.
 func (nn *Namenode) AliveDatanodes() []*DatanodeInfo {
 	out := make([]*DatanodeInfo, 0, len(nn.placeable))
-	for _, d := range nn.placeable {
-		if d.Alive {
+	for _, id := range nn.placeable {
+		if d := nn.datanodes[id]; d.Alive {
 			out = append(out, d)
 		}
 	}
@@ -523,6 +560,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 	}
 	nn.live.Drop(&d.live)
 	d.Alive = false
+	nn.placeFlags[d.ID] &^= placeAlive
 	nn.clearAwaiting(d)
 	nn.stats.DatanodesDead++
 	if nn.Events.Active() {

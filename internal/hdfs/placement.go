@@ -20,86 +20,126 @@ type PlaceWork struct {
 // PlaceWork returns the placement scan's work counters.
 func (nn *Namenode) PlaceWork() PlaceWork { return nn.placeWork }
 
-// gatherCandidates fills the namenode's candidate scratch buffer with every
-// live datanode that has room for a block of the given size and, when b is
-// not nil, holds no replica or in-flight copy of the recovering block b —
-// in ascending ID order (the placeable list is kept sorted, so no per-call
-// sort) — then shuffles it with the engine's RNG so ties break randomly but
-// reproducibly. The scan plus shuffle is O(live datanodes): the scan drops
-// the datanodes that died since the previous call from the placeable list
-// as it passes them, so a preempted node is visited at most once more. b's
-// holders are stamped with a fresh placement epoch up front, so the scan
-// tests a field instead of searching the block's sets per candidate.
-func (nn *Namenode) gatherCandidates(size float64, b *BlockInfo) []*DatanodeInfo {
-	nn.placeEpoch++
+// gatherCandidates fills the namenode's candidate scratch buffer with the
+// ID of every live, non-gray datanode that has room for a block of the given
+// size and, when b is not nil, holds no replica or in-flight copy of the
+// recovering block b — in ascending ID order (the placeable list is kept
+// sorted, so no per-call sort) — then shuffles it with the engine's RNG so
+// ties break randomly but reproducibly. The scan plus shuffle is O(live
+// datanodes), and the scan reads two things per datanode: its list entry
+// and its placement flags byte, which holds every test (b's holders are
+// flagged placeHeld for the call). Only a datanode short of a block of free
+// space, or a size above a block, costs a free-space computation. The scan
+// drops the datanodes that died since the previous call from the placeable
+// list as it passes them, so a preempted node is visited at most once more.
+func (nn *Namenode) gatherCandidates(size float64, b *BlockInfo) []int32 {
 	if b != nil {
-		for _, set := range [2]nodeSet{b.replicas, b.pending} {
-			for _, id := range set {
-				if d := nn.Datanode(id); d != nil {
-					d.placeMark = nn.placeEpoch
-				}
-			}
-		}
+		nn.markHeld(b, true)
 	}
-	cands := nn.candBuf[:0]
 	list := nn.placeable
-	kept := 0
-	for i, d := range list {
-		if !d.Alive {
+	nn.candBuf = slices.Grow(nn.candBuf[:0], len(list))
+	cands := nn.candBuf[:len(list)]
+	flags := nn.placeFlags
+	roomy := size <= nn.cfg.BlockSize
+	kept, n := 0, 0
+	for i, id := range list {
+		f := flags[id]
+		if f&placeAlive == 0 {
 			continue
 		}
 		if kept != i {
-			list[kept] = d
+			list[kept] = id
 		}
 		kept++
-		if d.gray {
-			// A node flagged for gray degradation still heartbeats, but giving
-			// it new replicas would stash data behind a slow disk and widen the
-			// failure's blast radius; placement routes around it until the
-			// degradation is lifted.
-			continue
+		if f != placeAlive || !roomy {
+			// Gray, a holder of b, short of a block, or a size above a
+			// block. A node flagged for gray degradation still heartbeats,
+			// but giving it new replicas would stash data behind a slow disk
+			// and widen the failure's blast radius; placement routes around
+			// it until the degradation is lifted.
+			if f&(placeGray|placeHeld) != 0 || nn.disk.Free(netmodel.NodeID(id)) < size {
+				continue
+			}
 		}
-		if d.placeMark == nn.placeEpoch {
-			continue
-		}
-		if nn.disk.Free(d.ID) >= size {
-			cands = append(cands, d)
-		}
+		cands[n] = id
+		n++
 	}
-	clear(list[kept:])
+	if b != nil {
+		nn.markHeld(b, false)
+	}
+	cands = cands[:n]
 	nn.placeable = list[:kept]
 	nn.placeWork.Calls++
 	nn.placeWork.Scanned += int64(len(list))
 	nn.placeWork.Gathered += int64(len(cands))
-	nn.candBuf = cands
-	sim.Shuffle(nn.eng.Rand(), cands)
+	sim.Shuffle(nn.eng.Source(), cands)
 	return cands
 }
 
-// CheckLiveList reports a breach of the placeable list's invariant: it is
-// strictly ascending by ID, and its live entries are exactly the live
-// registered datanodes.
-func (nn *Namenode) CheckLiveList() error {
-	for i := 1; i < len(nn.placeable); i++ {
-		if nn.placeable[i-1].ID >= nn.placeable[i].ID {
-			return fmt.Errorf("placeable list out of ID order at %d: %d then %d", i, nn.placeable[i-1].ID, nn.placeable[i].ID)
+// markHeld sets (or clears) placeHeld on the registered datanodes holding a
+// replica or in-flight copy of b.
+func (nn *Namenode) markHeld(b *BlockInfo, on bool) {
+	for _, set := range [2]nodeSet{b.replicas, b.pending} {
+		for _, id := range set {
+			if nn.Datanode(id) == nil {
+				continue
+			}
+			if on {
+				nn.placeFlags[id] |= placeHeld
+			} else {
+				nn.placeFlags[id] &^= placeHeld
+			}
 		}
 	}
-	dead := func(d *DatanodeInfo) bool { return d == nil || !d.Alive }
-	got := slices.DeleteFunc(slices.Clone(nn.placeable), dead)
-	want := slices.DeleteFunc(slices.Clone(nn.datanodes), dead)
+}
+
+// CheckLiveList reports a breach of the placeable list's invariant: it is
+// strictly ascending, its live entries are exactly the live registered
+// datanodes, the placement flags agree with every datanode record's Alive
+// and gray fields and with the disk tracker's free space (zero where no
+// datanode registered; placeHeld never set between calls).
+func (nn *Namenode) CheckLiveList() error {
+	for i := 1; i < len(nn.placeable); i++ {
+		if nn.placeable[i-1] >= nn.placeable[i] {
+			return fmt.Errorf("placeable list out of ID order at %d: %d then %d", i, nn.placeable[i-1], nn.placeable[i])
+		}
+	}
+	if len(nn.placeFlags) != len(nn.datanodes) {
+		return fmt.Errorf("placement flags cover %d IDs, the datanode table %d", len(nn.placeFlags), len(nn.datanodes))
+	}
+	var want []int32
+	for id, d := range nn.datanodes {
+		var f uint8
+		if d != nil && d.Alive {
+			f |= placeAlive
+			want = append(want, int32(id))
+		}
+		if d != nil && d.gray {
+			f |= placeGray
+		}
+		if d != nil {
+			f |= nn.shortBit(netmodel.NodeID(id))
+		}
+		if nn.placeFlags[id] != f {
+			return fmt.Errorf("datanode %d: placement flags %04b, its record and disk say %04b", id, nn.placeFlags[id], f)
+		}
+	}
+	got := slices.DeleteFunc(slices.Clone(nn.placeable), func(id int32) bool {
+		d := netmodel.Lookup(nn.datanodes, netmodel.NodeID(id))
+		return d == nil || !d.Alive
+	})
 	if !slices.Equal(got, want) {
 		return fmt.Errorf("placeable list holds %d live datanodes, the table %d, or other ones", len(got), len(want))
 	}
 	return nil
 }
 
-// spreadAcrossSites appends up to n targets chosen from cands (in shuffled
-// order, skipping skipIx) to targets, greedily preferring sites hosting the
-// fewest replicas chosen so far, so ten replicas of a block land on all
-// five sites before doubling up anywhere. nn.siteCounts must hold the
-// per-site seed counts (existing replicas) on entry; it is scratch and is
-// left dirty.
+// spreadAcrossSites appends up to n targets chosen from the candidate IDs
+// cands (in shuffled order, skipping skipIx) to targets, greedily
+// preferring sites hosting the fewest replicas chosen so far, so ten
+// replicas of a block land on all five sites before doubling up anywhere.
+// nn.siteCounts must hold the per-site seed counts (existing replicas) on
+// entry; it is scratch and is left dirty.
 //
 // The greedy rule — "first candidate in shuffled order whose site count is
 // minimal" — is evaluated through per-site FIFO queues of candidate
@@ -109,7 +149,7 @@ func (nn *Namenode) CheckLiveList() error {
 // want = n−len(targets) targets still missing, so a queue stops at want
 // positions and the candidate walk stops once every site's queue is full;
 // placement_oracle_test.go keeps the uncapped queues as the oracle.
-func (nn *Namenode) spreadAcrossSites(cands []*DatanodeInfo, skipIx int, n int, targets []netmodel.NodeID) []netmodel.NodeID {
+func (nn *Namenode) spreadAcrossSites(cands []int32, skipIx int, n int, targets []netmodel.NodeID) []netmodel.NodeID {
 	want := n - len(targets)
 	if want <= 0 {
 		return targets
@@ -118,15 +158,16 @@ func (nn *Namenode) spreadAcrossSites(cands []*DatanodeInfo, skipIx int, n int, 
 		nn.siteCands[s] = nn.siteCands[s][:0]
 	}
 	remaining, full := 0, 0
-	for i, d := range cands {
+	for i, id := range cands {
 		if i == skipIx {
 			continue
 		}
-		q := nn.siteCands[d.siteIx]
+		site := nn.siteOf[id]
+		q := nn.siteCands[site]
 		if len(q) == want {
 			continue
 		}
-		nn.siteCands[d.siteIx] = append(q, int32(i))
+		nn.siteCands[site] = append(q, int32(i))
 		remaining++
 		if len(q)+1 == want {
 			if full++; full == len(nn.siteCands) {
@@ -151,11 +192,10 @@ func (nn *Namenode) spreadAcrossSites(cands []*DatanodeInfo, skipIx int, n int, 
 				bestSite, bestCount, bestPos = s, c, nn.siteCands[s][heads[s]]
 			}
 		}
-		d := cands[bestPos]
 		nn.siteCounts[bestSite]++
 		heads[bestSite]++
 		remaining--
-		targets = append(targets, d.ID)
+		targets = append(targets, netmodel.NodeID(cands[bestPos]))
 	}
 	return targets
 }

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hog/internal/netmodel"
@@ -115,18 +116,14 @@ func (nn *Namenode) PlacementPolicyName() string { return nn.place.Name() }
 // ReplicationOrderName returns the active replication order's registry name.
 func (nn *Namenode) ReplicationOrderName() string { return nn.replOrder.Name() }
 
-// writerFirst gathers the placement candidates and, when the writer is a
-// live datanode with room for the block, takes it as the first target
-// (data locality for the producing task). skipIx is the writer's index in
-// cands, or -1 when it was not taken.
-func (nn *Namenode) writerFirst(writer netmodel.NodeID, size float64) (cands []*DatanodeInfo, targets []netmodel.NodeID, skipIx int) {
+// writerFirst gathers the placement candidates and, when the writer is
+// among them (a live, non-gray datanode with room for the block), takes it
+// as the first target (data locality for the producing task). skipIx is the
+// writer's index in cands, or -1 when it was not taken.
+func (nn *Namenode) writerFirst(writer netmodel.NodeID, size float64) (cands []int32, targets []netmodel.NodeID, skipIx int) {
 	cands = nn.gatherCandidates(size, nil)
-	if w := nn.Datanode(writer); w != nil && w.Alive && nn.disk.Free(writer) >= size {
-		for i := range cands {
-			if cands[i].ID == writer {
-				return cands, []netmodel.NodeID{writer}, i
-			}
-		}
+	if i := slices.Index(cands, int32(writer)); i >= 0 {
+		return cands, []netmodel.NodeID{writer}, i
 	}
 	return cands, nil, -1
 }
@@ -152,7 +149,7 @@ func (gridPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size fl
 		nn.siteCounts[s] = 0
 	}
 	for _, id := range targets {
-		nn.siteCounts[nn.Datanode(id).siteIx]++
+		nn.siteCounts[nn.siteOf[id]]++
 	}
 	return nn.spreadAcrossSites(cands, skipIx, n, targets)
 }
@@ -172,8 +169,8 @@ func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []net
 	}
 	for _, set := range [2]nodeSet{b.replicas, b.pending} {
 		for _, id := range set {
-			if d := nn.Datanode(id); d != nil {
-				nn.siteCounts[d.siteIx]++
+			if nn.Datanode(id) != nil {
+				nn.siteCounts[nn.siteOf[id]]++
 			}
 		}
 	}
@@ -196,7 +193,7 @@ func (flatPlacement) ChooseTargets(nn *Namenode, writer netmodel.NodeID, size fl
 	cands, targets, skipIx := nn.writerFirst(writer, size)
 	for i := 0; len(targets) < n && i < len(cands); i++ {
 		if i != skipIx {
-			targets = append(targets, cands[i].ID)
+			targets = append(targets, netmodel.NodeID(cands[i]))
 		}
 	}
 	return targets
@@ -231,7 +228,7 @@ func randomTargets(nn *Namenode, size float64, n int, b *BlockInfo) []netmodel.N
 	cands := nn.gatherCandidates(size, b)
 	var targets []netmodel.NodeID
 	for i := 0; len(targets) < n && i < len(cands); i++ {
-		targets = append(targets, cands[i].ID)
+		targets = append(targets, netmodel.NodeID(cands[i]))
 	}
 	return targets
 }

@@ -134,6 +134,10 @@ func (e *Engine) Now() Time { return e.now }
 // decisions must draw from this source to keep runs reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
+// Source returns the counting source under Rand, for Shuffle: drawing from
+// it directly advances the same stream Rand draws from.
+func (e *Engine) Source() *CountingSource { return e.src }
+
 // Pending returns the number of scheduled (non-canceled) events. It is O(1):
 // the engine keeps a live counter instead of scanning the queue.
 func (e *Engine) Pending() int { return e.pending }

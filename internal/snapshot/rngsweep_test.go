@@ -17,7 +17,7 @@ var rngAllowlist = map[string]string{
 	"internal/sim/engine.go":         "the engine stream (core.RNGStreams \"engine\")",
 	"internal/sim/rngsource.go":      "the CountingSource wrapper itself",
 	"internal/sim/dist.go":           "distributions sampling the engine stream (no own source)",
-	"internal/sim/shuffle.go":        "Fisher–Yates shuffles drawing from a caller's *rand.Rand (no own source)",
+	"internal/sim/shuffle.go":        "Fisher–Yates shuffles drawing from the engine's CountingSource (no own source)",
 	"internal/workload/workload.go":  "pre-sim schedule generator (output rides in snapshots as data)",
 	"internal/experiments/chaos.go":  "pre-sim chaos-schedule generator (seeded, generation-time only)",
 	"internal/experiments/chaos2.go": "pre-sim beyond-crash-stop schedule generator (seeded, generation-time only)",
