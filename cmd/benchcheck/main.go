@@ -34,8 +34,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
+
+	"hog/internal/ordered"
 )
 
 type doc struct {
@@ -129,13 +130,8 @@ func compare(oldDoc, newDoc *doc, tol, floor float64, require []string) *report 
 			continue
 		}
 		oldRows, newRows := rows(oe), rows(ne)
-		keys := make([]string, 0, len(oldRows))
-		for k := range oldRows {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		row := expRow{ID: oe.ID}
-		for _, k := range keys {
+		for _, k := range ordered.Keys(oldRows) {
 			ov := oldRows[k]
 			nv, ok := newRows[k]
 			if !ok {

@@ -25,12 +25,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
 	"hog/internal/experiments"
 	"hog/internal/harness"
+	"hog/internal/ordered"
 )
 
 // listText renders the -list output: the experiment registry, then its
@@ -47,14 +47,7 @@ func listText() string {
 }
 
 // aliasIDs returns the alias -exp values, sorted.
-func aliasIDs() []string {
-	var ids []string
-	for a := range harness.Aliases() {
-		ids = append(ids, a)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func aliasIDs() []string { return ordered.Keys(harness.Aliases()) }
 
 // experimentIDs returns every runnable -exp value, aliases last.
 func experimentIDs() []string {

@@ -36,12 +36,12 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 
 	"hog/internal/event"
 	"hog/internal/hdfs"
 	"hog/internal/mapred"
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 )
 
@@ -78,6 +78,10 @@ type Auditor struct {
 	// them all) and nodes currently under gray degradation.
 	parted map[string]int
 	gray   map[netmodel.NodeID]bool
+
+	// invPos is sweepHDFS's position in each datanode's inventory, by
+	// NodeID (see heldAt).
+	invPos []int
 
 	count      int
 	violations []Violation
@@ -268,13 +272,14 @@ func (a *Auditor) sweepHDFS(now sim.Time) {
 	if acked := nn.Stats().CorruptAcked; acked != 0 {
 		a.violate(now, "corrupt-acked", "%d corrupt reads acknowledged as good data", acked)
 	}
+	clear(a.invPos)
 	nn.ForEachBlock(func(b *hdfs.BlockInfo) {
 		for _, id := range b.Replicas() {
 			d := nn.Datanode(id)
 			switch {
 			case d == nil || !d.Alive:
 				a.violate(now, "replica-liveness", "block %d replica on dead node %d", b.ID, id)
-			case !d.HasBlock(b.ID):
+			case !a.heldAt(d, b.ID):
 				a.violate(now, "replica-presence", "block %d counted on node %d but not physically held", b.ID, id)
 			}
 		}
@@ -288,6 +293,22 @@ func (a *Auditor) sweepHDFS(now sim.Time) {
 			}
 		}
 	})
+}
+
+// heldAt reports whether d's inventory holds bid. The sweep visits blocks
+// in ascending ID order and inventories are ascending, so d's position in
+// its inventory only moves forward: a sweep reads each inventory once
+// instead of searching it once per replica.
+func (a *Auditor) heldAt(d *hdfs.DatanodeInfo, bid hdfs.BlockID) bool {
+	if int(d.ID) >= len(a.invPos) {
+		a.invPos = append(a.invPos, make([]int, int(d.ID)+1-len(a.invPos))...)
+	}
+	inv, p := d.Inventory(), a.invPos[d.ID]
+	for p < len(inv) && inv[p] < bid {
+		p++
+	}
+	a.invPos[d.ID] = p
+	return p < len(inv) && inv[p] == bid
 }
 
 // physicallyHeld reports whether any alive datanode hosts a copy of bid.
@@ -349,13 +370,8 @@ func (a *Auditor) sweepMapRed(now sim.Time) {
 func (a *Auditor) sweepPools(now sim.Time) {
 	jt := a.jt
 	recount := jt.RunningByPool()
-	pools := make([]string, 0, len(recount))
-	for pool := range recount {
-		pools = append(pools, pool)
-	}
-	sort.Strings(pools)
 	fair := jt.SchedulerPolicyName() == mapred.SchedulerFair
-	for _, pool := range pools {
+	for _, pool := range ordered.Keys(recount) {
 		n := recount[pool]
 		if got := jt.PoolRunning(pool); got != n {
 			a.violate(now, "pool-conservation", "pool %q counter %d disagrees with recount %d", pool, got, n)

@@ -11,11 +11,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"hog/internal/core"
 	"hog/internal/grid"
 	"hog/internal/metrics"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 	"hog/internal/workload"
 )
@@ -266,13 +266,8 @@ func table2Experiment() Experiment {
 }
 
 func countsInOrder(m map[int]int) []int {
-	var keys []int
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]int, 0, len(keys))
-	for _, k := range keys {
+	out := make([]int, 0, len(m))
+	for _, k := range ordered.Keys(m) {
 		out = append(out, m[k])
 	}
 	return out

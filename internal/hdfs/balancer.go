@@ -52,12 +52,6 @@ func (nn *Namenode) BalanceOnce(threshold float64, maxMoves int) int {
 			// down can still be over-full.
 			break
 		}
-		// Candidate blocks of this source, in ascending BlockID order: one
-		// sort per source per round instead of one per (source, target)
-		// probe, and an order that never depends on map iteration — the
-		// balancer's move set is identical on every run over identical
-		// state (see TestBalanceOnceDeterministic).
-		srcCands := nn.sortedBlocksOf(over.d)
 		// Move blocks from the tail (most underutilised) upward, keeping the
 		// working utilisations current as moves are scheduled: without the
 		// adjustment one round kept draining the same over-full node against
@@ -70,7 +64,11 @@ func (nn *Namenode) BalanceOnce(threshold float64, maxMoves int) int {
 				// under-full, so ascending order no longer holds here.
 				continue
 			}
-			bid, ok := nn.pickMovableBlock(srcCands, under.d)
+			// The source's inventory is ascending, so the move set is the
+			// same on every run over identical state (see
+			// TestBalanceOnceDeterministic). A move changes inventories
+			// only when its copy completes, after this round.
+			bid, ok := nn.pickMovableBlock(over.d.blocks, under.d)
 			if !ok {
 				continue
 			}
@@ -87,17 +85,6 @@ func (nn *Namenode) BalanceOnce(threshold float64, maxMoves int) int {
 		}
 	}
 	return moves
-}
-
-// sortedBlocksOf returns the blocks hosted on d in ascending BlockID order
-// — the deterministic candidate order every balancer probe walks.
-func (nn *Namenode) sortedBlocksOf(d *DatanodeInfo) []BlockID {
-	ids := make([]BlockID, 0, len(d.blocks))
-	for bid := range d.blocks {
-		ids = append(ids, bid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // pickMovableBlock finds the first candidate block (ascending BlockID) that
@@ -143,7 +130,7 @@ func (nn *Namenode) startMove(bid BlockID, src, dst netmodel.NodeID) bool {
 		if sd := nn.Datanode(src); sd != nil {
 			if b.replicas.Has(src) && b.replicas.Len() > nn.targetReplication(b) {
 				nn.dropReplica(b, src)
-				delete(sd.blocks, bid)
+				sd.blocks.Remove(bid)
 				nn.disk.Release(src, b.Size)
 			}
 		}

@@ -39,7 +39,7 @@ func (nn *Namenode) Census() Census {
 		Files:         len(nn.files),
 		NextBlock:     BlockID(len(nn.blocks)),
 		ReplQueue:     nn.replQueue.len(),
-		ReplStreams:   nn.replStreams,
+		ReplStreams:   len(nn.streams),
 		Down:          nn.down,
 		SafeMode:      nn.safeMode,
 		PendingWrites: len(nn.pendingWrites),

@@ -1,8 +1,6 @@
 package hdfs
 
 import (
-	"sort"
-
 	"hog/internal/event"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
@@ -35,10 +33,8 @@ func (nn *Namenode) CorruptReplica(bid BlockID, id netmodel.NodeID) bool {
 	if b == nil || d == nil {
 		return false
 	}
-	if _, live := d.blocks[bid]; !live {
-		if _, held := d.held[bid]; !held {
-			return false
-		}
+	if !d.blocks.Has(bid) && !d.holdsHeld(bid) {
+		return false
 	}
 	if !b.corrupt.Add(id) {
 		return false
@@ -94,7 +90,7 @@ func (nn *Namenode) invalidateCorrupt(b *BlockInfo, id netmodel.NodeID) {
 	nn.corruptCount--
 	nn.stats.ReplicasInvalidated++
 	if d := nn.Datanode(id); d != nil {
-		delete(d.blocks, b.ID)
+		d.blocks.Remove(b.ID)
 	}
 	nn.disk.Release(id, b.Size)
 	nn.dropReplica(b, id)
@@ -165,11 +161,11 @@ func (nn *Namenode) MarkPhysicallyLost(id netmodel.NodeID) {
 			nn.corruptCount--
 		}
 	}
-	for bid := range d.blocks {
+	for _, bid := range d.blocks {
 		scrub(bid)
 	}
-	for bid := range d.held {
-		scrub(bid)
+	for _, h := range d.held {
+		scrub(h.id)
 	}
 	d.held = nil
 	nn.SetNodeGray(id, false)
@@ -195,18 +191,13 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	nn.live.Add(&d.live, id, d, nn.eng.Now())
 	held := d.held
 	d.held = nil
-	bids := make([]BlockID, 0, len(held))
-	for bid := range held {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
 	restored := 0
-	for _, bid := range bids {
-		b := nn.Block(bid)
+	for _, h := range held {
+		b := nn.Block(h.id)
 		if b == nil {
 			// The file was deleted while the node was unreachable: its copy
 			// is garbage, and no deletion path could reach the space it pins.
-			nn.disk.Release(id, held[bid])
+			nn.disk.Release(id, h.size)
 			continue
 		}
 		nn.addReplica(b, id)
@@ -227,9 +218,9 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	}
 	// Mirror a late block report: top up anything still short (a recovered
 	// corrupt replica does not help a block whose other copies also died).
-	for _, bid := range bids {
-		if b := nn.Block(bid); b != nil && b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
-			nn.queueReplication(bid)
+	for _, h := range held {
+		if b := nn.Block(h.id); b != nil && b.replicas.Len()+b.pending.Len() < nn.targetReplication(b) {
+			nn.queueReplication(h.id)
 		}
 	}
 	nn.pumpReplication()

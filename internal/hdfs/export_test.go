@@ -9,7 +9,7 @@ import "hog/internal/netmodel"
 // exported call reaches.
 func (nn *Namenode) ForgetReplica(bid BlockID, id netmodel.NodeID) {
 	if d := nn.Datanode(id); d != nil {
-		delete(d.blocks, bid)
+		d.blocks.Remove(bid)
 	}
 	nn.dropReplica(nn.Block(bid), id)
 }

@@ -14,14 +14,15 @@
 package hdfs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"hog/internal/disk"
 	"hog/internal/event"
 	"hog/internal/liveness"
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 	"hog/internal/topology"
 )
@@ -129,35 +130,44 @@ type DatanodeInfo struct {
 	// kill, disk overflow): nothing is held or recoverable.
 	physLost bool
 	// live is the node's entry in the namenode's heartbeat ledger.
-	live   liveness.Record
-	blocks map[BlockID]struct{}
-	// held preserves the physical inventory (block -> size) of a node the
-	// namenode declared dead but whose hardware may still be running behind a
-	// network partition: markDead captures blocks here instead of discarding
-	// them, and RecoverDatanode hands them back when the partition heals
-	// (corruption.go). Sizes ride along so space pinned by a file deleted
-	// during the outage can be reclaimed at recovery.
-	held map[BlockID]float64
+	live liveness.Record
+	// blocks is the physical inventory: the blocks the node holds a replica
+	// of. IDs are issued in ascending order, so writes mostly append, and
+	// every walk (dead-marking, block reports, the balancer) visits them in
+	// ID order.
+	blocks ordered.Set[BlockID]
+	// held preserves the physical inventory of a node the namenode declared
+	// dead but whose hardware may still be running behind a network
+	// partition, in ascending ID order: markDead captures blocks here
+	// instead of discarding them, and RecoverDatanode hands them back when
+	// the partition heals (corruption.go). Sizes ride along so space pinned
+	// by a file deleted during the outage can be reclaimed at recovery.
+	held []heldReplica
 }
 
-// hold records a replica physically on the datanode. The inventory map is
-// allocated with the first replica: at grid scale most nodes never get one.
-func (d *DatanodeInfo) hold(bid BlockID) {
-	if d.blocks == nil {
-		d.blocks = make(map[BlockID]struct{})
-	}
-	d.blocks[bid] = struct{}{}
+// heldReplica is one entry of a dead-marked datanode's preserved inventory.
+type heldReplica struct {
+	id   BlockID
+	size float64
+}
+
+// holdsHeld reports whether bid is in the preserved inventory.
+func (d *DatanodeInfo) holdsHeld(bid BlockID) bool {
+	_, ok := slices.BinarySearchFunc(d.held, bid, func(h heldReplica, id BlockID) int { return cmp.Compare(h.id, id) })
+	return ok
 }
 
 // Blocks returns the number of block replicas hosted on the datanode.
-func (d *DatanodeInfo) Blocks() int { return len(d.blocks) }
+func (d *DatanodeInfo) Blocks() int { return d.blocks.Len() }
 
 // HasBlock reports whether the datanode physically hosts a replica of the
-// block (audit helpers; the namenode's own paths use the map directly).
-func (d *DatanodeInfo) HasBlock(bid BlockID) bool {
-	_, ok := d.blocks[bid]
-	return ok
-}
+// block, by binary search of its inventory.
+func (d *DatanodeInfo) HasBlock(bid BlockID) bool { return d.blocks.Has(bid) }
+
+// Inventory returns the IDs of the blocks the datanode physically hosts, in
+// ascending order. The slice is the datanode's own, not a copy: it is
+// read-only, and valid only until the datanode's next inventory change.
+func (d *DatanodeInfo) Inventory() []BlockID { return d.blocks }
 
 // Gray reports whether the node is flagged for gray degradation.
 func (d *DatanodeInfo) Gray() bool { return d.gray }
@@ -174,14 +184,14 @@ type BlockInfo struct {
 	ID       BlockID
 	File     string
 	Size     float64
-	replicas nodeSet
-	pending  nodeSet // in-flight replication targets
+	replicas ordered.Set[netmodel.NodeID]
+	pending  ordered.Set[netmodel.NodeID] // in-flight replication targets
 	// corrupt records replicas whose on-disk bytes are bad (scenario-injected).
 	// It is physical truth the namenode does not act on until a reader's
 	// checksum verification catches it (corruption.go); markers survive
 	// partition-induced replica drops and die only with the hardware, with
 	// invalidation after detection, or with the file.
-	corrupt nodeSet
+	corrupt ordered.Set[netmodel.NodeID]
 	lost    bool
 	// writing marks a block whose client write pipeline has not finished:
 	// it legitimately has no replicas and no pending copies yet, so loss
@@ -288,10 +298,11 @@ type Namenode struct {
 	blocks []*BlockInfo
 	files  map[string]*FileInfo
 
-	replQueue   blockRing
-	replQueued  map[BlockID]struct{}
-	replStreams int
-	streams     map[*replStream]struct{}
+	replQueue  blockRing
+	replQueued map[BlockID]struct{}
+	// streams is the in-flight re-replication transfers, ascending by
+	// (block, destination, source): the order cancellation walks them in.
+	streams []*replStream
 
 	// place and replOrder are the active placement and recovery-order
 	// policies (policy.go), resolved by name from the configuration.
@@ -356,7 +367,6 @@ func NewNamenode(eng *sim.Engine, net *netmodel.Network, dt *disk.Tracker, cfg C
 		siteIx:     make(map[string]int),
 		files:      make(map[string]*FileInfo),
 		replQueued: make(map[BlockID]struct{}),
-		streams:    make(map[*replStream]struct{}),
 	}
 	// Placement asks for room for a block at a time: the tracker reports
 	// when a node's free space crosses a block, and placeShort mirrors it.
@@ -570,15 +580,22 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 		nn.Events.Emit(ev)
 	}
 	nn.cancelStreamsTouching(d.ID)
-	// Sort for determinism: the recovery queue order must not depend on map
-	// iteration.
-	bids := make([]BlockID, 0, len(d.blocks))
-	for bid := range d.blocks {
-		bids = append(bids, bid)
+	// The hardware may still be running behind a network partition:
+	// remember what it physically holds so a heal can hand the replicas back
+	// (RecoverDatanode) instead of re-copying every block. Genuinely lost
+	// nodes (preemption, kill, overflow) are flagged physLost by the owner of
+	// the hardware before or shortly after this point.
+	keep := !d.physLost
+	var held []heldReplica
+	if keep {
+		held = make([]heldReplica, 0, d.blocks.Len())
 	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	for _, bid := range bids {
+	// The inventory is ascending, so the recovery queue fills in block order.
+	for _, bid := range d.blocks {
 		b := nn.Block(bid)
+		if keep {
+			held = append(held, heldReplica{bid, b.Size})
+		}
 		nn.dropReplica(b, d.ID)
 		if nn.down || nn.safeMode {
 			// While degraded the replica map understates reality (unreported
@@ -593,21 +610,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 		}
 		nn.queueReplication(bid)
 	}
-	if d.physLost {
-		d.held = nil
-	} else {
-		// The hardware may still be running behind a network partition:
-		// remember what it physically holds so a heal can hand the replicas
-		// back (RecoverDatanode) instead of re-copying every block. Genuinely
-		// lost nodes (preemption, kill, overflow) are flagged physLost by the
-		// owner of the hardware before or shortly after this point.
-		d.held = make(map[BlockID]float64, len(d.blocks))
-		for bid := range d.blocks {
-			if b := nn.Block(bid); b != nil {
-				d.held[bid] = b.Size
-			}
-		}
-	}
+	d.held = held
 	d.blocks = nil
 	if nn.OnDatanodeDead != nil {
 		nn.OnDatanodeDead(d.ID)

@@ -74,8 +74,7 @@ func (nn *Namenode) DeleteFile(name string) {
 			// physical inventory instead, so deletion never leaks disk and a
 			// later block report cannot resurrect a deleted block.
 			for _, d := range nn.datanodes {
-				if d != nil && d.HasBlock(bid) {
-					delete(d.blocks, bid)
+				if d != nil && d.blocks.Remove(bid) {
 					nn.disk.Release(d.ID, b.Size)
 				}
 			}
@@ -95,7 +94,7 @@ func (nn *Namenode) DeleteFile(name string) {
 		for b.replicas.Len() > 0 {
 			id := b.replicas[0]
 			if d := nn.Datanode(id); d != nil {
-				delete(d.blocks, bid)
+				d.blocks.Remove(bid)
 			}
 			nn.disk.Release(id, b.Size)
 			nn.dropReplica(b, id)
@@ -116,7 +115,7 @@ func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
 		// The master is gone: the copy lands physically on the datanode, but
 		// no namenode soft state records it. A post-restart block report
 		// reconciles the two views.
-		d.hold(b.ID)
+		d.blocks.Add(b.ID)
 		return
 	}
 	added := b.replicas.Add(id)
@@ -129,7 +128,7 @@ func (nn *Namenode) addReplica(b *BlockInfo, id netmodel.NodeID) {
 		nn.smReported++
 	}
 	b.lost = false
-	d.hold(b.ID)
+	d.blocks.Add(b.ID)
 	if added && nn.OnPlacementChange != nil {
 		nn.OnPlacementChange(b.ID, id, true)
 	}

@@ -3,9 +3,9 @@ package hdfs
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 )
 
@@ -79,7 +79,7 @@ func (nn *Namenode) gatherCandidates(size float64, b *BlockInfo) []int32 {
 // markHeld sets (or clears) placeHeld on the registered datanodes holding a
 // replica or in-flight copy of b.
 func (nn *Namenode) markHeld(b *BlockInfo, on bool) {
-	for _, set := range [2]nodeSet{b.replicas, b.pending} {
+	for _, set := range [2][]netmodel.NodeID{b.replicas, b.pending} {
 		for _, id := range set {
 			if nn.Datanode(id) == nil {
 				continue
@@ -97,7 +97,11 @@ func (nn *Namenode) markHeld(b *BlockInfo, on bool) {
 // strictly ascending, its live entries are exactly the live registered
 // datanodes, the placement flags agree with every datanode record's Alive
 // and gray fields and with the disk tracker's free space (zero where no
-// datanode registered; placeHeld never set between calls).
+// datanode registered; placeHeld never set between calls). It also checks
+// the ID-ordered lists the namenode walks without sorting: every datanode's
+// inventory and preserved inventory are strictly ascending, a live datanode
+// preserves nothing, and the replication streams are strictly ascending by
+// (block, destination, source).
 func (nn *Namenode) CheckLiveList() error {
 	for i := 1; i < len(nn.placeable); i++ {
 		if nn.placeable[i-1] >= nn.placeable[i] {
@@ -122,6 +126,28 @@ func (nn *Namenode) CheckLiveList() error {
 		}
 		if nn.placeFlags[id] != f {
 			return fmt.Errorf("datanode %d: placement flags %04b, its record and disk say %04b", id, nn.placeFlags[id], f)
+		}
+		if d == nil {
+			continue
+		}
+		for i := 1; i < len(d.blocks); i++ {
+			if d.blocks[i-1] >= d.blocks[i] {
+				return fmt.Errorf("datanode %d: inventory out of ID order at %d: %d then %d", id, i, d.blocks[i-1], d.blocks[i])
+			}
+		}
+		for i := 1; i < len(d.held); i++ {
+			if d.held[i-1].id >= d.held[i].id {
+				return fmt.Errorf("datanode %d: preserved inventory out of ID order at %d: %d then %d", id, i, d.held[i-1].id, d.held[i].id)
+			}
+		}
+		if d.Alive && len(d.held) > 0 {
+			return fmt.Errorf("live datanode %d preserves %d replicas", id, len(d.held))
+		}
+	}
+	for i := 1; i < len(nn.streams); i++ {
+		if compareStreams(nn.streams[i-1], nn.streams[i]) >= 0 {
+			a, b := nn.streams[i-1], nn.streams[i]
+			return fmt.Errorf("replication streams out of order at %d: block %d %d->%d then block %d %d->%d", i, a.bid, a.src, a.dst, b.bid, b.src, b.dst)
 		}
 	}
 	got := slices.DeleteFunc(slices.Clone(nn.placeable), func(id int32) bool {
@@ -219,13 +245,10 @@ func (nn *Namenode) chooseReplicationTargets(b *BlockInfo, n int) []netmodel.Nod
 // the block, for invariant checks and experiments.
 func (nn *Namenode) SitesOf(b *BlockInfo) []string {
 	seen := make(map[string]bool)
-	var out []string
 	for _, id := range b.replicas {
-		if d := nn.Datanode(id); d != nil && !seen[d.Site] {
+		if d := nn.Datanode(id); d != nil {
 			seen[d.Site] = true
-			out = append(out, d.Site)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return ordered.Keys(seen)
 }

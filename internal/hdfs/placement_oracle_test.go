@@ -10,6 +10,7 @@ import (
 
 	"hog/internal/disk"
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 )
 
@@ -139,7 +140,7 @@ func (o *placeOracle) gather(size float64, b *BlockInfo) []*DatanodeInfo {
 	nn := o.nn
 	o.epoch++
 	if b != nil {
-		for _, set := range [2]nodeSet{b.replicas, b.pending} {
+		for _, set := range [2][]netmodel.NodeID{b.replicas, b.pending} {
 			for _, id := range set {
 				if nn.Datanode(id) != nil {
 					o.marks[id] = o.epoch
@@ -234,7 +235,7 @@ func (o *placeOracle) replicationTargets(b *BlockInfo, n int) []netmodel.NodeID 
 		return nil
 	}
 	clear(nn.siteCounts)
-	for _, set := range [2]nodeSet{b.replicas, b.pending} {
+	for _, set := range [2][]netmodel.NodeID{b.replicas, b.pending} {
 		for _, id := range set {
 			if d := nn.Datanode(id); d != nil {
 				nn.siteCounts[nn.siteIx[d.Site]]++
@@ -286,8 +287,8 @@ func TestPlacementMatchesOracle(t *testing.T) {
 			}
 			anyID := func() netmodel.NodeID { return netmodel.NodeID(r.Intn(int(next) + 3)) }
 			sizes := []float64{0, DefaultBlockSize / 2, DefaultBlockSize, 2 * DefaultBlockSize}
-			set := func() nodeSet {
-				var s nodeSet
+			set := func() ordered.Set[netmodel.NodeID] {
+				var s ordered.Set[netmodel.NodeID]
 				for k := r.Intn(5); k > 0; k-- {
 					s.Add(anyID())
 				}

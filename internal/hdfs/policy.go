@@ -3,9 +3,9 @@ package hdfs
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 )
 
 // This file defines the pluggable block-placement and re-replication-order
@@ -95,20 +95,11 @@ func NewReplicationOrder(name string) (ReplicationOrder, error) {
 }
 
 // PlacementPolicyNames returns the registered placement policy names, sorted.
-func PlacementPolicyNames() []string { return sortedNames(placementPolicies) }
+func PlacementPolicyNames() []string { return ordered.Keys(placementPolicies) }
 
 // ReplicationOrderNames returns the registered replication-order names,
 // sorted.
-func ReplicationOrderNames() []string { return sortedNames(replicationOrders) }
-
-func sortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func ReplicationOrderNames() []string { return ordered.Keys(replicationOrders) }
 
 // PlacementPolicyName returns the active placement policy's registry name.
 func (nn *Namenode) PlacementPolicyName() string { return nn.place.Name() }
@@ -167,7 +158,7 @@ func (gridPlacement) ReplicationTargets(nn *Namenode, b *BlockInfo, n int) []net
 	for s := range nn.siteCounts {
 		nn.siteCounts[s] = 0
 	}
-	for _, set := range [2]nodeSet{b.replicas, b.pending} {
+	for _, set := range [2][]netmodel.NodeID{b.replicas, b.pending} {
 		for _, id := range set {
 			if nn.Datanode(id) != nil {
 				nn.siteCounts[nn.siteOf[id]]++

@@ -1,7 +1,8 @@
 package hdfs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hog/internal/event"
 	"hog/internal/netmodel"
@@ -13,6 +14,31 @@ type replStream struct {
 	src  netmodel.NodeID
 	dst  netmodel.NodeID
 	flow *netmodel.Flow
+}
+
+// compareStreams orders streams by block, then destination, then source. A
+// block can have several in-flight streams, so the endpoints break ties.
+func compareStreams(a, b *replStream) int {
+	if c := cmp.Compare(a.bid, b.bid); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.dst, b.dst); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.src, b.src)
+}
+
+// addStream inserts st into the ascending stream list.
+func (nn *Namenode) addStream(st *replStream) {
+	i, _ := slices.BinarySearchFunc(nn.streams, st, compareStreams)
+	nn.streams = slices.Insert(nn.streams, i, st)
+}
+
+// removeStream deletes st from the ascending stream list.
+func (nn *Namenode) removeStream(st *replStream) {
+	if i, ok := slices.BinarySearchFunc(nn.streams, st, compareStreams); ok {
+		nn.streams = slices.Delete(nn.streams, i, i+1)
+	}
 }
 
 // blockRing is the FIFO recovery queue, backed by a circular buffer. The
@@ -96,7 +122,7 @@ func (nn *Namenode) pumpReplication() {
 		// and the safe-mode exit sweep rebuilds it from the reported state.
 		return
 	}
-	for nn.replStreams < nn.cfg.MaxReplicationStreams {
+	for len(nn.streams) < nn.cfg.MaxReplicationStreams {
 		// The active replication order (policy.go) picks which queued block
 		// recovers next; the default "fifo" order pops the ring head.
 		bid, ok := nn.replOrder.Next(nn)
@@ -146,12 +172,10 @@ func (nn *Namenode) pumpReplication() {
 			continue
 		}
 		b.pending.Add(dst)
-		nn.replStreams++
 		st := &replStream{bid: bid, src: src, dst: dst}
-		nn.streams[st] = struct{}{}
+		nn.addStream(st)
 		st.flow = nn.net.StartFlow(src, dst, b.Size, func() {
-			delete(nn.streams, st)
-			nn.replStreams--
+			nn.removeStream(st)
 			b.pending.Remove(dst)
 			if d := nn.Datanode(dst); d != nil && d.Alive && nn.Block(bid) != nil {
 				nn.addReplica(b, dst)
@@ -179,26 +203,15 @@ func (nn *Namenode) pumpReplication() {
 // a dead target is wasted. Affected blocks are re-queued (or declared lost).
 func (nn *Namenode) cancelStreamsTouching(id netmodel.NodeID) {
 	var doomed []*replStream
-	for st := range nn.streams {
+	nn.streams = slices.DeleteFunc(nn.streams, func(st *replStream) bool {
 		if st.src == id || st.dst == id {
 			doomed = append(doomed, st)
+			return true
 		}
-	}
-	sort.Slice(doomed, func(i, j int) bool {
-		// A block can have several in-flight streams; break bid ties on the
-		// endpoints so cancellation order never depends on map iteration.
-		if doomed[i].bid != doomed[j].bid {
-			return doomed[i].bid < doomed[j].bid
-		}
-		if doomed[i].dst != doomed[j].dst {
-			return doomed[i].dst < doomed[j].dst
-		}
-		return doomed[i].src < doomed[j].src
+		return false
 	})
 	for _, st := range doomed {
 		st.flow.Cancel()
-		delete(nn.streams, st)
-		nn.replStreams--
 		b := nn.Block(st.bid)
 		if b == nil {
 			nn.disk.Release(st.dst, 0)

@@ -1,7 +1,7 @@
 package hdfs
 
 import (
-	"sort"
+	"slices"
 
 	"hog/internal/event"
 	"hog/internal/netmodel"
@@ -39,23 +39,10 @@ func (nn *Namenode) Crash() {
 
 	// Abandon in-flight replication streams. The copy's destination space is
 	// returned: the partial copy is garbage without a namenode to commit it.
-	streams := make([]*replStream, 0, len(nn.streams))
-	for st := range nn.streams {
-		streams = append(streams, st)
-	}
-	sort.Slice(streams, func(i, j int) bool {
-		if streams[i].bid != streams[j].bid {
-			return streams[i].bid < streams[j].bid
-		}
-		if streams[i].dst != streams[j].dst {
-			return streams[i].dst < streams[j].dst
-		}
-		return streams[i].src < streams[j].src
-	})
+	streams := nn.streams
+	nn.streams = nil
 	for _, st := range streams {
 		st.flow.Cancel()
-		delete(nn.streams, st)
-		nn.replStreams--
 		if b := nn.Block(st.bid); b != nil {
 			b.pending.Remove(st.dst)
 			nn.disk.Release(st.dst, b.Size)
@@ -144,18 +131,15 @@ func (nn *Namenode) Reregister(id netmodel.NodeID) {
 	}
 	nn.live.Stamp(&d.live, nn.eng.Now())
 	nn.clearAwaiting(d)
-	bids := make([]BlockID, 0, len(d.blocks))
-	for bid := range d.blocks {
-		bids = append(bids, bid)
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
+	// Stale entries leave the inventory mid-walk, so walk a copy.
+	bids := slices.Clone(d.blocks)
 	for _, bid := range bids {
 		b := nn.Block(bid)
 		if b == nil {
 			// The file was deleted while this node was out of touch; the
 			// degraded DeleteFile path reclaims space by physical scan, so
 			// a stale entry here holds no reservation.
-			delete(d.blocks, bid)
+			d.blocks.Remove(bid)
 			continue
 		}
 		nn.addReplica(b, id)
@@ -211,7 +195,7 @@ func (nn *Namenode) exitSafeMode() {
 	for _, d := range nn.datanodes {
 		if d != nil && d.Alive && d.awaitingReport {
 			nn.live.Stamp(&d.live, now)
-			for bid := range d.blocks {
+			for _, bid := range d.blocks {
 				deferred[bid] = struct{}{}
 			}
 		}

@@ -2,7 +2,7 @@ package mapred
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hog/internal/disk"
 	"hog/internal/event"
@@ -32,16 +32,16 @@ type TaskTracker struct {
 
 	runningMaps    int
 	runningReduces int
-	attempts       map[*attempt]struct{}
+	// attempts holds the live attempts in launch order, which is seq
+	// order: a launch takes the next seq and appends here at once.
+	attempts []*attempt
 }
 
-// addAttempt records a live attempt on the tracker. The set is allocated
-// with the first attempt: at grid scale most trackers never run one.
-func (t *TaskTracker) addAttempt(a *attempt) {
-	if t.attempts == nil {
-		t.attempts = make(map[*attempt]struct{})
+// removeAttempt deletes a from the tracker's live attempts.
+func (t *TaskTracker) removeAttempt(a *attempt) {
+	if i := slices.Index(t.attempts, a); i >= 0 {
+		t.attempts = slices.Delete(t.attempts, i, i+1)
 	}
-	t.attempts[a] = struct{}{}
 }
 
 // FreeMapSlots returns currently unoccupied map slots.
@@ -59,7 +59,7 @@ func (t *TaskTracker) RunningReduces() int { return t.runningReduces }
 // LiveAttempts counts the tracker's live attempts by kind (audit accessor;
 // must equal the slot counters).
 func (t *TaskTracker) LiveAttempts() (maps, reduces int) {
-	for a := range t.attempts {
+	for _, a := range t.attempts {
 		if a.mt != nil {
 			maps++
 		} else {
@@ -372,12 +372,8 @@ func (jt *JobTracker) NodeCrashed(node netmodel.NodeID) {
 	if t == nil {
 		return
 	}
-	var atts []*attempt
-	for a := range t.attempts {
-		atts = append(atts, a)
-	}
-	sort.Slice(atts, func(i, j int) bool { return atts[i].seq < atts[j].seq })
-	for _, a := range atts {
+	// cancel removes each attempt from the list, so walk a copy.
+	for _, a := range slices.Clone(t.attempts) {
 		if a.mt != nil {
 			a.mt.ghosts = append(a.mt.ghosts, ghost{node: node, started: a.started})
 		} else {
@@ -395,12 +391,8 @@ func (jt *JobTracker) NodeLostWorkdir(node netmodel.NodeID) {
 	if t == nil {
 		return
 	}
-	var atts []*attempt
-	for a := range t.attempts {
-		atts = append(atts, a)
-	}
-	sort.Slice(atts, func(i, j int) bool { return atts[i].seq < atts[j].seq })
-	for _, a := range atts {
+	// fail removes each attempt from the list, so walk a copy.
+	for _, a := range slices.Clone(t.attempts) {
 		a.fail("working directory removed", true)
 	}
 }
@@ -419,13 +411,9 @@ func (jt *JobTracker) markDead(t *TaskTracker) {
 	if sl := jt.siteLoads[t.Site]; sl != nil {
 		sl.slots -= t.MapSlots + t.ReduceSlots
 	}
-	// Fail running attempts.
-	var atts []*attempt
-	for a := range t.attempts {
-		atts = append(atts, a)
-	}
-	sort.Slice(atts, func(i, j int) bool { return atts[i].seq < atts[j].seq })
-	for _, a := range atts {
+	// Fail running attempts; fail removes each from the list, so walk a
+	// copy.
+	for _, a := range slices.Clone(t.attempts) {
 		a.fail("tracker lost", false)
 	}
 	// Clear ghost beliefs: the timeout has expired, so these tasks return
@@ -478,7 +466,7 @@ func (jt *JobTracker) outputStillNeeded(j *Job, m *mapTask) bool {
 		}
 		fetched := false
 		for _, ra := range r.attempts {
-			if ra.live() && ra.fetchDone[m.idx] {
+			if ra.live() && ra.fetch[m.idx] == fetchDone {
 				fetched = true
 				break
 			}

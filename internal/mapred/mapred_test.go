@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hog/internal/disk"
+	"hog/internal/event"
 	"hog/internal/hdfs"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
@@ -534,4 +535,43 @@ func totalUsed(c *cluster) float64 {
 		sum += c.dt.Used(id)
 	}
 	return sum
+}
+
+// TestLostWorkdirFailsAttemptsInSeqOrder launches three maps of three
+// one-map jobs on one tracker, out of job order, and removes the tracker's
+// working directory. Each failure exhausts its task's one-attempt budget
+// and fails its job, so the JobFinished events show the order the tracker's
+// attempts were failed in: launch (seq) order, not job order.
+func TestLostWorkdirFailsAttemptsInSeqOrder(t *testing.T) {
+	jtCfg := hogJTCfg()
+	jtCfg.MaxTaskAttempts = 1
+	c := newQuietCluster(1, 1, hogNNCfg(), jtCfg)
+	var finished []JobID
+	c.jt.Events = &event.Bus{}
+	c.jt.Events.Subscribe(event.ObserverFunc(func(ev event.Event) {
+		if ev.Type == event.JobFinished {
+			finished = append(finished, JobID(ev.Job))
+		}
+	}))
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		jobs = append(jobs, c.jt.Submit(smallJob(c, fmt.Sprintf("j%d", i), 1, 0)))
+	}
+	node := c.nodes[0]
+	tr := c.jt.Tracker(node)
+	var want []JobID
+	for _, i := range []int{2, 0, 1} {
+		j := jobs[i]
+		c.jt.launchMap(j, j.maps[0], tr, c.jt.localityOf(tr, j.maps[0]), false)
+		want = append(want, j.ID)
+	}
+	c.makeZombie(node)
+	if !slices.Equal(finished, want) {
+		t.Fatalf("jobs finished in order %v, want the attempts' launch order %v", finished, want)
+	}
+	for _, j := range jobs {
+		if j.State != JobFailed {
+			t.Fatalf("job %d is %v, want failed", j.ID, j.State)
+		}
+	}
 }

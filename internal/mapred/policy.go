@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 )
 
@@ -112,20 +113,11 @@ func NewSpeculationPolicy(name string) (SpeculationPolicy, error) {
 }
 
 // SchedulerPolicyNames returns the registered scheduler policy names, sorted.
-func SchedulerPolicyNames() []string { return sortedKeys(schedulerPolicies) }
+func SchedulerPolicyNames() []string { return ordered.Keys(schedulerPolicies) }
 
 // SpeculationPolicyNames returns the registered speculation policy names,
 // sorted.
-func SpeculationPolicyNames() []string { return sortedKeys(speculationPolicies) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func SpeculationPolicyNames() []string { return ordered.Keys(speculationPolicies) }
 
 // fifoScheduler is Apache Hadoop's FIFO policy, the paper's choice: jobs in
 // submission order. It returns the tracker's active list itself — the exact
@@ -340,7 +332,7 @@ func (jt *JobTracker) PoolsWithRunning() []string {
 func (jt *JobTracker) RunningByPool() map[string]int {
 	out := make(map[string]int)
 	jt.ForEachTracker(func(t *TaskTracker) {
-		for a := range t.attempts {
+		for _, a := range t.attempts {
 			out[a.job.pool]++
 		}
 	})

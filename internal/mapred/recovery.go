@@ -1,7 +1,7 @@
 package mapred
 
 import (
-	"sort"
+	"slices"
 
 	"hog/internal/event"
 	"hog/internal/netmodel"
@@ -32,12 +32,8 @@ func (jt *JobTracker) Crash() {
 		if t == nil || len(t.attempts) == 0 {
 			continue
 		}
-		atts := make([]*attempt, 0, len(t.attempts))
-		for a := range t.attempts {
-			atts = append(atts, a)
-		}
-		sort.Slice(atts, func(i, j int) bool { return atts[i].seq < atts[j].seq })
-		for _, a := range atts {
+		// cancel removes each attempt from the list, so walk a copy.
+		for _, a := range slices.Clone(t.attempts) {
 			a.cancel("master crashed")
 		}
 	}

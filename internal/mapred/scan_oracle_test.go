@@ -2,7 +2,6 @@ package mapred
 
 import (
 	"fmt"
-	"slices"
 
 	"hog/internal/sim"
 )
@@ -33,20 +32,16 @@ func useScanOracle(jt *JobTracker) {
 // through the placement lookups.
 func checkPlacementIndex(jt *JobTracker) error {
 	for _, j := range jt.activeList {
-		pending := func(i int) bool {
-			_, ok := slices.BinarySearch(j.idx.pendingMaps.v, i)
-			return ok
-		}
 		for node, s := range j.idx.mapsByNode {
-			for _, i := range s.v {
-				if !pending(i) {
+			for _, i := range *s {
+				if !j.idx.pendingMaps.Has(i) {
 					return fmt.Errorf("job %d map %d is in the node %d placement set but not pending", j.ID, i, node)
 				}
 			}
 		}
 		for site, s := range j.idx.mapsBySite {
-			for _, i := range s.v {
-				if !pending(i) {
+			for _, i := range *s {
+				if !j.idx.pendingMaps.Has(i) {
 					return fmt.Errorf("job %d map %d is in the site %s placement set but not pending", j.ID, i, site)
 				}
 			}

@@ -3,10 +3,10 @@ package mapred
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"hog/internal/hdfs"
 	"hog/internal/netmodel"
+	"hog/internal/ordered"
 	"hog/internal/sim"
 )
 
@@ -45,54 +45,33 @@ const (
 	classRunning
 )
 
-// idxSet is an ordered set of task indices backed by a sorted slice.
-// Membership operations are idempotent. Task counts per job are small
-// enough (hundreds) that O(n) insertion beats tree overhead.
-type idxSet struct{ v []int }
-
-func (s *idxSet) insert(x int) {
-	i := sort.SearchInts(s.v, x)
-	if i < len(s.v) && s.v[i] == x {
-		return
-	}
-	s.v = slices.Insert(s.v, i, x)
-}
-
-func (s *idxSet) remove(x int) {
-	i := sort.SearchInts(s.v, x)
-	if i >= len(s.v) || s.v[i] != x {
-		return
-	}
-	s.v = slices.Delete(s.v, i, i+1)
-}
-
 // jobIndex is one job's scheduler index.
 type jobIndex struct {
-	pendingMaps    idxSet
-	runningMaps    idxSet
-	pendingReduces idxSet
-	runningReduces idxSet
+	pendingMaps    ordered.Set[int]
+	runningMaps    ordered.Set[int]
+	pendingReduces ordered.Set[int]
+	runningReduces ordered.Set[int]
 
 	// mapsByNode holds pending maps with an input replica on the node
 	// (the scan's NodeLocal class); mapsBySite holds pending maps with a
 	// live input replica anywhere in the site (NodeLocal or SiteLocal).
-	mapsByNode map[netmodel.NodeID]*idxSet
-	mapsBySite map[string]*idxSet
+	mapsByNode map[netmodel.NodeID]*ordered.Set[int]
+	mapsBySite map[string]*ordered.Set[int]
 }
 
-func (x *jobIndex) nodeSet(n netmodel.NodeID) *idxSet {
+func (x *jobIndex) nodeSet(n netmodel.NodeID) *ordered.Set[int] {
 	s := x.mapsByNode[n]
 	if s == nil {
-		s = &idxSet{}
+		s = new(ordered.Set[int])
 		x.mapsByNode[n] = s
 	}
 	return s
 }
 
-func (x *jobIndex) siteSet(site string) *idxSet {
+func (x *jobIndex) siteSet(site string) *ordered.Set[int] {
 	s := x.mapsBySite[site]
 	if s == nil {
-		s = &idxSet{}
+		s = new(ordered.Set[int])
 		x.mapsBySite[site] = s
 	}
 	return s
@@ -102,8 +81,8 @@ func (x *jobIndex) siteSet(site string) *idxSet {
 // job into the active list and the block->map reverse index.
 func (jt *JobTracker) registerJobIndex(j *Job) {
 	j.idx = &jobIndex{
-		mapsByNode: make(map[netmodel.NodeID]*idxSet),
-		mapsBySite: make(map[string]*idxSet),
+		mapsByNode: make(map[netmodel.NodeID]*ordered.Set[int]),
+		mapsBySite: make(map[string]*ordered.Set[int]),
 	}
 	jt.activeList = append(jt.activeList, j)
 	jt.readyStale = true
@@ -179,17 +158,17 @@ func (jt *JobTracker) noteMapTask(m *mapTask) {
 	idx := m.job.idx
 	switch m.idxClass {
 	case classPending:
-		idx.pendingMaps.remove(m.idx)
+		idx.pendingMaps.Remove(m.idx)
 		jt.placementSets(m, false)
 	case classRunning:
-		idx.runningMaps.remove(m.idx)
+		idx.runningMaps.Remove(m.idx)
 	}
 	switch c {
 	case classPending:
-		idx.pendingMaps.insert(m.idx)
+		idx.pendingMaps.Add(m.idx)
 		jt.placementSets(m, true)
 	case classRunning:
-		idx.runningMaps.insert(m.idx)
+		idx.runningMaps.Add(m.idx)
 	}
 	m.idxClass = c
 }
@@ -204,15 +183,15 @@ func (jt *JobTracker) noteReduceTask(r *reduceTask) {
 	idx := r.job.idx
 	switch r.idxClass {
 	case classPending:
-		idx.pendingReduces.remove(r.idx)
+		idx.pendingReduces.Remove(r.idx)
 	case classRunning:
-		idx.runningReduces.remove(r.idx)
+		idx.runningReduces.Remove(r.idx)
 	}
 	switch c {
 	case classPending:
-		idx.pendingReduces.insert(r.idx)
+		idx.pendingReduces.Add(r.idx)
 	case classRunning:
-		idx.runningReduces.insert(r.idx)
+		idx.runningReduces.Add(r.idx)
 	}
 	r.idxClass = c
 }
@@ -230,16 +209,16 @@ func (jt *JobTracker) placementSets(m *mapTask, add bool) {
 	for _, r := range b.Replicas() {
 		ns := idx.nodeSet(r)
 		if add {
-			ns.insert(m.idx)
+			ns.Add(m.idx)
 		} else {
-			ns.remove(m.idx)
+			ns.Remove(m.idx)
 		}
 		if d := jt.nn.Datanode(r); d != nil && d.Alive {
 			ss := idx.siteSet(d.Site)
 			if add {
-				ss.insert(m.idx)
+				ss.Add(m.idx)
 			} else {
-				ss.remove(m.idx)
+				ss.Remove(m.idx)
 			}
 		}
 	}
@@ -260,14 +239,14 @@ func (jt *JobTracker) placementChanged(bid hdfs.BlockID, node netmodel.NodeID, a
 		}
 		idx := m.job.idx
 		if added {
-			idx.nodeSet(node).insert(m.idx)
+			idx.nodeSet(node).Add(m.idx)
 			if d != nil && d.Alive {
-				idx.siteSet(d.Site).insert(m.idx)
+				idx.siteSet(d.Site).Add(m.idx)
 			}
 		} else {
-			idx.nodeSet(node).remove(m.idx)
+			idx.nodeSet(node).Remove(m.idx)
 			if d != nil && !jt.blockLiveInSite(bid, d.Site) {
-				idx.siteSet(d.Site).remove(m.idx)
+				idx.siteSet(d.Site).Remove(m.idx)
 			}
 		}
 	}
@@ -297,12 +276,12 @@ func (jt *JobTracker) blockLiveInSite(bid hdfs.BlockID, site string) bool {
 // sets hold only pending maps, so they are empty too.
 func (jt *JobTracker) pickMap(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) {
 	jt.work.MapProbes++
-	if len(j.idx.pendingMaps.v) == 0 {
+	if len(j.idx.pendingMaps) == 0 {
 		return nil, Remote
 	}
 	jt.work.PlacementLookups++
 	if s := j.idx.mapsByNode[t.Node]; s != nil {
-		for _, i := range s.v {
+		for _, i := range *s {
 			m := j.maps[i]
 			if m.failedOn[t.Node] {
 				continue
@@ -312,7 +291,7 @@ func (jt *JobTracker) pickMap(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) 
 	}
 	jt.work.PlacementLookups++
 	if s := j.idx.mapsBySite[t.Site]; s != nil {
-		for _, i := range s.v {
+		for _, i := range *s {
 			m := j.maps[i]
 			if m.failedOn[t.Node] {
 				continue
@@ -320,7 +299,7 @@ func (jt *JobTracker) pickMap(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) 
 			return m, SiteLocal
 		}
 	}
-	for _, i := range j.idx.pendingMaps.v {
+	for _, i := range j.idx.pendingMaps {
 		m := j.maps[i]
 		if m.failedOn[t.Node] {
 			continue
@@ -354,7 +333,7 @@ func (jt *JobTracker) assignOneMap(t *TaskTracker) bool {
 			jt.launchMap(j, pick, t, lvl, false)
 			return true
 		}
-		if jt.cfg.LocalityWait > 0 && len(j.idx.pendingMaps.v) == 0 && j.skipSince >= 0 {
+		if jt.cfg.LocalityWait > 0 && len(j.idx.pendingMaps) == 0 && j.skipSince >= 0 {
 			// Backlog drained: re-arm the wait so maps that become pending
 			// later (re-executions, ghost re-queues) get a fresh chance at a
 			// local slot instead of inheriting the long-expired wait.
@@ -383,7 +362,7 @@ func (jt *JobTracker) speculativeMap(j *Job, t *TaskTracker) *mapTask {
 		return nil
 	}
 	jt.work.SpecWalks++
-	for _, i := range j.idx.runningMaps.v {
+	for _, i := range j.idx.runningMaps {
 		m := j.maps[i]
 		if m.failedOn[t.Node] {
 			continue
@@ -424,14 +403,14 @@ func (jt *JobTracker) specMin(j *Job, kind TaskKind) sim.Time {
 func (jt *JobTracker) oldestRunningOfKind(j *Job, kind TaskKind) sim.Time {
 	oldest := sim.Time(-1)
 	if kind == KindMap {
-		for _, i := range j.idx.runningMaps.v {
+		for _, i := range j.idx.runningMaps {
 			m := j.maps[i]
 			if s := m.oldestRunningStart(); s >= 0 && (oldest < 0 || s < oldest) && m.running() < jt.cfg.MaxTaskCopies {
 				oldest = s
 			}
 		}
 	} else {
-		for _, i := range j.idx.runningReduces.v {
+		for _, i := range j.idx.runningReduces {
 			r := j.reduces[i]
 			if s := r.oldestRunningStart(); s >= 0 && (oldest < 0 || s < oldest) && r.running() < jt.cfg.MaxTaskCopies {
 				oldest = s
@@ -452,7 +431,7 @@ func (jt *JobTracker) assignOneReduce(t *TaskTracker) bool {
 		if !jt.pastSlowstart(j) {
 			continue
 		}
-		for _, i := range j.idx.pendingReduces.v {
+		for _, i := range j.idx.pendingReduces {
 			r := j.reduces[i]
 			if r.failedOn[t.Node] {
 				continue
@@ -476,7 +455,7 @@ func (jt *JobTracker) speculativeReduce(j *Job, t *TaskTracker) *reduceTask {
 		return nil
 	}
 	jt.work.SpecWalks++
-	for _, i := range j.idx.runningReduces.v {
+	for _, i := range j.idx.runningReduces {
 		r := j.reduces[i]
 		if r.failedOn[t.Node] {
 			continue
@@ -540,7 +519,7 @@ func (jt *JobTracker) NextAssignable() sim.Time {
 // armed: the walk re-arms it (skipSince = -1), which later picks depend on.
 // Otherwise only speculation can launch a map.
 func (jt *JobTracker) mapReadyAt(j *Job, now sim.Time) sim.Time {
-	if len(j.idx.pendingMaps.v) > 0 || jt.cfg.LocalityWait > 0 && j.skipSince >= 0 {
+	if len(j.idx.pendingMaps) > 0 || jt.cfg.LocalityWait > 0 && j.skipSince >= 0 {
 		return now
 	}
 	return jt.specReadyAt(j, KindMap, now)
@@ -552,7 +531,7 @@ func (jt *JobTracker) reduceReadyAt(j *Job, now sim.Time) sim.Time {
 	if !jt.pastSlowstart(j) {
 		return never
 	}
-	if len(j.idx.pendingReduces.v) > 0 {
+	if len(j.idx.pendingReduces) > 0 {
 		return now
 	}
 	return jt.specReadyAt(j, KindReduce, now)

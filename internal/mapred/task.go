@@ -161,15 +161,22 @@ type attempt struct {
 	tried map[netmodel.NodeID]bool // input replicas that timed out
 
 	// reduce state
-	fetchQueued  []int        // map indices awaiting fetch
-	fetchQueuedS map[int]bool // membership for fetchQueued + inFlight
-	fetchDone    map[int]bool
+	fetchQueued  []int   // map indices awaiting fetch
+	fetch        []uint8 // per map index: fetchNone, fetchActive or fetchDone
+	fetched      int     // map indices at fetchDone
 	inFlight     int
 	shuffleBytes float64
 	computing    bool
 	outFile      string
 	wroteOutput  bool
 }
+
+// A reduce attempt's progress on one map's partition, by map index.
+const (
+	fetchNone   uint8 = iota // not offered, or dropped to be offered again
+	fetchActive              // in fetchQueued or in flight
+	fetchDone                // shuffled
+)
 
 func (a *attempt) live() bool { return !a.finished }
 
@@ -205,7 +212,7 @@ func (a *attempt) detach() {
 	}
 	a.fetchFlows = nil
 	if a.tracker != nil {
-		delete(a.tracker.attempts, a)
+		a.tracker.removeAttempt(a)
 		if a.mt != nil {
 			a.tracker.runningMaps--
 		} else {
@@ -306,7 +313,7 @@ func (jt *JobTracker) launchMap(j *Job, m *mapTask, t *TaskTracker, lvl Locality
 	}
 	jt.attemptSeq++
 	m.attempts = append(m.attempts, a)
-	t.addAttempt(a)
+	t.attempts = append(t.attempts, a)
 	t.runningMaps++
 	jt.noteLaunched(j, t)
 	jt.noteMapTask(m)
@@ -515,12 +522,11 @@ func (jt *JobTracker) launchReduce(j *Job, r *reduceTask, t *TaskTracker, spec b
 	a := &attempt{
 		seq: jt.attemptSeq, jt: jt, job: j, rt: r,
 		tracker: t, node: t.Node, started: jt.eng.Now(), spec: spec,
-		fetchQueuedS: make(map[int]bool),
-		fetchDone:    make(map[int]bool),
+		fetch: make([]uint8, len(j.maps)),
 	}
 	jt.attemptSeq++
 	r.attempts = append(r.attempts, a)
-	t.addAttempt(a)
+	t.attempts = append(t.attempts, a)
 	t.runningReduces++
 	jt.noteLaunched(j, t)
 	jt.noteReduceTask(r)
@@ -561,10 +567,10 @@ func (a *attempt) offerFetch(mapIdx int) {
 	if a.finished || a.computing {
 		return
 	}
-	if a.fetchDone[mapIdx] || a.fetchQueuedS[mapIdx] {
+	if a.fetch[mapIdx] != fetchNone {
 		return
 	}
-	a.fetchQueuedS[mapIdx] = true
+	a.fetch[mapIdx] = fetchActive
 	a.fetchQueued = append(a.fetchQueued, mapIdx)
 	a.pumpFetches()
 }
@@ -584,7 +590,7 @@ func (a *attempt) pumpFetchWave() {
 		if !m.done {
 			// Output vanished between enqueue and fetch (re-execution
 			// pending); it will be re-offered when the map completes again.
-			delete(a.fetchQueuedS, mapIdx)
+			a.fetch[mapIdx] = fetchNone
 			continue
 		}
 		src := m.outputNode
@@ -600,7 +606,7 @@ func (a *attempt) pumpFetchWave() {
 					return
 				}
 				a.inFlight--
-				delete(a.fetchQueuedS, mapIdx)
+				a.fetch[mapIdx] = fetchNone
 				a.jt.reportFetchFailure(a.job, m, a.node)
 				a.pumpFetches()
 			})
@@ -617,8 +623,8 @@ func (a *attempt) pumpFetchWave() {
 				return
 			}
 			a.inFlight--
-			delete(a.fetchQueuedS, mapIdx)
-			a.fetchDone[mapIdx] = true
+			a.fetch[mapIdx] = fetchDone
+			a.fetched++
 			a.shuffleBytes += bytes
 			a.pumpFetches()
 			a.maybeFinishShuffle()
@@ -644,7 +650,7 @@ func (a *attempt) maybeFinishShuffle() {
 	if a.finished || a.computing {
 		return
 	}
-	if len(a.fetchDone) < len(a.job.maps) || a.inFlight > 0 {
+	if a.fetched < len(a.job.maps) || a.inFlight > 0 {
 		return
 	}
 	a.computing = true
