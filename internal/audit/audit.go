@@ -339,19 +339,10 @@ func (a *Auditor) sweepMapRed(now sim.Time) {
 		if j.State != mapred.JobPending && j.State != mapred.JobRunning {
 			continue
 		}
-		mp, mr, md, mf := jt.MapStates(j)
-		if mp+mr+md+mf != j.NumMaps() {
-			a.violate(now, "task-conservation", "job %d maps %d+%d+%d+%d != %d",
-				j.ID, mp, mr, md, mf, j.NumMaps())
-		}
+		md, rd := j.DoneTasks()
 		if md != j.CompletedMaps() {
 			a.violate(now, "task-conservation", "job %d done maps %d != completed counter %d",
 				j.ID, md, j.CompletedMaps())
-		}
-		rp, rr, rd, rf := jt.ReduceStates(j)
-		if rp+rr+rd+rf != j.NumReduces() {
-			a.violate(now, "task-conservation", "job %d reduces %d+%d+%d+%d != %d",
-				j.ID, rp, rr, rd, rf, j.NumReduces())
 		}
 		if rd != j.CompletedReduces() {
 			a.violate(now, "task-conservation", "job %d done reduces %d != completed counter %d",
@@ -421,7 +412,7 @@ func CheckSeededFilePlacement(nn *hdfs.Namenode, name string) error {
 				return fmt.Errorf("file %q block %d replica on node %d not physically held", name, bid, id)
 			}
 		}
-		if f.Replication >= 2 && len(nn.SitesOf(b)) < 2 {
+		if f.Replication >= 2 && nn.SiteCount(b) < 2 {
 			return fmt.Errorf("file %q block %d with replication %d confined to one site", name, bid, f.Replication)
 		}
 	}

@@ -50,8 +50,8 @@ func masters(t *testing.T) (*hdfs.Namenode, *mapred.JobTracker, []netmodel.NodeI
 	for _, host := range []string{"n0.a.edu", "n1.a.edu"} {
 		id := net.AddNode(site, host)
 		dt.SetCapacity(id, 1e9)
-		d := nn.Register(id, host)
-		jt.RegisterTracker(id, host, d.Site, 1, 1)
+		nn.Register(id)
+		jt.RegisterTracker(id, 1, 1)
 		ids = append(ids, id)
 	}
 	return nn, jt, ids
@@ -343,7 +343,7 @@ func BenchmarkSweep(b *testing.B) {
 			host := fmt.Sprintf("n%d.%s", i, dom)
 			id := net.AddNode(sid, host)
 			dt.SetCapacity(id, 100e9)
-			nn.Register(id, host)
+			nn.Register(id)
 		}
 	}
 	for f := 0; f < 40; f++ {

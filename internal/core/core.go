@@ -517,8 +517,8 @@ func (s *System) buildStatic() {
 			host := fmt.Sprintf("node%03d.%s", seq, g.Domain)
 			id := s.Net.AddNode(site, host)
 			s.Disk.SetCapacity(id, g.DiskBytes)
-			dn := s.NN.Register(id, host)
-			tr := s.JT.RegisterTracker(id, host, dn.Site, g.MapSlots, g.ReduceSlots)
+			dn := s.NN.Register(id)
+			tr := s.JT.RegisterTracker(id, g.MapSlots, g.ReduceSlots)
 			if g.Speed > 0 {
 				tr.Speed = g.Speed
 			}
@@ -536,8 +536,8 @@ func (s *System) buildStatic() {
 // onJoin starts the Hadoop daemons on a fresh glide-in.
 func (s *System) onJoin(n *grid.Node) {
 	s.Disk.SetCapacity(n.ID, n.DiskCapacity)
-	dn := s.NN.Register(n.ID, n.Hostname)
-	tr := s.JT.RegisterTracker(n.ID, n.Hostname, dn.Site, n.MapSlots, n.ReduceSlots)
+	dn := s.NN.Register(n.ID)
+	tr := s.JT.RegisterTracker(n.ID, n.MapSlots, n.ReduceSlots)
 	s.addWorker(&worker{id: n.ID, health: workerHealthy, dn: dn, tr: tr})
 }
 
@@ -601,7 +601,7 @@ func (s *System) emitZombie(n *grid.Node) {
 	if s.bus.Active() {
 		ev := event.At(event.ZombieDetected, s.Eng.Now())
 		ev.Node = n.ID
-		ev.Site = n.SiteName
+		ev.Site = s.Net.SiteName(s.Net.SiteOf(n.ID))
 		s.bus.Emit(ev)
 	}
 }

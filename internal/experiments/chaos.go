@@ -45,13 +45,13 @@ func ChaosScenario(seed int64, idx int) *core.Scenario {
 	// Every schedule loses a site and the namenode; odd schedules lose the
 	// JobTracker too. Churn bursts and WAN degradation ride along, and both
 	// masters restart before the dust settles.
-	sc.SiteOutageAt(at, site(), 0.3+0.4*rng.Float64())
+	sc.SiteOutageAt(at, site(), 0.3+float64(0.4*rng.Float64()))
 	sc.CrashNameNodeAt(step())
 	if idx%2 == 1 {
 		sc.CrashJobTrackerAt(step())
 	}
-	sc.ChurnBurst(step(), 0.1+0.2*rng.Float64())
-	sc.DegradeNetwork(step(), site(), 0.2+0.3*rng.Float64())
+	sc.ChurnBurst(step(), 0.1+float64(0.2*rng.Float64()))
+	sc.DegradeNetwork(step(), site(), 0.2+float64(0.3*rng.Float64()))
 	sc.RestartMastersAfter(step())
 	return sc
 }

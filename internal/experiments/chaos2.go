@@ -79,12 +79,12 @@ func Chaos2Scenario(seed int64, idx int, jobs []workload.JobSpec) *core.Scenario
 	partSite := site()
 	graySite := site()
 	sc.PartitionSiteAt(at, partSite, mode())
-	sc.DegradeNodesAt(step(), graySite, 2+rng.Intn(3), 4, 0.15+0.25*rng.Float64())
+	sc.DegradeNodesAt(step(), graySite, 2+rng.Intn(3), 4, 0.15+float64(0.25*rng.Float64()))
 	if len(jobs) > 0 {
 		t := step()
 		sc.CorruptReplicasAt(t, liveFile(t), 4+rng.Intn(5))
 	}
-	sc.ChurnBurst(step(), 0.05+0.15*rng.Float64())
+	sc.ChurnBurst(step(), 0.05+float64(0.15*rng.Float64()))
 	if idx%2 == 1 {
 		nodeSite := site()
 		sc.PartitionNodesAt(step(), nodeSite, 1+rng.Intn(2), mode())

@@ -62,9 +62,7 @@ type PoolConfig struct {
 // replacements "have no data".
 type Node struct {
 	ID           netmodel.NodeID
-	Hostname     string
 	Site         int // index into the pool's site list
-	SiteName     string
 	Alive        bool
 	JoinedAt     sim.Time
 	PreemptedAt  sim.Time
@@ -261,9 +259,7 @@ func (p *Pool) provision() {
 	id := p.net.AddNode(sr.netSite, host)
 	n := &Node{
 		ID:           id,
-		Hostname:     host,
 		Site:         sr.ix,
-		SiteName:     sr.cfg.Name,
 		Alive:        true,
 		JoinedAt:     p.eng.Now(),
 		DiskCapacity: p.cfg.DiskBytesPerNode,
@@ -285,7 +281,7 @@ func (p *Pool) provision() {
 	if p.Events.Active() {
 		ev := event.At(event.NodeJoined, p.eng.Now())
 		ev.Node = n.ID
-		ev.Site = n.SiteName
+		ev.Site = sr.cfg.Name
 		p.Events.Emit(ev)
 	}
 	p.maintain()
@@ -341,7 +337,7 @@ func (p *Pool) preempt(n *Node, counter *int, replace bool, kind string) {
 	if p.Events.Active() {
 		ev := event.At(event.NodePreempted, p.eng.Now())
 		ev.Node = n.ID
-		ev.Site = n.SiteName
+		ev.Site = sr.cfg.Name
 		ev.Detail = kind
 		p.Events.Emit(ev)
 	}
@@ -410,7 +406,7 @@ func (p *Pool) BurstPreempt(frac float64) int {
 func (p *Pool) KillFraction(frac float64) int {
 	victims := p.AliveNodes()
 	sim.Shuffle(p.eng.Source(), victims)
-	k := int(frac*float64(len(victims)) + 0.5)
+	k := int(float64(frac*float64(len(victims))) + 0.5)
 	if k > len(victims) {
 		k = len(victims)
 	}
@@ -437,7 +433,7 @@ func (p *Pool) batchPreempt(sr *siteRuntime, frac float64) int {
 	// shuffles a copy.
 	victims := slices.Clone(sr.nodes)
 	sim.Shuffle(p.eng.Source(), victims)
-	k := int(frac*float64(len(victims)) + 0.5)
+	k := int(float64(frac*float64(len(victims))) + 0.5)
 	if k > len(victims) {
 		k = len(victims)
 	}

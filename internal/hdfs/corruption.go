@@ -44,7 +44,7 @@ func (nn *Namenode) CorruptReplica(bid BlockID, id netmodel.NodeID) bool {
 	if nn.Events.Active() {
 		ev := event.At(event.ReplicaCorrupted, nn.eng.Now())
 		ev.Node = id
-		ev.Site = d.Site
+		ev.Site = nn.SiteName(nn.SiteOf(id))
 		ev.Block = int64(bid)
 		nn.Events.Emit(ev)
 	}
@@ -208,7 +208,7 @@ func (nn *Namenode) RecoverDatanode(id netmodel.NodeID) int {
 	if nn.Events.Active() {
 		ev := event.At(event.NodeRecovered, nn.eng.Now())
 		ev.Node = id
-		ev.Site = d.Site
+		ev.Site = nn.SiteName(nn.SiteOf(id))
 		ev.Value = restored
 		nn.Events.Emit(ev)
 	}
@@ -258,7 +258,9 @@ func (nn *Namenode) readAttempt(reader netmodel.NodeID, bid BlockID, attempt int
 			nn.readAttempt(reader, bid, attempt+1, done)
 		})
 	}
-	src, local, ok := nn.ReadSource(reader, bid)
+	// A partition severs a replica from this reader; other readers (same
+	// side of the cut) may still use it.
+	src, local, ok := nn.ReadSource(reader, bid, func(id netmodel.NodeID) bool { return !nn.net.Reachable(id, reader) })
 	if !ok {
 		// Preserve pre-fault behaviour exactly when no fault is in play: a
 		// block with no replicas fails fast (and draws no randomness) unless

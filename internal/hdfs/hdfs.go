@@ -116,10 +116,8 @@ func (c Config) withDefaults() Config {
 
 // DatanodeInfo is the namenode's view of one datanode.
 type DatanodeInfo struct {
-	ID       netmodel.NodeID
-	Hostname string
-	Site     string
-	Alive    bool
+	ID    netmodel.NodeID
+	Alive bool
 	// gray marks a node under injected gray degradation (slow disk, flaky
 	// heartbeats); placement refuses it while flagged.
 	gray bool
@@ -277,16 +275,19 @@ type Namenode struct {
 	// also holds the datanodes that died since the last one. The scan reads
 	// no datanode record, only placeFlags: one byte per NodeID holding the
 	// bits placement tests (see placeAlive). siteOf holds the dense index
-	// of each datanode's awareness site.
+	// of each datanode's awareness site, the one site identity hdfs and
+	// mapred compare.
 	placeable  []int32
 	placeFlags []uint8
 	siteOf     []int32
 	placeWork  PlaceWork
-	// siteIx assigns each distinct awareness site a dense index; siteCands
-	// and siteCounts are reusable scratch for the placement policy's
-	// per-site greedy spread (see chooseTargets), candBuf for the candidate
-	// scan.
+	// siteIx assigns each distinct awareness site a dense index, in
+	// first-registration order, and siteNames maps it back for events;
+	// siteCands and siteCounts are reusable scratch for the placement
+	// policy's per-site greedy spread (see chooseTargets), candBuf for the
+	// candidate scan.
 	siteIx     map[string]int
+	siteNames  []string
 	siteCands  [][]int32
 	siteCounts []int
 	siteHeads  []int
@@ -403,25 +404,23 @@ func (nn *Namenode) Stop() {
 	}
 }
 
-// Register adds a datanode. The namenode derives the node's site by running
-// the site-awareness mapping on its hostname, exactly once per new node
-// (paper: the topology script "is executed each time a new node is
-// discovered by the namenode").
-func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo {
+// Register adds a datanode. The namenode derives the node's awareness site
+// by running the site-awareness mapping on the hostname the network knows
+// it by, exactly once per new node (paper: the topology script "is
+// executed each time a new node is discovered by the namenode"). The node
+// must be on the network.
+func (nn *Namenode) Register(id netmodel.NodeID) *DatanodeInfo {
 	if nn.Datanode(id) != nil {
 		panic(fmt.Sprintf("hdfs: datanode %d registered twice", id))
 	}
-	d := &DatanodeInfo{
-		ID:       id,
-		Hostname: hostname,
-		Site:     topology.SiteFromHostname(hostname),
-		Alive:    true,
-	}
+	d := &DatanodeInfo{ID: id, Alive: true}
 	nn.live.Add(&d.live, id, d, nn.eng.Now())
-	ix, ok := nn.siteIx[d.Site]
+	site := topology.SiteFromHostname(nn.net.Hostname(id))
+	ix, ok := nn.siteIx[site]
 	if !ok {
-		ix = len(nn.siteIx)
-		nn.siteIx[d.Site] = ix
+		ix = len(nn.siteNames)
+		nn.siteIx[site] = ix
+		nn.siteNames = append(nn.siteNames, site)
 		nn.siteCands = append(nn.siteCands, nil)
 		nn.siteCounts = append(nn.siteCounts, 0)
 		nn.siteHeads = append(nn.siteHeads, 0)
@@ -432,6 +431,19 @@ func (nn *Namenode) Register(id netmodel.NodeID, hostname string) *DatanodeInfo 
 	nn.placeable = insertByID(nn.placeable, id)
 	return d
 }
+
+// SiteOf returns the dense index of datanode id's awareness site, or -1
+// when no datanode registered under id. Indices are issued from zero in
+// first-registration order.
+func (nn *Namenode) SiteOf(id netmodel.NodeID) int {
+	if nn.Datanode(id) == nil {
+		return -1
+	}
+	return int(nn.siteOf[id])
+}
+
+// SiteName returns the name of the awareness site with index ix.
+func (nn *Namenode) SiteName(ix int) string { return nn.siteNames[ix] }
 
 // Placement bits in Namenode.placeFlags, one byte per NodeID. A datanode
 // whose byte is exactly placeAlive can take any block: the scan's common
@@ -576,7 +588,7 @@ func (nn *Namenode) markDead(d *DatanodeInfo) {
 	if nn.Events.Active() {
 		ev := event.At(event.NodeDead, nn.eng.Now())
 		ev.Node = d.ID
-		ev.Site = d.Site
+		ev.Site = nn.SiteName(nn.SiteOf(d.ID))
 		nn.Events.Emit(ev)
 	}
 	nn.cancelStreamsTouching(d.ID)

@@ -39,7 +39,7 @@ func newHarness(t *testing.T, seed int64, nodesPerSite int, cfg Config) *harness
 			host := "wn." + dom
 			id := h.net.AddNode(sid, host)
 			h.dt.SetCapacity(id, 10e9)
-			h.nn.Register(id, host)
+			h.nn.Register(id)
 			h.all = append(h.all, id)
 			h.site[id] = dom
 		}
@@ -91,9 +91,8 @@ func TestSiteAwareSpreadsAcrossSites(t *testing.T) {
 	if b.NumReplicas() != 10 {
 		t.Fatalf("replicas = %d, want 10", b.NumReplicas())
 	}
-	sites := h.nn.SitesOf(b)
-	if len(sites) != 5 {
-		t.Fatalf("10 replicas cover %d sites (%v), want all 5", len(sites), sites)
+	if sites := h.nn.SiteCount(b); sites != 5 {
+		t.Fatalf("10 replicas cover %d sites, want all 5", sites)
 	}
 	// Per-site balance: 10 replicas over 5 sites = exactly 2 each.
 	perSite := map[string]int{}
@@ -112,8 +111,8 @@ func TestSiteAwareMinimumTwoSites(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f := h.nn.SeedFile("/in/two"+string(rune('a'+i)), DefaultBlockSize, 2)
 		b := h.nn.Block(f.Blocks[0])
-		if sites := h.nn.SitesOf(b); len(sites) < 2 {
-			t.Fatalf("2 replicas on %d sites, want 2 (site failure domain)", len(sites))
+		if sites := h.nn.SiteCount(b); sites < 2 {
+			t.Fatalf("2 replicas on %d sites, want 2 (site failure domain)", sites)
 		}
 	}
 }
@@ -168,7 +167,7 @@ func TestReadSourceLocalityOrder(t *testing.T) {
 	b := h.nn.Block(f.Blocks[0])
 	reps := b.Replicas()
 	// Reader = a replica holder: local.
-	if src, local, ok := h.nn.ReadSource(reps[0], b.ID); !ok || !local || src != reps[0] {
+	if src, local, ok := h.nn.ReadSource(reps[0], b.ID, skipNone); !ok || !local || src != reps[0] {
 		t.Fatalf("local read not detected: src=%d local=%v ok=%v", src, local, ok)
 	}
 	// Reader on same site as a replica but not holding one: same-site remote.
@@ -184,15 +183,22 @@ func TestReadSourceLocalityOrder(t *testing.T) {
 		}
 	}
 	if sameSiteReader >= 0 {
-		src, local, ok := h.nn.ReadSource(sameSiteReader, b.ID)
+		src, local, ok := h.nn.ReadSource(sameSiteReader, b.ID, skipNone)
 		if !ok || local {
 			t.Fatalf("same-site read wrong: local=%v ok=%v", local, ok)
 		}
 		if h.site[src] != h.site[sameSiteReader] {
 			t.Fatalf("read source site %s, want reader's site %s", h.site[src], h.site[sameSiteReader])
 		}
+		// Skipping the reader's site falls through to the other sites.
+		inSite := func(id netmodel.NodeID) bool { return h.site[id] == h.site[sameSiteReader] }
+		if src, _, ok := h.nn.ReadSource(sameSiteReader, b.ID, inSite); !ok || inSite(src) {
+			t.Fatalf("read source %d (ok=%v) in the skipped site %s", src, ok, h.site[sameSiteReader])
+		}
 	}
 }
+
+func skipNone(netmodel.NodeID) bool { return false }
 
 func (h *harness) siteHasReplica(b *BlockInfo, site string) bool {
 	for _, id := range b.Replicas() {
@@ -300,7 +306,7 @@ func TestBlockLossWhenAllReplicasDie(t *testing.T) {
 	if h.nn.Stats().BlocksLost != 1 {
 		t.Fatalf("BlocksLost = %d, want 1", h.nn.Stats().BlocksLost)
 	}
-	if _, _, ok := h.nn.ReadSource(h.all[3], b.ID); ok {
+	if _, _, ok := h.nn.ReadSource(h.all[3], b.ID, skipNone); ok {
 		t.Fatal("lost block should have no read source")
 	}
 }
@@ -359,7 +365,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	h.nn.Register(h.all[0], "dup.fnal.gov")
+	h.nn.Register(h.all[0])
 }
 
 // TestDatanodeLookupSparseIDs registers datanodes at sparse IDs: a lookup of
@@ -368,12 +374,20 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 // counts registered datanodes only.
 func TestDatanodeLookupSparseIDs(t *testing.T) {
 	eng := sim.New(1)
-	nn := NewNamenode(eng, netmodel.New(eng, netmodel.Config{}), disk.NewTracker(), Config{})
-	nn.Register(3, "wn3.fnal.gov")
-	nn.Register(7, "wn7.ucsd.edu")
+	net := netmodel.New(eng, netmodel.Config{})
+	site := net.AddSite("fnal.gov", 1e9, 1e9)
+	for i := 0; i < 8; i++ {
+		net.AddNode(site, fmt.Sprintf("wn%d.fnal.gov", i))
+	}
+	nn := NewNamenode(eng, net, disk.NewTracker(), Config{})
+	nn.Register(3)
+	nn.Register(7)
 	for _, id := range []netmodel.NodeID{-1, 0, 5, 8, 1 << 20} {
 		if d := nn.Datanode(id); d != nil {
 			t.Fatalf("Datanode(%d) = %+v for an unregistered ID", id, d)
+		}
+		if s := nn.SiteOf(id); s != -1 {
+			t.Fatalf("SiteOf(%d) = %d for an unregistered ID, want -1", id, s)
 		}
 		nn.ForceDead(id)
 		nn.SetNodeGray(id, true)
@@ -416,7 +430,7 @@ func TestBalancerReducesSpread(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id := h.net.AddNode(h.net.SiteOf(h.all[0]), "fresh.fnal.gov")
 		h.dt.SetCapacity(id, 10e9)
-		h.nn.Register(id, "fresh.fnal.gov")
+		h.nn.Register(id)
 		fresh = append(fresh, id)
 		h.all = append(h.all, id)
 	}
@@ -485,7 +499,7 @@ func TestBalanceOnceNoOvershoot(t *testing.T) {
 	// One fresh empty node: utilizations are 15 x 0.32 plus one 0, mean 0.3.
 	fresh := h.net.AddNode(h.net.SiteOf(h.all[0]), "fresh.fnal.gov")
 	h.dt.SetCapacity(fresh, 1e9)
-	h.nn.Register(fresh, "fresh.fnal.gov")
+	h.nn.Register(fresh)
 	h.all = append(h.all, fresh)
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()
@@ -528,10 +542,10 @@ func TestBalancePumpedDestinationDoesNotHaltRound(t *testing.T) {
 	// block pumps the tiny node straight past the band.
 	big := h.net.AddNode(h.net.SiteOf(h.all[0]), "big.fnal.gov")
 	h.dt.SetCapacity(big, 1e9)
-	h.nn.Register(big, "big.fnal.gov")
+	h.nn.Register(big)
 	tiny := h.net.AddNode(h.net.SiteOf(h.all[0]), "tiny.fnal.gov")
 	h.dt.SetCapacity(tiny, 0.2e9)
-	h.nn.Register(tiny, "tiny.fnal.gov")
+	h.nn.Register(tiny)
 	h.all = append(h.all, big, tiny)
 	tk := h.heartbeatAll(nil)
 	defer tk.Stop()

@@ -304,50 +304,39 @@ func (nn *Namenode) writeFileNow(writer netmodel.NodeID, name string, size float
 	writeBlock(0)
 }
 
-// ReadSource picks the best replica of a block for a reader: the reader's
-// own disk, then a replica in the reader's site, then any replica (the map
-// scheduler's locality levels reuse this order). ok is false when the block
-// has no live replicas.
-func (nn *Namenode) ReadSource(reader netmodel.NodeID, bid BlockID) (src netmodel.NodeID, local bool, ok bool) {
+// ReadSource picks the replica of a block a reader reads: the reader's own
+// disk when it holds one, else a live replica in the reader's awareness
+// site, else any live replica, leaving out the ones skip rejects. The pick
+// within a class is one seeded draw over the candidates in ascending ID
+// order, so it is reproducible. ok is false when no replica qualifies.
+func (nn *Namenode) ReadSource(reader netmodel.NodeID, bid BlockID, skip func(netmodel.NodeID) bool) (src netmodel.NodeID, local bool, ok bool) {
 	b := nn.Block(bid)
-	if b == nil || b.replicas.Len() == 0 {
+	if b == nil {
 		return 0, false, false
 	}
 	if b.replicas.Has(reader) {
 		return reader, true, true
 	}
-	readerSite := ""
-	if d := nn.Datanode(reader); d != nil {
-		readerSite = d.Site
-	}
-	var sameSite, any []netmodel.NodeID
+	readerSite := nn.SiteOf(reader)
+	var sameSite, other []netmodel.NodeID
 	for _, id := range b.replicas {
-		d := nn.Datanode(id)
-		if d == nil || !d.Alive {
+		if d := nn.Datanode(id); d == nil || !d.Alive || skip(id) {
 			continue
 		}
-		if !nn.net.Reachable(id, reader) {
-			// A partition severs the replica from this reader; other readers
-			// (same side of the cut) may still use it.
-			continue
-		}
-		any = append(any, id)
-		if readerSite != "" && d.Site == readerSite {
+		if nn.siteOf[id] == int32(readerSite) {
 			sameSite = append(sameSite, id)
+		} else {
+			other = append(other, id)
 		}
 	}
-	// The candidates are in ascending ID order, so the seeded pick is
-	// deterministic.
-	pick := func(ids []netmodel.NodeID) netmodel.NodeID {
-		return ids[nn.eng.Rand().Intn(len(ids))]
+	pool := sameSite
+	if len(pool) == 0 {
+		pool = other
 	}
-	if len(sameSite) > 0 {
-		return pick(sameSite), false, true
+	if len(pool) == 0 {
+		return 0, false, false
 	}
-	if len(any) > 0 {
-		return pick(any), false, true
-	}
-	return 0, false, false
+	return pool[nn.eng.Rand().Intn(len(pool))], false, true
 }
 
 // ReadBlock transfers a block to the reader with checksum verification,

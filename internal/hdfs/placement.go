@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"hog/internal/netmodel"
-	"hog/internal/ordered"
 	"hog/internal/sim"
 )
 
@@ -241,14 +240,14 @@ func (nn *Namenode) chooseReplicationTargets(b *BlockInfo, n int) []netmodel.Nod
 	return nn.place.ReplicationTargets(nn, b, n)
 }
 
-// SitesOf returns the distinct awareness sites currently hosting replicas of
-// the block, for invariant checks and experiments.
-func (nn *Namenode) SitesOf(b *BlockInfo) []string {
-	seen := make(map[string]bool)
+// SiteCount returns the number of distinct awareness sites currently
+// hosting replicas of the block, for invariant checks and experiments.
+func (nn *Namenode) SiteCount(b *BlockInfo) int {
+	var seen []int
 	for _, id := range b.replicas {
-		if d := nn.Datanode(id); d != nil {
-			seen[d.Site] = true
+		if s := nn.SiteOf(id); s >= 0 && !slices.Contains(seen, s) {
+			seen = append(seen, s)
 		}
 	}
-	return ordered.Keys(seen)
+	return len(seen)
 }

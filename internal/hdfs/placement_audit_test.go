@@ -34,7 +34,7 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				id := net.AddNode(sid, "wn."+dom)
 				dt.SetCapacity(id, 10e9)
-				nn.Register(id, "wn."+dom)
+				nn.Register(id)
 			}
 		}
 		nn.Start()
@@ -61,7 +61,7 @@ func TestReplicatedNowhereFires(t *testing.T) {
 	for _, host := range []string{"n0.a.edu", "n1.a.edu"} {
 		id := net.AddNode(sid, host)
 		dt.SetCapacity(id, 1e9)
-		nn.Register(id, host)
+		nn.Register(id)
 	}
 	f := nn.SeedFile("/in", 2*hdfs.DefaultBlockSize, 2)
 	a := audit.New()

@@ -18,7 +18,7 @@ import (
 // datanode records: every candidate position is queued at its site, so the
 // greedy loop can run until the candidates run out. It reads and dirties
 // nn.siteCounts as the real one does, finds a node's site through the site
-// name, and keeps its queues to itself.
+// index, and keeps its queues to itself.
 func spreadOracle(nn *Namenode, cands []*DatanodeInfo, skipIx int, n int, targets []netmodel.NodeID) []netmodel.NodeID {
 	queues := make([][]int32, len(nn.siteCands))
 	remaining := 0
@@ -26,7 +26,7 @@ func spreadOracle(nn *Namenode, cands []*DatanodeInfo, skipIx int, n int, target
 		if i == skipIx {
 			continue
 		}
-		s := nn.siteIx[d.Site]
+		s := nn.SiteOf(d.ID)
 		queues[s] = append(queues[s], int32(i))
 		remaining++
 	}
@@ -53,14 +53,28 @@ func spreadOracle(nn *Namenode, cands []*DatanodeInfo, skipIx int, n int, target
 }
 
 // newSiteNamenode registers datanodes spread at random over sites sites,
-// with IDs 0..nodes-1; placement-only tests need no network or disks.
+// with IDs 0..nodes-1; placement-only tests need no disks.
 func newSiteNamenode(r *rand.Rand, sites, nodes int) *Namenode {
 	eng := sim.New(1)
 	nn := NewNamenode(eng, netmodel.New(eng, netmodel.Config{}), disk.NewTracker(), Config{})
 	for id := 0; id < nodes; id++ {
-		nn.Register(netmodel.NodeID(id), fmt.Sprintf("wn%d.s%d.org", id, r.Intn(sites)))
+		registerHost(nn, netmodel.NodeID(id), fmt.Sprintf("wn%d.s%d.org", id, r.Intn(sites)))
 	}
 	return nn
+}
+
+// registerHost puts node id on the namenode's network under hostname host
+// and registers its datanode. Every node shares one network site: the
+// namenode derives awareness sites from hostnames alone. Nodes must join in
+// ID order, as the network issues IDs.
+func registerHost(nn *Namenode, id netmodel.NodeID, host string) *DatanodeInfo {
+	if nn.net.NumSites() == 0 {
+		nn.net.AddSite("net", 1e9, 1e9)
+	}
+	if got := nn.net.AddNode(0, host); got != id {
+		panic(fmt.Sprintf("node %d joined as %d", id, got))
+	}
+	return nn.Register(id)
 }
 
 // TestSpreadAcrossSitesMatchesOracle compares the capped spread over
@@ -126,7 +140,7 @@ func (o *placeOracle) insert(d *DatanodeInfo) {
 }
 
 func (o *placeOracle) register(id netmodel.NodeID, host string) {
-	o.insert(o.nn.Register(id, host))
+	o.insert(registerHost(o.nn, id, host))
 }
 
 func (o *placeOracle) recoverDatanode(id netmodel.NodeID) {
@@ -211,7 +225,7 @@ func (o *placeOracle) chooseTargets(writer netmodel.NodeID, size float64, n int)
 		}
 		clear(nn.siteCounts)
 		for _, id := range targets {
-			nn.siteCounts[nn.siteIx[nn.Datanode(id).Site]]++
+			nn.siteCounts[nn.SiteOf(id)]++
 		}
 		return spreadOracle(nn, cands, skipIx, n, targets)
 	case PlacementFlat:
@@ -237,8 +251,8 @@ func (o *placeOracle) replicationTargets(b *BlockInfo, n int) []netmodel.NodeID 
 	clear(nn.siteCounts)
 	for _, set := range [2][]netmodel.NodeID{b.replicas, b.pending} {
 		for _, id := range set {
-			if d := nn.Datanode(id); d != nil {
-				nn.siteCounts[nn.siteIx[d.Site]]++
+			if s := nn.SiteOf(id); s >= 0 {
+				nn.siteCounts[s]++
 			}
 		}
 	}
@@ -279,7 +293,7 @@ func TestPlacementMatchesOracle(t *testing.T) {
 					both(func(_ *Namenode, dt *disk.Tracker) { dt.SetCapacity(id, 4*DefaultBlockSize) })
 				}
 				host := fmt.Sprintf("wn%d.s%d.org", id, r.Intn(6))
-				nn.Register(id, host)
+				registerHost(nn, id, host)
 				o.register(id, host)
 			}
 			for i := 0; i < 120; i++ {
@@ -376,7 +390,7 @@ func TestPlacementScanBoundUnderChurn(t *testing.T) {
 		id := netmodel.NodeID(next)
 		next++
 		dt.SetCapacity(id, 10e9)
-		nn.Register(id, fmt.Sprintf("wn%d.s%d.org", id, r.Intn(8)))
+		registerHost(nn, id, fmt.Sprintf("wn%d.s%d.org", id, r.Intn(8)))
 	}
 	for i := 0; i < 400; i++ {
 		join()
@@ -443,7 +457,7 @@ func BenchmarkPlacement(b *testing.B) {
 			nn := NewNamenode(eng, netmodel.New(eng, netmodel.Config{}), dt, Config{Replication: 3})
 			for id := netmodel.NodeID(0); id < 10000; id++ {
 				dt.SetCapacity(id, 40e9)
-				nn.Register(id, fmt.Sprintf("wn%d.s%d.org", id, id%40))
+				registerHost(nn, id, fmt.Sprintf("wn%d.s%d.org", id, id%40))
 			}
 			blk := nn.Block(nn.SeedFile("/bench", DefaultBlockSize, 3).Blocks[0])
 			for id := netmodel.NodeID(1); id < 10000; id += 2 {

@@ -1,6 +1,11 @@
 package mapred_test
 
-import "testing"
+import (
+	"testing"
+
+	"hog/internal/event"
+	"hog/internal/mapred"
+)
 
 // TestSlotAccountingRuleFires occupies the idle tracker's map slot with no
 // attempt behind it: the audit's slot-accounting rule, which recounts the
@@ -50,5 +55,63 @@ func TestPoolConservationRuleFires(t *testing.T) {
 				t.Fatalf("rule %q fired, want pool-conservation: %v", v.Rule, v)
 			}
 		})
+	}
+}
+
+// TestTaskConservationRuleFires counts one more completed map, then one more
+// completed reduce, than the job's tasks show done: the audit's
+// task-conservation rule, which recounts the done flags, must fire exactly
+// once.
+func TestTaskConservationRuleFires(t *testing.T) {
+	for _, kind := range []mapred.TaskKind{mapred.KindMap, mapred.KindReduce} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := newSpecRig(t)
+			r.aud.Sweep(r.eng.Now())
+			if n := r.aud.Count(); n != 0 {
+				t.Fatalf("consistent completed counters raised %v", r.aud.Violations())
+			}
+			r.job.BumpCompleted(kind)
+			r.aud.Sweep(r.eng.Now())
+			if got := r.aud.Count(); got != 1 {
+				t.Fatalf("%d violations, want 1: %v", got, r.aud.Violations())
+			}
+			if v := r.aud.Violations()[0]; v.Rule != "task-conservation" {
+				t.Fatalf("rule %q fired, want task-conservation: %v", v.Rule, v)
+			}
+		})
+	}
+}
+
+// TestPoolCapRuleFires caps the rig's pool at one running task under the
+// fair scheduler, which then launches one of the job's two maps, and
+// launches the other past the cap: the audit's pool-cap rule must fire
+// exactly once, and the capped state before the breach must pass.
+func TestPoolCapRuleFires(t *testing.T) {
+	cfg := mapred.DefaultConfig()
+	cfg.SchedulerPolicy = mapred.SchedulerFair
+	cfg.Pools = map[string]mapred.PoolConfig{"bin0": {MaxRunning: 1}} // the rig's job is in bin 0
+	r := newRig(cfg)
+	var launched []int
+	r.jt.Events.Subscribe(event.ObserverFunc(func(e event.Event) {
+		if e.Type == event.TaskLaunched {
+			launched = append(launched, e.Task)
+		}
+	}))
+	r.jt.HeartbeatTracker(r.jt.Tracker(r.ids[0]))
+	r.jt.HeartbeatTracker(r.jt.Tracker(r.ids[1]))
+	if len(launched) != 1 {
+		t.Fatalf("the capped pool launched maps %v, want one", launched)
+	}
+	r.aud.Sweep(r.eng.Now())
+	if n := r.aud.Count(); n != 0 {
+		t.Fatalf("a pool at its cap raised %v", r.aud.Violations())
+	}
+	r.jt.LaunchMap(r.job, 1-launched[0], r.ids[1])
+	r.aud.Sweep(r.eng.Now())
+	if got := r.aud.Count(); got != 1 {
+		t.Fatalf("%d violations, want 1: %v", got, r.aud.Violations())
+	}
+	if v := r.aud.Violations()[0]; v.Rule != "pool-cap" {
+		t.Fatalf("rule %q fired, want pool-cap: %v", v.Rule, v)
 	}
 }

@@ -15,8 +15,6 @@ import (
 // TaskTracker is the JobTracker's view of a worker's task daemon.
 type TaskTracker struct {
 	Node        netmodel.NodeID
-	Hostname    string
-	Site        string
 	MapSlots    int
 	ReduceSlots int
 	Alive       bool
@@ -102,13 +100,14 @@ type JobTracker struct {
 	// (policy.go), resolved by name from the configuration.
 	sched SchedulerPolicy
 	spec  SpeculationPolicy
-	// poolRunning counts live attempts per fair-share pool and siteLoads
-	// tracks per-site slot occupancy for the site-load speculation policy;
-	// both are maintained on launch/detach regardless of the active policy,
-	// so switching policies never changes the bookkeeping the equivalence
-	// tests fingerprint.
+	// poolRunning counts live attempts per fair-share pool and siteLoads,
+	// indexed by the namenode's awareness-site index, tracks per-site slot
+	// occupancy for the site-load speculation policy; both are maintained
+	// on launch/detach regardless of the active policy, so switching
+	// policies never changes the bookkeeping the equivalence tests
+	// fingerprint.
 	poolRunning map[string]int
-	siteLoads   map[string]*siteLoad
+	siteLoads   []siteLoad
 
 	// activeList holds unfinished jobs in submission order; assignment
 	// iterates it instead of re-skipping finished jobs.
@@ -164,7 +163,6 @@ func NewJobTracker(eng *sim.Engine, net *netmodel.Network, nn *hdfs.Namenode, dt
 		cfg:         cfg.withDefaults(),
 		blockMaps:   make(map[hdfs.BlockID][]*mapTask),
 		poolRunning: make(map[string]int),
-		siteLoads:   make(map[string]*siteLoad),
 		readyStale:  true,
 	}
 	var err error
@@ -205,14 +203,19 @@ func (jt *JobTracker) Stop() {
 }
 
 // RegisterTracker adds a worker's task daemon with the given slot counts.
-func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site string, mapSlots, reduceSlots int) *TaskTracker {
+// The node's datanode must be registered first: the tracker's site is the
+// namenode's awareness site for the node (paper §III.B.1: both masters
+// treat the site as the failure domain).
+func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, mapSlots, reduceSlots int) *TaskTracker {
 	if jt.Tracker(node) != nil {
 		panic(fmt.Sprintf("mapred: tracker %d registered twice", node))
 	}
+	site := jt.nn.SiteOf(node)
+	if site < 0 {
+		panic(fmt.Sprintf("mapred: tracker %d registered before its datanode", node))
+	}
 	t := &TaskTracker{
 		Node:        node,
-		Hostname:    hostname,
-		Site:        site,
 		MapSlots:    mapSlots,
 		ReduceSlots: reduceSlots,
 		Alive:       true,
@@ -221,13 +224,14 @@ func (jt *JobTracker) RegisterTracker(node netmodel.NodeID, hostname, site strin
 	jt.trackers = netmodel.Store(jt.trackers, node, t)
 	jt.alive++
 	jt.live.Add(&t.live, node, t, jt.eng.Now())
-	sl := jt.siteLoads[site]
-	if sl == nil {
-		sl = &siteLoad{}
-		jt.siteLoads[site] = sl
-	}
-	sl.slots += mapSlots + reduceSlots
+	jt.siteLoads = grow(jt.siteLoads, site)
+	jt.siteLoads[site].slots += mapSlots + reduceSlots
 	return t
+}
+
+// siteLoad returns the occupancy counters of t's site.
+func (jt *JobTracker) siteLoad(t *TaskTracker) *siteLoad {
+	return &jt.siteLoads[jt.nn.SiteOf(t.Node)]
 }
 
 // Tracker returns the tracker for node, or nil if node never registered.
@@ -408,9 +412,7 @@ func (jt *JobTracker) markDead(t *TaskTracker) {
 	jt.live.Drop(&t.live)
 	t.Alive = false
 	jt.alive--
-	if sl := jt.siteLoads[t.Site]; sl != nil {
-		sl.slots -= t.MapSlots + t.ReduceSlots
-	}
+	jt.siteLoad(t).slots -= t.MapSlots + t.ReduceSlots
 	// Fail running attempts; fail removes each from the list, so walk a
 	// copy.
 	for _, a := range slices.Clone(t.attempts) {
@@ -546,13 +548,13 @@ func (jt *JobTracker) localityOf(t *TaskTracker, m *mapTask) LocalityLevel {
 	if b == nil {
 		return Remote
 	}
-	site := t.Site
+	site := jt.nn.SiteOf(t.Node)
 	lvl := Remote
 	for _, r := range b.Replicas() {
 		if r == t.Node {
 			return NodeLocal
 		}
-		if d := jt.nn.Datanode(r); d != nil && d.Alive && d.Site == site {
+		if d := jt.nn.Datanode(r); d != nil && d.Alive && jt.nn.SiteOf(r) == site {
 			lvl = SiteLocal
 		}
 	}

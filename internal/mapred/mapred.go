@@ -367,6 +367,22 @@ func (j *Job) CompletedMaps() int { return j.completedMaps }
 // CompletedReduces returns the number of finished reduce tasks.
 func (j *Job) CompletedReduces() int { return j.completedReduces }
 
+// DoneTasks recounts a job's done map and reduce tasks from the tasks' own
+// flags, for the audit's conservation rule against the completed counters.
+func (j *Job) DoneTasks() (maps, reduces int) {
+	for _, m := range j.maps {
+		if m.done {
+			maps++
+		}
+	}
+	for _, r := range j.reduces {
+		if r.done {
+			reduces++
+		}
+	}
+	return maps, reduces
+}
+
 // FailReason returns why the job failed, if it did.
 func (j *Job) FailReason() string { return j.failReason }
 

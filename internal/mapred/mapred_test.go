@@ -11,7 +11,6 @@ import (
 	"hog/internal/hdfs"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
-	"hog/internal/topology"
 )
 
 type nodeState int
@@ -90,8 +89,8 @@ func newQuietClusterOn(domains []string, seed int64, nodesPerSite int, nnCfg hdf
 			host := fmt.Sprintf("wn%d.%s", i, dom)
 			id := c.net.AddNode(sid, host)
 			c.dt.SetCapacity(id, 40e9)
-			c.nn.Register(id, host)
-			c.jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 1, 1)
+			c.nn.Register(id)
+			c.jt.RegisterTracker(id, 1, 1)
 			c.nodes = append(c.nodes, id)
 			c.state[id] = healthy
 		}
@@ -232,11 +231,17 @@ func TestNodeDeathRecovery(t *testing.T) {
 func TestTrackerLookupSparseIDs(t *testing.T) {
 	eng := sim.New(1)
 	net := netmodel.New(eng, netmodel.Config{})
+	site := net.AddSite("fnal.gov", 1e9, 1e9)
+	for i := 0; i < 8; i++ {
+		net.AddNode(site, fmt.Sprintf("wn%d.fnal.gov", i))
+	}
 	dt := disk.NewTracker()
 	nn := hdfs.NewNamenode(eng, net, dt, hdfs.DefaultConfig())
 	jt := NewJobTracker(eng, net, nn, dt, DefaultConfig())
-	jt.RegisterTracker(7, "wn7.ucsd.edu", "ucsd.edu", 1, 1)
-	jt.RegisterTracker(3, "wn3.fnal.gov", "fnal.gov", 1, 1)
+	for _, id := range []netmodel.NodeID{7, 3} {
+		nn.Register(id)
+		jt.RegisterTracker(id, 1, 1)
+	}
 	for _, id := range []netmodel.NodeID{-1, 0, 5, 8, 1 << 20} {
 		if tr := jt.Tracker(id); tr != nil {
 			t.Fatalf("Tracker(%d) = %+v for an unregistered ID", id, tr)

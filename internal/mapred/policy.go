@@ -213,7 +213,7 @@ func (siteLoadSpeculation) IsStraggler(jt *JobTracker, j *Job, kind TaskKind, t 
 	if !ok {
 		return false
 	}
-	eff := jt.cfg.SpeculativeSlowdown * (0.5 + jt.siteUtilization(t.Site))
+	eff := jt.cfg.SpeculativeSlowdown * (0.5 + jt.siteUtilization(t))
 	return float64(elapsed) > eff*float64(avg)
 }
 
@@ -223,11 +223,11 @@ func (siteLoadSpeculation) EarliestStraggler(jt *JobTracker, j *Job, kind TaskKi
 	return jt.stragglerFrom(j, kind, started, 0.5*jt.cfg.SpeculativeSlowdown)
 }
 
-// siteUtilization returns the fraction of a site's slots running tasks,
+// siteUtilization returns the fraction of t's site's slots running tasks,
 // from the incrementally maintained per-site counters.
-func (jt *JobTracker) siteUtilization(site string) float64 {
-	sl := jt.siteLoads[site]
-	if sl == nil || sl.slots <= 0 {
+func (jt *JobTracker) siteUtilization(t *TaskTracker) float64 {
+	sl := jt.siteLoad(t)
+	if sl.slots <= 0 {
 		return 0
 	}
 	return float64(sl.running) / float64(sl.slots)
@@ -289,9 +289,7 @@ func (jt *JobTracker) stragglerFrom(j *Job, kind TaskKind, started sim.Time, slo
 // attempt launches; detach (task.go) undoes it exactly once per attempt.
 func (jt *JobTracker) noteLaunched(j *Job, t *TaskTracker) {
 	jt.poolRunning[j.pool]++
-	if sl := jt.siteLoads[t.Site]; sl != nil {
-		sl.running++
-	}
+	jt.siteLoad(t).running++
 }
 
 // SchedulerPolicyName returns the active scheduler policy's registry name.

@@ -171,7 +171,7 @@ func TestSiteLoadSpeculationTightensUnderLoad(t *testing.T) {
 	// on a busy site must agree or be stricter, never looser.
 	for _, started := range []sim.Time{now - 30*sim.Second, now - 2*sim.Minute, now - 10*sim.Minute} {
 		if pol.IsStraggler(c.jt, j, KindMap, tr, started) && !base.IsStraggler(c.jt, j, KindMap, tr, started) {
-			util := c.jt.siteUtilization(tr.Site)
+			util := c.jt.siteUtilization(tr)
 			if util >= 0.5 {
 				t.Fatalf("site-load flagged a straggler threshold would not, on a site at utilization %.2f", util)
 			}

@@ -108,7 +108,7 @@ func (jt *JobTracker) ReregisterTracker(t *TaskTracker) {
 		if jt.Events.Active() {
 			ev := event.At(event.TrackerReregistered, jt.eng.Now())
 			ev.Node = t.Node
-			ev.Site = t.Site
+			ev.Site = jt.nn.SiteName(jt.nn.SiteOf(t.Node))
 			jt.Events.Emit(ev)
 		}
 	}
@@ -129,9 +129,7 @@ func (jt *JobTracker) ReviveTracker(node netmodel.NodeID) bool {
 	t.Alive = true
 	jt.alive++
 	jt.live.Add(&t.live, node, t, jt.eng.Now())
-	if sl := jt.siteLoads[t.Site]; sl != nil {
-		sl.slots += t.MapSlots + t.ReduceSlots
-	}
+	jt.siteLoad(t).slots += t.MapSlots + t.ReduceSlots
 	if !jt.down {
 		jt.assign(t)
 	}
@@ -177,40 +175,4 @@ func (jt *JobTracker) ForEachTracker(fn func(*TaskTracker)) {
 			fn(t)
 		}
 	}
-}
-
-// MapStates partitions a job's map tasks into the audit's conservation
-// classes: done, terminally failed (attempt budget exhausted), running (live
-// attempts or ghosts), and pending (everything else).
-func (jt *JobTracker) MapStates(j *Job) (pending, running, done, failed int) {
-	for _, m := range j.maps {
-		switch {
-		case m.done:
-			done++
-		case m.failures >= jt.cfg.MaxTaskAttempts:
-			failed++
-		case m.running() > 0:
-			running++
-		default:
-			pending++
-		}
-	}
-	return
-}
-
-// ReduceStates is MapStates for the job's reduce tasks.
-func (jt *JobTracker) ReduceStates(j *Job) (pending, running, done, failed int) {
-	for _, r := range j.reduces {
-		switch {
-		case r.done:
-			done++
-		case r.failures >= jt.cfg.MaxTaskAttempts:
-			failed++
-		case r.running() > 0:
-			running++
-		default:
-			pending++
-		}
-	}
-	return
 }

@@ -40,9 +40,9 @@ func checkPlacementIndex(jt *JobTracker) error {
 			}
 		}
 		for site, s := range j.idx.mapsBySite {
-			for _, i := range *s {
+			for _, i := range s {
 				if !j.idx.pendingMaps.Has(i) {
-					return fmt.Errorf("job %d map %d is in the site %s placement set but not pending", j.ID, i, site)
+					return fmt.Errorf("job %d map %d is in the site %d placement set but not pending", j.ID, i, site)
 				}
 			}
 		}

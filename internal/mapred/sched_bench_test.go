@@ -8,7 +8,6 @@ import (
 	"hog/internal/hdfs"
 	"hog/internal/netmodel"
 	"hog/internal/sim"
-	"hog/internal/topology"
 )
 
 // schedulerRun drives a 1008-node, 12-site MapReduce cluster through the
@@ -51,13 +50,13 @@ func schedulerRun(scan bool) int {
 		for i := 0; i < perSite; i++ {
 			host := fmt.Sprintf("wn%d.%s", i, dom)
 			id := net.AddNode(sid, host)
-			nn.Register(id, host)
+			nn.Register(id)
 			if i < dataPerSite {
 				dt.SetCapacity(id, 100e9)
-				jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 0, 1)
+				jt.RegisterTracker(id, 0, 1)
 			} else {
 				dt.SetCapacity(id, 1e6) // too small for a block: no replicas land here
-				jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 1, 1)
+				jt.RegisterTracker(id, 1, 1)
 				workers = append(workers, id)
 			}
 			nodes = append(nodes, id)
@@ -122,9 +121,9 @@ func quietSetup() func() int {
 		for i := 0; i < perSite; i++ {
 			host := fmt.Sprintf("wn%d.%s", i, dom)
 			id := net.AddNode(sid, host)
-			nn.Register(id, host)
+			nn.Register(id)
 			dt.SetCapacity(id, 100e9)
-			jt.RegisterTracker(id, host, topology.SiteFromHostname(host), 1, 1)
+			jt.RegisterTracker(id, 1, 1)
 			nodes = append(nodes, id)
 		}
 	}

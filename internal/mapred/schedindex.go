@@ -53,10 +53,12 @@ type jobIndex struct {
 	runningReduces ordered.Set[int]
 
 	// mapsByNode holds pending maps with an input replica on the node
-	// (the scan's NodeLocal class); mapsBySite holds pending maps with a
-	// live input replica anywhere in the site (NodeLocal or SiteLocal).
+	// (the scan's NodeLocal class); mapsBySite, indexed by the namenode's
+	// awareness-site index and grown by the first add at a site, holds
+	// pending maps with a live input replica anywhere in the site
+	// (NodeLocal or SiteLocal).
 	mapsByNode map[netmodel.NodeID]*ordered.Set[int]
-	mapsBySite map[string]*ordered.Set[int]
+	mapsBySite []ordered.Set[int]
 }
 
 func (x *jobIndex) nodeSet(n netmodel.NodeID) *ordered.Set[int] {
@@ -68,13 +70,12 @@ func (x *jobIndex) nodeSet(n netmodel.NodeID) *ordered.Set[int] {
 	return s
 }
 
-func (x *jobIndex) siteSet(site string) *ordered.Set[int] {
-	s := x.mapsBySite[site]
-	if s == nil {
-		s = new(ordered.Set[int])
-		x.mapsBySite[site] = s
+// grow returns tab extended with zero values to cover index i.
+func grow[T any](tab []T, i int) []T {
+	if n := i + 1; n > len(tab) {
+		tab = append(tab, make([]T, n-len(tab))...)
 	}
-	return s
+	return tab
 }
 
 // registerJobIndex builds j's scheduler index at submit time and enters the
@@ -82,7 +83,6 @@ func (x *jobIndex) siteSet(site string) *ordered.Set[int] {
 func (jt *JobTracker) registerJobIndex(j *Job) {
 	j.idx = &jobIndex{
 		mapsByNode: make(map[netmodel.NodeID]*ordered.Set[int]),
-		mapsBySite: make(map[string]*ordered.Set[int]),
 	}
 	jt.activeList = append(jt.activeList, j)
 	jt.readyStale = true
@@ -214,11 +214,12 @@ func (jt *JobTracker) placementSets(m *mapTask, add bool) {
 			ns.Remove(m.idx)
 		}
 		if d := jt.nn.Datanode(r); d != nil && d.Alive {
-			ss := idx.siteSet(d.Site)
+			s := jt.nn.SiteOf(r)
 			if add {
-				ss.Add(m.idx)
-			} else {
-				ss.Remove(m.idx)
+				idx.mapsBySite = grow(idx.mapsBySite, s)
+				idx.mapsBySite[s].Add(m.idx)
+			} else if s < len(idx.mapsBySite) {
+				idx.mapsBySite[s].Remove(m.idx)
 			}
 		}
 	}
@@ -232,7 +233,7 @@ func (jt *JobTracker) placementChanged(bid hdfs.BlockID, node netmodel.NodeID, a
 	if len(maps) == 0 {
 		return
 	}
-	d := jt.nn.Datanode(node)
+	d, s := jt.nn.Datanode(node), jt.nn.SiteOf(node)
 	for _, m := range maps {
 		if m.idxClass != classPending {
 			continue
@@ -241,12 +242,13 @@ func (jt *JobTracker) placementChanged(bid hdfs.BlockID, node netmodel.NodeID, a
 		if added {
 			idx.nodeSet(node).Add(m.idx)
 			if d != nil && d.Alive {
-				idx.siteSet(d.Site).Add(m.idx)
+				idx.mapsBySite = grow(idx.mapsBySite, s)
+				idx.mapsBySite[s].Add(m.idx)
 			}
 		} else {
 			idx.nodeSet(node).Remove(m.idx)
-			if d != nil && !jt.blockLiveInSite(bid, d.Site) {
-				idx.siteSet(d.Site).Remove(m.idx)
+			if d != nil && s < len(idx.mapsBySite) && !jt.blockLiveInSite(bid, s) {
+				idx.mapsBySite[s].Remove(m.idx)
 			}
 		}
 	}
@@ -254,13 +256,13 @@ func (jt *JobTracker) placementChanged(bid hdfs.BlockID, node netmodel.NodeID, a
 
 // blockLiveInSite reports whether the block still has a replica on a live
 // datanode in the site (another replica may keep the site entry alive).
-func (jt *JobTracker) blockLiveInSite(bid hdfs.BlockID, site string) bool {
+func (jt *JobTracker) blockLiveInSite(bid hdfs.BlockID, site int) bool {
 	b := jt.nn.Block(bid)
 	if b == nil {
 		return false
 	}
 	for _, r := range b.Replicas() {
-		if d := jt.nn.Datanode(r); d != nil && d.Alive && d.Site == site {
+		if d := jt.nn.Datanode(r); d != nil && d.Alive && jt.nn.SiteOf(r) == site {
 			return true
 		}
 	}
@@ -290,8 +292,8 @@ func (jt *JobTracker) pickMap(j *Job, t *TaskTracker) (*mapTask, LocalityLevel) 
 		}
 	}
 	jt.work.PlacementLookups++
-	if s := j.idx.mapsBySite[t.Site]; s != nil {
-		for _, i := range *s {
+	if s := jt.nn.SiteOf(t.Node); s < len(j.idx.mapsBySite) {
+		for _, i := range j.idx.mapsBySite[s] {
 			m := j.maps[i]
 			if m.failedOn[t.Node] {
 				continue

@@ -26,32 +26,38 @@ type specRig struct {
 
 func newSpecRig(t *testing.T) *specRig {
 	t.Helper()
+	r := newRig(mapred.DefaultConfig())
+	r.jt.HeartbeatTracker(r.jt.Tracker(r.ids[0]))
+	r.jt.HeartbeatTracker(r.jt.Tracker(r.ids[1]))
+	if got := r.job.Counters().MapAttemptsStarted; got != 2 {
+		t.Fatalf("%d map attempts launched, want 2", got)
+	}
+	return r
+}
+
+// newRig builds specRig's three trackers under cfg and submits its two-map
+// job, with nothing launched yet.
+func newRig(cfg mapred.Config) *specRig {
 	eng := sim.New(1)
 	net := netmodel.New(eng, netmodel.Config{})
 	dt := disk.NewTracker()
 	nn := hdfs.NewNamenode(eng, net, dt, hdfs.Config{Replication: 1})
-	jt := mapred.NewJobTracker(eng, net, nn, dt, mapred.DefaultConfig())
+	jt := mapred.NewJobTracker(eng, net, nn, dt, cfg)
 	r := &specRig{eng: eng, jt: jt, aud: audit.New()}
 	jt.Events = &event.Bus{}
 	jt.Events.Subscribe(r.aud)
 	r.aud.Attach(nn, jt)
 	site := net.AddSite("a.edu", 1e9, 1e9)
 	for i := 0; i < 3; i++ {
-		host := fmt.Sprintf("n%d.a.edu", i)
-		id := net.AddNode(site, host)
+		id := net.AddNode(site, fmt.Sprintf("n%d.a.edu", i))
 		dt.SetCapacity(id, 10e9)
-		d := nn.Register(id, host)
-		jt.RegisterTracker(id, host, d.Site, 1, 1)
+		nn.Register(id)
+		jt.RegisterTracker(id, 1, 1)
 		r.ids = append(r.ids, id)
 	}
 	jt.Tracker(r.ids[1]).Speed = 0.1
 	nn.SeedFile("/in/spec", 2*hdfs.DefaultBlockSize, 0)
 	r.job = jt.Submit(mapred.JobConfig{Name: "spec", InputFile: "/in/spec"})
-	jt.HeartbeatTracker(jt.Tracker(r.ids[0]))
-	jt.HeartbeatTracker(jt.Tracker(r.ids[1]))
-	if got := r.job.Counters().MapAttemptsStarted; got != 2 {
-		t.Fatalf("%d map attempts launched, want 2", got)
-	}
 	return r
 }
 
@@ -60,7 +66,7 @@ func newSpecRig(t *testing.T) *specRig {
 // speculation-policy rule must fire exactly once.
 func TestSpeculationPolicyRuleFires(t *testing.T) {
 	r := newSpecRig(t)
-	r.jt.LaunchSpeculativeMap(r.job, 0, r.ids[2])
+	r.jt.LaunchMap(r.job, 0, r.ids[2])
 	if got := r.aud.Count(); got != 1 {
 		t.Fatalf("%d violations, want 1: %v", got, r.aud.Violations())
 	}

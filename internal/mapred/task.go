@@ -219,9 +219,7 @@ func (a *attempt) detach() {
 			a.tracker.runningReduces--
 		}
 		a.jt.poolRunning[a.job.pool]--
-		if sl := a.jt.siteLoads[a.tracker.Site]; sl != nil {
-			sl.running--
-		}
+		a.jt.siteLoad(a.tracker).running--
 	}
 }
 
@@ -346,7 +344,10 @@ func (a *attempt) mapRead() {
 		return
 	}
 	m := a.mt
-	src, local, ok := a.pickInputSource(m)
+	// The namenode's candidates are the replicas it believes alive, which
+	// may include dead or severed hosts the client times out against below,
+	// minus the ones this attempt already tried.
+	src, local, ok := a.jt.nn.ReadSource(a.node, m.block, func(id netmodel.NodeID) bool { return a.tried[id] })
 	if !ok {
 		if a.jt.nn.Degraded() {
 			// The namenode is crashed or still rebuilding its block map, so
@@ -389,46 +390,6 @@ func (a *attempt) mapRead() {
 	} else {
 		a.flow = a.jt.net.StartFlow(src, a.node, m.inputBytes, cont)
 	}
-}
-
-// pickInputSource chooses a replica to read the map input from, preferring
-// the attempt's own node, then its site, then anywhere. The candidate set is
-// what the namenode believes alive — it may include dead hosts the client
-// will time out against (mapRead pays that cost) — minus replicas this
-// attempt already tried. Replicas come in ascending ID order, so the seeded
-// pick is reproducible.
-func (a *attempt) pickInputSource(m *mapTask) (src netmodel.NodeID, local, ok bool) {
-	b := a.jt.nn.Block(m.block)
-	if b == nil {
-		return 0, false, false
-	}
-	var sameSite, other []netmodel.NodeID
-	mySite := ""
-	if t := a.tracker; t != nil {
-		mySite = t.Site
-	}
-	for _, r := range b.Replicas() {
-		if r == a.node {
-			return a.node, true, true
-		}
-		d := a.jt.nn.Datanode(r)
-		if d == nil || !d.Alive || a.tried[r] {
-			continue
-		}
-		if d.Site == mySite {
-			sameSite = append(sameSite, r)
-		} else {
-			other = append(other, r)
-		}
-	}
-	pool := sameSite
-	if len(pool) == 0 {
-		pool = other
-	}
-	if len(pool) == 0 {
-		return 0, false, false
-	}
-	return pool[a.jt.eng.Rand().Intn(len(pool))], false, true
 }
 
 func (a *attempt) speed() float64 {

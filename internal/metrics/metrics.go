@@ -76,10 +76,10 @@ func (s *Series) AreaBetween(t0, t1 sim.Time) float64 {
 		if p.T >= t1 {
 			break
 		}
-		area += prevV * (p.T - prevT).Seconds()
+		area += float64(prevV * (p.T - prevT).Seconds())
 		prevT, prevV = p.T, p.V
 	}
-	area += prevV * (t1 - prevT).Seconds()
+	area += float64(prevV * (t1 - prevT).Seconds())
 	return area
 }
 
@@ -163,11 +163,11 @@ func Summarize(xs []sim.Time) Summary {
 	var sum, sumsq float64
 	for _, y := range ys {
 		sum += float64(y)
-		sumsq += float64(y) * float64(y)
+		sumsq += float64(float64(y) * float64(y))
 	}
 	n := float64(len(ys))
 	mean := sum / n
-	variance := sumsq/n - mean*mean
+	variance := sumsq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -225,7 +225,7 @@ func SummarizeFloats(xs []float64) FloatSummary {
 	var sqdev float64
 	for _, x := range xs {
 		d := x - s.Mean
-		sqdev += d * d
+		sqdev += float64(d * d)
 	}
 	s.Std = math.Sqrt(sqdev / float64(len(xs)))
 	return s

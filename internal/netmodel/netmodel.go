@@ -262,8 +262,9 @@ func (n *Network) AddSite(name string, uplinkBps, downlinkBps float64) SiteID {
 	return SiteID(len(n.sites) - 1)
 }
 
-// AddNode registers a node at site and returns its ID. hostname is used only
-// for reporting and topology tests.
+// AddNode registers a node at site and returns its ID. The network is the
+// only owner of the node's hostname; the namenode derives the node's
+// awareness site from it (hdfs.Namenode.Register).
 func (n *Network) AddNode(site SiteID, hostname string) NodeID {
 	if int(site) < 0 || int(site) >= len(n.sites) {
 		panic(fmt.Sprintf("netmodel: AddNode with unknown site %d", site))
@@ -494,7 +495,7 @@ func (f *Flow) Remaining() float64 {
 		return f.remaining
 	}
 	dt := (f.net.eng.Now() - f.lastSettle).Seconds()
-	rem := f.remaining - f.rate*dt
+	rem := f.remaining - float64(f.rate*dt)
 	if rem < 0 {
 		rem = 0
 	}
@@ -696,7 +697,7 @@ func (n *Network) recompute(f *Flow, now sim.Time) {
 func (n *Network) applyRate(f *Flow, now sim.Time, rate float64) {
 	n.work.Retimed++
 	if dt := (now - f.lastSettle).Seconds(); dt > 0 {
-		f.remaining -= f.rate * dt
+		f.remaining -= float64(f.rate * dt)
 		if f.remaining < 0 {
 			f.remaining = 0
 		}

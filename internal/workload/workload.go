@@ -141,7 +141,7 @@ func Generate(seed int64, cfg Config) *Schedule {
 	r := rand.New(rand.NewSource(seed))
 	var jobs []JobSpec
 	for _, b := range bins {
-		n := int(float64(b.Jobs)*scale + 0.5)
+		n := int(float64(float64(b.Jobs)*scale) + 0.5)
 		if n < 1 {
 			n = 1
 		}
